@@ -10,10 +10,8 @@ from .numeric import (
     HarmonicCache,
     ResourceError,
     even_zeta_bound,
-    get_precision,
     harmonic,
     pi_oracle,
-    set_precision,
     zeta2_tail_bracket,
 )
 from .series import (

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .numeric import ApproxReal, DomainError, ZERO, pi_oracle
+from .numeric import DEFAULT_PRECISION, ApproxReal, DomainError, ZERO, pi_oracle
 from .series import mzv_limit, mzv_truncated, zeta_even_truncated
 
 
@@ -477,16 +477,21 @@ class FactorizationReport:
 
 def factorization_check(k: int, precision_bits: int) -> FactorizationReport:
     """Both sides of the factorization with certified tails, plus the chained
-    closed form pi^(2k)/(2k+1)! from the independent oracle."""
+    closed form pi^(2k)/(2k+1)! from the independent oracle.
+
+    The products round at no less than DEFAULT_PRECISION bits, so a low
+    requested precision widens only the limits, not the recursion budget.
+    """
     if k < 1:
         raise DomainError("needs k >= 1")
+    work = max(precision_bits, DEFAULT_PRECISION)
     zk = mzv_limit(k, precision_bits)
     zk1 = mzv_limit(k - 1, precision_bits)
     z1 = mzv_limit(1, precision_bits)
-    lhs = zk * ((2 * k + 1) * (2 * k))
-    rhs = zk1 * z1 * 6
-    pi = pi_oracle(precision_bits)
-    closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
+    lhs = ApproxReal.exact((2 * k + 1) * (2 * k), work) * zk
+    rhs = ApproxReal.exact(6, work) * zk1 * z1
+    pi = pi_oracle(work)
+    closed = pi.power(2 * k) / math.factorial(2 * k + 1)
     return FactorizationReport(k=k, lhs=lhs, rhs=rhs, closed_form=closed, mzv=zk)
 
 

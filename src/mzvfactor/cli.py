@@ -4,10 +4,10 @@
     mzvfactor verify SUITE [flags]
     mzvfactor bijection-dump --k K --bound B --kind {alpha,beta} [flags]
 
-Exit codes: 0 all pass, 1 verification failure, 2 usage error, 3 resource
-error. Reports are newline-delimited JSON, CSV, or aligned text, emitted in
-claim-id order; identical configurations (including --seed) produce
-byte-identical output.
+Exit codes: 0 all pass, 1 verification failure or internal error, 2 usage
+error, 3 resource error. Reports are newline-delimited JSON, CSV, or aligned
+text, emitted in claim-id order; identical configurations (including --seed)
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -33,6 +33,14 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _parse_sweep(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from exc
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -69,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dump = sub.add_parser("bijection-dump", help="enumerate and dump components")
     p_dump.add_argument("--kind", choices=["alpha", "beta"], default="alpha")
-    p_dump.add_argument("--m-sweep", dest="m_sweep",
+    p_dump.add_argument("--m-sweep", dest="m_sweep", type=_parse_sweep, default=(),
                         help="comma-separated beta truncations, e.g. 20,40,80")
     _add_shared(p_dump)
 
@@ -77,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    sweep: tuple[int, ...] = ()
-    if getattr(args, "m_sweep", None):
-        sweep = tuple(int(s) for s in args.m_sweep.split(","))
     return RunConfig(
         command=args.command,
         suite=getattr(args, "suite", ""),
@@ -87,7 +92,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         n_max=args.n_max, j_max=args.j_max, bound=args.bound, x=args.x,
         precision_bits=args.precision_bits, tolerance=args.tolerance,
         output_format=args.output_format, output_path=args.output_path,
-        seed=args.seed, kind=getattr(args, "kind", "alpha"), m_sweep=sweep,
+        seed=args.seed, kind=getattr(args, "kind", "alpha"),
+        m_sweep=getattr(args, "m_sweep", ()),
     )
 
 
@@ -208,9 +214,13 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DomainError, KeyError, ValueError) as exc:
+    except (DomainError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        # any other ValueError is a broken invariant inside the engine
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

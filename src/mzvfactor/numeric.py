@@ -1,19 +1,17 @@
 """Exact rational arithmetic, harmonic numbers, tail brackets, and a
 self-contained high-precision pi oracle.
 
-Everything here is certified: an ApproxReal is a dyadic midpoint together
-with an exact rational radius that is guaranteed to contain the true real
-number. No floating point is used anywhere in the package; "rounding" means
-explicit dyadic rounding whose error is computed exactly and added to the
-radius.
+Everything here is certified: an ApproxReal is a dyadic ball, an integer
+midpoint mantissa and exponent with a short radius rounded up, that is
+guaranteed to contain the true real number. No floating point is used
+anywhere in the package; "rounding" means explicit dyadic rounding at a
+precision the caller passes, whose error bound is added to the radius.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 ExactRational = Fraction
 
@@ -30,20 +28,6 @@ class DomainError(ValueError):
 
 class ResourceError(RuntimeError):
     """A request exceeded a configured resource ceiling (precision, N, ...)."""
-
-
-_precision = DEFAULT_PRECISION
-
-
-def set_precision(bits: int) -> None:
-    """Set the global working precision in bits (per-operation overrides allowed)."""
-    global _precision
-    require_precision(bits)
-    _precision = bits
-
-
-def get_precision() -> int:
-    return _precision
 
 
 def require_precision(bits: int) -> None:
@@ -134,46 +118,155 @@ def frac_to_decimal(q: Fraction, places: int = 30) -> str:
     return f"{sign}{ipart}.{frac}" if frac else f"{sign}{ipart}"
 
 
-@dataclass(frozen=True)
-class ApproxReal:
-    """A certified bracket: the true value lies in [value - err, value + err].
+def _to_fraction(m: int, e: int) -> Fraction:
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
-    `value` is a dyadic rational, `err` an exact nonnegative rational. All
-    arithmetic propagates worst-case error and accounts for its own dyadic
-    rounding exactly.
+
+# Radii are "magnitudes": pairs (m, e) with m >= 0 standing for m * 2^e,
+# kept at about ERR_BITS bits and only ever rounded up (lower bounds, used for
+# a divisor, are rounded down), so their arithmetic stays on short ints.
+
+def _mag_of(q: Fraction) -> tuple[int, int]:
+    """Dyadic upper bound of the rational radius q >= 0 (err_up, then up to
+    a power-of-two denominator)."""
+    q = err_up(q)
+    n, d = q.numerator, q.denominator
+    if d & (d - 1) == 0:
+        return n, 1 - d.bit_length()
+    s = ERR_BITS - n.bit_length() + d.bit_length()
+    return -(-(n << s) // d), -s
+
+
+def _mag_up(m: int, e: int) -> tuple[int, int]:
+    """Upper bound of m 2^e with at most ERR_BITS + 1 bits."""
+    n = m.bit_length() - ERR_BITS
+    if n <= 0:
+        return m, e
+    return -(-m >> n), e + n
+
+
+def _mag_down(m: int, e: int) -> tuple[int, int]:
+    """Lower bound of m 2^e (m > 0) with exactly ERR_BITS bits."""
+    n = m.bit_length() - ERR_BITS
+    return (m >> n, e + n) if n >= 0 else (m << -n, e + n)
+
+
+def _mag_add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
+    """Upper bound of m1 2^e1 + m2 2^e2."""
+    if not m2:
+        return _mag_up(m1, e1)
+    if not m1:
+        return _mag_up(m2, e2)
+    b1, b2 = m1.bit_length(), m2.bit_length()
+    if e1 + b1 < e2 + b2:
+        m1, e1, b1, m2, e2, b2 = m2, e2, b2, m1, e1, b1
+    if b1 < ERR_BITS:
+        e1 -= ERR_BITS - b1
+        m1 <<= ERR_BITS - b1
+    d = e1 - e2
+    if d >= b2:
+        # the smaller term is below one unit in the last place of the larger
+        return _mag_up(m1 + 1, e1)
+    if d >= 0:
+        return _mag_up((m1 << d) + m2, e2)
+    return _mag_up(m1 + (m2 << -d), e1)
+
+
+def _mag_div(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
+    """Upper bound of (m1 2^e1) / (m2 2^e2), m2 > 0."""
+    s = ERR_BITS + m2.bit_length() - m1.bit_length()
+    if s >= 0:
+        return -(-(m1 << s) // m2), e1 - e2 - s
+    return -(-m1 // (m2 << -s)), e1 - e2 - s
+
+
+_new = object.__new__
+
+
+def _make(m: int, e: int, rm: int, re: int, prec: int) -> "ApproxReal":
+    b = _new(ApproxReal)
+    b.man = m
+    b.exp = e
+    b.rad = rm
+    b.rexp = re
+    b.prec = prec
+    return b
+
+
+def _rounded(m: int, e: int, rm: int, re: int, prec: int) -> "ApproxReal":
+    """The ball with midpoint m 2^e rounded to nearest at prec + 1
+    significant bits (as round_to_bits does) and radius rm 2^re widened by
+    the rounding error."""
+    n = m.bit_length() - prec - 1
+    if n > 0:
+        low = m & ((1 << n) - 1)
+        m >>= n
+        if low >> (n - 1):
+            m += 1
+            low = (1 << n) - low
+        if low:
+            rm, re = _mag_add(rm, re, low, e)
+        e += n
+    return _make(m, e, rm, re, prec)
+
+
+class ApproxReal:
+    """A dyadic ball: the true value lies in [value - err, value + err].
+
+    The midpoint is man * 2^exp and the radius rad * 2^rexp, all ints; the
+    radius keeps about ERR_BITS bits and is always rounded up. `prec` is the
+    ball's working precision: an operation rounds its midpoint to nearest at
+    the larger precision of its operands, and adds that rounding error to the
+    radius. Ints and Fractions mixed into an operation count as exact balls
+    at the other operand's precision (a non-dyadic Fraction is rounded
+    first). Balls are never mutated after construction.
     """
 
-    value: Fraction
-    err: Fraction = ZERO
+    __slots__ = ("man", "exp", "rad", "rexp", "prec")
 
-    def __post_init__(self) -> None:
-        if self.err < 0:
+    def __init__(self, value: Fraction | int, err: Fraction | int, prec: int) -> None:
+        require_precision(prec)
+        value = Fraction(value)
+        den = value.denominator
+        if den & (den - 1):
+            raise DomainError("a ball's midpoint must be dyadic")
+        if err < 0:
             raise DomainError("negative error radius")
-        object.__setattr__(self, "err", err_up(self.err))
+        self.man = value.numerator
+        self.exp = 1 - den.bit_length()
+        self.rad, self.rexp = _mag_of(Fraction(err))
+        self.prec = prec
 
     # ---- constructors ----
 
     @staticmethod
-    def exact(q: Fraction | int) -> "ApproxReal":
-        return ApproxReal(Fraction(q), ZERO)
+    def exact(q: Fraction | int, prec: int) -> "ApproxReal":
+        """The dyadic rational q as a ball of radius 0."""
+        return ApproxReal(q, ZERO, prec)
 
     @staticmethod
-    def from_rational(q: Fraction | int, prec: int | None = None,
+    def from_rational(q: Fraction | int, prec: int,
                       err: Fraction = ZERO) -> "ApproxReal":
-        p = _precision if prec is None else prec
-        v, r = round_to_bits(Fraction(q), p)
-        return ApproxReal(v, err + r)
+        v, r = round_to_bits(Fraction(q), prec)
+        return ApproxReal(v, err + r, prec)
 
     @staticmethod
-    def from_bracket(lo: Fraction, hi: Fraction, prec: int | None = None) -> "ApproxReal":
+    def from_bracket(lo: Fraction, hi: Fraction, prec: int) -> "ApproxReal":
         if hi < lo:
             raise DomainError("empty bracket")
-        p = _precision if prec is None else prec
         mid = (lo + hi) / 2
-        v, r = round_to_bits(mid, p)
-        return ApproxReal(v, (hi - lo) / 2 + r)
+        v, r = round_to_bits(mid, prec)
+        return ApproxReal(v, (hi - lo) / 2 + r, prec)
 
     # ---- views ----
+
+    @property
+    def value(self) -> Fraction:
+        return _to_fraction(self.man, self.exp)
+
+    @property
+    def err(self) -> Fraction:
+        return _to_fraction(self.rad, self.rexp)
 
     @property
     def lo(self) -> Fraction:
@@ -186,63 +279,95 @@ class ApproxReal:
     def contains(self, q: Fraction | int) -> bool:
         return self.lo <= q <= self.hi
 
-    def overlaps(self, other: "ApproxReal", slack: Fraction = ZERO) -> bool:
-        return abs(self.value - other.value) <= self.err + other.err + slack
-
-    def abs_upper(self) -> Fraction:
-        return abs(self.value) + self.err
-
     def decimal(self, places: int = 30) -> str:
         return frac_to_decimal(self.value, places)
 
+    def __repr__(self) -> str:
+        return f"ApproxReal({self.value!r}, {self.err!r}, {self.prec})"
+
     # ---- arithmetic ----
 
-    def _prec(self) -> int:
-        return _precision
-
     def __neg__(self) -> "ApproxReal":
-        return ApproxReal(-self.value, self.err)
+        return _make(-self.man, self.exp, self.rad, self.rexp, self.prec)
 
     def __abs__(self) -> "ApproxReal":
-        return ApproxReal(abs(self.value), self.err)
+        return _make(abs(self.man), self.exp, self.rad, self.rexp, self.prec)
 
     def __add__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        other = _coerce(other)
-        v, r = round_to_bits(self.value + other.value, self._prec())
-        return ApproxReal(v, self.err + other.err + r)
+        return _add(self, _coerce(other, self.prec), False)
 
     __radd__ = __add__
 
     def __sub__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        return self + (-_coerce(other))
+        return _add(self, _coerce(other, self.prec), True)
 
     def __rsub__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        return _coerce(other) + (-self)
+        return _add(_coerce(other, self.prec), self, True)
 
     def __mul__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        other = _coerce(other)
-        v, r = round_to_bits(self.value * other.value, self._prec())
-        err = (abs(self.value) * other.err + abs(other.value) * self.err
-               + self.err * other.err + r)
-        return ApproxReal(v, err)
+        other = _coerce(other, self.prec)
+        m1, e1, r1, f1, p1 = self.man, self.exp, self.rad, self.rexp, self.prec
+        m2, e2, r2, f2, p2 = other.man, other.exp, other.rad, other.rexp, other.prec
+        # |a| rb + |b| ra + ra rb
+        rm = re = 0
+        if r2:
+            am, ae = _mag_up(abs(m1), e1)
+            rm, re = _mag_up(am * r2, ae + f2)
+        if r1:
+            bm, be = _mag_up(abs(m2), e2)
+            rm, re = _mag_add(rm, re, bm * r1, be + f1)
+            if r2:
+                rm, re = _mag_add(rm, re, r1 * r2, f1 + f2)
+        return _rounded(m1 * m2, e1 + e2, rm, re, p1 if p1 >= p2 else p2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        other = _coerce(other)
-        bmag = abs(other.value)
-        if bmag <= other.err:
+        other = _coerce(other, self.prec)
+        m1, e1, r1, f1, p1 = self.man, self.exp, self.rad, self.rexp, self.prec
+        m2, e2, r2, f2, p2 = other.man, other.exp, other.rad, other.rexp, other.prec
+        prec = p1 if p1 >= p2 else p2
+        if not m2:
             raise DomainError("division by a bracket containing zero")
-        q = self.value / other.value
-        v, r = round_to_bits(q, self._prec())
-        err = (self.err * bmag + abs(self.value) * other.err) / (bmag * (bmag - other.err)) + r
-        return ApproxReal(v, err)
+        a, d = abs(m1), abs(m2)
+        # a lower bound of |b| - rb, which must be positive
+        lm, le = _mag_down(d, e2)
+        if r2:
+            if f2 + r2.bit_length() <= le:
+                lm -= 1
+            elif f2 >= le:
+                lm -= r2 << (f2 - le)
+            else:
+                lm, le = (lm << (le - f2)) - r2, f2
+            if lm <= 0:
+                raise DomainError("division by a bracket containing zero")
+        # midpoint quotient with prec + 1 or prec + 2 bits, rounded to nearest
+        s = prec + 1 + d.bit_length() - a.bit_length()
+        if s < 0:
+            d <<= -s
+        q, r = divmod(a << s if s > 0 else a, d)
+        e = e1 - e2 - s
+        # radius (ra + |a/b| rb) / (|b| - rb)
+        rm = re = 0
+        if r2:
+            qm, qe = _mag_up(q + 1, e)
+            rm, re = _mag_add(r1, f1, qm * r2, qe + f2)
+            rm, re = _mag_div(rm, re, lm, le)
+        elif r1:
+            rm, re = _mag_div(r1, f1, lm, le)
+        if r:
+            if 2 * r >= d:
+                q += 1
+            rm, re = _mag_add(rm, re, 1, e - 1)
+        if (m1 < 0) != (m2 < 0):
+            q = -q
+        return _make(q, e, rm, re, prec)
 
     def __rtruediv__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        return _coerce(other) / self
+        return _coerce(other, self.prec) / self
 
     def sqrt(self, prec: int | None = None) -> "ApproxReal":
-        p = self._prec() if prec is None else prec
+        p = self.prec if prec is None else prec
         if self.lo < 0:
             raise DomainError("sqrt of a bracket extending below zero")
         lo, _ = sqrt_bounds(self.lo, p)
@@ -252,7 +377,7 @@ class ApproxReal:
     def power(self, n: int) -> "ApproxReal":
         if n < 0:
             raise DomainError("negative powers not supported")
-        out = ApproxReal.exact(1)
+        out = _make(1, 0, 0, 0, self.prec)
         base = self
         e = n
         while e:
@@ -263,19 +388,30 @@ class ApproxReal:
         return out
 
 
-def _coerce(x: "ApproxReal | Fraction | int") -> ApproxReal:
+def _add(a: ApproxReal, b: ApproxReal, negate: bool) -> ApproxReal:
+    """a + b, or a - b when `negate`."""
+    m1, e1, p1 = a.man, a.exp, a.prec
+    m2, e2, p2 = b.man, b.exp, b.prec
+    if negate:
+        m2 = -m2
+    if e1 >= e2:
+        m, e = (m1 << (e1 - e2)) + m2, e2
+    else:
+        m, e = m1 + (m2 << (e2 - e1)), e1
+    rm, re = _mag_add(a.rad, a.rexp, b.rad, b.rexp)
+    return _rounded(m, e, rm, re, p1 if p1 >= p2 else p2)
+
+
+def _coerce(x: "ApproxReal | Fraction | int", prec: int) -> ApproxReal:
     if isinstance(x, ApproxReal):
         return x
-    return ApproxReal.exact(Fraction(x))
-
-
-def sum_approx(terms: Iterable[ApproxReal]) -> ApproxReal:
-    """Left-to-right certified sum (fixed order for reproducibility)."""
-    total = ApproxReal.exact(0)
-    for t in terms:
-        total = total + t
-    return total
-
+    if isinstance(x, int):
+        return _make(x, 0, 0, 0, prec)
+    q = Fraction(x)
+    den = q.denominator
+    if den & (den - 1) == 0:
+        return _make(q.numerator, 1 - den.bit_length(), 0, 0, prec)
+    return ApproxReal.from_rational(q, prec)
 
 # ---------------------------------------------------------------------------
 # Harmonic numbers

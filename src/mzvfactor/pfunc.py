@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import ApproxReal, DomainError, ZERO, harmonic
+from .numeric import DEFAULT_PRECISION, ApproxReal, DomainError, ZERO, harmonic
 from .polys import Poly, poly_add, poly_diff, poly_divexact, poly_eq, poly_mul
 from .product import f_polynomial
 
@@ -105,15 +105,17 @@ def p_coefficient_witness(n: int, j: int) -> PCoefficientWitness:
     return w
 
 
-def p_eval(x: Fraction | ApproxReal, N: int, precision: int | None = None) -> ApproxReal:
+def p_eval(x: Fraction | ApproxReal, N: int,
+           precision: int = DEFAULT_PRECISION) -> ApproxReal:
     """Certified value of the depth-N truncation
 
         6 sum_{n<=N} 1/(n^2 - x^2)
         - 8 x^2 sum_{l1<l2<=N} 1/((l1^2 - x^2)(l2^2 - x^2)),
 
     using the exact pair-sum rearrangement (S^2 - S2)/2 of the same
-    truncation. Points within 1/N of an integer are rejected: the terms
-    blow up and the bracket becomes vacuous.
+    truncation, in balls of `precision` bits (the radius grows about as
+    N 2^-precision). Points within 1/N of an integer are rejected: the
+    terms blow up and the bracket becomes vacuous.
     """
     if N < 2:
         raise DomainError("p_eval needs N >= 2")
@@ -124,17 +126,13 @@ def p_eval(x: Fraction | ApproxReal, N: int, precision: int | None = None) -> Ap
     if 1 - mag < Fraction(1, N):
         raise DomainError(f"x within 1/{N} of the pole at 1; bracket would be vacuous")
     x2 = xa * xa
-    one = ApproxReal.exact(1)
-    s = ApproxReal.exact(0)
-    s2 = ApproxReal.exact(0)
-    single = ApproxReal.exact(0)
+    s = s2 = ApproxReal.exact(0, precision)
     for n in range(1, N + 1):
-        term = one / (ApproxReal.exact(n * n) - x2)
-        single = single + term
+        term = 1 / (n * n - x2)
         s = s + term
         s2 = s2 + term * term
     pair_sum = (s * s - s2) * Fraction(1, 2)
-    return single * 6 - x2 * pair_sum * 8
+    return 6 * s - x2 * pair_sum * 8
 
 
 def interchange_bound_check(x: Fraction, N: int) -> bool:

@@ -30,6 +30,11 @@ from .series import zeta_even_truncated
 
 WALLIS_N_CEILING = 10 ** 6
 
+# pi_amp reports the exact Wallis partial while its numerator and
+# denominator have at most this many bits: such integers have at most 4300
+# decimal digits, Python's default limit for int-to-str conversion.
+EXACT_PARTIAL_MAX_BITS = 14_284
+
 # exp(4) < 55: a certified Lipschitz bound for g, g', g'' on [-4, 4]
 _SERIES_LIPSCHITZ = Fraction(55)
 
@@ -88,17 +93,15 @@ def pi_freq(precision_bits: int, N: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def _wallis_raw(N: int) -> tuple[int, int]:
-    """Unreduced numerator/denominator of 2 prod_{n<=N} (2n)^2/((2n-1)(2n+1)),
-    in closed factorial form; skipping the gcd matters at large N."""
+    """Numerator/denominator of 2 prod_{n<=N} (2n)^2/((2n-1)(2n+1)) in the
+    closed form 2^(4N+1) / (C(2N, N)^2 (2N+1)); the numerator is a power of
+    two, so the fraction is reduced by stripping the denominator's factors
+    of 2, and no gcd is needed at large N."""
     if N < 0:
         raise DomainError("needs N >= 0")
     if N > WALLIS_N_CEILING:
         raise ResourceError(f"Wallis truncation {N} exceeds {WALLIS_N_CEILING}")
-    if N == 0:
-        return 2, 1
-    nf = math.factorial(N)
-    tnf = math.factorial(2 * N)
-    return (nf ** 4) << (4 * N + 1), tnf * tnf * (2 * N + 1)
+    return 1 << (4 * N + 1), math.comb(2 * N, N) ** 2 * (2 * N + 1)
 
 
 def wallis_pair_product(N: int) -> Fraction:
@@ -135,9 +138,13 @@ def pi_amp(N: int, precision_bits: int = 128) -> PiEstimate:
     hi_den = den * (2 * N + 1)
     hi = Fraction((hi_num << shift) // hi_den + 1, 1 << shift)
     # report the partial product itself; the radius covers the whole bracket
-    value = ApproxReal(lo, hi - lo)
+    value = ApproxReal(lo, hi - lo, precision_bits)
+    twos = (den & -den).bit_length() - 1
+    exact_partial = None
+    if max(num.bit_length(), den.bit_length()) - twos <= EXACT_PARTIAL_MAX_BITS:
+        exact_partial = Fraction(num >> twos, den >> twos)
     return PiEstimate(which="amp", value=value, truncation={"N": N},
-                      exact_partial=Fraction(num, den) if N <= 10 ** 4 else None)
+                      exact_partial=exact_partial)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +174,11 @@ def g_eval(x: Fraction | ApproxReal, terms: Optional[int] = None,
     bracket width. Requires |x| <= 4.
     """
     require_precision(precision_bits)
-    xa = x if isinstance(x, ApproxReal) else ApproxReal.exact(Fraction(x))
-    xv = xa.value
-    if abs(xv) + xa.err > 4:
+    if isinstance(x, ApproxReal):
+        xv, xerr = x.value, x.err
+    else:
+        xv, xerr = Fraction(x), ZERO
+    if abs(xv) + xerr > 4:
         raise DomainError("g_eval is certified on [-4, 4] only")
     T = terms if terms is not None else _auto_terms(abs(xv), precision_bits)
     if xv == 0:
@@ -191,7 +200,7 @@ def g_eval(x: Fraction | ApproxReal, terms: Optional[int] = None,
             raise DomainError("too few terms for the alternating remainder bound")
         rem_g = ax ** (2 * T + 3) / Fraction(math.factorial(2 * T + 3))
         rem_gp = ax ** (2 * T + 2) / Fraction(math.factorial(2 * T + 2))
-    slop = _SERIES_LIPSCHITZ * xa.err
+    slop = _SERIES_LIPSCHITZ * xerr
     g = ApproxReal.from_bracket(g_sum - rem_g - slop, g_sum + rem_g + slop,
                                 precision_bits + 16)
     gp = ApproxReal.from_bracket(gp_sum - rem_gp - slop, gp_sum + rem_gp + slop,
@@ -236,7 +245,7 @@ def _speed(x: Fraction, precision_bits: int) -> ApproxReal:
 
 def _simpson(a: Fraction, b: Fraction, m: int, precision_bits: int) -> ApproxReal:
     h = (b - a) / m
-    total = ApproxReal.exact(0)
+    total = ApproxReal.exact(0, precision_bits)
     for i in range(m + 1):
         w = 1 if i in (0, m) else (4 if i % 2 == 1 else 2)
         total = total + _speed(a + i * h, precision_bits) * w
@@ -262,7 +271,7 @@ def arc_length(precision_bits: int, quad_nodes: int = 32,
     ends = 1 if half else 2
     # endpoint sliver: |speed| <= sqrt(2) e^2 < 12 anywhere within |x| <= 2
     extra = doubling + ends * delta * 12
-    return ApproxReal(q2.value, q2.err + extra)
+    return ApproxReal(q2.value, q2.err + extra, precision_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,6 @@ def poly_add(a: Poly, b: Poly) -> Poly:
     return poly_trim(out)
 
 
-def poly_scale(a: Poly, c: Fraction) -> Poly:
-    return poly_trim([x * c for x in a])
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
     out = [ZERO] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numeric import ApproxReal, DomainError, ZERO, ONE, get_precision
+from .numeric import DEFAULT_PRECISION, ApproxReal, DomainError, ZERO, ONE
 from .polys import Poly, poly_mul, poly_trim
 
 
@@ -37,14 +37,17 @@ def eval_F_factored(x: Fraction, N: int) -> Fraction:
     return acc
 
 
-def eval_F_approx(x: ApproxReal, N: int) -> ApproxReal:
-    """Certified evaluation of the truncated product at a bracketed point."""
+def eval_F_approx(x: ApproxReal, N: int,
+                  precision_bits: int = DEFAULT_PRECISION) -> ApproxReal:
+    """Certified evaluation of the truncated product at a bracketed point,
+    rounding at precision_bits or at x's precision, whichever is larger."""
     if N < 1:
         raise DomainError("eval_F_approx needs N >= 1")
+    one = ApproxReal.exact(1, precision_bits)
     acc = x
     x2 = x * x
     for n in range(1, N + 1):
-        acc = acc * (ApproxReal.exact(1) - x2 * Fraction(1, n * n))
+        acc = acc * (one - x2 / (n * n))
     return acc
 
 
@@ -108,7 +111,8 @@ def periodicity_sign_report(x: Fraction, N: int) -> PeriodicityReport:
 
 
 def second_derivative_fd(x: ApproxReal | Fraction, N: int,
-                         h: Fraction | None = None) -> tuple[ApproxReal, bool]:
+                         h: Fraction | None = None,
+                         precision_bits: int = DEFAULT_PRECISION) -> tuple[ApproxReal, bool]:
     """Central finite difference (F_N(x+h) - 2 F_N(x) + F_N(x-h)) / h^2.
 
     The default step 2^(-precision/3) balances the O(h^2) truncation against
@@ -117,15 +121,17 @@ def second_derivative_fd(x: ApproxReal | Fraction, N: int,
     lost all significance.
     """
     if h is None:
-        h = Fraction(1, 1 << (get_precision() // 3))
+        h = Fraction(1, 1 << (precision_bits // 3))
+    h = Fraction(h)
     if h <= 0:
         raise DomainError("step h must be positive")
-    xa = x if isinstance(x, ApproxReal) else ApproxReal.from_rational(Fraction(x))
-    fp = eval_F_approx(xa + Fraction(h), N)
-    f0 = eval_F_approx(xa, N)
-    fm = eval_F_approx(xa - Fraction(h), N)
+    xa = (x if isinstance(x, ApproxReal)
+          else ApproxReal.from_rational(Fraction(x), precision_bits))
+    fp = eval_F_approx(xa + h, N, precision_bits)
+    f0 = eval_F_approx(xa, N, precision_bits)
+    fm = eval_F_approx(xa - h, N, precision_bits)
     num = fp - f0 - f0 + fm
-    est = num / ApproxReal.exact(Fraction(h) * Fraction(h))
+    est = num / (h * h)
     flagged = est.err >= abs(est.value)
     return est, flagged
 

@@ -13,6 +13,7 @@ import itertools
 from fractions import Fraction
 
 from .numeric import (
+    DEFAULT_PRECISION,
     ApproxReal,
     DomainError,
     ResourceError,
@@ -80,17 +81,18 @@ def mzv_truncated(N: int, k: int) -> Fraction:
     return mzv_row(N, k)[k]
 
 
-def mzv_row_approx(N: int, k_max: int, precision: int | None = None) -> list[ApproxReal]:
-    """The same rolling recursion with certified brackets; numerators of the
-    exact entries grow past any sane size above N = 10^4, so deep truncations
-    run here instead."""
+def mzv_row_approx(N: int, k_max: int,
+                   precision: int = DEFAULT_PRECISION) -> list[ApproxReal]:
+    """The same rolling recursion in balls of `precision` bits; numerators of
+    the exact entries grow past any sane size above N = 10^4, so deep
+    truncations run here instead."""
     if N < 1:
         raise DomainError("mzv_row_approx needs N >= 1")
-    row = [ApproxReal.exact(1)] + [ApproxReal.exact(0)] * k_max
+    row = [ApproxReal.exact(1, precision)] + [ApproxReal.exact(0, precision)] * k_max
     for n in range(1, N + 1):
-        inv2 = Fraction(1, n * n)
+        sq = n * n
         for k in range(min(k_max, n), 0, -1):
-            row[k] = row[k] + row[k - 1] * inv2
+            row[k] = row[k] + row[k - 1] / sq
     return row
 
 
@@ -168,12 +170,15 @@ def tail_elementary_brackets(N: int, k: int, em_terms: int = 6) -> list[tuple[Fr
     return e
 
 
-def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6) -> tuple[Fraction, Fraction]:
+def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
+                      precision: int = DEFAULT_PRECISION) -> tuple[Fraction, Fraction]:
     """Exact rational bracket for zeta({2}^k).
 
     Splits the elementary symmetric function over {1..N} and the tail:
         zeta({2}^k) = sum_j zeta_N({2}^j) * e_{k-j}(tail),
-    an identity, so the only width comes from the tail power-sum brackets.
+    an identity, so below N = EXACT_N_LIMIT the only width comes from the
+    tail power-sum brackets; above it the head rows are balls of
+    `precision` bits.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
@@ -184,7 +189,7 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6) -> tuple[Fractio
     if N <= EXACT_N_LIMIT:
         head = [(h, h) for h in mzv_row(N, k)]
     else:
-        head = [(a.lo, a.hi) for a in mzv_row_approx(N, k)]
+        head = [(a.lo, a.hi) for a in mzv_row_approx(N, k, precision)]
     tails = tail_elementary_brackets(N, k, em_terms)
     lo = ZERO
     hi = ZERO
@@ -209,17 +214,20 @@ def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:
     """zeta({2}^k) with certified error meeting the requested precision."""
     require_precision(precision_bits)
     if k == 0:
-        return ApproxReal.exact(1)
+        return ApproxReal.exact(1, precision_bits)
     target = Fraction(1, 1 << (precision_bits + 2))
     n = N if N is not None else 256
     em = 6
     while True:
-        lo, hi = mzv_limit_bracket(k, n, em)
+        # past EXACT_N_LIMIT the head row is approximate: its N k roundings
+        # at head_bits bits add up to less than 2^-(precision_bits+16)
+        head_bits = precision_bits + 16 + n.bit_length() + k.bit_length()
+        lo, hi = mzv_limit_bracket(k, n, em, precision=head_bits)
         mid = (lo + hi) / 2
         v, r = round_to_bits(mid, precision_bits + 8)
         err = (hi - lo) / 2 + r
         if err <= target:
-            return ApproxReal(v, err)
+            return ApproxReal(v, err, precision_bits)
         if N is not None or (n >= MZV_N_CEILING and em + 1 >= 16):
             raise ResourceError(
                 f"cannot certify zeta({{2}}^{k}) to {precision_bits} bits "

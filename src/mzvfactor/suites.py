@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from . import bijection, pfunc, pi_constants, product, series
-from .numeric import ZERO, pi_oracle
+from .numeric import DEFAULT_PRECISION, ZERO, pi_oracle
 from .report import (
     RunConfig,
     VerificationReport,
@@ -37,10 +37,11 @@ def suite_basel(config: RunConfig) -> list[VerificationReport]:
     prec = config.precision_bits
     width_tol = _tol(config, TEN ** -20)
     out = []
-    pi = pi_oracle(prec)
+    # the closed form is rounded at no less than DEFAULT_PRECISION bits
+    pi = pi_oracle(max(prec, DEFAULT_PRECISION))
     for k in range(1, k_max + 1):
         z = series.mzv_limit(k, prec)
-        closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
+        closed = pi.power(2 * k) / math.factorial(2 * k + 1)
         out.append(make_record(
             f"eq2.k{k}", z.value, closed.value, z.err + closed.err, ZERO,
             params={"k": k, "precision_bits": prec}))

@@ -4,6 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from mzvfactor import cli, pfunc
+from mzvfactor.numeric import DomainError
+
 
 def _run(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "mzvfactor.cli", *args],
@@ -24,6 +29,15 @@ def test_compute_pi_amp_trivial():
     payload = json.loads(proc.stdout.strip())
     assert payload["observed"].startswith("2.0")
     assert payload["params"]["exact_partial"] == "2/1"
+
+
+def test_compute_pi_amp_past_the_exact_partial_limit():
+    # the exact partial has more than 4300 digits here; it is left out
+    proc = _run("compute", "pi-amp", "--N", "5000", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout.strip())
+    assert payload["status"] == "pass"
+    assert "exact_partial" not in payload["params"]
 
 
 def test_compute_p_eval_matches_six_zeta():
@@ -68,6 +82,31 @@ def test_verify_failure_exit_code():
 def test_usage_error_exit_code():
     proc = _run("verify", "definitely-not-a-suite")
     assert proc.returncode == 2
+
+
+def _raise(exc):
+    def engine(*args, **kwargs):
+        raise exc
+    return engine
+
+
+def test_domain_error_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(pfunc, "p_eval", _raise(DomainError("x outside the domain")))
+    assert cli.main(["compute", "p-eval", "--x", "1/2", "--N", "20"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: x outside the domain")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(pfunc, "p_eval", _raise(ValueError("polynomial division is not exact")))
+    assert cli.main(["compute", "p-eval", "--x", "1/2", "--N", "20"]) == 1
+    assert capsys.readouterr().err.startswith("internal error: polynomial division")
+
+
+def test_malformed_m_sweep_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bijection-dump", "--k", "2", "--kind", "beta", "--m-sweep", "3,x"])
+    assert exc.value.code == 2
+    assert "not a comma-separated list of integers" in capsys.readouterr().err
 
 
 def test_resource_error_exit_code():

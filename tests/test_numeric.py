@@ -23,6 +23,7 @@ from mzvfactor.series import zeta_even_truncated
 
 rationals = st.fractions(min_value=-1000, max_value=1000)
 small_rationals = st.fractions(min_value=Fraction(-8), max_value=Fraction(8))
+precisions = st.sampled_from([32, 64, 128, 1024])
 
 
 def test_harmonic_small_values():
@@ -141,53 +142,83 @@ def test_err_up_is_an_upper_bound(q):
 
 # ---- ApproxReal fuzz against exact rational arithmetic ----
 
-@given(rationals, rationals)
+@given(rationals, rationals, precisions)
 @settings(max_examples=200)
-def test_approx_add_sub_mul_contain_exact(a, b):
-    xa, xb = ApproxReal.from_rational(a), ApproxReal.from_rational(b)
+def test_approx_add_sub_mul_contain_exact(a, b, prec):
+    xa, xb = ApproxReal.from_rational(a, prec), ApproxReal.from_rational(b, prec)
     assert (xa + xb).contains(a + b)
     assert (xa - xb).contains(a - b)
     assert (xa * xb).contains(a * b)
+    assert (b - xa).contains(b - a)
+    assert (xa * b).contains(a * b)
 
 
-@given(rationals, rationals.filter(lambda q: abs(q) > Fraction(1, 100)))
+@given(rationals, rationals.filter(lambda q: abs(q) > Fraction(1, 100)), precisions)
 @settings(max_examples=200)
-def test_approx_div_contains_exact(a, b):
-    xa, xb = ApproxReal.from_rational(a), ApproxReal.from_rational(b)
+def test_approx_div_contains_exact(a, b, prec):
+    xa, xb = ApproxReal.from_rational(a, prec), ApproxReal.from_rational(b, prec)
     assert (xa / xb).contains(a / b)
+    assert (1 / xb).contains(1 / b)
 
 
-@given(rationals.filter(lambda q: q >= 0))
-def test_approx_sqrt_contains_true_root(a):
-    r = ApproxReal.from_rational(a).sqrt()
+@given(rationals.filter(lambda q: q >= 0), precisions)
+def test_approx_sqrt_contains_true_root(a, prec):
+    r = ApproxReal.from_rational(a, prec).sqrt()
     assert (r.lo) ** 2 <= a <= (r.hi) ** 2 or r.lo < 0
+
+
+unit_fractions = st.fractions(min_value=-1, max_value=1)
+widths = st.fractions(min_value=0, max_value=Fraction(1, 10))
+
+
+@given(rationals, rationals, widths, widths, unit_fractions, unit_fractions, precisions)
+@settings(max_examples=200)
+def test_approx_wide_balls_contain_every_image(a, b, wa, wb, ta, tb, prec):
+    # balls of radius wa, wb around a, b; pa, pb are points inside them
+    xa = ApproxReal.from_rational(a, prec, err=wa)
+    xb = ApproxReal.from_rational(b, prec, err=wb)
+    pa, pb = a + ta * wa, b + tb * wb
+    assert (xa + xb).contains(pa + pb)
+    assert (xa - xb).contains(pa - pb)
+    assert (xa * xb).contains(pa * pb)
+    if abs(b) > 2 * wb + Fraction(1, 100):
+        assert (xa / xb).contains(pa / pb)
 
 
 def test_approx_div_by_zero_bracket_raises():
     with pytest.raises(DomainError):
-        ApproxReal.from_rational(1) / ApproxReal(Fraction(0), Fraction(1, 10))
+        ApproxReal.from_rational(1, 64) / ApproxReal(Fraction(0), Fraction(1, 10), 64)
 
 
-def test_approx_power_matches_repeated_multiplication():
-    x = ApproxReal.from_rational(Fraction(3, 7))
-    p = x.power(5)
-    assert p.contains(Fraction(3, 7) ** 5)
+@given(small_rationals, st.integers(min_value=0, max_value=12), precisions)
+def test_approx_power_matches_repeated_multiplication(a, n, prec):
+    p = ApproxReal.from_rational(a, prec).power(n)
+    assert p.contains(a ** n)
 
 
-def test_from_bracket_contains_endpoints_midpoint():
-    b = ApproxReal.from_bracket(Fraction(1, 3), Fraction(1, 2))
-    assert b.contains(Fraction(1, 3)) and b.contains(Fraction(1, 2))
+@given(rationals, rationals, precisions)
+def test_from_bracket_contains_endpoints_midpoint(a, b, prec):
+    lo, hi = min(a, b), max(a, b)
+    ball = ApproxReal.from_bracket(lo, hi, prec)
+    assert ball.contains(lo) and ball.contains(hi) and ball.contains((lo + hi) / 2)
 
 
-def test_global_precision_override():
-    from mzvfactor.numeric import get_precision, set_precision, sum_approx
-    before = get_precision()
-    try:
-        set_precision(96)
-        total = sum_approx(ApproxReal.from_rational(Fraction(1, k))
-                           for k in range(1, 20))
-        assert total.contains(harmonic(19))
-    finally:
-        set_precision(before)
+@given(st.lists(rationals, min_size=1, max_size=40), precisions)
+def test_approx_radius_bounds_a_long_sum(terms, prec):
+    total = ApproxReal.exact(0, prec)
+    for q in terms:
+        total = total + ApproxReal.from_rational(q, prec)
+    assert total.contains(sum(terms))
+    # per term: at most |q| 2^-prec to round q, and half a unit in the last
+    # of the partial sum's prec + 1 bits to round the sum
+    scale = sum(abs(q) for q in terms) + 1
+    assert total.err <= 3 * len(terms) * scale / 2 ** (prec + 1)
+
+
+def test_ball_precision_is_checked():
     with pytest.raises(DomainError):
-        set_precision(8)
+        ApproxReal.from_rational(Fraction(1, 3), 8)
+    with pytest.raises(ResourceError):
+        ApproxReal.exact(1, 1 << 20)
+    with pytest.raises(DomainError):
+        ApproxReal.exact(Fraction(1, 3), 64)   # a ball's midpoint is dyadic

@@ -111,6 +111,28 @@ def test_p_eval_matches_direct_double_sum():
     assert p_eval(x, N).contains(expected)
 
 
+def _exact_p(x: Fraction, N: int) -> Fraction:
+    # the same pair-sum rearrangement, in exact rationals
+    terms = [1 / (Fraction(n * n) - x * x) for n in range(1, N + 1)]
+    s, s2 = sum(terms), sum(t * t for t in terms)
+    return 6 * s - 8 * x * x * (s * s - s2) / 2
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(-3, 7), Fraction(9, 10)])
+def test_p_eval_ball_contains_exact_truncation(x):
+    for N in (11, 57, 200):
+        exact = _exact_p(x, N)
+        for prec in (32, 64, 128, 256):
+            v = p_eval(x, N, prec)
+            assert v.contains(exact), (x, N, prec)
+            assert v.err < N * Fraction(2) ** (16 - prec)
+
+
+def test_p_eval_honours_its_precision():
+    for x in (Fraction(0), Fraction(1, 3)):
+        assert p_eval(x, 300, 256).err < p_eval(x, 300, 128).err
+
+
 def test_p_eval_near_constant_in_x():
     base = p_eval(Fraction(0), 1000)
     probe = p_eval(Fraction(1, 2), 1000)

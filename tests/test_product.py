@@ -142,7 +142,7 @@ def test_second_derivative_fd_richardson_rate():
 
 
 def test_eval_F_approx_brackets_exact_value():
-    x = ApproxReal.from_rational(Fraction(2, 7))
+    x = ApproxReal.from_rational(Fraction(2, 7), 128)
     assert eval_F_approx(x, 50).contains(eval_F(Fraction(2, 7), 50))
 
 

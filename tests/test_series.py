@@ -128,6 +128,14 @@ def test_bracket_narrows_with_truncation():
     assert lo1 <= lo2 <= hi2 <= hi1
 
 
+def test_approx_row_honours_its_precision():
+    coarse = mzv_row_approx(50, 2, precision=128)
+    fine = mzv_row_approx(50, 2, precision=1024)
+    exact = mzv_row(50, 2)
+    assert fine[2].err < coarse[2].err
+    assert fine[2].contains(exact[2]) and coarse[2].contains(exact[2])
+
+
 def test_approx_row_brackets_exact_row():
     exact = mzv_row(500, 4)
     approx = mzv_row_approx(500, 4)
