@@ -454,45 +454,26 @@ def abs_weight_sum_bound(k: int, j: int, M: int) -> AbsWeightReport:
 # Certified factorization at the limit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    k: int
-    lhs: ApproxReal                 # (2k+1)(2k) zeta({2}^k)
-    rhs: ApproxReal                 # zeta({2}^{k-1}) * 6 zeta(2)
-    closed_form: ApproxReal         # pi^(2k) / (2k+1)! from the oracle
-    mzv: ApproxReal
+def factorization_check(k_max: int, precision_bits: int
+                        ) -> list[tuple[ApproxReal, ApproxReal, ApproxReal, ApproxReal]]:
+    """For k = 1..k_max, the certified values (lhs, rhs, mzv, closed_form):
+    lhs = (2k+1)(2k) zeta({2}^k), rhs = zeta({2}^{k-1}) * 6 zeta(2),
+    mzv = zeta({2}^k), closed_form = pi^(2k)/(2k+1)! from the independent oracle.
 
-    @property
-    def recursion_gap(self) -> Fraction:
-        return abs(self.lhs.value - self.rhs.value)
-
-    @property
-    def recursion_budget(self) -> Fraction:
-        return self.lhs.err + self.rhs.err
-
-    @property
-    def closed_form_contained(self) -> bool:
-        return abs(self.mzv.value - self.closed_form.value) <= self.mzv.err + self.closed_form.err
-
-
-def factorization_check(k: int, precision_bits: int) -> FactorizationReport:
-    """Both sides of the factorization with certified tails, plus the chained
-    closed form pi^(2k)/(2k+1)! from the independent oracle.
-
-    The products round at no less than DEFAULT_PRECISION bits, so a low
-    requested precision widens only the limits, not the recursion budget.
+    Each limit zeta({2}^j), j = 0..k_max, is computed once. The products
+    round at no less than DEFAULT_PRECISION bits, so a low requested
+    precision widens only the limits, not the recursion budget.
     """
-    if k < 1:
-        raise DomainError("needs k >= 1")
     work = max(precision_bits, DEFAULT_PRECISION)
-    zk = mzv_limit(k, precision_bits)
-    zk1 = mzv_limit(k - 1, precision_bits)
-    z1 = mzv_limit(1, precision_bits)
-    lhs = ApproxReal.exact((2 * k + 1) * (2 * k), work) * zk
-    rhs = ApproxReal.exact(6, work) * zk1 * z1
+    z = [mzv_limit(j, precision_bits) for j in range(k_max + 1)]
     pi = pi_oracle(work)
-    closed = pi.power(2 * k) / math.factorial(2 * k + 1)
-    return FactorizationReport(k=k, lhs=lhs, rhs=rhs, closed_form=closed, mzv=zk)
+    levels = []
+    for k in range(1, k_max + 1):
+        lhs = ApproxReal.exact((2 * k + 1) * (2 * k), work) * z[k]
+        rhs = ApproxReal.exact(6, work) * z[k - 1] * z[1]
+        closed = pi.power(2 * k) / math.factorial(2 * k + 1)
+        levels.append((lhs, rhs, z[k], closed))
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int)
     p.add_argument("--N", type=int)
     p.add_argument("--M", type=int)
-    p.add_argument("--j", type=int)
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--j-max", dest="j_max", type=int)
     p.add_argument("--bound", type=int)
@@ -67,15 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "sine-type product, and the pi constants it generates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compute = sub.add_parser("compute", help="print values with certified errors")
+    p_compute = sub.add_parser("compute", help="print values with certified errors",
+                               allow_abbrev=False)
     p_compute.add_argument("target", choices=["mzv", "pi-freq", "pi-amp", "p-eval"])
     _add_shared(p_compute)
 
-    p_verify = sub.add_parser("verify", help="run a registered verification suite")
+    p_verify = sub.add_parser("verify", help="run a registered verification suite",
+                              allow_abbrev=False)
     p_verify.add_argument("suite", choices=sorted(SUITES))
     _add_shared(p_verify)
 
-    p_dump = sub.add_parser("bijection-dump", help="enumerate and dump components")
+    p_dump = sub.add_parser("bijection-dump", help="enumerate and dump components",
+                            allow_abbrev=False)
     p_dump.add_argument("--kind", choices=["alpha", "beta"], default="alpha")
     p_dump.add_argument("--m-sweep", dest="m_sweep", type=_parse_sweep, default=(),
                         help="comma-separated beta truncations, e.g. 20,40,80")
@@ -86,9 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
-        command=args.command,
-        suite=getattr(args, "suite", ""),
-        k=args.k, N=args.N, M=args.M, j=args.j,
+        k=args.k, N=args.N, M=args.M,
         n_max=args.n_max, j_max=args.j_max, bound=args.bound, x=args.x,
         precision_bits=args.precision_bits, tolerance=args.tolerance,
         output_format=args.output_format, output_path=args.output_path,

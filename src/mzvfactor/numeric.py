@@ -458,16 +458,6 @@ def zeta2_tail_bracket(N: int) -> tuple[Fraction, Fraction]:
     return Fraction(1, N + 1), Fraction(1, N)
 
 
-def even_zeta_bound(j: int) -> Fraction:
-    """Certified upper bound 2 for sum_{n>=1} 1/n^(2j), any j >= 1.
-
-    Follows from the integral comparison sum <= 1 + 1/(2j-1) <= 2.
-    """
-    if j < 1:
-        raise DomainError("even zeta bound needs j >= 1")
-    return Fraction(2)
-
-
 # ---------------------------------------------------------------------------
 # pi oracle (Machin arctangent series, independent of everything else)
 # ---------------------------------------------------------------------------

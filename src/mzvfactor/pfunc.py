@@ -11,7 +11,6 @@ total -6/n^(2j+2) kills the matching coefficient of the single sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import DEFAULT_PRECISION, ApproxReal, DomainError, ZERO, harmonic
@@ -77,32 +76,17 @@ def finite_part(n: int, j: int) -> Fraction:
     return direct
 
 
-@dataclass(frozen=True)
-class PCoefficientWitness:
-    """The three exact pieces of the x^(2j) coefficient at index n."""
-    n: int
-    j: int
-    tail_part: Fraction       # -4 H(2n) / n^(2j+1)
-    finite_part: Fraction     # 4 (H(2n-1) - 1/n) / n^(2j+1)
-    diagonal_part: Fraction   # 6 / n^(2j+2)
-
-    @property
-    def cancels(self) -> bool:
-        return self.tail_part + self.finite_part + self.diagonal_part == 0
-
-
-def p_coefficient_witness(n: int, j: int) -> PCoefficientWitness:
+def p_coefficient_witness(n: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The three exact pieces of the x^(2j) coefficient at index n:
+    the tail part -4 H(2n)/n^(2j+1), the finite part 4 (H(2n-1) - 1/n)/n^(2j+1)
+    and the diagonal part 6/n^(2j+2). The claim is that they sum to zero."""
     if n < 1 or j < 1:
         raise DomainError("need n, j >= 1")
     nw = n ** (2 * j + 1)
     tail = Fraction(-4, nw) * harmonic(2 * n)
     fin = 4 * (harmonic(2 * n - 1) - Fraction(1, n)) / Fraction(nw)
     diag = Fraction(6, nw * n)
-    w = PCoefficientWitness(n=n, j=j, tail_part=tail, finite_part=fin,
-                            diagonal_part=diag)
-    if not w.cancels:
-        raise AssertionError(f"witness failed to cancel at n={n}, j={j}")
-    return w
+    return tail, fin, diag
 
 
 def p_eval(x: Fraction | ApproxReal, N: int,

@@ -278,60 +278,14 @@ def arc_length(precision_bits: int, quad_nodes: int = 32,
 # The four-way comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiPairRecord:
-    first: str
-    second: str
-    distance: Fraction
-    combined_err: Fraction
-    tolerance: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.distance <= self.combined_err + self.tolerance
-
-
-@dataclass(frozen=True)
-class PiComparisonReport:
-    precision_bits: int
-    tolerance: Fraction
-    estimates: dict
-    pairs: list[PiPairRecord]
-    tight_trio_max_distance: Fraction   # raw max distance among freq/oracle/arc
-
-    @property
-    def passed(self) -> bool:
-        return (all(p.passed for p in self.pairs)
-                and self.tight_trio_max_distance <= self.tolerance)
-
-
-def three_way_pi_compare(precision_bits: int,
-                         tolerance: Fraction | None = None,
-                         wallis_pairs: int = 20_000,
-                         quad_nodes: int = 32) -> PiComparisonReport:
-    """Pairwise bracket agreement of pi_freq, pi_amp, arc_length and the
-    oracle; the non-Wallis trio must additionally agree raw (value to value)
-    within the tolerance, since their brackets are tight."""
+def three_way_pi_compare(precision_bits: int, wallis_pairs: int = 20_000,
+                         quad_nodes: int = 32) -> dict[str, ApproxReal]:
+    """The four certified estimates of pi by name: "freq" (pi_freq), "amp"
+    (pi_amp), "arc" (arc_length) and "oracle" (the Machin oracle)."""
     require_precision(precision_bits)
-    tol = tolerance if tolerance is not None else Fraction(1, 1 << (precision_bits // 2))
-    ests = {
+    return {
         "freq": pi_freq(precision_bits).value,
         "amp": pi_amp(wallis_pairs, precision_bits).value,
         "arc": arc_length(precision_bits, quad_nodes),
         "oracle": pi_oracle(precision_bits),
     }
-    names = sorted(ests)
-    pairs = []
-    for i, na in enumerate(names):
-        for nb in names[i + 1:]:
-            a, b = ests[na], ests[nb]
-            pairs.append(PiPairRecord(first=na, second=nb,
-                                      distance=abs(a.value - b.value),
-                                      combined_err=a.err + b.err,
-                                      tolerance=tol))
-    trio = ["freq", "arc", "oracle"]
-    tight = max(abs(ests[x].value - ests[y].value)
-                for i, x in enumerate(trio) for y in trio[i + 1:])
-    return PiComparisonReport(precision_bits=precision_bits, tolerance=tol,
-                              estimates=ests, pairs=pairs,
-                              tight_trio_max_distance=tight)

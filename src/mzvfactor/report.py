@@ -128,12 +128,9 @@ def render(records: list[VerificationReport], fmt: str) -> str:
 @dataclass
 class RunConfig:
     """Parameters shared by the CLI commands; a suite reads what it needs."""
-    command: str = ""
-    suite: str = ""
     k: Optional[int] = None
     N: Optional[int] = None
     M: Optional[int] = None
-    j: Optional[int] = None
     n_max: Optional[int] = None
     j_max: Optional[int] = None
     bound: Optional[int] = None

@@ -29,34 +29,6 @@ EXACT_N_LIMIT = 10 ** 4
 MZV_N_CEILING = 10 ** 6
 
 
-class MzvTable:
-    """Full table of zeta_n({2}^k) for 0 <= n <= N, 0 <= k <= k_max.
-
-    Row 0 is the empty truncation (1, 0, 0, ...). Mostly a test and
-    inspection surface; production queries use the rolling-row routines.
-    """
-
-    def __init__(self, N: int, k_max: int):
-        if N < 1:
-            raise DomainError("MzvTable needs N >= 1")
-        self.N = N
-        self.k_max = k_max
-        rows = [[ONE] + [ZERO] * k_max]
-        for n in range(1, N + 1):
-            prev = rows[-1]
-            inv2 = Fraction(1, n * n)
-            row = [ONE]
-            for k in range(1, k_max + 1):
-                row.append(prev[k] + prev[k - 1] * inv2)
-            rows.append(row)
-        self.rows = rows
-
-    def value(self, n: int, k: int) -> Fraction:
-        if k > n:
-            return ZERO
-        return self.rows[n][k]
-
-
 def mzv_row(N: int, k_max: int) -> list[Fraction]:
     """[zeta_N({2}^0), ..., zeta_N({2}^k_max)] with O(k_max) memory."""
     if N < 1:
@@ -147,18 +119,13 @@ def _interval_mul(a, b):
     return (min(products), max(products))
 
 
-def tail_power_sums(N: int, k: int, em_terms: int = 6) -> list[tuple[Fraction, Fraction]]:
-    """Brackets for p_i = sum_{n>N} 1/n^(2i), i = 1..k."""
-    return [power_sum_tail_bracket(N, i, em_terms) for i in range(1, k + 1)]
-
-
 def tail_elementary_brackets(N: int, k: int, em_terms: int = 6) -> list[tuple[Fraction, Fraction]]:
     """Brackets for e_m of the tail set {1/n^2 : n > N}, m = 0..k.
 
     Newton's identities, run in exact rational interval arithmetic:
         m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i.
     """
-    p = tail_power_sums(N, k, em_terms)
+    p = [power_sum_tail_bracket(N, i, em_terms) for i in range(1, k + 1)]
     e: list[tuple[Fraction, Fraction]] = [(ONE, ONE)]
     for m in range(1, k + 1):
         acc = (ZERO, ZERO)
@@ -199,15 +166,6 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
         lo += hlo * tlo
         hi += hhi * thi
     return (lo, hi)
-
-
-def mzv_monotone_tail_bound(N: int, k: int) -> Fraction:
-    """The coarse certified tail bound zeta({2}^{k-1} head) * sum_{n>N} 1/n^2
-    <= (zeta_N({2}^{k-1}) + 1) / N, kept as a cross-check on the sharp bracket."""
-    if k < 1:
-        raise DomainError("k must be positive")
-    head = mzv_truncated(N, k - 1) if k > 1 else ONE
-    return (head + 1) * Fraction(1, N)
 
 
 def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:

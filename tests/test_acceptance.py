@@ -1,168 +1,78 @@
-"""Acceptance gate: every criterion at its stated tolerance, one printed
-pass/fail line each. Run with `pytest tests/test_acceptance.py -s` to see
-the lines as they complete."""
+"""Acceptance gate: every registered suite runs through `run_suite`, the same
+code path as `mzvfactor verify`, and every record it returns must pass.
+One printed pass/fail line per gate entry; run with
+`pytest tests/test_acceptance.py -s` to see the lines as they complete."""
 
-import math
+import fnmatch
 import time
 from fractions import Fraction
 
 import pytest
 
-from mzvfactor import bijection, pfunc, pi_constants, product, series
+from mzvfactor import pi_constants
 from mzvfactor.numeric import pi_oracle
+from mzvfactor.report import STATUS_PASS, RunConfig
+from mzvfactor.suites import SUITES, run_suite
 
 TOL20 = Fraction(1, 10 ** 20)
-TOL8 = Fraction(1, 10 ** 8)
+
+# (suites, config, time bound in seconds or None, strict bounds): every
+# record whose claim id matches a strict pattern must have its exact
+# observed value strictly below the bound, and some record must match.
+GATE = [
+    (("basel",), RunConfig(), 60, {"eq2.width.k*": TOL20}),
+    (("factorization",), RunConfig(), None, {"factorization.err.k*": TOL20}),
+    (("p-constant",), RunConfig(), 5, {"p.constancy.N1000": Fraction(5, 100)}),
+    (("bijection-alpha", "residuals"), RunConfig(), 180, {}),
+    (("bijection-beta",), RunConfig(), None, {}),
+    (("pi-equality",), RunConfig(), None, {}),
+    (("pi-equality",), RunConfig(precision_bits=64), None, {}),
+    (("product-structure",), RunConfig(), None, {}),
+]
 
 
-def _report(name: str, ok: bool, detail: str = "") -> bool:
-    line = f"[{'PASS' if ok else 'FAIL'}] {name}"
-    if detail:
-        line += f"  ({detail})"
-    print(line)
+def _gate_id(entry) -> str:
+    suites, config = entry[0], entry[1]
+    name = "+".join(suites)
+    return name if config == RunConfig() else f"{name}@{config.precision_bits}"
+
+
+def _report(name: str, ok: bool, detail: str) -> bool:
+    print(f"[{'PASS' if ok else 'FAIL'}] {name}  ({detail})")
     return ok
 
 
-def test_basel_eq2_brackets():
-    # k = 1..8 at 128 bits: bracket contains pi^(2k)/(2k+1)!, width < 1e-20,
-    # under 60 s total
+@pytest.mark.parametrize("entry", GATE, ids=_gate_id)
+def test_gate(entry):
+    suites, config, seconds, strict = entry
     t0 = time.monotonic()
-    pi = pi_oracle(160)
-    ok = True
-    worst_width = Fraction(0)
-    for k in range(1, 9):
-        z = series.mzv_limit(k, 128)
-        closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
-        ok &= abs(z.value - closed.value) <= z.err + closed.err
-        worst_width = max(worst_width, 2 * z.err)
-    ok &= worst_width < TOL20
+    records = [r for name in suites for r in run_suite(name, config)]
     elapsed = time.monotonic() - t0
-    ok &= elapsed < 60
-    assert _report("basel.eq2.k1-8", ok,
-                   f"max width {float(worst_width):.2e}, {elapsed:.1f}s")
+    problems = [f"{r.claim_id} {r.status}" for r in records if r.status != STATUS_PASS]
+    for pattern, bound in strict.items():
+        matched = [r for r in records if fnmatch.fnmatchcase(r.claim_id, pattern)]
+        if not matched:
+            problems.append(f"no record matches {pattern}")
+        problems += [f"{r.claim_id} not below {bound}" for r in matched
+                     if not Fraction(r.params["observed_exact"]) < bound]
+    if seconds is not None and elapsed >= seconds:
+        problems.append(f"took {elapsed:.1f}s, bound {seconds}s")
+    ok = bool(records) and not problems
+    assert _report(_gate_id(entry), ok, "; ".join(
+        problems or [f"{len(records)} records, {elapsed:.1f}s"])), problems
 
 
-def test_factorization_recursion():
-    ok = True
-    for k in range(1, 9):
-        rep = bijection.factorization_check(k, 128)
-        ok &= rep.recursion_gap <= rep.recursion_budget
-        ok &= rep.recursion_budget < TOL20
-    assert _report("factorization.k1-8", ok)
-
-
-def test_p_constant_exact_core():
-    t0 = time.monotonic()
-    ok = True
-    for n in range(1, 201):
-        for j in range(1, 11):
-            w = pfunc.p_coefficient_witness(n, j)
-            ok &= (w.tail_part + w.finite_part + w.diagonal_part) == 0
-    elapsed = time.monotonic() - t0
-    ok &= elapsed < 5
-    assert _report("p-constant.witnesses.n200.j10", ok, f"{elapsed:.2f}s")
-
-
-def test_partial_fractions_randomized():
-    import random
-    t0 = time.monotonic()
-    rng = random.Random(0)
-    ok = True
-    for _ in range(200):
-        l1 = rng.randint(1, 40)
-        l2 = l1 + rng.randint(1, 40)
-        x = Fraction(rng.randint(-400, 400), rng.randint(401, 800))
-        ok &= pfunc.partial_fraction_check(x, l1, l2)
-    elapsed = time.monotonic() - t0
-    ok &= elapsed < 5
-    assert _report("p-constant.partial_fractions.200", ok, f"{elapsed:.2f}s")
-
-
-def test_p_constancy_at_scale():
-    def deviation(N):
-        base = pfunc.p_eval(Fraction(0), N)
-        worst = Fraction(0)
-        for i in range(1, 10):
-            v = pfunc.p_eval(Fraction(i, 10), N)
-            worst = max(worst, abs(v.value - base.value) + v.err + base.err)
-        return worst
-
-    d3 = deviation(1000)
-    d4 = deviation(10000)
-    ok = d3 < Fraction(5, 100) and 3 * d4 <= d3
-    assert _report("p-constant.constancy", ok,
-                   f"dev(1e3)={float(d3):.4f}, dev(1e4)={float(d4):.4f}")
-
-
-def test_second_derivative_assembly_identity():
-    ok = all(pfunc.fpp_assembly_identity(n) for n in range(1, 13))
-    assert _report("p-constant.assembly.N1-12", ok)
-
-
-def test_alpha_cancellation_and_residual():
-    t0 = time.monotonic()
-    ok = True
-    for k in (2, 3, 4):
-        comps = bijection.alpha_components_up_to(k, 20)
-        ok &= all(c.weight_sum == 0 for c in comps)
-    for k in (2, 3, 4):
-        lhs, rhs = bijection.alpha_residual_identity(k, 40)
-        ok &= lhs == rhs
-    elapsed = time.monotonic() - t0
-    ok &= elapsed < 180
-    assert _report("alpha.cancel+residual.k2-4", ok, f"{elapsed:.1f}s")
-
-
-def test_beta_residual_and_shrinkage():
-    ok = True
-    for k in (2, 3, 4):
-        lhs, rhs = bijection.beta_residual_identity(k, 40)
-        ok &= lhs == rhs
-    for k, seed_vertex in ((2, bijection.V1((), 3)), (3, bijection.V1((1,), 2))):
-        sums = []
-        for M in (25, 50, 100, 200):
-            comp = bijection.component(seed_vertex, "beta", k, M=M)
-            sums.append((M, abs(comp.weight_sum)))
-        ok &= all(a[1] > b[1] for a, b in zip(sums, sums[1:]))
-        scaled = [m * s for m, s in sums]
-        ok &= max(scaled) <= 2 * min(scaled)
-    assert _report("beta.residual+vanish.k2-4", ok)
-
-
-def test_multiplicity_identity():
-    ok = all(bijection.multiplicity_identity(k) for k in range(1, 65))
-    assert _report("multiplicity.k1-64", ok)
-
-
-def test_pi_equality_64_and_128():
-    ok = True
-    details = []
-    for prec, tol in ((64, TOL8), (128, TOL20)):
-        rep = pi_constants.three_way_pi_compare(prec, tol)
-        ok &= rep.passed
-        details.append(f"{prec}b trio {float(rep.tight_trio_max_distance):.1e}")
-    assert _report("pi.equality.64+128", ok, ", ".join(details))
+def test_every_suite_is_gated():
+    gated = {name for suites, *_ in GATE for name in suites}
+    assert gated == set(SUITES)
 
 
 def test_pythagorean_invariant():
+    # the one direct check: no suite runs this grid; its 101 points cost
+    # about as much as the whole pi-equality suite
     pi = pi_oracle(160)
     grid = [pi.value * Fraction(i, 50) for i in range(-50, 51)]
     rep = pi_constants.pythagorean_check(grid, precision_bits=128)
     ok = rep.zero_everywhere and rep.max_deviation < TOL20
     assert _report("pythagorean.grid101", ok,
                    f"max dev {float(rep.max_deviation):.1e}")
-
-
-def test_product_structure():
-    N = 100
-    ok = True
-    xs = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 4), Fraction(9, 2)]
-    ok &= all(product.eval_F(-x, N) == -product.eval_F(x, N) for x in xs)
-    ok &= all(product.eval_F(Fraction(m), N) == 0 for m in range(-N, N + 1))
-    ok &= all(product.eval_F(x, N) == product.eval_F_factored(x, N) for x in xs)
-    signs = [product.periodicity_sign_report(x, nn).matched_sign
-             for x in (Fraction(1, 2), Fraction(2, 3)) for nn in (1, 3, 10, 50)]
-    ok &= all(s == -1 for s in signs)
-    scan = product.monotonicity_scan(100, 1001)
-    ok &= scan.passed
-    assert _report("product.structure", ok, f"sign={signs[0]}")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mzvfactor import bijection
 from mzvfactor.bijection import (
     V1,
     V2,
@@ -218,11 +219,25 @@ def test_abs_weight_sum_bounds():
 
 
 def test_factorization_check_levels():
-    r1 = factorization_check(1, 96)
-    assert r1.recursion_gap <= r1.recursion_budget
-    r2 = factorization_check(2, 96)
-    assert r2.recursion_gap <= r2.recursion_budget
-    assert r2.closed_form_contained
+    levels = factorization_check(2, 96)
+    assert len(levels) == 2
+    for lhs, rhs, mzv, closed in levels:
+        assert abs(lhs.value - rhs.value) <= lhs.err + rhs.err
+        assert abs(mzv.value - closed.value) <= mzv.err + closed.err
+    assert factorization_check(0, 96) == []
+
+
+def test_factorization_check_computes_each_limit_once(monkeypatch):
+    calls = []
+    real = bijection.mzv_limit
+
+    def counted(k, precision_bits, *args):
+        calls.append(k)
+        return real(k, precision_bits, *args)
+
+    monkeypatch.setattr(bijection, "mzv_limit", counted)
+    factorization_check(6, 96)
+    assert sorted(calls) == list(range(7))
 
 
 def test_component_dump_format():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +11,8 @@ from mzvfactor import cli, pfunc
 from mzvfactor.numeric import DomainError
 
 
-def _run(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "mzvfactor.cli", *args],
+def _run(*args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *flags, "-m", "mzvfactor.cli", *args],
                           capture_output=True, text=True, check=False)
 
 
@@ -82,6 +83,33 @@ def test_verify_failure_exit_code():
 def test_usage_error_exit_code():
     proc = _run("verify", "definitely-not-a-suite")
     assert proc.returncode == 2
+
+
+def test_unknown_or_abbreviated_flag_is_a_usage_error():
+    # there is no --j flag, and flags are not abbreviated (--j for --j-max)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "basel", "--k", "1", "--j", "3"])
+    assert exc.value.code == 2
+
+
+def test_report_is_the_same_under_python_O():
+    args = ("verify", "product-structure", "--N", "20", "--bound", "41", "--format", "json")
+    plain = _run(*args)
+    optimized = _run(*args, flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+
+
+def test_broken_witness_is_a_failed_record(monkeypatch, tmp_path):
+    # an n-dependent shift of H(n) breaks the cancellation (a constant one cancels out)
+    real = pfunc.harmonic
+    monkeypatch.setattr(pfunc, "harmonic", lambda n: real(n) + Fraction(n, 10 ** 9))
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["verify", "p-constant", "--n-max", "20", "--j-max", "2", "--N", "20",
+                     "--format", "json", "--out", str(out)]) == 1
+    status = {r["claim_id"]: r["status"]
+              for r in map(json.loads, out.read_text().splitlines())}
+    assert status["p.witness.j1"] == status["p.witness.j2"] == "fail"
 
 
 def _raise(exc):

@@ -11,7 +11,6 @@ from mzvfactor.numeric import (
     HarmonicCache,
     ResourceError,
     err_up,
-    even_zeta_bound,
     harmonic,
     pi_oracle,
     power_sum_tail_bracket,
@@ -65,15 +64,6 @@ def test_zeta2_tail_bracket_contains_true_tail():
     lo, hi = zeta2_tail_bracket(10)
     assert head + lo <= target_lo
     assert target_hi <= head + hi
-
-
-def test_even_zeta_bound_dominates_truncations():
-    assert even_zeta_bound(1) == 2
-    assert zeta_even_truncated(1000, 1) < 2
-    assert zeta_even_truncated(1000, 2) < 2
-    assert zeta_even_truncated(10, 10) < 2
-    with pytest.raises(DomainError):
-        even_zeta_bound(0)
 
 
 def test_power_sum_tail_inside_integral_bracket():

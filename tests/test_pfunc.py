@@ -79,17 +79,15 @@ def test_finite_part_examples():
 
 
 def test_witness_examples():
-    w = p_coefficient_witness(1, 1)
-    assert (w.tail_part, w.finite_part, w.diagonal_part) == (Fraction(-6), Fraction(0), Fraction(6))
-    assert w.cancels
-    assert p_coefficient_witness(2, 1).cancels
-    assert p_coefficient_witness(5, 3).cancels
+    assert p_coefficient_witness(1, 1) == (Fraction(-6), Fraction(0), Fraction(6))
+    assert sum(p_coefficient_witness(2, 1)) == 0
+    assert sum(p_coefficient_witness(5, 3)) == 0
 
 
 def test_witness_cancellation_sweep():
     for n in range(1, 60):
         for j in range(1, 6):
-            assert p_coefficient_witness(n, j).cancels
+            assert sum(p_coefficient_witness(n, j)) == 0
 
 
 def test_p_eval_at_zero_is_six_zeta():

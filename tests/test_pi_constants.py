@@ -1,6 +1,7 @@
 """pi_freq, pi_amp, the odd series, the Pythagorean invariant, arc length,
 and the four-way comparison."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -141,17 +142,24 @@ def test_speed_at_zero_is_one():
     assert (g * g + gp * gp).contains(Fraction(1))
 
 
+def _trio_distance(ests) -> Fraction:
+    trio = [ests[name].value for name in ("freq", "arc", "oracle")]
+    return max(abs(a - b) for a, b in itertools.combinations(trio, 2))
+
+
 def test_three_way_compare_64():
-    rep = three_way_pi_compare(64, Fraction(1, 10 ** 8), wallis_pairs=2000,
-                               quad_nodes=16)
-    assert rep.passed
-    assert rep.tight_trio_max_distance < Fraction(1, 10 ** 8)
+    tol = Fraction(1, 10 ** 8)
+    ests = three_way_pi_compare(64, wallis_pairs=2000, quad_nodes=16)
+    assert sorted(ests) == ["amp", "arc", "freq", "oracle"]
+    for a, b in itertools.combinations(ests.values(), 2):
+        assert abs(a.value - b.value) <= a.err + b.err + tol
+    assert _trio_distance(ests) < tol
 
 
 def test_agreement_tightens_with_precision():
     lo = three_way_pi_compare(64, wallis_pairs=500, quad_nodes=16)
     hi = three_way_pi_compare(128, wallis_pairs=500, quad_nodes=16)
-    assert hi.tight_trio_max_distance < lo.tight_trio_max_distance
+    assert _trio_distance(hi) < _trio_distance(lo)
 
 
 def test_series_coefficient_bridge():

@@ -150,7 +150,3 @@ def test_monotonicity_scan_small_cases():
     rep = monotonicity_scan(1, 3)
     assert rep.passed and rep.max_value == Fraction(1, 4)
     assert monotonicity_scan(100, 9).passed
-
-
-def test_monotonicity_scan_acceptance_grid():
-    assert monotonicity_scan(100, 1001).passed

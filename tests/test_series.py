@@ -10,12 +10,10 @@ from hypothesis import given, strategies as st
 from mzvfactor.numeric import ResourceError, pi_oracle
 from mzvfactor.product import f_polynomial
 from mzvfactor.series import (
-    MzvTable,
     f_series_coefficients,
     mzv_bruteforce,
     mzv_limit,
     mzv_limit_bracket,
-    mzv_monotone_tail_bound,
     mzv_row,
     mzv_row_approx,
     mzv_truncated,
@@ -46,18 +44,20 @@ def test_recursion_agrees_with_bruteforce_everywhere():
 
 
 def test_mzv_table_invariants():
-    t = MzvTable(12, 6)
-    for n in range(13):
-        assert t.value(n, 0) == 1
+    # the table of rows zeta_n({2}^0..6), n = 1..12, obeys the recursion
+    rows = [[Fraction(1)] + [Fraction(0)] * 6] + [mzv_row(n, 6) for n in range(1, 13)]
     for n in range(1, 13):
+        assert rows[n][0] == 1
         for k in range(1, 7):
-            assert t.value(n, k) == t.value(n - 1, k) + t.value(n - 1, k - 1) * Fraction(1, n * n)
-    assert t.value(3, 5) == 0
+            assert rows[n][k] == rows[n - 1][k] + rows[n - 1][k - 1] * Fraction(1, n * n)
+    assert rows[3][5] == 0
 
 
 def test_rolling_row_matches_table():
-    t = MzvTable(30, 5)
-    assert mzv_row(30, 5) == t.rows[30]
+    # oracle: the x^(2k+1) coefficients of the expanded product are
+    # (-1)^k zeta_N({2}^k)
+    poly = f_polynomial(30)
+    assert mzv_row(30, 5) == [(-1) ** k * poly[2 * k + 1] for k in range(6)]
 
 
 def test_zeta_even_truncated_examples():
@@ -114,7 +114,9 @@ def test_sharp_bracket_inside_monotone_bound():
     for k in (1, 2, 3):
         lo, hi = mzv_limit_bracket(k, N)
         head = mzv_truncated(N, k)
-        assert head <= lo <= hi <= head + mzv_monotone_tail_bound(N, k)
+        # the coarse tail bound (zeta_N({2}^{k-1}) + 1) / N
+        coarse = (mzv_truncated(N, k - 1) + 1) / N
+        assert head <= lo <= hi <= head + coarse
 
 
 def test_mzv_limit_resource_error_when_truncation_pinned_too_low():
