@@ -85,13 +85,6 @@ def validate_vertex(v: Vertex, k: int) -> None:
         raise DomainError(f"not a vertex: {v!r}")
 
 
-def distinctness(v: Vertex) -> int:
-    """How many distinguished integers lie outside mu (0, 1, or 2)."""
-    if isinstance(v, V1):
-        return 0 if v.n in v.mu else 1
-    return (v.l1 not in v.mu) + (v.l2 not in v.mu)
-
-
 def _mu_square_product(mu: tuple[int, ...]) -> Fraction:
     acc = Fraction(1)
     for m in mu:
@@ -124,10 +117,6 @@ def weight_form_alt(v: V2, k: int) -> Fraction:
     le = v.l1 if v.eps == 1 else v.l2
     return (4 * sign * p / Fraction(le ** (2 * (k - j) - 1))
             * (Fraction(eps_sign, v.l2 - v.l1) - Fraction(1, v.l1 + v.l2)))
-
-
-def weight_form_consistency(v: V2, k: int) -> bool:
-    return weight(v, k) == weight_form_alt(v, k)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +309,8 @@ def iter_vertices(k: int, bound: int) -> Iterator[Vertex]:
 def alpha_components_up_to(k: int, bound: int) -> list[WeightedComponent]:
     """All distinct alpha components touching vertices with entries <= bound,
     singletons excluded, deduplicated by canonical key."""
+    if k < 2 or bound < 1:
+        raise DomainError("alpha components need k >= 2 and bound >= 1")
     seen: set[Vertex] = set()
     out: list[WeightedComponent] = []
     for v in iter_vertices(k, bound):
@@ -407,26 +398,15 @@ def multiplicity_identity(k: int) -> bool:
 # Absolute-convergence bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbsWeightReport:
-    k: int
-    j: int
-    M: int
-    v1_abs_sum: Fraction
-    v1_bound: Fraction
-    v2_abs_sum: Fraction
-    v2_bound: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.v1_abs_sum <= self.v1_bound and self.v2_abs_sum <= self.v2_bound
-
-
-def abs_weight_sum_bound(k: int, j: int, M: int) -> AbsWeightReport:
-    """Sum |t_k| over order-j vertices with entries <= M and compare with the
-    displayed absolute-convergence bounds instantiated at the truncation:
+def abs_weight_sum_bound(k: int, j: int, M: int
+                         ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(v1_abs_sum, v1_bound, v2_abs_sum, v2_bound): the sums of |t_k| over
+    the order-j V1 and V2 vertices with entries <= M, and the displayed
+    absolute-convergence bounds instantiated at the truncation,
     6 zeta_M({2}^j) zeta_M(2(k-j)) for V1 and
-    16 zeta_M({2}^j) zeta_M(2) zeta_M(2(k-j-1)) for V2."""
+    16 zeta_M({2}^j) zeta_M(2) zeta_M(2(k-j-1)) for V2 (both V2 values are
+    0 at the top order j = k-1, which has no V2 vertex). Each sum must stay
+    below its bound."""
     if not 2 <= k <= 6 or not 0 <= j <= k - 1 or M > 200:
         raise DomainError("abs_weight_sum_bound: k in 2..6, j in 0..k-1, M <= 200")
     universe = range(1, M + 1)
@@ -446,8 +426,7 @@ def abs_weight_sum_bound(k: int, j: int, M: int) -> AbsWeightReport:
                     v2 += abs(weight(V2(mu, l1, l2, 2), k))
         v2_bound = (16 * zmj * zeta_even_truncated(M, 1)
                     * zeta_even_truncated(M, k - j - 1))
-    return AbsWeightReport(k=k, j=j, M=M, v1_abs_sum=v1, v1_bound=v1_bound,
-                           v2_abs_sum=v2, v2_bound=v2_bound)
+    return v1, v1_bound, v2, v2_bound
 
 
 # ---------------------------------------------------------------------------

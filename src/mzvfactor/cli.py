@@ -13,6 +13,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -43,20 +44,21 @@ def _parse_sweep(text: str) -> tuple[int, ...]:
             f"not a comma-separated list of integers: {text!r}") from exc
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--j-max", dest="j_max", type=int)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--x", type=_parse_fraction)
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", dest="precision_bits", type=int, default=128)
-    p.add_argument("--tolerance", type=_parse_fraction)
     p.add_argument("--format", dest="output_format",
                    choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", dest="output_path")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,32 +71,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="print values with certified errors",
                                allow_abbrev=False)
     p_compute.add_argument("target", choices=["mzv", "pi-freq", "pi-amp", "p-eval"])
-    _add_shared(p_compute)
+    p_compute.add_argument("--k", type=int)
+    p_compute.add_argument("--N", type=int)
+    p_compute.add_argument("--x", type=_parse_fraction)
+    _add_report_flags(p_compute)
 
     p_verify = sub.add_parser("verify", help="run a registered verification suite",
                               allow_abbrev=False)
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    _add_shared(p_verify)
+    # sizes and counts: below 1 a suite would have nothing to check
+    for flag in ("--k", "--N", "--M", "--n-max", "--j-max", "--bound"):
+        p_verify.add_argument(flag, type=_count)
+    p_verify.add_argument("--tolerance", type=_parse_fraction)
+    p_verify.add_argument("--seed", type=int, default=0)
+    _add_report_flags(p_verify)
 
     p_dump = sub.add_parser("bijection-dump", help="enumerate and dump components",
                             allow_abbrev=False)
+    p_dump.add_argument("--k", type=int, default=2)
+    p_dump.add_argument("--bound", type=int, default=10)
     p_dump.add_argument("--kind", choices=["alpha", "beta"], default="alpha")
     p_dump.add_argument("--m-sweep", dest="m_sweep", type=_parse_sweep, default=(),
                         help="comma-separated beta truncations, e.g. 20,40,80")
-    _add_shared(p_dump)
+    p_dump.add_argument("--out", dest="output_path")
 
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        k=args.k, N=args.N, M=args.M,
-        n_max=args.n_max, j_max=args.j_max, bound=args.bound, x=args.x,
-        precision_bits=args.precision_bits, tolerance=args.tolerance,
-        output_format=args.output_format, output_path=args.output_path,
-        seed=args.seed, kind=getattr(args, "kind", "alpha"),
-        m_sweep=getattr(args, "m_sweep", ()),
-    )
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)})
 
 
 def _emit(records, config: RunConfig) -> None:
@@ -132,7 +138,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "compute.pi_amp", est.value.value, est.value.value, est.value.err,
             Fraction(0), params=params))
     else:  # p-eval
-        x = config.x if config.x is not None else Fraction(0)
+        x = args.x if args.x is not None else Fraction(0)
         n = config.N if config.N is not None else 1000
         v = pfunc.p_eval(x, n, prec)
         records.append(make_record(
@@ -150,15 +156,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bijection_dump(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    k = config.k if config.k is not None else 2
-    bound = config.bound if config.bound is not None else 10
+    k, bound = args.k, args.bound
     if not 2 <= k <= 5 or bound > 60:
         raise DomainError("bijection-dump needs k in 2..5 and bound <= 60")
-    out_dir = config.output_path or "."
+    out_dir = args.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
     components = []
-    if config.kind == "alpha":
+    if args.kind == "alpha":
         components = bijection.alpha_components_up_to(k, bound)
         path = os.path.join(out_dir, f"alpha_k{k}_b{bound}.components.txt")
         with open(path, "w", encoding="utf-8") as fh:
@@ -175,7 +179,7 @@ def cmd_bijection_dump(args: argparse.Namespace) -> int:
                 fh.write(bijection.format_component(c))
                 fh.write("\n")
     else:
-        sweep = config.m_sweep or (bound,)
+        sweep = args.m_sweep or (bound,)
         path = os.path.join(out_dir, f"beta_k{k}.components.txt")
         seed_vertex = bijection.V1((), 1) if k == 2 else bijection.V1((1,), 2)
         with open(path, "w", encoding="utf-8") as fh:

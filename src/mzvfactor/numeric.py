@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-ExactRational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

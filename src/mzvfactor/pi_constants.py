@@ -25,6 +25,7 @@ from .numeric import (
     pi_oracle,
     power_sum_tail_bracket,
     require_precision,
+    zeta2_tail_bracket,
 )
 from .series import zeta_even_truncated
 
@@ -41,7 +42,6 @@ _SERIES_LIPSCHITZ = Fraction(55)
 
 @dataclass(frozen=True)
 class PiEstimate:
-    which: str                    # "freq" | "amp" | "oracle" | "arc"
     value: ApproxReal
     truncation: dict = field(default_factory=dict)
     exact_partial: Optional[Fraction] = None
@@ -59,25 +59,25 @@ def zeta2_bracket(N: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
     """
     head = zeta_even_truncated(N, 1)
     if em_terms == 0:
-        return head + Fraction(1, N + 1), head + Fraction(1, N)
-    lo, hi = power_sum_tail_bracket(N, 1, em_terms)
+        lo, hi = zeta2_tail_bracket(N)
+    else:
+        lo, hi = power_sum_tail_bracket(N, 1, em_terms)
     return head + lo, head + hi
 
 
-def pi_freq(precision_bits: int, N: Optional[int] = None,
-            em_terms: int = 6) -> PiEstimate:
+def pi_freq(precision_bits: int, N: Optional[int] = None) -> PiEstimate:
     """sqrt of six times the certified zeta(2) bracket."""
     require_precision(precision_bits)
     target = Fraction(1, 1 << (precision_bits + 2))
     n = N if N is not None else 64
-    em = em_terms
+    em = 6
     while True:
         lo, hi = zeta2_bracket(n, em)
         value = ApproxReal.from_bracket(6 * lo, 6 * hi,
                                         precision_bits + 16).sqrt(precision_bits + 16)
         # a pinned truncation reports whatever width it certifies
         if value.err <= target or N is not None:
-            return PiEstimate(which="freq", value=value,
+            return PiEstimate(value=value,
                               truncation={"N": n, "em_terms": em,
                                           "precision_bits": precision_bits})
         if em < 9:
@@ -143,7 +143,7 @@ def pi_amp(N: int, precision_bits: int = 128) -> PiEstimate:
     exact_partial = None
     if max(num.bit_length(), den.bit_length()) - twos <= EXACT_PARTIAL_MAX_BITS:
         exact_partial = Fraction(num >> twos, den >> twos)
-    return PiEstimate(which="amp", value=value, truncation={"N": N},
+    return PiEstimate(value=value, truncation={"N": N},
                       exact_partial=exact_partial)
 
 
@@ -208,28 +208,16 @@ def g_eval(x: Fraction | ApproxReal, terms: Optional[int] = None,
     return g, gp
 
 
-@dataclass(frozen=True)
-class PythagoreanReport:
-    grid_size: int
-    precision_bits: int
-    max_deviation: Fraction       # max over the grid of |g^2 + g'^2 - 1| + err
-    zero_everywhere: bool         # every bracket contains 0
-
-
 def pythagorean_check(grid: list[Fraction | ApproxReal],
                       terms: Optional[int] = None,
-                      precision_bits: int = 128) -> PythagoreanReport:
-    """Certify g(x)^2 + g'(x)^2 = 1 across the grid."""
-    worst = ZERO
-    all_zero = True
+                      precision_bits: int = 128) -> list[ApproxReal]:
+    """The deviation balls g(x)^2 + g'(x)^2 - 1, one per grid point; a ball
+    that misses 0 refutes the invariant g^2 + g'^2 = 1 at its point."""
+    out = []
     for x in grid:
         g, gp = g_eval(x, terms, precision_bits)
-        dev = g * g + gp * gp - 1
-        worst = max(worst, abs(dev.value) + dev.err)
-        if not dev.contains(0):
-            all_zero = False
-    return PythagoreanReport(grid_size=len(grid), precision_bits=precision_bits,
-                             max_deviation=worst, zero_everywhere=all_zero)
+        out.append(g * g + gp * gp - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -127,18 +127,16 @@ def render(records: list[VerificationReport], fmt: str) -> str:
 
 @dataclass
 class RunConfig:
-    """Parameters shared by the CLI commands; a suite reads what it needs."""
+    """The parameters of a run; a command or suite reads what it needs, and
+    None selects its default."""
     k: Optional[int] = None
     N: Optional[int] = None
     M: Optional[int] = None
     n_max: Optional[int] = None
     j_max: Optional[int] = None
     bound: Optional[int] = None
-    x: Optional[Fraction] = None
     precision_bits: int = 128
     tolerance: Optional[Fraction] = None
     output_format: str = "text"
     output_path: Optional[str] = None
     seed: int = 0
-    kind: str = "alpha"
-    m_sweep: tuple[int, ...] = field(default_factory=tuple)

@@ -1,5 +1,6 @@
 """Truncated multiple zeta values zeta_N({2}^k), truncated even zeta values,
-power-series coefficients of the truncated product, and certified limits.
+and certified limits. zeta_N({2}^k) is, up to the sign (-1)^k, the
+coefficient of x^(2k+1) in the expanded truncated product.
 
 zeta_N({2}^k) is the k-th elementary symmetric function of {1/n^2 : n <= N},
 which gives the O(k)-memory recursion used throughout:
@@ -91,15 +92,6 @@ def zeta_even_truncated(N: int, j: int) -> Fraction:
     if N < 1 or j < 1:
         raise DomainError("zeta_even_truncated needs N >= 1, j >= 1")
     return sum((Fraction(1, n ** (2 * j)) for n in range(1, N + 1)), ZERO)
-
-
-def f_series_coefficients(N: int, k_max: int) -> list[Fraction]:
-    """Coefficients c_k of x^(2k+1) in the expanded truncated product:
-    c_k = (-1)^k zeta_N({2}^k)."""
-    if k_max > N:
-        raise DomainError("k_max must not exceed N (higher coefficients vanish)")
-    row = mzv_row(N, k_max)
-    return [row[k] if k % 2 == 0 else -row[k] for k in range(k_max + 1)]
 
 
 # ---------------------------------------------------------------------------

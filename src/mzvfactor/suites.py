@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from . import bijection, pfunc, pi_constants, product, series
-from .numeric import DEFAULT_PRECISION, ZERO, pi_oracle
+from .numeric import DEFAULT_PRECISION, ZERO, DomainError, pi_oracle
 from .report import (
     RunConfig,
     VerificationReport,
@@ -36,7 +36,7 @@ def _tol(config: RunConfig, default: Fraction) -> Fraction:
 
 def suite_basel(config: RunConfig) -> list[VerificationReport]:
     """zeta({2}^k) brackets against pi^(2k)/(2k+1)! from the oracle."""
-    k_max = config.k or 8
+    k_max = 8 if config.k is None else config.k
     prec = config.precision_bits
     width_tol = _tol(config, TEN ** -20)
     out = []
@@ -56,7 +56,7 @@ def suite_basel(config: RunConfig) -> list[VerificationReport]:
 
 def suite_factorization(config: RunConfig) -> list[VerificationReport]:
     """(2k+1)(2k) zeta({2}^k) = zeta({2}^{k-1}) 6 zeta(2), certified."""
-    k_max = config.k or 8
+    k_max = 8 if config.k is None else config.k
     prec = config.precision_bits
     err_tol = _tol(config, TEN ** -20)
     out = []
@@ -76,8 +76,8 @@ def suite_factorization(config: RunConfig) -> list[VerificationReport]:
 
 def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
     """The exact core of the constancy argument plus its numeric shadow."""
-    n_max = config.n_max or 200
-    j_max = config.j_max or 10
+    n_max = 200 if config.n_max is None else config.n_max
+    j_max = 10 if config.j_max is None else config.j_max
     out = []
     for j in range(1, j_max + 1):
         worst = ZERO
@@ -105,7 +105,7 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
             f"p.interchange_bound.x{x.numerator}_{x.denominator}",
             pfunc.interchange_bound_check(x, 50), params={"N": 50, "x": str(x)}))
 
-    n_small = config.N or 1000
+    n_small = 1000 if config.N is None else config.N
     n_large = 10 * n_small
     dev_small = _constancy_deviation(n_small)
     dev_large = _constancy_deviation(n_large)
@@ -138,8 +138,8 @@ def _constancy_deviation(N: int) -> Fraction:
 
 def suite_bijection_alpha(config: RunConfig) -> list[VerificationReport]:
     """Every alpha component with entries <= bound cancels exactly."""
-    ks = (config.k,) if config.k else (2, 3, 4)
-    bound = config.bound or 20
+    ks = (2, 3, 4) if config.k is None else (config.k,)
+    bound = 20 if config.bound is None else config.bound
     out = []
     for k in ks:
         try:
@@ -165,15 +165,15 @@ def suite_bijection_alpha(config: RunConfig) -> list[VerificationReport]:
 
 def suite_bijection_beta(config: RunConfig) -> list[VerificationReport]:
     """Sampled beta components: truncated sums shrink like 1/M."""
-    sweep = (config.M, 2 * config.M) if config.M else (25, 50, 100, 200)
+    sweep = (25, 50, 100, 200) if config.M is None else (config.M, 2 * config.M)
     out = []
     samples = [
         (2, bijection.V1((), 3), "k2.empty"),
         (3, bijection.V1((1,), 2), "k3.star12"),
         (3, bijection.V1((4,), 7), "k3.star47"),
     ]
-    if config.k:
-        samples = [s for s in samples if s[0] == config.k] or samples
+    if config.k is not None:
+        samples = [s for s in samples if s[0] == config.k]
     for k, seed_vertex, label in samples:
         sums = []
         for M in sweep:
@@ -193,8 +193,8 @@ def suite_bijection_beta(config: RunConfig) -> list[VerificationReport]:
 def suite_residuals(config: RunConfig) -> list[VerificationReport]:
     """Exact residual identities on both edge systems, the classification
     cross-check, and the multiplicity identity."""
-    ks = (config.k,) if config.k else (2, 3, 4)
-    N = config.N or 40
+    ks = (2, 3, 4) if config.k is None else (config.k,)
+    N = 40 if config.N is None else config.N
     out = []
     for k in ks:
         lhs, rhs = bijection.alpha_residual_identity(k, N)
@@ -253,8 +253,8 @@ def _wallis_parity(prec: int) -> bool:
 def suite_product_structure(config: RunConfig) -> list[VerificationReport]:
     """Oddness, integer zeros, the two product displays, the periodicity
     sign, the shifted-form gap bound, and the rise/fall scan."""
-    N = config.N or 100
-    grid = config.bound or 1001
+    N = 100 if config.N is None else config.N
+    grid = 1001 if config.bound is None else config.bound
     out = []
     xs = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 4), Fraction(9, 2)]
     odd_ok = all(product.eval_F(-x, N) == -product.eval_F(x, N) for x in xs)
@@ -269,19 +269,21 @@ def suite_product_structure(config: RunConfig) -> list[VerificationReport]:
         {(x, nn) for x in (Fraction(1, 2), Fraction(1, 3), Fraction(7, 5))
          for nn in (1, 2, 5, 25)}
         | {(x, nn) for x in (Fraction(1, 2), Fraction(2, 3)) for nn in (1, 3, 10, 50)})
-    signs = [product.periodicity_sign_report(x, nn).matched_sign for x, nn in cases]
-    out.append(bool_record("product.periodicity_sign", all(s == -1 for s in signs),
-                           params={"matched_sign": -1, "cases": len(signs)}))
+    # F_N(x+1)/F_N(x) is exactly -(N+1+x)/(N-x), so F(x+1) = -F(x) in the limit
+    minus_ok = all(product.periodicity_ratio(x, nn) == -Fraction(nn + 1 + x, nn - x)
+                   for x, nn in cases)
+    out.append(bool_record("product.periodicity_sign", minus_ok,
+                           params={"matched_sign": -1, "cases": len(cases)}))
     gap_ok = True
     for x in xs[:2]:
         gap = abs(product.eval_F(x, N) - product.eval_F_shifted(x, N))
         if gap > product.shifted_truncation_gap_bound(x, N):
             gap_ok = False
     out.append(bool_record("product.shifted_gap", gap_ok, params={"N": N}))
-    scan = product.monotonicity_scan(N, grid)
-    out.append(bool_record("product.monotonicity", scan.passed,
+    violation = product.monotonicity_scan(N, grid)
+    out.append(bool_record("product.monotonicity", violation is None,
                            params={"N": N, "grid": grid,
-                                   "first_violation": str(scan.first_violation)}))
+                                   "first_violation": str(violation)}))
     return out
 
 
@@ -298,9 +300,14 @@ SUITES = {
 
 
 def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
+    """The records of suite `name`; a configuration under which the suite
+    checks nothing is a DomainError, never an empty pass."""
     if name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](config)
+    records = SUITES[name](config)
+    if not records:
+        raise DomainError(f"suite {name} checks nothing with these parameters")
+    return records
 
 
 def _dump_failure(config: RunConfig, label: str, payload: str) -> str:

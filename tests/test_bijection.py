@@ -16,7 +16,6 @@ from mzvfactor.bijection import (
     beta_neighbors,
     beta_residual_identity,
     component,
-    distinctness,
     factorization_check,
     format_component,
     is_alpha_residual,
@@ -24,7 +23,7 @@ from mzvfactor.bijection import (
     multiplicity_identity,
     residual_classification_consistent,
     weight,
-    weight_form_consistency,
+    weight_form_alt,
 )
 from mzvfactor.numeric import DomainError
 from mzvfactor.series import mzv_truncated, zeta_even_truncated
@@ -61,18 +60,9 @@ def test_weight_rejects_malformed_vertices():
         weight(V1((1, 2, 3), 4), 3)  # order k-1 exceeded
 
 
-def test_distinctness():
-    assert distinctness(V1((1, 2), 3)) == 1
-    assert distinctness(V1((1, 2), 2)) == 0
-    assert distinctness(V2((5,), 2, 7, 1)) == 2
-    assert distinctness(V2((2,), 2, 7, 1)) == 1
-    assert distinctness(V2((2, 7), 2, 7, 1)) == 0
-
-
 def test_weight_form_consistency_examples():
-    assert weight_form_consistency(V2((), 1, 2, 1), 2)
-    assert weight_form_consistency(V2((), 1, 3, 2), 2)
-    assert weight_form_consistency(V2((5,), 2, 7, 1), 4)
+    for v, k in ((V2((), 1, 2, 1), 2), (V2((), 1, 3, 2), 2), (V2((5,), 2, 7, 1), 4)):
+        assert weight(v, k) == weight_form_alt(v, k)
 
 
 def test_weight_form_consistency_random():
@@ -83,7 +73,8 @@ def test_weight_form_consistency_random():
         mu = tuple(sorted(rng.sample(range(1, 30), j)))
         l1 = rng.randint(1, 25)
         l2 = l1 + rng.randint(1, 10)
-        assert weight_form_consistency(V2(mu, l1, l2, rng.choice((1, 2))), k)
+        v = V2(mu, l1, l2, rng.choice((1, 2)))
+        assert weight(v, k) == weight_form_alt(v, k)
 
 
 def test_alpha_neighbor_examples():
@@ -210,12 +201,12 @@ def test_multiplicity_identity():
 
 
 def test_abs_weight_sum_bounds():
-    r = abs_weight_sum_bound(2, 0, 50)
-    assert r.passed
-    assert r.v1_bound < 12          # 6 * zeta({2}^0) * (bound 2)
-    assert r.v2_abs_sum <= 64       # 16 * 1 * 2 * 2
-    r = abs_weight_sum_bound(3, 1, 30)
-    assert r.passed
+    v1, v1_bound, v2, v2_bound = abs_weight_sum_bound(2, 0, 50)
+    assert v1 <= v1_bound and v2 <= v2_bound
+    assert v1_bound < 12            # 6 * zeta({2}^0) * (bound 2)
+    assert v2 <= 64                 # 16 * 1 * 2 * 2
+    v1, v1_bound, v2, v2_bound = abs_weight_sum_bound(3, 1, 30)
+    assert v1 <= v1_bound and v2 <= v2_bound
 
 
 def test_factorization_check_levels():

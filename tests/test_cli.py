@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvfactor import cli, pfunc
+from mzvfactor import cli, pfunc, product
 from mzvfactor.numeric import DomainError
 
 
@@ -110,6 +110,60 @@ def test_broken_witness_is_a_failed_record(monkeypatch, tmp_path):
     status = {r["claim_id"]: r["status"]
               for r in map(json.loads, out.read_text().splitlines())}
     assert status["p.witness.j1"] == status["p.witness.j2"] == "fail"
+
+
+def test_broken_periodicity_is_a_failed_record(monkeypatch, tmp_path):
+    # F_N scaled by 1 + 10^-9 beyond x = 1 breaks F_N(x+1)/F_N(x) = -(N+1+x)/(N-x)
+    real = product.eval_F
+    monkeypatch.setattr(product, "eval_F", lambda x, N: real(x, N) * (
+        1 + Fraction(1, 10 ** 9) if x > 1 else 1))
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["verify", "product-structure", "--N", "20", "--bound", "41",
+                     "--format", "json", "--out", str(out)]) == 1
+    status = {r["claim_id"]: r["status"]
+              for r in map(json.loads, out.read_text().splitlines())}
+    assert status["product.periodicity_sign"] == "fail"
+
+
+def test_broken_rise_fails_monotonicity(monkeypatch, tmp_path):
+    real = product.eval_F_shifted
+    monkeypatch.setattr(product, "eval_F_shifted", lambda x, N: real(x, N) / (
+        2 if x == Fraction(1, 4) else 1))
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["verify", "product-structure", "--N", "20", "--bound", "41",
+                     "--format", "json", "--out", str(out)]) == 1
+    [record] = [r for r in map(json.loads, out.read_text().splitlines())
+                if r["claim_id"] == "product.monotonicity"]
+    assert record["status"] == "fail"
+    assert record["params"]["first_violation"] == str((Fraction(9, 40), Fraction(1, 4)))
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:   # argparse rejects the command line
+        return exc.code
+
+
+def test_run_that_checks_nothing_is_a_usage_error(capsys):
+    # a count below 1 is refused, never swapped for the default, and a
+    # suite that returns no record does not pass
+    for argv in (["verify", "basel", "--k", "-1"],
+                 ["verify", "factorization", "--k", "0"],
+                 ["verify", "product-structure", "--N", "0"],
+                 ["verify", "bijection-alpha", "--k", "1"],
+                 ["verify", "bijection-alpha", "--k", "2", "--bound", "0"],
+                 ["verify", "bijection-beta", "--k", "4"],
+                 ["verify", "bijection-beta", "--M", "0"]):
+        assert _exit_code(argv) == 2, argv
+    assert capsys.readouterr().out == ""
+
+
+def test_each_subcommand_accepts_only_its_flags():
+    for argv in (["compute", "mzv", "--seed", "3"],
+                 ["bijection-dump", "--k", "2", "--format", "json"],
+                 ["verify", "basel", "--x", "1/2"]):
+        assert _exit_code(argv) == 2, argv
 
 
 def _raise(exc):

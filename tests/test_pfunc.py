@@ -58,10 +58,17 @@ def test_telescoped_tail_closed_forms():
 
     partial, closed = telescoped_tail(2, 1, 100)
     assert closed == Fraction(-4, 8) * harmonic(4) == Fraction(-25, 24)
+    assert telescoped_remainder_bound(2, 1, 100) == Fraction(16, 8 * 98)
     assert abs(partial - closed) <= Fraction(16, 8 * 98)
 
     partial, closed = telescoped_tail(1, 5, 10)
     assert abs(partial - closed) <= telescoped_remainder_bound(1, 5, 10)
+
+    for n in range(1, 8):
+        for j in (1, 2, 3):
+            for M in (2 * n + 1, 3 * n, 50):
+                partial, closed = telescoped_tail(n, j, M)
+                assert abs(partial - closed) <= telescoped_remainder_bound(n, j, M)
 
 
 def test_telescoped_tail_partial_is_exact_sum():
@@ -73,9 +80,16 @@ def test_telescoped_tail_partial_is_exact_sum():
 
 
 def test_finite_part_examples():
-    assert finite_part(1, 1) == 0
-    assert finite_part(2, 1) == Fraction(2, 3)
-    assert finite_part(3, 2) == 4 * (harmonic(5) - Fraction(1, 3)) / Fraction(3 ** 5)
+    assert finite_part(1, 1) == (0, 0)
+    assert finite_part(2, 1) == (Fraction(2, 3), Fraction(2, 3))
+    direct, closed = finite_part(3, 2)
+    assert direct == closed == 4 * (harmonic(5) - Fraction(1, 3)) / Fraction(3 ** 5)
+    for n in range(1, 30):
+        for j in (1, 2, 3):
+            direct, closed = finite_part(n, j)
+            assert direct == closed
+            # the finite part is the second of the witness's three pieces
+            assert direct == p_coefficient_witness(n, j)[1]
 
 
 def test_witness_examples():

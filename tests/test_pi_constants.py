@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvfactor.numeric import DomainError, pi_oracle
+from mzvfactor.numeric import ApproxReal, DomainError, pi_oracle
 from mzvfactor.pi_constants import (
     arc_length,
     g_eval,
@@ -32,10 +32,11 @@ def test_pi_freq_agrees_with_oracle():
 
 def test_pi_freq_crude_bracket():
     # integral-comparison tail at N=10: width below 0.01 and contains pi
-    est = pi_freq(64, N=10, em_terms=0)
+    lo, hi = zeta2_bracket(10, em_terms=0)
+    est = ApproxReal.from_bracket(6 * lo, 6 * hi, 80).sqrt(80)
     pi = pi_oracle(64)
-    assert 2 * est.value.err < Fraction(1, 100)
-    assert est.value.contains(pi.value)
+    assert 2 * est.err < Fraction(1, 100)
+    assert est.contains(pi.value)
 
 
 def test_pi_freq_nested_intervals():
@@ -115,14 +116,15 @@ def test_g_at_half_frequency_hits_one():
 def test_pythagorean_check_grid():
     pi = pi_oracle(128)
     grid = [pi.value * Fraction(i, 50) for i in range(-50, 51)]
-    rep = pythagorean_check(grid, precision_bits=128)
-    assert rep.zero_everywhere
-    assert rep.max_deviation < Fraction(1, 10 ** 20)
+    devs = pythagorean_check(grid, precision_bits=128)
+    assert len(devs) == len(grid)
+    assert all(d.contains(0) for d in devs)
+    assert max(abs(d.value) + d.err for d in devs) < Fraction(1, 10 ** 20)
 
 
 def test_pythagorean_at_zero_exact():
-    rep = pythagorean_check([Fraction(0)])
-    assert rep.max_deviation == 0
+    [dev] = pythagorean_check([Fraction(0)])
+    assert dev.value == dev.err == 0
 
 
 def test_arc_length_equals_frequency_constant():

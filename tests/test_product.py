@@ -1,26 +1,23 @@
 """The truncated product: both displays, the shifted form, periodicity with
-its sign, second-derivative probes, and the rise/fall scan."""
+its sign, and the rise/fall scan."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvfactor.numeric import ApproxReal, DomainError, pi_oracle
+from mzvfactor.numeric import DomainError, pi_oracle
 from mzvfactor.polys import poly_eval
 from mzvfactor.product import (
     eval_F,
-    eval_F_approx,
     eval_F_factored,
     eval_F_shifted,
     f_polynomial,
     monotonicity_scan,
     periodicity_ratio,
-    periodicity_sign_report,
-    second_derivative_fd,
     shifted_truncation_gap_bound,
 )
-from mzvfactor.series import f_series_coefficients
+from mzvfactor.series import mzv_row
 
 grid_rationals = st.fractions(min_value=Fraction(-10), max_value=Fraction(10))
 
@@ -52,10 +49,11 @@ def test_two_product_forms_agree(x, N):
 def test_polynomial_expansion_consistency():
     for N in (1, 4, 9, 12):
         poly = f_polynomial(N)
-        coeffs = f_series_coefficients(N, N)
+        row = mzv_row(N, N)
         x = Fraction(3, 5)
         assert poly_eval(poly, x) == eval_F(x, N)
-        assert [poly[2 * k + 1] for k in range(N + 1)] == coeffs
+        assert [poly[2 * k + 1] for k in range(N + 1)] == [
+            (-1) ** k * z for k, z in enumerate(row)]
 
 
 def test_shifted_examples():
@@ -82,19 +80,18 @@ def test_shifted_approaches_inverse_amplitude():
 
 
 def test_periodicity_examples():
+    # the ratio is -(N+1+x)/(N-x): here -(7/2)/(3/2)
     assert periodicity_ratio(Fraction(1, 2), 2) == Fraction(-7, 3)
-    r = periodicity_sign_report(Fraction(1, 2), 2)
-    assert r.matched_sign == -1 and r.reference == Fraction(7, 2) / Fraction(3, 2)
-    r13 = periodicity_sign_report(Fraction(1, 3), 1)
-    assert r13.ratio == eval_F(Fraction(4, 3), 1) / eval_F(Fraction(1, 3), 1)
-    assert r13.matched_sign == -1
+    r13 = periodicity_ratio(Fraction(1, 3), 1)
+    assert r13 == eval_F(Fraction(4, 3), 1) / eval_F(Fraction(1, 3), 1)
+    assert r13 == -Fraction(7, 3) / Fraction(2, 3)
 
 
 @given(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8)),
        st.integers(min_value=1, max_value=40))
 @settings(max_examples=60)
 def test_periodicity_sign_is_always_minus(x, N):
-    assert periodicity_sign_report(x, N).matched_sign == -1
+    assert periodicity_ratio(x, N) == -Fraction(N + 1 + x, N - x)
 
 
 def test_periodicity_ratio_approaches_minus_one():
@@ -109,44 +106,6 @@ def test_periodicity_pole_rejected():
         periodicity_ratio(Fraction(3), 5)
 
 
-def test_second_derivative_fd_matches_curvature():
-    est, flagged = second_derivative_fd(Fraction(1, 4), 10 ** 4, Fraction(1, 2 ** 20))
-    assert not flagged
-    pi = pi_oracle(96)
-    target = -pi.value ** 2 * eval_F(Fraction(1, 4), 10 ** 4)
-    assert abs(est.value - target) < Fraction(1, 1000)
-
-
-def test_second_derivative_fd_odd_point_is_zero():
-    est, _ = second_derivative_fd(Fraction(0), 50, Fraction(1, 2 ** 10))
-    assert est.value == 0
-
-
-def test_second_derivative_fd_default_step():
-    # default h = 2^(-precision/3)
-    est, flagged = second_derivative_fd(Fraction(1, 4), 500)
-    assert not flagged
-    pi = pi_oracle(96)
-    target = -pi.value ** 2 * eval_F(Fraction(1, 4), 500)
-    assert abs(est.value - target) < Fraction(1, 50)
-
-
-def test_second_derivative_fd_richardson_rate():
-    # halving h shrinks the truncation error about fourfold
-    x, N = Fraction(1, 4), 2000
-    exact_like, _ = second_derivative_fd(x, N, Fraction(1, 2 ** 24))
-    e1, _ = second_derivative_fd(x, N, Fraction(1, 2 ** 8))
-    e2, _ = second_derivative_fd(x, N, Fraction(1, 2 ** 9))
-    r = abs(e1.value - exact_like.value) / abs(e2.value - exact_like.value)
-    assert Fraction(3) < r < Fraction(5)
-
-
-def test_eval_F_approx_brackets_exact_value():
-    x = ApproxReal.from_rational(Fraction(2, 7), 128)
-    assert eval_F_approx(x, 50).contains(eval_F(Fraction(2, 7), 50))
-
-
 def test_monotonicity_scan_small_cases():
-    rep = monotonicity_scan(1, 3)
-    assert rep.passed and rep.max_value == Fraction(1, 4)
-    assert monotonicity_scan(100, 9).passed
+    assert monotonicity_scan(1, 3) is None
+    assert monotonicity_scan(100, 9) is None

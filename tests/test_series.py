@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from mzvfactor.numeric import ResourceError, pi_oracle
 from mzvfactor.product import f_polynomial
 from mzvfactor.series import (
-    f_series_coefficients,
     mzv_bruteforce,
     mzv_limit,
     mzv_limit_bracket,
@@ -67,18 +66,19 @@ def test_zeta_even_truncated_examples():
 
 
 def test_f_series_coefficient_examples():
-    assert f_series_coefficients(2, 1)[1] == Fraction(-5, 4)
-    assert f_series_coefficients(7, 0)[0] == 1
-    assert f_series_coefficients(3, 3)[3] == Fraction(-1, 36)
+    # the x^(2k+1) coefficient of the truncated product is (-1)^k zeta_N({2}^k)
+    assert mzv_row(2, 1)[1] == Fraction(5, 4)
+    assert mzv_row(7, 0)[0] == 1
+    assert mzv_row(3, 3)[3] == Fraction(1, 36)
 
 
-def test_f_series_coefficients_match_polynomial_expansion():
+def test_signed_mzv_row_matches_polynomial_expansion():
     # oracle: multiply the factors out and read off x^(2k+1)
     for N in range(1, 13):
         poly = f_polynomial(N)
-        coeffs = f_series_coefficients(N, N)
+        row = mzv_row(N, N)
         for k in range(N + 1):
-            assert poly[2 * k + 1] == coeffs[k]
+            assert poly[2 * k + 1] == (-1) ** k * row[k]
         for i in range(0, len(poly), 2):
             assert poly[i] == 0
 
