@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .numeric import DEFAULT_PRECISION, ApproxReal, DomainError, ZERO, pi_oracle
+from .numeric import (DEFAULT_PRECISION, ApproxReal, DomainError, ResourceError,
+                      ZERO, pi_oracle)
 from .series import mzv_limit, mzv_truncated, zeta_even_truncated
 
 
@@ -48,6 +49,18 @@ class V2(NamedTuple):
 Vertex = Union[V1, V2]
 
 ALPHA_SAFETY_BOUND = 64
+
+# Enumerations larger than these are refused before any weight is taken:
+# they would run for minutes. The default residual identities (k = 4,
+# N = 40) take 1.46M and 0.40M weights; the default alpha components
+# (k = 4, bound 20) start from 0.11M vertices.
+RESIDUAL_WEIGHT_CEILING = 2_000_000
+VERTEX_CEILING = 500_000
+
+
+def _require_size(count: int, ceiling: int, what: str) -> None:
+    if count > ceiling:
+        raise ResourceError(f"{what}: {count} exceeds ceiling {ceiling}")
 
 
 class StructuralFailure(AssertionError):
@@ -306,11 +319,20 @@ def iter_vertices(k: int, bound: int) -> Iterator[Vertex]:
                     yield V2(mu, l1, l2, 2)
 
 
+def vertex_count(k: int, bound: int) -> int:
+    """The number of vertices iter_vertices(k, bound) yields."""
+    index_sets = [math.comb(bound, j) for j in range(k)]
+    return (sum(index_sets) * bound
+            + sum(index_sets[:k - 1]) * 2 * math.comb(bound, 2))
+
+
 def alpha_components_up_to(k: int, bound: int) -> list[WeightedComponent]:
     """All distinct alpha components touching vertices with entries <= bound,
     singletons excluded, deduplicated by canonical key."""
     if k < 2 or bound < 1:
         raise DomainError("alpha components need k >= 2 and bound >= 1")
+    _require_size(vertex_count(k, bound), VERTEX_CEILING,
+                  f"alpha components at k = {k}, bound {bound}: vertices")
     seen: set[Vertex] = set()
     out: list[WeightedComponent] = []
     for v in iter_vertices(k, bound):
@@ -346,6 +368,11 @@ def alpha_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
         raise DomainError("needs k >= 2")
     if N > 60:
         raise DomainError("residual enumeration capped at N = 60")
+    # V1 with n outside mu; V2 with l1 < l2 outside mu, two markers each
+    _require_size(math.comb(N, k - 1) * max(N - k + 1, 0)
+                  + 2 * math.comb(N, k - 2) * math.comb(max(N - k + 2, 0), 2),
+                  RESIDUAL_WEIGHT_CEILING,
+                  f"alpha residual identity at k = {k}, N = {N}: weights")
     sign = 1 if k % 2 == 0 else -1
     lhs = ZERO
     universe = range(1, N + 1)
@@ -377,6 +404,8 @@ def beta_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
         raise DomainError("needs k >= 2")
     if N > 60:
         raise DomainError("residual enumeration capped at N = 60")
+    _require_size(math.comb(N, k - 1) * N, RESIDUAL_WEIGHT_CEILING,
+                  f"beta residual identity at k = {k}, N = {N}: weights")
     sign = 1 if k % 2 == 0 else -1
     lhs = ZERO
     universe = range(1, N + 1)

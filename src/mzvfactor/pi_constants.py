@@ -231,12 +231,13 @@ def _speed(x: Fraction, precision_bits: int) -> ApproxReal:
     return ApproxReal.from_bracket(lo, sq.hi, precision_bits + 16).sqrt(precision_bits + 16)
 
 
-def _simpson(a: Fraction, b: Fraction, m: int, precision_bits: int) -> ApproxReal:
-    h = (b - a) / m
+def _simpson(speeds: list[ApproxReal], h: Fraction, precision_bits: int) -> ApproxReal:
+    """Composite Simpson sum over the speeds at m + 1 nodes spaced h apart."""
+    m = len(speeds) - 1
     total = ApproxReal.exact(0, precision_bits)
-    for i in range(m + 1):
+    for i, s in enumerate(speeds):
         w = 1 if i in (0, m) else (4 if i % 2 == 1 else 2)
-        total = total + _speed(a + i * h, precision_bits) * w
+        total = total + s * w
     return total * (h / 3)
 
 
@@ -253,8 +254,11 @@ def arc_length(precision_bits: int, quad_nodes: int = 32,
     a = pf.value.value / 2
     delta = pf.value.err / 2
     lo_end = ZERO if half else -a
-    q1 = _simpson(lo_end, a, m, precision_bits + 16)
-    q2 = _simpson(lo_end, a, 2 * m, precision_bits + 16)
+    # the m-node pass uses the even nodes of the 2m-node pass
+    h = (a - lo_end) / (2 * m)
+    speeds = [_speed(lo_end + i * h, precision_bits + 16) for i in range(2 * m + 1)]
+    q1 = _simpson(speeds[::2], 2 * h, precision_bits + 16)
+    q2 = _simpson(speeds, h, precision_bits + 16)
     doubling = abs(q2.value - q1.value)
     ends = 1 if half else 2
     # endpoint sliver: |speed| <= sqrt(2) e^2 < 12 anywhere within |x| <= 2

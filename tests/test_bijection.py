@@ -248,3 +248,7 @@ def test_iter_vertices_counts():
     assert len(v1) == (1 + 3) * 3
     assert len(v2) == 3 * 2
     assert len(set(vs)) == len(vs)
+    for k in range(2, 6):
+        for bound in (1, 2, 3, 7):
+            assert bijection.vertex_count(k, bound) == sum(
+                1 for _ in iter_vertices(k, bound))

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,15 @@ def test_resource_error_exit_code():
     proc = _run("compute", "mzv", "--precision", "999999")
     assert proc.returncode == 3
     assert "resource" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("argv", [["verify", "residuals", "--k", "5"],
+                                  ["verify", "bijection-alpha", "--k", "6"]])
+def test_oversized_enumeration_exits_3_before_any_work(argv, capsys):
+    start = time.process_time()
+    assert cli.main(argv) == 3
+    assert time.process_time() - start < 2
+    assert "exceeds ceiling" in capsys.readouterr().err
 
 
 def test_bijection_dump_alpha(tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from mzvfactor import pi_constants
 from mzvfactor.numeric import ApproxReal, DomainError, pi_oracle
 from mzvfactor.pi_constants import (
     arc_length,
@@ -137,6 +138,20 @@ def test_arc_length_halving_symmetry():
     full = arc_length(96, 16)
     half = arc_length(96, 16, half=True)
     assert abs(full.value - 2 * half.value) < Fraction(1, 10 ** 15)
+
+
+def test_arc_length_evaluates_each_node_once(monkeypatch):
+    # the 16-node pass reads the even nodes of the 32-node pass
+    nodes = []
+    real = pi_constants.g_eval
+
+    def counted(x, *args):
+        nodes.append(x)
+        return real(x, *args)
+
+    monkeypatch.setattr(pi_constants, "g_eval", counted)
+    arc_length(96, 16)
+    assert len(nodes) == len(set(nodes)) == 2 * 16 + 1
 
 
 def test_speed_at_zero_is_one():

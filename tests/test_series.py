@@ -5,8 +5,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mzvfactor import series
 from mzvfactor.numeric import ResourceError, pi_oracle
 from mzvfactor.product import f_polynomial
 from mzvfactor.series import (
@@ -40,6 +41,56 @@ def test_recursion_agrees_with_bruteforce_everywhere():
     for N in range(1, 13):
         for k in range(0, N + 1):
             assert mzv_truncated(N, k) == mzv_bruteforce(N, k)
+
+
+def _rolling_row(N, k_max):
+    # oracle: the rolling recursion e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2
+    row = [Fraction(1)] + [Fraction(0)] * k_max
+    for n in range(1, N + 1):
+        for k in range(min(k_max, n), 0, -1):
+            row[k] += row[k - 1] * Fraction(1, n * n)
+    return row
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=10))
+def test_product_tree_row_matches_rolling_recursion(N, k):
+    # k > N is in range: those entries are 0
+    assert mzv_row(N, k) == _rolling_row(N, k)
+
+
+def test_product_tree_row_matches_rolling_recursion_at_1024():
+    assert mzv_row(1024, 8) == _rolling_row(1024, 8)
+
+
+def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
+    built, attempts = [], []
+    build, bracket = series._factor_product, series.mzv_limit_bracket
+
+    def counted_build(lo, hi, k_max):
+        built.append((lo, hi))
+        return build(lo, hi, k_max)
+
+    def counted_bracket(*args, **kwargs):
+        attempts.append((args, kwargs))
+        return bracket(*args, **kwargs)
+
+    def no_row(N, k_max):
+        raise AssertionError("mzv_limit rebuilt a row from n = 1")
+
+    monkeypatch.setattr(series, "_factor_product", counted_build)
+    monkeypatch.setattr(series, "mzv_limit_bracket", counted_bracket)
+    monkeypatch.setattr(series, "mzv_row", no_row)
+    mzv_limit(4, 208)
+    monkeypatch.undo()
+    # em 6..9 at N = 256, then one doubling per attempt
+    assert [a[:3] for a, _ in attempts] == (
+        [(4, 256, em) for em in range(6, 10)] + [(4, n, 9) for n in (512, 1024, 2048)])
+    assert len(built) == len(set(built))
+    assert {(0, 256), (256, 512), (512, 1024), (1024, 2048)} <= set(built)
+    args, kwargs = attempts[-1]
+    assert kwargs["row"] == mzv_row(2048, 4)
+    assert bracket(*args, **kwargs) == bracket(*args, precision=kwargs["precision"])
 
 
 def test_mzv_table_invariants():
