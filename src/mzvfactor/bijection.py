@@ -50,12 +50,14 @@ Vertex = Union[V1, V2]
 
 ALPHA_SAFETY_BOUND = 64
 
-# Enumerations larger than these are refused before any weight is taken:
-# they would run for minutes. The default residual identities (k = 4,
-# N = 40) take 1.46M and 0.40M weights; the default alpha components
-# (k = 4, bound 20) start from 0.11M vertices.
-RESIDUAL_WEIGHT_CEILING = 2_000_000
-VERTEX_CEILING = 500_000
+# The only size limits of the enumerations: a request over one is refused
+# from a closed-form count before any weight is taken. Each is about 60 s
+# of CPU time on a 2.0 GHz Xeon core, where a residual-identity weight took
+# 13-25.5 us (k = 2..6, N up to 1000) and an alpha-component vertex
+# 26-37 us (k = 2..6, bound up to 900). An alpha bijection-dump enumerates
+# its vertices twice, so it may take twice as long.
+RESIDUAL_WEIGHT_CEILING = 2_300_000
+VERTEX_CEILING = 1_600_000
 
 
 def _require_size(count: int, ceiling: int, what: str) -> None:
@@ -366,11 +368,9 @@ def alpha_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
     <= N; rhs = (2k+1)(2k) zeta_N({2}^k). Returns both; they must be equal."""
     if k < 2:
         raise DomainError("needs k >= 2")
-    if N > 60:
-        raise DomainError("residual enumeration capped at N = 60")
-    # V1 with n outside mu; V2 with l1 < l2 outside mu, two markers each
-    _require_size(math.comb(N, k - 1) * max(N - k + 1, 0)
-                  + 2 * math.comb(N, k - 2) * math.comb(max(N - k + 2, 0), 2),
+    # C(N, k-1)(N-k+1) V1 with n outside mu, and k-1 times as many V2
+    # (l1 < l2 outside mu, two markers each)
+    _require_size(k * (N - k + 1) * math.comb(N, k - 1),
                   RESIDUAL_WEIGHT_CEILING,
                   f"alpha residual identity at k = {k}, N = {N}: weights")
     sign = 1 if k % 2 == 0 else -1
@@ -402,8 +402,6 @@ def beta_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
     rhs = 6 zeta_N({2}^{k-1}) zeta_N(2)."""
     if k < 2:
         raise DomainError("needs k >= 2")
-    if N > 60:
-        raise DomainError("residual enumeration capped at N = 60")
     _require_size(math.comb(N, k - 1) * N, RESIDUAL_WEIGHT_CEILING,
                   f"beta residual identity at k = {k}, N = {N}: weights")
     sign = 1 if k % 2 == 0 else -1

@@ -157,8 +157,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bijection_dump(args: argparse.Namespace) -> int:
     k, bound = args.k, args.bound
-    if not 2 <= k <= 5 or bound > 60:
-        raise DomainError("bijection-dump needs k in 2..5 and bound <= 60")
+    # alpha dumps are limited by bijection.VERTEX_CEILING instead
+    if not 2 <= k <= 5 or (args.kind == "beta" and bound > 60):
+        raise DomainError("bijection-dump needs k in 2..5, and bound <= 60 for --kind beta")
     out_dir = args.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
     components = []

@@ -87,9 +87,9 @@ def mzv_truncated(N: int, k: int) -> Fraction:
 
 def mzv_row_approx(N: int, k_max: int,
                    precision: int = DEFAULT_PRECISION) -> list[ApproxReal]:
-    """The same rolling recursion in balls of `precision` bits; numerators of
-    the exact entries grow past any sane size above N = 10^4, so deep
-    truncations run here instead."""
+    """The row by the rolling recursion e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2
+    in balls of `precision` bits; numerators of the exact entries grow past
+    any sane size above N = 10^4, so deep truncations run here instead."""
     if N < 1:
         raise DomainError("mzv_row_approx needs N >= 1")
     row = [ApproxReal.exact(1, precision)] + [ApproxReal.exact(0, precision)] * k_max
@@ -169,8 +169,9 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
         zeta({2}^k) = sum_j zeta_N({2}^j) * e_{k-j}(tail),
     an identity, so below N = EXACT_N_LIMIT the only width comes from the
     tail power-sum brackets; above it the head rows are balls of
-    `precision` bits. A caller that holds the exact row mzv_row(N, k)
-    passes it as `row`.
+    `precision` bits. A caller that already holds the exact row
+    mzv_row(N, k), for this same N, passes it as `row`; it is used only
+    below EXACT_N_LIMIT.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
@@ -178,6 +179,8 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
         return (ONE, ONE)
     if N > MZV_N_CEILING:
         raise ResourceError(f"truncation {N} exceeds ceiling {MZV_N_CEILING}")
+    if row is not None and len(row) != k + 1:
+        raise DomainError(f"row has {len(row)} entries, mzv_row(N, {k}) has {k + 1}")
     if N <= EXACT_N_LIMIT:
         head = [(h, h) for h in (row if row is not None else mzv_row(N, k))]
     else:

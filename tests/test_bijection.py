@@ -25,7 +25,7 @@ from mzvfactor.bijection import (
     weight,
     weight_form_alt,
 )
-from mzvfactor.numeric import DomainError
+from mzvfactor.numeric import DomainError, ResourceError
 from mzvfactor.series import mzv_truncated, zeta_even_truncated
 
 
@@ -252,3 +252,32 @@ def test_iter_vertices_counts():
         for bound in (1, 2, 3, 7):
             assert bijection.vertex_count(k, bound) == sum(
                 1 for _ in iter_vertices(k, bound))
+
+
+@pytest.mark.parametrize("identity", [alpha_residual_identity, beta_residual_identity])
+def test_residual_ceiling_is_the_exact_weight_count(identity, monkeypatch):
+    # a ceiling equal to the number of weights taken admits the request,
+    # one less refuses it before any weight is taken
+    real = bijection.weight
+    for k, N in ((2, 7), (3, 9), (4, 8), (5, 9), (4, 3)):
+        calls = []
+        monkeypatch.setattr(bijection, "weight",
+                            lambda v, kk: calls.append(v) or real(v, kk))
+        monkeypatch.setattr(bijection, "RESIDUAL_WEIGHT_CEILING", 10 ** 9)
+        identity(k, N)
+        taken = len(calls)
+        monkeypatch.setattr(bijection, "RESIDUAL_WEIGHT_CEILING", taken)
+        identity(k, N)
+        monkeypatch.setattr(bijection, "RESIDUAL_WEIGHT_CEILING", taken - 1)
+        calls.clear()
+        with pytest.raises(ResourceError):
+            identity(k, N)
+        assert calls == []
+
+
+def test_residual_identities_past_n_60():
+    # N is limited only by the weight count
+    lhs, rhs = alpha_residual_identity(2, 70)
+    assert lhs == rhs
+    lhs, rhs = beta_residual_identity(2, 70)
+    assert lhs == rhs

@@ -232,3 +232,14 @@ def test_bijection_dump_beta_sweep(tmp_path):
 def test_dump_bound_guard():
     proc = _run("bijection-dump", "--k", "9", "--bound", "10")
     assert proc.returncode == 2
+    proc = _run("bijection-dump", "--k", "2", "--bound", "61", "--kind", "beta")
+    assert proc.returncode == 2
+
+
+def test_alpha_dump_is_limited_by_its_vertex_count(tmp_path, capsys):
+    assert cli.main(["bijection-dump", "--k", "2", "--bound", "70", "--kind", "alpha",
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "alpha_k2_b70.components.txt").exists()
+    assert cli.main(["bijection-dump", "--k", "5", "--bound", "25", "--kind", "alpha",
+                     "--out", str(tmp_path)]) == 3
+    assert "exceeds ceiling" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzvfactor import series
-from mzvfactor.numeric import ResourceError, pi_oracle
+from mzvfactor.numeric import DomainError, ResourceError, pi_oracle
 from mzvfactor.product import f_polynomial
 from mzvfactor.series import (
     mzv_bruteforce,
@@ -91,6 +91,11 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
     args, kwargs = attempts[-1]
     assert kwargs["row"] == mzv_row(2048, 4)
     assert bracket(*args, **kwargs) == bracket(*args, precision=kwargs["precision"])
+
+
+def test_mzv_limit_bracket_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(DomainError):
+        mzv_limit_bracket(4, 256, row=mzv_row(256, 3))
 
 
 def test_mzv_table_invariants():
