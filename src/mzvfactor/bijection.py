@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .numeric import (DEFAULT_PRECISION, ApproxReal, DomainError, ResourceError,
                       ZERO, pi_oracle)
@@ -52,12 +53,16 @@ ALPHA_SAFETY_BOUND = 64
 
 # The only size limits of the enumerations: a request over one is refused
 # from a closed-form count before any weight is taken. Each is about 60 s
-# of CPU time on a 2.0 GHz Xeon core, where a residual-identity weight took
-# 13-25.5 us (k = 2..6, N up to 1000) and an alpha-component vertex
-# 26-37 us (k = 2..6, bound up to 900). An alpha bijection-dump enumerates
-# its vertices twice, so it may take twice as long.
-RESIDUAL_WEIGHT_CEILING = 2_300_000
-VERTEX_CEILING = 1_600_000
+# of CPU time on a 2.0 GHz Xeon core. A residual-identity weight took
+# 2.0-2.7 us for k = 3..7; at k = 2 the common denominator grows with N,
+# and a weight took 3.2 us at N = 500 and 7.35 us at N = 2000, the largest
+# N admitted (59 s). A vertex took 12-15 us in the alpha walk (k = 2..6, up
+# to 1.62M vertices) and, in the k = 2 beta hub, 7.5 us at M = 300 to
+# 17 us at M = 1000, rising about linearly to some 24.5 us at M = 1549,
+# the largest hub admitted. Beta hubs at k >= 4 cost more per vertex
+# (24-31 us at M = 1000) but only library calls build them above M = 60.
+RESIDUAL_WEIGHT_CEILING = 8_000_000
+VERTEX_CEILING = 2_400_000
 
 
 def _require_size(count: int, ceiling: int, what: str) -> None:
@@ -75,29 +80,32 @@ class StructuralFailure(AssertionError):
 
 
 def _check_mu(mu: tuple[int, ...]) -> None:
-    if any(a <= 0 for a in mu):
+    if mu and min(mu) <= 0:
         raise DomainError(f"index set entries must be positive: {mu}")
-    if any(a >= b for a, b in zip(mu, mu[1:])):
+    if len(mu) > 1 and not all(map(operator.lt, mu, mu[1:])):
         raise DomainError(f"index set must be strictly increasing: {mu}")
 
 
-def validate_vertex(v: Vertex, k: int) -> None:
+def _check_entries(v: Vertex) -> None:
+    """The checks of validate_vertex that do not read the index set."""
     if isinstance(v, V1):
-        _check_mu(v.mu)
         if v.n <= 0:
             raise DomainError("V1 needs a positive distinguished integer")
-        if len(v.mu) > k - 1:
-            raise DomainError(f"V1 order {len(v.mu)} exceeds k-1 at level {k}")
-    elif isinstance(v, V2):
-        _check_mu(v.mu)
-        if not 0 < v.l1 < v.l2:
-            raise DomainError("V2 needs 0 < l1 < l2")
-        if v.eps not in (1, 2):
-            raise DomainError("eps must be 1 or 2")
-        if len(v.mu) > k - 2:
-            raise DomainError(f"V2 order {len(v.mu)} exceeds k-2 at level {k}")
-    else:
+    elif not 0 < v.l1 < v.l2:
+        raise DomainError("V2 needs 0 < l1 < l2")
+    elif v.eps not in (1, 2):
+        raise DomainError("eps must be 1 or 2")
+
+
+def validate_vertex(v: Vertex, k: int) -> None:
+    if not isinstance(v, (V1, V2)):
         raise DomainError(f"not a vertex: {v!r}")
+    _check_mu(v.mu)
+    _check_entries(v)
+    if isinstance(v, V1) and len(v.mu) > k - 1:
+        raise DomainError(f"V1 order {len(v.mu)} exceeds k-1 at level {k}")
+    if isinstance(v, V2) and len(v.mu) > k - 2:
+        raise DomainError(f"V2 order {len(v.mu)} exceeds k-2 at level {k}")
 
 
 def _mu_square_product(mu: tuple[int, ...]) -> Fraction:
@@ -132,6 +140,78 @@ def weight_form_alt(v: V2, k: int) -> Fraction:
     le = v.l1 if v.eps == 1 else v.l2
     return (4 * sign * p / Fraction(le ** (2 * (k - j) - 1))
             * (Fraction(eps_sign, v.l2 - v.l1) - Fraction(1, v.l1 + v.l2)))
+
+
+# ---------------------------------------------------------------------------
+# Integer weight-sum kernel
+# ---------------------------------------------------------------------------
+
+def weight_term(v: Vertex, k: int) -> tuple[int, int]:
+    """t_k(v) * prod(mu)^2, the weight without its index-set factor, as an
+    unreduced (signed numerator, positive denominator) pair of ints.
+
+    The integer kernel's per-vertex entry point. It does not validate v:
+    each caller validates every vertex once (validate_vertex).
+    """
+    j = len(v.mu)
+    if isinstance(v, V1):
+        return (6 if j % 2 else -6), v.n ** (2 * (k - j))
+    gap = v.l2 * v.l2 - v.l1 * v.l1
+    if v.eps == 1:
+        return (-8 if j % 2 else 8), v.l1 ** (2 * (k - j - 1)) * gap
+    return (8 if j % 2 else -8), v.l2 ** (2 * (k - j - 1)) * gap
+
+
+def _add_terms(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of num/den over (num, den) pairs as an unreduced pair
+    (total, D): D is the lcm of the denominators seen so far, and each
+    numerator enters scaled by D // den. Nothing is reduced, and the terms
+    are consumed as they come."""
+    total, common = 0, 1
+    for num, den in terms:
+        scale, rest = divmod(common, den)
+        if rest:
+            grow = den // math.gcd(common, den)
+            total *= grow
+            common *= grow
+            scale = common // den
+        total += num * scale
+    return total, common
+
+
+def weight_sum(vertices: Iterable[Vertex], k: int) -> Fraction:
+    """The exact sum of t_k over valid vertices, reduced once at the end."""
+    def terms():
+        for v in vertices:
+            num, den = weight_term(v, k)
+            yield num, den * math.prod(v.mu) ** 2
+    return Fraction(*_add_terms(terms()))
+
+
+def _index_set_sum(groups: Iterable[tuple[tuple[int, ...], Iterable[Vertex]]],
+                   k: int) -> Fraction:
+    """The exact sum of t_k over groups (mu, vertices whose index set is mu):
+    an integer sum over each group's vertices, times the group's factor
+    1/prod(mu)^2, reduced once at the end. A group is consumed before the
+    next is drawn."""
+    def group_terms():
+        for mu, vertices in groups:
+            total, den = _add_terms(_group_terms(vertices, k))
+            yield total, den * math.prod(mu) ** 2
+    return Fraction(*_add_terms(group_terms()))
+
+
+def _group_terms(vertices: Iterable[Vertex], k: int) -> Iterator[tuple[int, int]]:
+    """weight_term of every vertex of one index-set group, validated: the
+    index set they share with the first vertex, and each vertex's own
+    entries one by one."""
+    vertices = iter(vertices)
+    for v in itertools.islice(vertices, 1):
+        validate_vertex(v, k)
+        yield weight_term(v, k)
+    for v in vertices:
+        _check_entries(v)
+        yield weight_term(v, k)
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +350,77 @@ class WeightedComponent:
         return len(self.vertices)
 
 
+def beta_closure_size(v: Vertex, k: int, M: int) -> int:
+    """The number of vertices of component(v, "beta", k, M), in closed form;
+    v must be valid and M >= 1.
+
+    A top-order V1 carries no beta edge. The empty-mu vertices form one hub
+    component: the M order-0 V1 and the M(M-1) empty-mu pairs with entries
+    <= M. Any other vertex lies in the star of V1(mu, c), c its n or its
+    marked l: that centre and one pair per l <= M other than c. A seed
+    with an entry beyond M joins its component as one extra vertex.
+    """
+    if isinstance(v, V1) and len(v.mu) == k - 1:
+        return 1
+    if not v.mu:
+        if isinstance(v, V1):
+            # at M = 1 there is no empty-mu pair to reach
+            return M * M + (v.n > M) if M > 1 else 1
+        return M * M + (v.l2 > M)
+    if isinstance(v, V1):
+        return 1 + M - (v.n <= M)
+    centre, other = (v.l1, v.l2) if v.eps == 1 else (v.l2, v.l1)
+    return 1 + M - (centre <= M) + (other > M)
+
+
+def require_beta_size(v: Vertex, k: int, M: int) -> None:
+    """Refuse the beta closure of v at bound M from its closed-form size,
+    before any of it is built."""
+    validate_vertex(v, k)
+    if M < 1:
+        raise DomainError("beta_neighbors needs a positive bound M")
+    _require_size(beta_closure_size(v, k, M), VERTEX_CEILING,
+                  f"beta closure of {format_vertex(v)} at k = {k}, M = {M}: vertices")
+
+
+def _beta_neighbors_hub_once(k: int, M: int):
+    """beta_neighbors for one closure, listing each hub's partners once.
+
+    Every order-0 V1 has the same partners (all empty-mu pairs within M),
+    and every empty-mu pair the same (all order-0 V1 within M). Once one
+    member of a hub is expanded, the others add nothing new, so they are
+    only validated."""
+    expanded = set()
+
+    def neighbors(u: Vertex):
+        if not u.mu:
+            hub = isinstance(u, V1)
+            if hub in expanded:
+                validate_vertex(u, k)
+                return ()
+            expanded.add(hub)
+        return beta_neighbors(u, k, M)
+    return neighbors
+
+
 def component(v: Vertex, kind: str, k: int, M: Optional[int] = None,
               safety: int = ALPHA_SAFETY_BOUND) -> WeightedComponent:
     """Breadth-first closure of v under the chosen edge system.
 
     Alpha closures must stay finite on their own; growing past `safety`
     vertices is reported as a structural failure, not truncated silently.
-    Beta closures are truncated at entry bound M.
+    Beta closures are truncated at entry bound M and refused above
+    VERTEX_CEILING vertices from their closed-form size. The neighbour
+    functions validate each vertex as the search expands it, and the weight
+    sum runs on the integer kernel.
     """
     if kind == "alpha":
         neighbors = lambda u: alpha_neighbors(u, k)
     elif kind == "beta":
         if M is None:
             raise DomainError("beta closure needs a truncation bound M")
-        neighbors = lambda u: beta_neighbors(u, k, M)
+        require_beta_size(v, k, M)
+        neighbors = _beta_neighbors_hub_once(k, M)
     else:
         raise DomainError(f"unknown edge system {kind!r}")
     seen = {v}
@@ -301,9 +438,8 @@ def component(v: Vertex, kind: str, k: int, M: Optional[int] = None,
                 f"alpha closure of {v} exceeded {safety} vertices",
                 artifact=sorted(seen, key=_vertex_key))
     verts = tuple(sorted(seen, key=_vertex_key))
-    total = sum((weight(u, k) for u in verts), ZERO)
     return WeightedComponent(kind=kind, k=k, vertices=verts,
-                             weight_sum=total, bound=M)
+                             weight_sum=weight_sum(verts, k), bound=M)
 
 
 def iter_vertices(k: int, bound: int) -> Iterator[Vertex]:
@@ -328,24 +464,27 @@ def vertex_count(k: int, bound: int) -> int:
             + sum(index_sets[:k - 1]) * 2 * math.comb(bound, 2))
 
 
-def alpha_components_up_to(k: int, bound: int) -> list[WeightedComponent]:
-    """All distinct alpha components touching vertices with entries <= bound,
-    singletons excluded, deduplicated by canonical key."""
+def alpha_walk(k: int, bound: int) -> Iterator[WeightedComponent]:
+    """Every alpha component touching vertices with entries <= bound, once
+    each and singletons included, in the order iter_vertices first reaches
+    it. The size check runs at the first step, before any vertex."""
     if k < 2 or bound < 1:
         raise DomainError("alpha components need k >= 2 and bound >= 1")
     _require_size(vertex_count(k, bound), VERTEX_CEILING,
                   f"alpha components at k = {k}, bound {bound}: vertices")
     seen: set[Vertex] = set()
-    out: list[WeightedComponent] = []
     for v in iter_vertices(k, bound):
         if v in seen:
             continue
         comp = component(v, "alpha", k)
-        for u in comp.vertices:
-            seen.add(u)
-        if comp.size() > 1:
-            out.append(comp)
-    return out
+        seen.update(comp.vertices)
+        yield comp
+
+
+def alpha_components_up_to(k: int, bound: int) -> list[WeightedComponent]:
+    """All distinct alpha components touching vertices with entries <= bound,
+    singletons excluded, deduplicated by canonical key."""
+    return [c for c in alpha_walk(k, bound) if c.size() > 1]
 
 
 def residual_classification_consistent(k: int, bound: int) -> bool:
@@ -363,36 +502,35 @@ def residual_classification_consistent(k: int, bound: int) -> bool:
 # Residual identities
 # ---------------------------------------------------------------------------
 
+def require_residual_size(kind: str, k: int, N: int) -> None:
+    """Refuse the alpha or beta residual identity at (k, N) from the number
+    of weights it takes, before any is taken."""
+    if k < 2:
+        raise DomainError("needs k >= 2")
+    index_sets = math.comb(N, k - 1)
+    # alpha: C(N, k-1)(N-k+1) V1 with n outside mu, and k-1 times as many V2
+    # (l1 < l2 outside mu, two markers each); beta: every n with every mu
+    count = k * (N - k + 1) * index_sets if kind == "alpha" else N * index_sets
+    _require_size(count, RESIDUAL_WEIGHT_CEILING,
+                  f"{kind} residual identity at k = {k}, N = {N}: weights")
+
+
 def alpha_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
     """lhs = (-1)^k sum of weights over alpha-residual vertices with entries
     <= N; rhs = (2k+1)(2k) zeta_N({2}^k). Returns both; they must be equal."""
-    if k < 2:
-        raise DomainError("needs k >= 2")
-    # C(N, k-1)(N-k+1) V1 with n outside mu, and k-1 times as many V2
-    # (l1 < l2 outside mu, two markers each)
-    _require_size(k * (N - k + 1) * math.comb(N, k - 1),
-                  RESIDUAL_WEIGHT_CEILING,
-                  f"alpha residual identity at k = {k}, N = {N}: weights")
-    sign = 1 if k % 2 == 0 else -1
-    lhs = ZERO
+    require_residual_size("alpha", k, N)
     universe = range(1, N + 1)
-    for mu in itertools.combinations(universe, k - 1):
-        muset = set(mu)
-        for n in universe:
-            if n in muset:
-                continue
-            lhs += weight(V1(mu, n), k)
-    for mu in itertools.combinations(universe, k - 2):
-        muset = set(mu)
-        for l1 in universe:
-            if l1 in muset:
-                continue
-            for l2 in range(l1 + 1, N + 1):
-                if l2 in muset:
-                    continue
-                lhs += weight(V2(mu, l1, l2, 1), k)
-                lhs += weight(V2(mu, l1, l2, 2), k)
-    lhs *= sign
+
+    def groups():
+        for mu in itertools.combinations(universe, k - 1):
+            yield mu, (V1(mu, n) for n in universe if n not in mu)
+        for mu in itertools.combinations(universe, k - 2):
+            rest = [n for n in universe if n not in mu]
+            yield mu, (V2(mu, l1, l2, eps)
+                       for l1, l2 in itertools.combinations(rest, 2) for eps in (1, 2))
+
+    sign = 1 if k % 2 == 0 else -1
+    lhs = sign * _index_set_sum(groups(), k)
     rhs = (2 * k + 1) * (2 * k) * mzv_truncated(N, k)
     return lhs, rhs
 
@@ -400,17 +538,12 @@ def alpha_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
 def beta_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
     """lhs = (-1)^k sum over beta-residual vertices (order k-1, every n <= N);
     rhs = 6 zeta_N({2}^{k-1}) zeta_N(2)."""
-    if k < 2:
-        raise DomainError("needs k >= 2")
-    _require_size(math.comb(N, k - 1) * N, RESIDUAL_WEIGHT_CEILING,
-                  f"beta residual identity at k = {k}, N = {N}: weights")
-    sign = 1 if k % 2 == 0 else -1
-    lhs = ZERO
+    require_residual_size("beta", k, N)
     universe = range(1, N + 1)
-    for mu in itertools.combinations(universe, k - 1):
-        for n in universe:
-            lhs += weight(V1(mu, n), k)
-    lhs *= sign
+    groups = ((mu, (V1(mu, n) for n in universe))
+              for mu in itertools.combinations(universe, k - 1))
+    sign = 1 if k % 2 == 0 else -1
+    lhs = sign * _index_set_sum(groups, k)
     rhs = 6 * mzv_truncated(N, k - 1) * zeta_even_truncated(N, 1)
     return lhs, rhs
 

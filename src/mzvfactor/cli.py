@@ -157,30 +157,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bijection_dump(args: argparse.Namespace) -> int:
     k, bound = args.k, args.bound
+    sweep = args.m_sweep or (bound,)
     # alpha dumps are limited by bijection.VERTEX_CEILING instead
-    if not 2 <= k <= 5 or (args.kind == "beta" and bound > 60):
-        raise DomainError("bijection-dump needs k in 2..5, and bound <= 60 for --kind beta")
+    if not 2 <= k <= 5 or (args.kind == "beta" and max(bound, *sweep) > 60):
+        raise DomainError("bijection-dump needs k in 2..5, and a bound and "
+                          "--m-sweep values <= 60 for --kind beta")
     out_dir = args.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
     components = []
     if args.kind == "alpha":
-        components = bijection.alpha_components_up_to(k, bound)
+        # residual vertices are the singleton components; they dump separately
+        singles = []
+        for c in bijection.alpha_walk(k, bound):
+            (components if c.size() > 1 else singles).append(c)
         path = os.path.join(out_dir, f"alpha_k{k}_b{bound}.components.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            for c in components:
-                fh.write(bijection.format_component(c))
-                fh.write("\n")
-        # residual vertices dump separately as singletons
-        singles = [bijection.component(v, "alpha", k)
-                   for v in bijection.iter_vertices(k, bound)
-                   if bijection.is_alpha_residual(v, k)]
-        spath = os.path.join(out_dir, f"alpha_k{k}_b{bound}.residual_singletons.txt")
-        with open(spath, "w", encoding="utf-8") as fh:
-            for c in singles:
-                fh.write(bijection.format_component(c))
-                fh.write("\n")
+        _write_components(path, components)
+        _write_components(
+            os.path.join(out_dir, f"alpha_k{k}_b{bound}.residual_singletons.txt"), singles)
     else:
-        sweep = args.m_sweep or (bound,)
         path = os.path.join(out_dir, f"beta_k{k}.components.txt")
         seed_vertex = bijection.V1((), 1) if k == 2 else bijection.V1((1,), 2)
         with open(path, "w", encoding="utf-8") as fh:
@@ -198,6 +192,13 @@ def cmd_bijection_dump(args: argparse.Namespace) -> int:
         f"max |weight_sum|: {largest.numerator}/{largest.denominator}\n")
     sys.stdout.write(f"dump: {path}\n")
     return EXIT_PASS
+
+
+def _write_components(path: str, components) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for c in components:
+            fh.write(bijection.format_component(c))
+            fh.write("\n")
 
 
 def _histogram(sizes: list[int]) -> str:

@@ -174,6 +174,9 @@ def suite_bijection_beta(config: RunConfig) -> list[VerificationReport]:
     ]
     if config.k is not None:
         samples = [s for s in samples if s[0] == config.k]
+    for k, seed_vertex, _ in samples:   # refuse before any closure is built
+        for M in sweep:
+            bijection.require_beta_size(seed_vertex, k, M)
     for k, seed_vertex, label in samples:
         sums = []
         for M in sweep:
@@ -195,6 +198,9 @@ def suite_residuals(config: RunConfig) -> list[VerificationReport]:
     cross-check, and the multiplicity identity."""
     ks = (2, 3, 4) if config.k is None else (config.k,)
     N = 40 if config.N is None else config.N
+    for k in ks:   # refuse before any identity runs
+        for kind in ("alpha", "beta"):
+            bijection.require_residual_size(kind, k, N)
     out = []
     for k in ks:
         lhs, rhs = bijection.alpha_residual_identity(k, N)

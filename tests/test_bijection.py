@@ -1,9 +1,12 @@
 """Vertex weights, edge rules, components, and the residual identities."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mzvfactor import bijection
 from mzvfactor.bijection import (
@@ -13,17 +16,20 @@ from mzvfactor.bijection import (
     alpha_components_up_to,
     alpha_neighbors,
     alpha_residual_identity,
+    beta_closure_size,
     beta_neighbors,
     beta_residual_identity,
     component,
     factorization_check,
     format_component,
     is_alpha_residual,
+    is_beta_residual,
     iter_vertices,
     multiplicity_identity,
     residual_classification_consistent,
     weight,
     weight_form_alt,
+    weight_sum,
 )
 from mzvfactor.numeric import DomainError, ResourceError
 from mzvfactor.series import mzv_truncated, zeta_even_truncated
@@ -75,6 +81,30 @@ def test_weight_form_consistency_random():
         l2 = l1 + rng.randint(1, 10)
         v = V2(mu, l1, l2, rng.choice((1, 2)))
         assert weight(v, k) == weight_form_alt(v, k)
+
+
+@st.composite
+def _levelled_vertices(draw):
+    """A level k in 2..6 and a list of valid V1 and V2 vertices at that
+    level with entries <= 60."""
+    k = draw(st.integers(2, 6))
+    entries = st.integers(1, 60)
+    vertices = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            mu = tuple(sorted(draw(st.sets(entries, max_size=k - 1))))
+            vertices.append(V1(mu, draw(entries)))
+        else:
+            mu = tuple(sorted(draw(st.sets(entries, max_size=k - 2))))
+            l1, l2 = sorted(draw(st.sets(entries, min_size=2, max_size=2)))
+            vertices.append(V2(mu, l1, l2, draw(st.sampled_from((1, 2)))))
+    return k, vertices
+
+
+@given(_levelled_vertices())
+def test_integer_kernel_matches_fraction_weights(case):
+    k, vertices = case
+    assert weight_sum(vertices, k) == sum((weight(v, k) for v in vertices), Fraction(0))
 
 
 def test_alpha_neighbor_examples():
@@ -151,6 +181,76 @@ def test_alpha_cancellation_small():
             assert c.weight_sum == 0
 
 
+def _plain_beta_closure(v, k, M):
+    """The reference beta closure: a breadth-first search that expands
+    every vertex with beta_neighbors, summed one Fraction at a time."""
+    seen, frontier = {v}, [v]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in beta_neighbors(u, k, M):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen, sum((weight(u, k) for u in seen), Fraction(0))
+
+
+def _beta_seeds(k, M):
+    """Seeds of every closure shape: the hub, stars, top-order singletons,
+    each with entries inside and beyond M."""
+    seeds = [V1((), 3), V1((), M + 2), V2((), 1, 2, 1), V2((), 2, M + 3, 2),
+             V2((), M + 1, M + 3, 1)]
+    if k >= 3:
+        seeds += [V1((1,), 2), V1((4,), 7), V1((2,), M + 3), V2((5,), 1, 9, 1),
+                  V2((5,), 2, M + 4, 1), V2((5,), 2, M + 4, 2), V2((5,), M + 1, M + 4, 2),
+                  V1((1, 2), 3)]
+    if k >= 4:
+        seeds += [V1((1, 3), 2), V2((2, 6), 1, M + 1, 2), V1((1, 2, 3), 9)]
+    return seeds
+
+
+def test_hub_once_beta_closure_matches_plain_search(monkeypatch):
+    real = bijection.beta_neighbors
+    hub_expansions = []
+
+    def counted(u, k, M):
+        if not u.mu:
+            hub_expansions.append(u)
+        return real(u, k, M)
+
+    monkeypatch.setattr(bijection, "beta_neighbors", counted)
+    for k in (2, 3):
+        for M in (1, 2, 5, 13, 30):
+            for v in _beta_seeds(k, M):
+                hub_expansions.clear()
+                comp = component(v, "beta", k, M=M)
+                seen, total = _plain_beta_closure(v, k, M)
+                assert comp.vertices == tuple(sorted(seen, key=bijection._vertex_key)), (k, M, v)
+                assert comp.weight_sum == total, (k, M, v)
+                # one order-0 V1 and one empty-mu pair at most are expanded
+                assert len(hub_expansions) <= 2, (k, M, v)
+
+
+def test_beta_closure_size_is_the_component_size():
+    for k in (2, 3, 4):
+        for M in (1, 2, 3, 7, 12):
+            for v in _beta_seeds(k, M):
+                assert beta_closure_size(v, k, M) == component(v, "beta", k, M=M).size(), (k, M, v)
+
+
+def test_oversized_beta_closure_is_refused_before_the_search(monkeypatch):
+    # the hub at bound M has M^2 vertices, a star M
+    monkeypatch.setattr(bijection, "beta_neighbors", None)
+    m = math.isqrt(bijection.VERTEX_CEILING) + 1
+    for v, k, M in ((V1((), 3), 2, m), (V2((), 1, 2, 2), 3, m),
+                    (V1((1,), 2), 3, bijection.VERTEX_CEILING + 1)):
+        start = time.process_time()
+        with pytest.raises(ResourceError):
+            component(v, "beta", k, M=M)
+        assert time.process_time() - start < 2
+
+
 def test_beta_component_sums_shrink():
     prev = None
     for M in (20, 40, 80):
@@ -191,6 +291,21 @@ def test_residual_identities_top_level():
     assert lhs == rhs
     for c in alpha_components_up_to(5, 7):
         assert c.weight_sum == 0
+
+
+def test_index_set_sums_match_per_vertex_weights():
+    # the identities sum per index set on the integer kernel; the oracle
+    # classifies every vertex and adds its Fraction weight
+    for k in (2, 3, 4):
+        sign = (-1) ** k
+        for N in range(1, 13):
+            vertices = list(iter_vertices(k, N))
+            alpha = sign * sum((weight(v, k) for v in vertices if is_alpha_residual(v, k)),
+                               Fraction(0))
+            beta = sign * sum((weight(v, k) for v in vertices if is_beta_residual(v, k)),
+                              Fraction(0))
+            assert alpha_residual_identity(k, N)[0] == alpha, (k, N)
+            assert beta_residual_identity(k, N)[0] == beta, (k, N)
 
 
 def test_multiplicity_identity():
@@ -256,12 +371,13 @@ def test_iter_vertices_counts():
 
 @pytest.mark.parametrize("identity", [alpha_residual_identity, beta_residual_identity])
 def test_residual_ceiling_is_the_exact_weight_count(identity, monkeypatch):
-    # a ceiling equal to the number of weights taken admits the request,
-    # one less refuses it before any weight is taken
-    real = bijection.weight
+    # a ceiling equal to the number of weights taken (calls of the kernel's
+    # per-vertex entry point) admits the request, one less refuses it
+    # before any weight is taken
+    real = bijection.weight_term
     for k, N in ((2, 7), (3, 9), (4, 8), (5, 9), (4, 3)):
         calls = []
-        monkeypatch.setattr(bijection, "weight",
+        monkeypatch.setattr(bijection, "weight_term",
                             lambda v, kk: calls.append(v) or real(v, kk))
         monkeypatch.setattr(bijection, "RESIDUAL_WEIGHT_CEILING", 10 ** 9)
         identity(k, N)

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, formats, determinism, and exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -8,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from mzvfactor import cli, pfunc, product
-from mzvfactor.numeric import DomainError
+from mzvfactor import bijection, cli, pfunc, product
+from mzvfactor.numeric import DomainError, ResourceError
 
 
 def _run(*args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
@@ -207,6 +208,44 @@ def test_oversized_enumeration_exits_3_before_any_work(argv, capsys):
     assert "exceeds ceiling" in capsys.readouterr().err
 
 
+def _first_refused_residual_n(k: int) -> int:
+    n = k
+    while not _residual_refused(k, n):
+        n += 1
+    return n
+
+
+def _residual_refused(k: int, n: int) -> bool:
+    try:
+        for kind in ("alpha", "beta"):
+            bijection.require_residual_size(kind, k, n)
+    except ResourceError:
+        return True
+    return False
+
+
+def test_residual_suite_refuses_before_running_any_k(capsys):
+    # the default ks are 2, 3, 4; only k = 4 is over the ceiling at this N
+    n = _first_refused_residual_n(4)
+    assert not _residual_refused(2, n) and not _residual_refused(3, n)
+    start = time.process_time()
+    assert cli.main(["verify", "residuals", "--N", str(n)]) == 3
+    assert time.process_time() - start < 2
+    assert capsys.readouterr().out == ""
+
+
+def test_beta_suite_refuses_before_building_any_closure(capsys):
+    # k2.empty at bound M has M^2 vertices: the sweep (M, 2M) fits its
+    # first closure and not its second; a k = 3 star has about M
+    m = math.isqrt(bijection.VERTEX_CEILING)
+    for argv in (["verify", "bijection-beta", "--M", str(m)],
+                 ["verify", "bijection-beta", "--k", "3", "--M", str(bijection.VERTEX_CEILING)]):
+        start = time.process_time()
+        assert cli.main(argv) == 3, argv
+        assert time.process_time() - start < 2
+    assert "exceeds ceiling" in capsys.readouterr().err
+
+
 def test_bijection_dump_alpha(tmp_path):
     proc = _run("bijection-dump", "--k", "2", "--bound", "6", "--kind", "alpha",
                 "--out", str(tmp_path))
@@ -234,12 +273,35 @@ def test_dump_bound_guard():
     assert proc.returncode == 2
     proc = _run("bijection-dump", "--k", "2", "--bound", "61", "--kind", "beta")
     assert proc.returncode == 2
+    # every sweep value is held to the beta cap, not only the bound
+    assert _exit_code(["bijection-dump", "--k", "2", "--bound", "10", "--kind", "beta",
+                       "--m-sweep", "10,400"]) == 2
+
+
+def test_alpha_dump_takes_its_singletons_from_the_one_walk(tmp_path, monkeypatch):
+    # one component call per component, and the singleton file holds the
+    # components of the residual vertices, as a second pass would find them
+    real = bijection.component
+    calls = []
+    monkeypatch.setattr(bijection, "component",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    for k, bound in ((2, 9), (3, 7), (4, 5)):
+        calls.clear()
+        assert cli.main(["bijection-dump", "--k", str(k), "--bound", str(bound),
+                         "--kind", "alpha", "--out", str(tmp_path)]) == 0
+        comps = (tmp_path / f"alpha_k{k}_b{bound}.components.txt").read_text()
+        singles = (tmp_path / f"alpha_k{k}_b{bound}.residual_singletons.txt").read_text()
+        assert len(calls) == comps.count("sum=") + singles.count("sum=")
+        residual = [v for v in bijection.iter_vertices(k, bound)
+                    if bijection.is_alpha_residual(v, k)]
+        assert singles == "".join(bijection.format_component(real(v, "alpha", k)) + "\n"
+                                  for v in residual)
 
 
 def test_alpha_dump_is_limited_by_its_vertex_count(tmp_path, capsys):
     assert cli.main(["bijection-dump", "--k", "2", "--bound", "70", "--kind", "alpha",
                      "--out", str(tmp_path)]) == 0
     assert (tmp_path / "alpha_k2_b70.components.txt").exists()
-    assert cli.main(["bijection-dump", "--k", "5", "--bound", "25", "--kind", "alpha",
+    assert cli.main(["bijection-dump", "--k", "5", "--bound", "30", "--kind", "alpha",
                      "--out", str(tmp_path)]) == 3
     assert "exceeds ceiling" in capsys.readouterr().err
