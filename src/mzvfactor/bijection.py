@@ -59,8 +59,10 @@ ALPHA_SAFETY_BOUND = 64
 # N admitted (59 s). A vertex took 12-15 us in the alpha walk (k = 2..6, up
 # to 1.62M vertices) and, in the k = 2 beta hub, 7.5 us at M = 300 to
 # 17 us at M = 1000, rising about linearly to some 24.5 us at M = 1549,
-# the largest hub admitted. Beta hubs at k >= 4 cost more per vertex
-# (24-31 us at M = 1000) but only library calls build them above M = 60.
+# the largest hub admitted at k = 2. At M = 1000 a hub vertex took 16.8,
+# 20.7, 24.2, 27.3, 29.5, 34.5 and 36.5 us at k = 2..8, at most (k + 2)/4
+# times the cost at k = 2, so a beta closure at level k is refused above
+# VERTEX_CEILING * 4 / (k + 2) vertices.
 RESIDUAL_WEIGHT_CEILING = 8_000_000
 VERTEX_CEILING = 2_400_000
 
@@ -379,7 +381,7 @@ def require_beta_size(v: Vertex, k: int, M: int) -> None:
     validate_vertex(v, k)
     if M < 1:
         raise DomainError("beta_neighbors needs a positive bound M")
-    _require_size(beta_closure_size(v, k, M), VERTEX_CEILING,
+    _require_size(beta_closure_size(v, k, M), VERTEX_CEILING * 4 // (k + 2),
                   f"beta closure of {format_vertex(v)} at k = {k}, M = {M}: vertices")
 
 
@@ -403,14 +405,14 @@ def _beta_neighbors_hub_once(k: int, M: int):
     return neighbors
 
 
-def component(v: Vertex, kind: str, k: int, M: Optional[int] = None,
-              safety: int = ALPHA_SAFETY_BOUND) -> WeightedComponent:
+def component(v: Vertex, kind: str, k: int, M: Optional[int] = None) -> WeightedComponent:
     """Breadth-first closure of v under the chosen edge system.
 
-    Alpha closures must stay finite on their own; growing past `safety`
-    vertices is reported as a structural failure, not truncated silently.
-    Beta closures are truncated at entry bound M and refused above
-    VERTEX_CEILING vertices from their closed-form size. The neighbour
+    Alpha closures must stay finite on their own; growing past
+    ALPHA_SAFETY_BOUND vertices is reported as a structural failure, not
+    truncated silently.
+    Beta closures are truncated at entry bound M and refused from their
+    closed-form size by require_beta_size. The neighbour
     functions validate each vertex as the search expands it, and the weight
     sum runs on the integer kernel.
     """
@@ -433,9 +435,9 @@ def component(v: Vertex, kind: str, k: int, M: Optional[int] = None,
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-        if kind == "alpha" and len(seen) > safety:
+        if kind == "alpha" and len(seen) > ALPHA_SAFETY_BOUND:
             raise StructuralFailure(
-                f"alpha closure of {v} exceeded {safety} vertices",
+                f"alpha closure of {v} exceeded {ALPHA_SAFETY_BOUND} vertices",
                 artifact=sorted(seen, key=_vertex_key))
     verts = tuple(sorted(seen, key=_vertex_key))
     return WeightedComponent(kind=kind, k=k, vertices=verts,

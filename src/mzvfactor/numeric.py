@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -500,45 +501,41 @@ def pi_oracle(precision_bits: int) -> ApproxReal:
 # Bernoulli numbers and Euler-Maclaurin power-sum tails
 # ---------------------------------------------------------------------------
 
-def _bernoulli_even(count: int) -> list[Fraction]:
-    """[B_2, B_4, ..., B_{2*count}] via the defining recurrence."""
-    total = 2 * count + 1
-    b = [ZERO] * total
-    b[0] = ONE
-    for m in range(1, total):
-        acc = ZERO
-        for j in range(m):
-            acc += Fraction(math.comb(m + 1, j)) * b[j]
-        b[m] = -acc / (m + 1)
-    return [b[2 * i] for i in range(1, count + 1)]
-
-
-_BERNOULLI_EVEN = _bernoulli_even(16)
+@lru_cache(maxsize=16)
+def bernoulli_even(count: int) -> tuple[Fraction, ...]:
+    """(B_2, B_4, ..., B_{2 count}) from the integer tangent numbers T_i
+    (Brent & Harvey, "Fast computation of Bernoulli, tangent and secant
+    numbers", 2011): B_{2i} = (-1)^(i-1) 2i T_i / (4^i (4^i - 1))."""
+    t = [0] + [math.factorial(m - 1) for m in range(1, count + 1)]
+    for m in range(2, count + 1):
+        for j in range(m, count + 1):
+            t[j] = (j - m) * t[j - 1] + (j - m + 2) * t[j]
+    return tuple(Fraction((-1) ** (m - 1) * 2 * m * t[m], 4 ** m * (4 ** m - 1))
+                 for m in range(1, count + 1))
 
 
 def power_sum_tail_bracket(N: int, j: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
     """Exact rational bracket for sum_{n>N} 1/n^(2j).
 
-    Euler-Maclaurin at a = N+1:
-        tail = 1/((2j-1) a^(2j-1)) + 1/(2 a^(2j))
-               + sum_i B_{2i} * (2j+2i-2)! / ((2i)! (2j-1)!) / a^(2j+2i-1) + R,
+    Euler-Maclaurin at a = N+1, to depth m = em_terms:
+        tail = 1/(2 a^(2j)) + sum_{i=0..m} c_i / a^(2j+2i-1) + R,
+        c_i = B_{2i} C(2j+2i-2, 2i) / (2j-1), B_0 = 1,
     and since x^(-2j) is completely monotone the remainder R is bounded by
-    the first omitted term and shares its sign, so appending one extra term
-    yields a two-sided bracket.
+    the first omitted term c_{m+1} / a^(2j+2m+1) and shares its sign, so
+    appending that term yields a two-sided bracket. The sum is taken on the
+    common denominator D a^(2j+2m) by Horner's rule in a^2, and reduced once.
     """
-    if N < 1 or j < 1:
-        raise DomainError("power_sum_tail_bracket needs N, j >= 1")
-    if em_terms < 0 or em_terms + 1 > len(_BERNOULLI_EVEN):
-        raise ResourceError("requested Euler-Maclaurin depth not available")
+    if N < 1 or j < 1 or em_terms < 0:
+        raise DomainError("power_sum_tail_bracket needs N, j >= 1 and em_terms >= 0")
     a = N + 1
-    s = Fraction(1, (2 * j - 1) * a ** (2 * j - 1)) + Fraction(1, 2 * a ** (2 * j))
-    for i in range(1, em_terms + 1):
-        coef = _BERNOULLI_EVEN[i - 1] * Fraction(
-            math.factorial(2 * j + 2 * i - 2),
-            math.factorial(2 * i) * math.factorial(2 * j - 1))
-        s += coef / a ** (2 * j + 2 * i - 1)
-    i = em_terms + 1
-    omit = _BERNOULLI_EVEN[i - 1] * Fraction(
-        math.factorial(2 * j + 2 * i - 2),
-        math.factorial(2 * i) * math.factorial(2 * j - 1)) / a ** (2 * j + 2 * i - 1)
+    u = a * a
+    b = (ONE,) + bernoulli_even(em_terms + 1)
+    c = [Fraction(math.comb(2 * j + 2 * i - 2, 2 * i), 2 * j - 1) * b[i]
+         for i in range(em_terms + 2)]
+    omit = c.pop() / a ** (2 * j + 2 * em_terms + 1)
+    D = math.lcm(2, *(q.denominator for q in c))
+    acc = 0
+    for q in c:
+        acc = acc * u + q.numerator * (D // q.denominator)
+    s = Fraction(a * acc + (D // 2) * u ** em_terms, D * a ** (2 * j + 2 * em_terms))
     return (min(s, s + omit), max(s, s + omit))

@@ -25,9 +25,8 @@ from .numeric import (
     pi_oracle,
     power_sum_tail_bracket,
     require_precision,
-    zeta2_tail_bracket,
 )
-from .series import zeta_even_truncated
+from .series import bracket_floor, limit_steps, zeta_even_truncated
 
 WALLIS_N_CEILING = 10 ** 6
 
@@ -52,40 +51,32 @@ class PiEstimate:
 # ---------------------------------------------------------------------------
 
 def zeta2_bracket(N: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
-    """Exact bracket for sum 1/n^2: head to N plus the certified tail.
-
-    em_terms = 0 falls back to the elementary integral comparison
-    (1/(N+1), 1/N); larger depths use the Euler-Maclaurin bracket.
-    """
+    """Exact bracket for sum 1/n^2: head to N plus the Euler-Maclaurin tail."""
     head = zeta_even_truncated(N, 1)
-    if em_terms == 0:
-        lo, hi = zeta2_tail_bracket(N)
-    else:
-        lo, hi = power_sum_tail_bracket(N, 1, em_terms)
+    lo, hi = power_sum_tail_bracket(N, 1, em_terms)
     return head + lo, head + hi
 
 
 def pi_freq(precision_bits: int, N: Optional[int] = None) -> PiEstimate:
-    """sqrt of six times the certified zeta(2) bracket."""
+    """sqrt of six times the certified zeta(2) bracket, tried at the steps
+    limit_steps(64, N); a pinned truncation N reports whatever width it
+    certifies."""
     require_precision(precision_bits)
     target = Fraction(1, 1 << (precision_bits + 2))
-    n = N if N is not None else 64
-    em = 6
-    while True:
+    steps = limit_steps(64, N)
+    # sqrt(6 z) has slope 3 / sqrt(6 z) > 3/4 for z < 8/3, so the ball's
+    # radius is at least 3/8 of the zeta(2) bracket's width
+    if N is None and 3 * bracket_floor(0, *steps[-1]) > 8 * target:
+        raise ResourceError("pi_freq cannot reach the requested precision")
+    for n, em in steps:
         lo, hi = zeta2_bracket(n, em)
         value = ApproxReal.from_bracket(6 * lo, 6 * hi,
                                         precision_bits + 16).sqrt(precision_bits + 16)
-        # a pinned truncation reports whatever width it certifies
         if value.err <= target or N is not None:
             return PiEstimate(value=value,
                               truncation={"N": n, "em_terms": em,
                                           "precision_bits": precision_bits})
-        if em < 9:
-            em += 1
-        elif n < 2 ** 20:
-            n *= 2
-        else:
-            raise ResourceError("pi_freq cannot reach the requested precision")
+    raise ResourceError("pi_freq cannot reach the requested precision")
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +152,6 @@ def _auto_terms(x_abs: Fraction, precision_bits: int) -> int:
         if term <= eps and x_abs * x_abs < (2 * t + 2) * (2 * t + 3):
             return t
         t += 1
-        if t > 4096:
-            raise ResourceError("series refuses to converge at this |x|")
 
 
 def g_eval(x: Fraction | ApproxReal, terms: Optional[int] = None,

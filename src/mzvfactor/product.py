@@ -53,9 +53,18 @@ def eval_F_shifted(x: Fraction, N: int) -> Fraction:
 
 
 def shifted_truncation_gap_bound(x: Fraction, N: int) -> Fraction:
-    """A computed C(x)/N dominating |eval_F - eval_F_shifted| at truncation N."""
-    x = Fraction(abs(x))
-    return (x + 1) * Fraction(1, N)
+    """x / (3N), a derived bound of |eval_F(x, N) - eval_F_shifted(x, N)| for
+    0 <= x <= 1.
+
+    F_N = F_{N-1} (N - x)(N + x)/N^2 and eval_F_shifted = F_{N-1} (N - x)/N,
+    so eval_F - eval_F_shifted = eval_F_shifted * x/N exactly. Each factor
+    (n + x)(n + 1 - x)/(n(n + 1)) of eval_F_shifted is 1 + x(1 - x)/(n(n + 1)),
+    and sum_n 1/(n(n + 1)) = 1, so
+        0 <= eval_F_shifted <= x(1 - x) e^(x(1 - x)) <= e^(1/4)/4 < 1/3.
+    """
+    if not 0 <= x <= 1:
+        raise DomainError("the shifted-form gap bound holds for 0 <= x <= 1")
+    return Fraction(x) / (3 * N)
 
 
 def periodicity_ratio(x: Fraction, N: int) -> Fraction:

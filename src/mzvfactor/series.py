@@ -11,16 +11,17 @@ The product is taken mod t^(k+1) over a balanced tree of ranges of n
 (binary splitting; Haible & Papanikolaou 1998, Bernstein 2008), so its
 operands stay balanced and the row costs one division per entry. The
 rolling recursion e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2 is left to the
-tests as an oracle, and to mzv_row_approx, which runs it in balls.
+tests as an oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .numeric import (
-    DEFAULT_PRECISION,
     ApproxReal,
     DomainError,
     ResourceError,
@@ -32,8 +33,12 @@ from .numeric import (
 )
 
 BRUTEFORCE_LIMIT = 12
+# the largest truncation of an exact head row or zeta_N(2)
 EXACT_N_LIMIT = 10 ** 4
-MZV_N_CEILING = 10 ** 6
+# The deepest Euler-Maclaurin tail, at N = 8192: about 13,660 bits, 24 s of
+# CPU time at k = 8 on a 2.0 GHz Xeon core. One more doubling of the depth
+# took 61 s for its k = 8 bracket alone, past the 60 s budget.
+EM_CEILING = 1152
 
 
 # ranges of n this short multiply their linear factors in one at a time
@@ -85,21 +90,6 @@ def mzv_truncated(N: int, k: int) -> Fraction:
     return mzv_row(N, k)[k]
 
 
-def mzv_row_approx(N: int, k_max: int,
-                   precision: int = DEFAULT_PRECISION) -> list[ApproxReal]:
-    """The row by the rolling recursion e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2
-    in balls of `precision` bits; numerators of the exact entries grow past
-    any sane size above N = 10^4, so deep truncations run here instead."""
-    if N < 1:
-        raise DomainError("mzv_row_approx needs N >= 1")
-    row = [ApproxReal.exact(1, precision)] + [ApproxReal.exact(0, precision)] * k_max
-    for n in range(1, N + 1):
-        sq = n * n
-        for k in range(min(k_max, n), 0, -1):
-            row[k] = row[k] + row[k - 1] / sq
-    return row
-
-
 def mzv_bruteforce(N: int, k: int) -> Fraction:
     """Independent oracle: explicit enumeration of the increasing tuples.
 
@@ -129,107 +119,113 @@ def zeta_even_truncated(N: int, j: int) -> Fraction:
 # Certified limits
 # ---------------------------------------------------------------------------
 
-def _interval_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _interval_sub(a, b):
-    return (a[0] - b[1], a[1] - b[0])
-
-
-def _interval_mul(a, b):
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
-
-
 def tail_elementary_brackets(N: int, k: int, em_terms: int = 6) -> list[tuple[Fraction, Fraction]]:
     """Brackets for e_m of the tail set {1/n^2 : n > N}, m = 0..k.
 
     Newton's identities, run in exact rational interval arithmetic:
         m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i.
+    Every e bracket lies in [0, inf), so its product with a p bracket
+    (c, d) runs from the smaller of its ends times c to the larger times d.
     """
     p = [power_sum_tail_bracket(N, i, em_terms) for i in range(1, k + 1)]
     e: list[tuple[Fraction, Fraction]] = [(ONE, ONE)]
     for m in range(1, k + 1):
-        acc = (ZERO, ZERO)
+        lo = hi = ZERO
         for i in range(1, m + 1):
-            term = _interval_mul(e[m - i], p[i - 1])
-            acc = _interval_add(acc, term) if i % 2 == 1 else _interval_sub(acc, term)
-        lo, hi = acc
+            (a, b), (c, d) = e[m - i], p[i - 1]
+            tlo, thi = min(a * c, b * c), max(a * d, b * d)
+            lo, hi = (lo + tlo, hi + thi) if i % 2 == 1 else (lo - thi, hi - tlo)
         e.append((max(ZERO, lo / m), hi / m))
     return e
 
 
+def limit_steps(n: int, N: int | None = None) -> list[tuple[int, int]]:
+    """The (truncation, Euler-Maclaurin depth) attempts of a certified limit
+    that starts at truncation n: depths 6..9 at n, then n doubled at depth 9
+    while it stays within EXACT_N_LIMIT, then the depth doubled at that last
+    n up to EM_CEILING. A pinned truncation N is the one attempt (N, 6)."""
+    if N is not None:
+        if N < 1:
+            raise DomainError("a pinned truncation needs N >= 1")
+        if N > EXACT_N_LIMIT:
+            raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
+        return [(N, 6)]
+    steps = [(n, em) for em in range(6, 10)]
+    while 2 * n <= EXACT_N_LIMIT:
+        n *= 2
+        steps.append((n, 9))
+    em = 9
+    while em < EM_CEILING:
+        em = min(2 * em, EM_CEILING)
+        steps.append((n, em))
+    return steps
+
+
+@lru_cache(maxsize=64)
+def bracket_floor(m: int, N: int, em: int) -> Fraction:
+    """A closed-form lower bound, for N >= 1, of zeta_N({2}^m) times the
+    width of power_sum_tail_bracket(N, 1, em), which the width of
+    mzv_limit_bracket(m + 1, N, em) is at least. That width is
+    |B_2i| / (N+1)^(2i+1), i = em + 1,
+    with |B_2i| > 2 (2i)! / (2 pi)^(2i); zeta_N({2}^m) is pi^(2m) / (2m+1)!
+    less at most zeta({2}^(m-1)) / N; and 333/106 < pi < 355/113."""
+    i = em + 1
+    floor = Fraction(2 * math.factorial(2 * i) * 113 ** (2 * i),
+                     710 ** (2 * i) * (N + 1) ** (2 * i + 1))
+    if m:
+        cut = Fraction(355, 113) ** (2 * m - 2) / (math.factorial(2 * m - 1) * N)
+        floor *= max(ZERO, Fraction(333, 106) ** (2 * m) / math.factorial(2 * m + 1) - cut)
+    return floor
+
+
 def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
-                      precision: int = DEFAULT_PRECISION,
                       row: list[Fraction] | None = None) -> tuple[Fraction, Fraction]:
     """Exact rational bracket for zeta({2}^k).
 
     Splits the elementary symmetric function over {1..N} and the tail:
         zeta({2}^k) = sum_j zeta_N({2}^j) * e_{k-j}(tail),
-    an identity, so below N = EXACT_N_LIMIT the only width comes from the
-    tail power-sum brackets; above it the head rows are balls of
-    `precision` bits. A caller that already holds the exact row
-    mzv_row(N, k), for this same N, passes it as `row`; it is used only
-    below EXACT_N_LIMIT.
+    an identity, so the only width comes from the tail power-sum brackets.
+    A caller that already holds the exact row mzv_row(N, k), for this same
+    N, passes it as `row`.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
     if k == 0:
         return (ONE, ONE)
-    if N > MZV_N_CEILING:
-        raise ResourceError(f"truncation {N} exceeds ceiling {MZV_N_CEILING}")
+    if N > EXACT_N_LIMIT:
+        raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
     if row is not None and len(row) != k + 1:
         raise DomainError(f"row has {len(row)} entries, mzv_row(N, {k}) has {k + 1}")
-    if N <= EXACT_N_LIMIT:
-        head = [(h, h) for h in (row if row is not None else mzv_row(N, k))]
-    else:
-        head = [(a.lo, a.hi) for a in mzv_row_approx(N, k, precision)]
+    head = row if row is not None else mzv_row(N, k)
     tails = tail_elementary_brackets(N, k, em_terms)
-    lo = ZERO
-    hi = ZERO
-    for j in range(k + 1):
-        tlo, thi = tails[k - j]
-        hlo, hhi = head[j]
-        lo += hlo * tlo
-        hi += hhi * thi
-    return (lo, hi)
+    return (sum(head[j] * tails[k - j][0] for j in range(k + 1)),
+            sum(head[j] * tails[k - j][1] for j in range(k + 1)))
 
 
 def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:
-    """zeta({2}^k) with certified error meeting the requested precision."""
+    """zeta({2}^k) with certified error meeting the requested precision,
+    tried at the steps limit_steps(256, N)."""
     require_precision(precision_bits)
     if k == 0:
         return ApproxReal.exact(1, precision_bits)
     target = Fraction(1, 1 << (precision_bits + 2))
-    n = N if N is not None else 256
-    em = 6
+    steps = limit_steps(256, N)
+    refused = (f"cannot certify zeta({{2}}^{k}) to {precision_bits} bits "
+               f"within configured ceilings")
+    # the ball's radius is at least half the bracket's width
+    if bracket_floor(k - 1, *steps[-1]) > 2 * target:
+        raise ResourceError(refused)
     # prod_{m <= built} (m^2 + t) mod t^(k+1) and its row: an Euler-Maclaurin
     # step reuses the row, a doubling of n multiplies in only (built, n]
     prod, built, row = [1] + [0] * k, 0, None
-    while True:
-        exact = n <= EXACT_N_LIMIT
-        if exact and built < n:
+    for n, em in steps:
+        if built < n:
             prod = _poly_mul_trunc(prod, _factor_product(built, n, k))
             built = n
             row = _row_from_product(prod)
-        # past EXACT_N_LIMIT the head row is approximate: its N k roundings
-        # at head_bits bits add up to less than 2^-(precision_bits+16)
-        head_bits = precision_bits + 16 + n.bit_length() + k.bit_length()
-        lo, hi = mzv_limit_bracket(k, n, em, precision=head_bits,
-                                   row=row if exact else None)
-        mid = (lo + hi) / 2
-        v, r = round_to_bits(mid, precision_bits + 8)
+        lo, hi = mzv_limit_bracket(k, n, em, row=row)
+        v, r = round_to_bits((lo + hi) / 2, precision_bits + 8)
         err = (hi - lo) / 2 + r
         if err <= target:
             return ApproxReal(v, err, precision_bits)
-        if N is not None or (n >= MZV_N_CEILING and em + 1 >= 16):
-            raise ResourceError(
-                f"cannot certify zeta({{2}}^{k}) to {precision_bits} bits "
-                f"within configured ceilings")
-        if em < 9:
-            em += 1
-        else:
-            n *= 2
-            if n > MZV_N_CEILING:
-                raise ResourceError("truncation ceiling reached")
+    raise ResourceError(refused)

@@ -1,0 +1,127 @@
+"""Every resource ceiling of series, pi_constants and bijection refuses the
+smallest request it refuses within 2 s of process time; a certified limit
+is refused before it builds anything, within two bits of what its
+escalation reaches.
+"""
+
+import time
+
+import pytest
+
+from mzvfactor import bijection, pi_constants, series
+from mzvfactor.bijection import V1
+from mzvfactor.numeric import MAX_PRECISION, ResourceError
+
+
+class _Built(Exception):
+    """Raised in place of the work a ceiling guards."""
+
+
+def _build(*args, **kwargs):
+    raise _Built
+
+
+# what a certified limit builds once its closed-form check has passed
+_MZV_WORK = [(series, "_factor_product"), (series, "mzv_limit_bracket")]
+_PI_FREQ_WORK = [(pi_constants, "zeta2_bracket")]
+
+
+def _refused(call):
+    try:
+        call()
+    except ResourceError:
+        return True
+    return False
+
+
+def _refused_before_work(monkeypatch, call, work):
+    """Whether call() raises ResourceError before any of `work` runs."""
+    with monkeypatch.context() as m:
+        for owner, name in work:
+            m.setattr(owner, name, _build)
+        try:
+            return _refused(call)
+        except _Built:
+            return False
+
+
+def _smallest(refused, lo):
+    """The smallest n >= lo with refused(n), for a monotone predicate."""
+    hi = lo
+    while not refused(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if refused(mid) else (mid + 1, hi)
+    return lo
+
+
+def _mzv(k):
+    return lambda p: series.mzv_limit(k, p)
+
+
+def _first_refused_precision(monkeypatch, compute, work):
+    p = _smallest(lambda p: _refused_before_work(monkeypatch, lambda: compute(p), work), 32)
+    assert p <= MAX_PRECISION
+    return p
+
+
+def _size_check(check):
+    return lambda n: _refused(lambda: check(n))
+
+
+def _requests(monkeypatch):
+    """(name, the smallest refused request) for every ceiling."""
+    out = []
+    for k in (1, 4, 8):
+        p = _first_refused_precision(monkeypatch, _mzv(k), _MZV_WORK)
+        out.append((f"mzv k={k} at {p} bits", lambda k=k, p=p: series.mzv_limit(k, p)))
+    p = _first_refused_precision(monkeypatch, pi_constants.pi_freq, _PI_FREQ_WORK)
+    out.append((f"pi_freq at {p} bits", lambda p=p: pi_constants.pi_freq(p)))
+    pinned = series.EXACT_N_LIMIT + 1
+    out += [("mzv pinned N", lambda: series.mzv_limit(2, 64, N=pinned)),
+            ("pi_freq pinned N", lambda: pi_constants.pi_freq(64, N=pinned)),
+            ("mzv bracket N", lambda: series.mzv_limit_bracket(2, pinned)),
+            ("Wallis", lambda: pi_constants.pi_amp(pi_constants.WALLIS_N_CEILING + 1))]
+    for kind, identity in (("alpha", bijection.alpha_residual_identity),
+                           ("beta", bijection.beta_residual_identity)):
+        n = _smallest(_size_check(lambda n: bijection.require_residual_size(kind, 3, n)), 3)
+        out.append((f"{kind} residual N={n}", lambda n=n, f=identity: f(3, n)))
+    b = _smallest(lambda b: bijection.vertex_count(2, b) > bijection.VERTEX_CEILING, 1)
+    out.append((f"alpha walk bound={b}", lambda: bijection.alpha_components_up_to(2, b)))
+    for k in (2, 4, 6, 8):
+        m = _smallest(_size_check(lambda m: bijection.require_beta_size(V1((), 3), k, m)), 1)
+        out.append((f"beta hub k={k} M={m}",
+                    lambda k=k, m=m: bijection.component(V1((), 3), "beta", k, M=m)))
+    return out
+
+
+def test_every_ceiling_refuses_its_smallest_request_within_2s(monkeypatch):
+    requests = _requests(monkeypatch)
+    assert len(requests) == 15
+    for name, call in requests:
+        start = time.process_time()
+        with pytest.raises(ResourceError):
+            call()
+        assert time.process_time() - start < 2, name
+
+
+def test_the_admitted_beta_hub_at_k6_is_refused_before_the_search(monkeypatch):
+    # the vertex ceiling admits this hub at k = 2 (M^2 = 2,399,401 vertices),
+    # but at k = 6 a vertex costs about 1.8 times as much
+    monkeypatch.setattr(bijection, "beta_neighbors", None)
+    bijection.require_beta_size(V1((), 3), 2, 1549)
+    with pytest.raises(ResourceError):
+        bijection.component(V1((), 3), "beta", 6, M=1549)
+
+
+@pytest.mark.parametrize("k", [1, 4, 8, 0])
+def test_closed_form_refusal_is_within_two_bits_of_the_reach(k, monkeypatch):
+    # with the depth capped at 18 the reach is about 450 bits, cheap to probe
+    monkeypatch.setattr(series, "EM_CEILING", 18)
+    compute, work = (_mzv(k), _MZV_WORK) if k else (pi_constants.pi_freq, _PI_FREQ_WORK)
+    p = _first_refused_precision(monkeypatch, compute, work)
+    assert 300 < p < 600
+    compute(p - 2)
+    with pytest.raises(ResourceError):
+        compute(p)

@@ -199,6 +199,16 @@ def test_resource_error_exit_code():
     assert "resource" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("argv", [["compute", "mzv", "--k", "8", "--precision", "13700"],
+                                  ["compute", "pi-freq", "--precision", "13700"],
+                                  ["compute", "mzv", "--N", "10001"],
+                                  ["compute", "pi-freq", "--N", "10001"]])
+def test_limit_past_its_reach_exits_3_at_once(argv):
+    start = time.process_time()
+    assert cli.main(argv) == 3
+    assert time.process_time() - start < 2
+
+
 @pytest.mark.parametrize("argv", [["verify", "residuals", "--k", "5"],
                                   ["verify", "bijection-alpha", "--k", "6"]])
 def test_oversized_enumeration_exits_3_before_any_work(argv, capsys):

@@ -1,5 +1,7 @@
-"""Exact arithmetic, harmonic cache, tail brackets, and the pi oracle."""
+"""Exact arithmetic, harmonic cache, Bernoulli numbers, tail brackets, and
+the pi oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from mzvfactor.numeric import (
     DomainError,
     HarmonicCache,
     ResourceError,
+    bernoulli_even,
     err_up,
     harmonic,
     pi_oracle,
@@ -64,6 +67,32 @@ def test_zeta2_tail_bracket_contains_true_tail():
     lo, hi = zeta2_tail_bracket(10)
     assert head + lo <= target_lo
     assert target_hi <= head + hi
+
+
+def _bernoulli_even_by_recurrence(count):
+    # oracle: [B_2, B_4, ..., B_{2 count}] from sum_{j<=m} C(m+1, j) B_j = 0
+    b = [Fraction(1)] + [Fraction(0)] * (2 * count)
+    for m in range(1, 2 * count + 1):
+        b[m] = -sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1)
+    return b[2::2]
+
+
+def test_tangent_number_bernoulli_matches_the_recurrence():
+    assert list(bernoulli_even(60)) == _bernoulli_even_by_recurrence(60)
+    assert bernoulli_even(6)[0] == Fraction(1, 6) and bernoulli_even(6)[5] == Fraction(691, -2730)
+
+
+def test_power_sum_tail_matches_the_term_by_term_sum():
+    # oracle: the Euler-Maclaurin terms added one at a time
+    for N, j, em in ((1, 1, 0), (7, 2, 5), (64, 3, 9), (255, 1, 30)):
+        a = N + 1
+        b = (1,) + bernoulli_even(em + 1)
+        c = [Fraction(math.comb(2 * j + 2 * i - 2, 2 * i), 2 * j - 1) * b[i]
+             for i in range(em + 2)]
+        s = Fraction(1, 2 * a ** (2 * j)) + sum(
+            c[i] / a ** (2 * j + 2 * i - 1) for i in range(em + 1))
+        t = s + c[em + 1] / a ** (2 * j + 2 * em + 1)
+        assert power_sum_tail_bracket(N, j, em) == (min(s, t), max(s, t))
 
 
 def test_power_sum_tail_inside_integral_bracket():

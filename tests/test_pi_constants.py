@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mzvfactor import pi_constants
-from mzvfactor.numeric import ApproxReal, DomainError, pi_oracle
+from mzvfactor.numeric import ApproxReal, DomainError, pi_oracle, zeta2_tail_bracket
 from mzvfactor.pi_constants import (
     arc_length,
     g_eval,
@@ -21,7 +21,7 @@ from mzvfactor.pi_constants import (
     zeta2_bracket,
 )
 from mzvfactor.product import eval_F
-from mzvfactor.series import mzv_limit
+from mzvfactor.series import mzv_limit, zeta_even_truncated
 
 
 def test_pi_freq_agrees_with_oracle():
@@ -31,9 +31,16 @@ def test_pi_freq_agrees_with_oracle():
     assert est.value.decimal(9).startswith("3.14159265")
 
 
+def _crude_zeta2_bracket(N):
+    # head to N plus the integral-comparison tail
+    head = zeta_even_truncated(N, 1)
+    lo, hi = zeta2_tail_bracket(N)
+    return head + lo, head + hi
+
+
 def test_pi_freq_crude_bracket():
     # integral-comparison tail at N=10: width below 0.01 and contains pi
-    lo, hi = zeta2_bracket(10, em_terms=0)
+    lo, hi = _crude_zeta2_bracket(10)
     est = ApproxReal.from_bracket(6 * lo, 6 * hi, 80).sqrt(80)
     pi = pi_oracle(64)
     assert 2 * est.err < Fraction(1, 100)
@@ -41,9 +48,12 @@ def test_pi_freq_crude_bracket():
 
 
 def test_pi_freq_nested_intervals():
-    a = zeta2_bracket(100, em_terms=0)
-    b = zeta2_bracket(200, em_terms=0)
+    a = _crude_zeta2_bracket(100)
+    b = _crude_zeta2_bracket(200)
     assert a[0] <= b[0] <= b[1] <= a[1]
+    # the Euler-Maclaurin bracket lies inside the crude one
+    c = zeta2_bracket(200)
+    assert b[0] <= c[0] <= c[1] <= b[1]
 
 
 def test_pi_amp_small_partials():

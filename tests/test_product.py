@@ -62,13 +62,30 @@ def test_shifted_examples():
 
 
 def test_shifted_closed_relation_and_gap():
-    # eval_F_shifted(x, N) = F_{N-1}(x) (N - x)/N, so the gap to eval_F is
-    # bounded by (|x|+1)/N
+    # eval_F_shifted(x, N) = F_{N-1}(x) (N - x)/N, and the gap to eval_F is
+    # at most x/(3N) on [0, 1]
     for N in (2, 7, 40):
         for x in (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)):
             shifted = eval_F_shifted(x, N)
             assert shifted == eval_F(x, N - 1) * (N - x) / N if N > 1 else True
             assert abs(eval_F(x, N) - shifted) <= shifted_truncation_gap_bound(x, N)
+            assert shifted_truncation_gap_bound(x, N) == x / (3 * N)
+
+
+def test_shifted_gap_is_shifted_times_x_over_n():
+    for N in (1, 2, 3, 10, 57):
+        for x in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(5, 6),
+                  Fraction(1), Fraction(-3, 4), Fraction(7, 3)):
+            shifted = eval_F_shifted(x, N)
+            assert eval_F(x, N) - shifted == shifted * x / N, (x, N)
+    # the bound on |eval_F_shifted| behind x/(3N) is tight near x = 1/2
+    assert Fraction(1, 4) < eval_F_shifted(Fraction(1, 2), 200) < Fraction(1, 3)
+
+
+def test_shifted_gap_bound_is_refused_outside_the_unit_interval():
+    for x in (Fraction(-1, 3), Fraction(11, 10), Fraction(2)):
+        with pytest.raises(DomainError):
+            shifted_truncation_gap_bound(x, 5)
 
 
 def test_shifted_approaches_inverse_amplitude():

@@ -2,12 +2,14 @@
 and the certified limits."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzvfactor import series
+from mzvfactor import pi_constants
 from mzvfactor.numeric import DomainError, ResourceError, pi_oracle
 from mzvfactor.product import f_polynomial
 from mzvfactor.series import (
@@ -15,7 +17,6 @@ from mzvfactor.series import (
     mzv_limit,
     mzv_limit_bracket,
     mzv_row,
-    mzv_row_approx,
     mzv_truncated,
     zeta_even_truncated,
 )
@@ -90,7 +91,7 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
     assert {(0, 256), (256, 512), (512, 1024), (1024, 2048)} <= set(built)
     args, kwargs = attempts[-1]
     assert kwargs["row"] == mzv_row(2048, 4)
-    assert bracket(*args, **kwargs) == bracket(*args, precision=kwargs["precision"])
+    assert bracket(*args, **kwargs) == bracket(*args)
 
 
 def test_mzv_limit_bracket_rejects_a_row_of_the_wrong_length():
@@ -186,17 +187,54 @@ def test_bracket_narrows_with_truncation():
     assert lo1 <= lo2 <= hi2 <= hi1
 
 
-def test_approx_row_honours_its_precision():
-    coarse = mzv_row_approx(50, 2, precision=128)
-    fine = mzv_row_approx(50, 2, precision=1024)
-    exact = mzv_row(50, 2)
-    assert fine[2].err < coarse[2].err
-    assert fine[2].contains(exact[2]) and coarse[2].contains(exact[2])
+def test_limit_steps_double_n_then_the_depth_at_the_last_exact_n():
+    em_steps = [9 * 2 ** r for r in range(1, 8)]
+    assert series.EM_CEILING == em_steps[-1]
+    assert series.limit_steps(256) == (
+        [(256, em) for em in range(6, 10)]
+        + [(n, 9) for n in (512, 1024, 2048, 4096, 8192)]
+        + [(8192, em) for em in em_steps])
+    assert series.limit_steps(64)[:9] == (
+        [(64, em) for em in range(6, 10)] + [(n, 9) for n in (128, 256, 512, 1024, 2048)])
+    assert series.limit_steps(64, N=300) == [(300, 6)]
+    with pytest.raises(ResourceError):
+        series.limit_steps(64, N=series.EXACT_N_LIMIT + 1)
+    with pytest.raises(DomainError):
+        series.limit_steps(64, N=0)
 
 
-def test_approx_row_brackets_exact_row():
-    exact = mzv_row(500, 4)
-    approx = mzv_row_approx(500, 4)
-    for e, a in zip(exact, approx):
-        assert a.contains(e)
-        assert a.err < Fraction(1, 2 ** 90)
+def test_closed_form_floor_bounds_the_bracket_width_from_below():
+    for N, em in ((64, 6), (256, 9), (1000, 40), (8192, 9), (8192, 72)):
+        lo, hi = series.power_sum_tail_bracket(N, 1, em)
+        floor = series.bracket_floor(0, N, em)
+        assert floor <= hi - lo <= 2 * floor, (N, em)
+    for N, em in ((64, 6), (256, 9), (1000, 40)):
+        row = mzv_row(N, 9)
+        for m in range(1, 9):
+            lo, hi = mzv_limit_bracket(m + 1, N, em, row=row[:m + 2])
+            floor = series.bracket_floor(m, N, em)
+            assert floor <= row[m] * series.bracket_floor(0, N, em) <= hi - lo, (m, N, em)
+    for m in range(1, 9):
+        for N in (1, 3, 10, 100):
+            assert series.bracket_floor(m, N, 6) <= mzv_truncated(N, m) * series.bracket_floor(0, N, 6)
+    # the head's floor is tight at the last exact truncation
+    assert 2 * series.bracket_floor(7, 8192, 9) > mzv_truncated(8192, 7) * series.bracket_floor(0, 8192, 9)
+
+
+@pytest.mark.parametrize("compute", [lambda: mzv_limit(4, 384), lambda: mzv_limit(4, 512),
+                                     lambda: pi_constants.pi_freq(384)],
+                         ids=["mzv-k4-384", "mzv-k4-512", "pi_freq-384"])
+def test_requests_past_the_last_doubling_certify_within_seconds(compute):
+    start = time.process_time()
+    compute()
+    assert time.process_time() - start < 2
+
+
+def test_deep_limits_contain_the_closed_form():
+    for P in (300, 512, 1024):
+        pi = pi_oracle(P + 64)
+        for k in (1, 4, 8):
+            z = mzv_limit(k, P)
+            closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
+            assert z.err <= Fraction(1, 2 ** (P + 2)), (k, P)
+            assert abs(z.value - closed.value) <= z.err + closed.err, (k, P)
