@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -74,6 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--k", type=int)
     p_compute.add_argument("--N", type=int)
     p_compute.add_argument("--x", type=_parse_fraction)
+    # argparse takes a token for a value, not a flag, when this matches it;
+    # its default matches -9 and -.9 but not a negative rational such as -9/10
+    p_compute._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     _add_report_flags(p_compute)
 
     p_verify = sub.add_parser("verify", help="run a registered verification suite",

@@ -1,10 +1,14 @@
 """The truncated product F_N(x) = x * prod_{n<=N} (1 - x^2/n^2): exact
 evaluation in both displayed forms, the convergent shifted-product form, the
 periodicity ratio, the expanded polynomial, and the rise/fall scan on [0, 1].
+
+eval_F and eval_F_shifted multiply ints and reduce once; eval_F_factored folds
+Fraction factors, the independent display that product.two_forms checks.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -13,15 +17,12 @@ from .polys import Poly, poly_mul, poly_trim
 
 
 def eval_F(x: Fraction, N: int) -> Fraction:
-    """x * prod_{n=1}^N (1 - x^2/n^2), exact."""
+    """x * prod_{n=1}^N (1 - x^2/n^2) = a prod (n^2 b^2 - a^2) / (b^(2N+1) (N!)^2)."""
     if N < 1:
         raise DomainError("eval_F needs N >= 1")
-    x = Fraction(x)
-    acc = x
-    x2 = x * x
-    for n in range(1, N + 1):
-        acc *= 1 - x2 / (n * n)
-    return acc
+    a, b = Fraction(x).as_integer_ratio()
+    num = a * math.prod(n * n * b * b - a * a for n in range(1, N + 1))
+    return Fraction(num, b ** (2 * N + 1) * math.factorial(N) ** 2)
 
 
 def eval_F_factored(x: Fraction, N: int) -> Fraction:
@@ -41,15 +42,14 @@ def eval_F_shifted(x: Fraction, N: int) -> Fraction:
     Normalized so the partials converge to the full product: the value equals
     F_{N-1}(x) * (N-x)/N, hence |eval_F(x,N) - eval_F_shifted(x,N)| decays
     like C(x)/N. Each factor is increasing on [0, 1/2] and decreasing on
-    [1/2, 1], which drives the monotonicity scan.
+    [1/2, 1], which drives the monotonicity scan. With x = a/b the value is
+    a(b-a) prod (nb+a)((n+1)b-a) / (b^(2N) (N-1)! N!).
     """
     if N < 1:
         raise DomainError("eval_F_shifted needs N >= 1")
-    x = Fraction(x)
-    acc = x * (1 - x)
-    for n in range(1, N):
-        acc *= Fraction((n + x) * (n + 1 - x), n * (n + 1))
-    return acc
+    a, b = Fraction(x).as_integer_ratio()
+    num = a * (b - a) * math.prod((n * b + a) * ((n + 1) * b - a) for n in range(1, N))
+    return Fraction(num, b ** (2 * N) * math.factorial(N - 1) * math.factorial(N))
 
 
 def shifted_truncation_gap_bound(x: Fraction, N: int) -> Fraction:

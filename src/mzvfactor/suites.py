@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from . import bijection, pfunc, pi_constants, product, series
-from .numeric import DEFAULT_PRECISION, ZERO, DomainError, pi_oracle
+from .numeric import DEFAULT_PRECISION, ZERO, DomainError, ResourceError, pi_oracle
 from .report import (
     RunConfig,
     VerificationReport,
@@ -256,11 +256,35 @@ def _wallis_parity(prec: int) -> bool:
     return True
 
 
+# The product-structure suite spends nearly all its time on the 2N + 1 zero
+# checks and on one eval_F_shifted per grid point, mostly in the final
+# reduction of a product of about 2N bitlen(N grid) bits. On a 2.0 GHz Xeon
+# core a zero check took 9 us at N = 10, 0.58 ms at N = 1000 and 6.0 ms at
+# N = 4000; a grid point took 14 us at N = 1, 35 us at N = 20, 7.0 ms at
+# N = 1000 (grid 1001) and 35 ms at N = 4000 (grid 11). The closed form in
+# require_product_structure_size gives 1.1 to 2.1 times each of these in
+# microseconds. The largest request it admits at the default grid, N = 2347
+# (60 s by the closed form), took 49 s. The ceiling is 60 s of it.
+PRODUCT_STRUCTURE_CEILING = 60 * 10 ** 6
+
+
+def require_product_structure_size(N: int, grid: int) -> None:
+    """Refuse the product-structure suite at (N, grid) from a closed-form
+    bound of its time in microseconds, before any product is built."""
+    bits = N * (N * grid).bit_length()
+    cost = ((2 * N + 1) * (10 + N // 4 + N * N // 2500)
+            + grid * (20 + N + bits * bits // 60000))
+    if cost > PRODUCT_STRUCTURE_CEILING:
+        raise ResourceError(f"product structure at N = {N}, grid = {grid}: {cost} us "
+                            f"exceeds ceiling {PRODUCT_STRUCTURE_CEILING}")
+
+
 def suite_product_structure(config: RunConfig) -> list[VerificationReport]:
     """Oddness, integer zeros, the two product displays, the periodicity
     sign, the shifted-form gap bound, and the rise/fall scan."""
     N = 100 if config.N is None else config.N
     grid = 1001 if config.bound is None else config.bound
+    require_product_structure_size(N, grid)
     out = []
     xs = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 4), Fraction(9, 2)]
     odd_ok = all(product.eval_F(-x, N) == -product.eval_F(x, N) for x in xs)

@@ -1,16 +1,17 @@
-"""Every resource ceiling of series, pi_constants and bijection refuses the
-smallest request it refuses within 2 s of process time; a certified limit
-is refused before it builds anything, within two bits of what its
-escalation reaches.
+"""Every resource ceiling of series, pi_constants, bijection and the
+product-structure suite refuses the smallest request it refuses within 2 s
+of process time; a certified limit is refused before it builds anything,
+within two bits of what its escalation reaches.
 """
 
 import time
 
 import pytest
 
-from mzvfactor import bijection, pi_constants, series
+from mzvfactor import bijection, pi_constants, series, suites
 from mzvfactor.bijection import V1
 from mzvfactor.numeric import MAX_PRECISION, ResourceError
+from mzvfactor.report import RunConfig
 
 
 class _Built(Exception):
@@ -93,12 +94,19 @@ def _requests(monkeypatch):
         m = _smallest(_size_check(lambda m: bijection.require_beta_size(V1((), 3), k, m)), 1)
         out.append((f"beta hub k={k} M={m}",
                     lambda k=k, m=m: bijection.component(V1((), 3), "beta", k, M=m)))
+    # the suite's defaults are N = 100 and a grid of 1001 points
+    n = _smallest(_size_check(lambda n: suites.require_product_structure_size(n, 1001)), 1)
+    g = _smallest(_size_check(lambda g: suites.require_product_structure_size(100, g)), 3)
+    out += [(f"product structure N={n}",
+             lambda n=n: suites.run_suite("product-structure", RunConfig(N=n))),
+            (f"product structure grid={g}",
+             lambda g=g: suites.run_suite("product-structure", RunConfig(bound=g)))]
     return out
 
 
 def test_every_ceiling_refuses_its_smallest_request_within_2s(monkeypatch):
     requests = _requests(monkeypatch)
-    assert len(requests) == 15
+    assert len(requests) == 17
     for name, call in requests:
         start = time.process_time()
         with pytest.raises(ResourceError):

@@ -147,6 +147,17 @@ def _exit_code(argv: list[str]) -> int:
         return exc.code
 
 
+def test_negative_rational_after_x_is_its_value(capsys):
+    reports = []
+    for x_flag in (["--x", "-9/10"], ["--x=-9/10"]):
+        assert cli.main(["compute", "p-eval", *x_flag, "--N", "50", "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["params"]["x"] == "-9/10"
+    # a flag in the value's place is still a missing value
+    assert _exit_code(["compute", "p-eval", "--x", "--N", "5"]) == 2
+
+
 def test_run_that_checks_nothing_is_a_usage_error(capsys):
     # a count below 1 is refused, never swapped for the default, and a
     # suite that returns no record does not pass
@@ -210,7 +221,8 @@ def test_limit_past_its_reach_exits_3_at_once(argv):
 
 
 @pytest.mark.parametrize("argv", [["verify", "residuals", "--k", "5"],
-                                  ["verify", "bijection-alpha", "--k", "6"]])
+                                  ["verify", "bijection-alpha", "--k", "6"],
+                                  ["verify", "product-structure", "--N", "5000"]])
 def test_oversized_enumeration_exits_3_before_any_work(argv, capsys):
     start = time.process_time()
     assert cli.main(argv) == 3

@@ -4,7 +4,7 @@ its sign, and the rise/fall scan."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mzvfactor.numeric import DomainError, pi_oracle
 from mzvfactor.polys import poly_eval
@@ -20,6 +20,50 @@ from mzvfactor.product import (
 from mzvfactor.series import mzv_row
 
 grid_rationals = st.fractions(min_value=Fraction(-10), max_value=Fraction(10))
+
+
+def fold_F(x, N):
+    """Oracle for eval_F: one Fraction factor at a time."""
+    x = Fraction(x)
+    acc = x
+    x2 = x * x
+    for n in range(1, N + 1):
+        acc *= 1 - x2 / (n * n)
+    return acc
+
+
+def fold_F_shifted(x, N):
+    """Oracle for eval_F_shifted: one Fraction factor at a time."""
+    x = Fraction(x)
+    acc = x * (1 - x)
+    for n in range(1, N):
+        acc *= Fraction((n + x) * (n + 1 - x), n * (n + 1))
+    return acc
+
+
+@st.composite
+def product_points(draw):
+    """(x, N) with N in 1..120 and x zero, an integer |m| <= N + 1 (the zeros
+    and their neighbours) or a rational of either sign with denominator up
+    to 10^6."""
+    N = draw(st.integers(min_value=1, max_value=120))
+    x = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.integers(min_value=-N - 1, max_value=N + 1).map(Fraction),
+        st.fractions(min_value=-N - 1, max_value=N + 1, max_denominator=10 ** 6)))
+    return x, N
+
+
+@given(product_points())
+@example((Fraction(0), 1))
+@example((Fraction(-120), 120))
+@example((Fraction(-999_999, 1_000_000), 120))
+@example((Fraction(1, 999_983), 1))
+@settings(max_examples=200, deadline=None)
+def test_integer_kernels_match_the_fraction_folds(point):
+    x, N = point
+    assert eval_F(x, N) == fold_F(x, N)
+    assert eval_F_shifted(x, N) == fold_F_shifted(x, N)
 
 
 def test_eval_F_examples():
