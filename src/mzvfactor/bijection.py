@@ -74,11 +74,7 @@ def _require_size(count: int, ceiling: int, what: str) -> None:
 
 class StructuralFailure(AssertionError):
     """An enumerated object contradicts a structural claim (for instance an
-    alpha closure that refuses to stay finite); carries the partial findings."""
-
-    def __init__(self, message: str, artifact=None):
-        super().__init__(message)
-        self.artifact = artifact
+    alpha closure that refuses to stay finite)."""
 
 
 def _check_mu(mu: tuple[int, ...]) -> None:
@@ -342,11 +338,6 @@ class WeightedComponent:
     k: int
     vertices: tuple[Vertex, ...]   # sorted by the canonical key
     weight_sum: Fraction
-    bound: Optional[int] = None    # beta truncation, None for alpha
-
-    @property
-    def key(self) -> Vertex:
-        return self.vertices[0]
 
     def size(self) -> int:
         return len(self.vertices)
@@ -437,11 +428,10 @@ def component(v: Vertex, kind: str, k: int, M: Optional[int] = None) -> Weighted
         frontier = nxt
         if kind == "alpha" and len(seen) > ALPHA_SAFETY_BOUND:
             raise StructuralFailure(
-                f"alpha closure of {v} exceeded {ALPHA_SAFETY_BOUND} vertices",
-                artifact=sorted(seen, key=_vertex_key))
+                f"alpha closure of {v} exceeded {ALPHA_SAFETY_BOUND} vertices")
     verts = tuple(sorted(seen, key=_vertex_key))
     return WeightedComponent(kind=kind, k=k, vertices=verts,
-                             weight_sum=weight_sum(verts, k), bound=M)
+                             weight_sum=weight_sum(verts, k))
 
 
 def iter_vertices(k: int, bound: int) -> Iterator[Vertex]:
@@ -466,14 +456,20 @@ def vertex_count(k: int, bound: int) -> int:
             + sum(index_sets[:k - 1]) * 2 * math.comb(bound, 2))
 
 
-def alpha_walk(k: int, bound: int) -> Iterator[WeightedComponent]:
-    """Every alpha component touching vertices with entries <= bound, once
-    each and singletons included, in the order iter_vertices first reaches
-    it. The size check runs at the first step, before any vertex."""
+def require_alpha_size(k: int, bound: int) -> None:
+    """Refuse the alpha walk at (k, bound) from its vertex count, before any
+    closure is built."""
     if k < 2 or bound < 1:
         raise DomainError("alpha components need k >= 2 and bound >= 1")
     _require_size(vertex_count(k, bound), VERTEX_CEILING,
                   f"alpha components at k = {k}, bound {bound}: vertices")
+
+
+def alpha_walk(k: int, bound: int) -> Iterator[WeightedComponent]:
+    """Every alpha component touching vertices with entries <= bound, once
+    each and singletons included, in the order iter_vertices first reaches
+    it. The size check runs at the first step, before any vertex."""
+    require_alpha_size(k, bound)
     seen: set[Vertex] = set()
     for v in iter_vertices(k, bound):
         if v in seen:

@@ -227,8 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        # any other ValueError is a broken invariant inside the engine
+    except (ValueError, bijection.StructuralFailure) as exc:
+        # any other ValueError, like a StructuralFailure, is a broken
+        # invariant inside the engine
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

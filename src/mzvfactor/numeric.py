@@ -244,10 +244,9 @@ class ApproxReal:
         return ApproxReal(q, ZERO, prec)
 
     @staticmethod
-    def from_rational(q: Fraction | int, prec: int,
-                      err: Fraction = ZERO) -> "ApproxReal":
+    def from_rational(q: Fraction | int, prec: int) -> "ApproxReal":
         v, r = round_to_bits(Fraction(q), prec)
-        return ApproxReal(v, err + r, prec)
+        return ApproxReal(v, r, prec)
 
     @staticmethod
     def from_bracket(lo: Fraction, hi: Fraction, prec: int) -> "ApproxReal":
@@ -365,13 +364,12 @@ class ApproxReal:
     def __rtruediv__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
         return _coerce(other, self.prec) / self
 
-    def sqrt(self, prec: int | None = None) -> "ApproxReal":
-        p = self.prec if prec is None else prec
+    def sqrt(self) -> "ApproxReal":
         if self.lo < 0:
             raise DomainError("sqrt of a bracket extending below zero")
-        lo, _ = sqrt_bounds(self.lo, p)
-        _, hi = sqrt_bounds(self.hi, p)
-        return ApproxReal.from_bracket(lo, hi, p)
+        lo, _ = sqrt_bounds(self.lo, self.prec)
+        _, hi = sqrt_bounds(self.hi, self.prec)
+        return ApproxReal.from_bracket(lo, hi, self.prec)
 
     def power(self, n: int) -> "ApproxReal":
         if n < 0:

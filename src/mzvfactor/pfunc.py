@@ -85,8 +85,7 @@ def p_coefficient_witness(n: int, j: int) -> tuple[Fraction, Fraction, Fraction]
     return tail, fin, diag
 
 
-def p_eval(x: Fraction | ApproxReal, N: int,
-           precision: int = DEFAULT_PRECISION) -> ApproxReal:
+def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxReal:
     """Certified value of the depth-N truncation
 
         6 sum_{n<=N} 1/(n^2 - x^2)
@@ -95,11 +94,12 @@ def p_eval(x: Fraction | ApproxReal, N: int,
     using the exact pair-sum rearrangement (S^2 - S2)/2 of the same
     truncation, in balls of `precision` bits (the radius grows about as
     N 2^-precision). Points within 1/N of an integer are rejected: the
-    terms blow up and the bracket becomes vacuous.
+    terms blow up and the bracket becomes vacuous; the check reads x rounded
+    to a ball, whose radius counts against the distance.
     """
     if N < 2:
         raise DomainError("p_eval needs N >= 2")
-    xa = x if isinstance(x, ApproxReal) else ApproxReal.from_rational(Fraction(x), precision)
+    xa = ApproxReal.from_rational(Fraction(x), precision)
     mag = abs(xa.value) + xa.err
     if mag >= 1:
         raise DomainError("p_eval needs 0 <= |x| < 1")

@@ -5,8 +5,9 @@ identification with the geometric circle constant.
 pi_freq = sqrt(6 sum 1/n^2) comes from the certified zeta(2) bracket;
 pi_amp = 2 prod (2n/(2n-1))(2n/(2n+1)) comes from the interlacing Wallis
 partial products; the arc length integrates the unit-speed parametrization
-(g, g') between the bracketed endpoints +-pi_freq/2. All three are compared
-against the independent Machin oracle.
+(g, g') between the bracketed endpoints +-pi_freq/2, with g and g' summed
+exactly at rational nodes. All three are compared against the independent
+Machin oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .numeric import (
     power_sum_tail_bracket,
     require_precision,
 )
-from .series import bracket_floor, limit_steps, zeta_even_truncated
+from .series import bracket_floor, limit_steps, mzv_truncated
 
 WALLIS_N_CEILING = 10 ** 6
 
@@ -35,8 +36,10 @@ WALLIS_N_CEILING = 10 ** 6
 # decimal digits, Python's default limit for int-to-str conversion.
 EXACT_PARTIAL_MAX_BITS = 14_284
 
-# exp(4) < 55: a certified Lipschitz bound for g, g', g'' on [-4, 4]
-_SERIES_LIPSCHITZ = Fraction(55)
+# Simpson nodes of arc_length's coarse pass (the fine pass doubles them) and
+# the Wallis pairs of three_way_pi_compare
+QUAD_NODES = 32
+WALLIS_PAIRS = 20_000
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class PiEstimate:
 
 def zeta2_bracket(N: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
     """Exact bracket for sum 1/n^2: head to N plus the Euler-Maclaurin tail."""
-    head = zeta_even_truncated(N, 1)
+    head = mzv_truncated(N, 1)
     lo, hi = power_sum_tail_bracket(N, 1, em_terms)
     return head + lo, head + hi
 
@@ -70,8 +73,7 @@ def pi_freq(precision_bits: int, N: Optional[int] = None) -> PiEstimate:
         raise ResourceError("pi_freq cannot reach the requested precision")
     for n, em in steps:
         lo, hi = zeta2_bracket(n, em)
-        value = ApproxReal.from_bracket(6 * lo, 6 * hi,
-                                        precision_bits + 16).sqrt(precision_bits + 16)
+        value = ApproxReal.from_bracket(6 * lo, 6 * hi, precision_bits + 16).sqrt()
         if value.err <= target or N is not None:
             return PiEstimate(value=value,
                               truncation={"N": n, "em_terms": em,
@@ -154,57 +156,47 @@ def _auto_terms(x_abs: Fraction, precision_bits: int) -> int:
         t += 1
 
 
-def g_eval(x: Fraction | ApproxReal, terms: Optional[int] = None,
-           precision_bits: int = 128) -> tuple[ApproxReal, ApproxReal]:
+def g_eval(x: Fraction, precision_bits: int = 128) -> tuple[ApproxReal, ApproxReal]:
     """(g(x), g'(x)) for g(x) = sum (-1)^k x^(2k+1)/(2k+1)!.
 
-    The partial sums are exact rationals; the alternating remainders bound
-    the truncation, and a certified Lipschitz constant absorbs any input
-    bracket width. Requires |x| <= 4.
+    The partial sums are exact rationals, and the alternating remainders
+    bound the truncation. Requires |x| <= 4.
     """
     require_precision(precision_bits)
-    if isinstance(x, ApproxReal):
-        xv, xerr = x.value, x.err
-    else:
-        xv, xerr = Fraction(x), ZERO
-    if abs(xv) + xerr > 4:
+    x = Fraction(x)
+    if abs(x) > 4:
         raise DomainError("g_eval is certified on [-4, 4] only")
-    T = terms if terms is not None else _auto_terms(abs(xv), precision_bits)
-    if xv == 0:
+    if x == 0:
         g_sum, gp_sum = ZERO, ONE
         rem_g = rem_gp = ZERO
     else:
+        T = _auto_terms(abs(x), precision_bits)
         g_sum = ZERO
         gp_sum = ZERO
-        xp = xv          # x^(2k+1)
-        x2 = xv * xv
+        xp = x          # x^(2k+1)
+        x2 = x * x
         for k in range(T + 1):
             sign = 1 if k % 2 == 0 else -1
             fact = math.factorial(2 * k + 1)
             g_sum += Fraction(sign) * xp / fact
-            gp_sum += Fraction(sign) * (xp / xv) / math.factorial(2 * k)
+            gp_sum += Fraction(sign) * (xp / x) / math.factorial(2 * k)
             xp *= x2
-        ax = abs(xv)
-        if ax * ax >= (2 * T + 2) * (2 * T + 3):
-            raise DomainError("too few terms for the alternating remainder bound")
+        # _auto_terms keeps x^2 < (2T+2)(2T+3), so the remainders alternate
+        ax = abs(x)
         rem_g = ax ** (2 * T + 3) / Fraction(math.factorial(2 * T + 3))
         rem_gp = ax ** (2 * T + 2) / Fraction(math.factorial(2 * T + 2))
-    slop = _SERIES_LIPSCHITZ * xerr
-    g = ApproxReal.from_bracket(g_sum - rem_g - slop, g_sum + rem_g + slop,
-                                precision_bits + 16)
-    gp = ApproxReal.from_bracket(gp_sum - rem_gp - slop, gp_sum + rem_gp + slop,
-                                 precision_bits + 16)
+    g = ApproxReal.from_bracket(g_sum - rem_g, g_sum + rem_g, precision_bits + 16)
+    gp = ApproxReal.from_bracket(gp_sum - rem_gp, gp_sum + rem_gp, precision_bits + 16)
     return g, gp
 
 
-def pythagorean_check(grid: list[Fraction | ApproxReal],
-                      terms: Optional[int] = None,
+def pythagorean_check(grid: list[Fraction],
                       precision_bits: int = 128) -> list[ApproxReal]:
     """The deviation balls g(x)^2 + g'(x)^2 - 1, one per grid point; a ball
     that misses 0 refutes the invariant g^2 + g'^2 = 1 at its point."""
     out = []
     for x in grid:
-        g, gp = g_eval(x, terms, precision_bits)
+        g, gp = g_eval(x, precision_bits)
         out.append(g * g + gp * gp - 1)
     return out
 
@@ -214,10 +206,10 @@ def pythagorean_check(grid: list[Fraction | ApproxReal],
 # ---------------------------------------------------------------------------
 
 def _speed(x: Fraction, precision_bits: int) -> ApproxReal:
-    g, gp = g_eval(x, None, precision_bits)
+    g, gp = g_eval(x, precision_bits)
     sq = g * g + gp * gp
     lo = max(ZERO, sq.lo)
-    return ApproxReal.from_bracket(lo, sq.hi, precision_bits + 16).sqrt(precision_bits + 16)
+    return ApproxReal.from_bracket(lo, sq.hi, precision_bits + 16).sqrt()
 
 
 def _simpson(speeds: list[ApproxReal], h: Fraction, precision_bits: int) -> ApproxReal:
@@ -230,28 +222,23 @@ def _simpson(speeds: list[ApproxReal], h: Fraction, precision_bits: int) -> Appr
     return total * (h / 3)
 
 
-def arc_length(precision_bits: int, quad_nodes: int = 32,
-               half: bool = False) -> ApproxReal:
-    """Integrate sqrt(g'^2 + g^2) over [-pi_freq/2, pi_freq/2] (or the right
-    half), with the certified node errors, a node-doubling truncation
-    estimate, and the endpoint-bracket sliver folded into the error."""
+def arc_length(precision_bits: int) -> ApproxReal:
+    """Integrate sqrt(g'^2 + g^2) over [-pi_freq/2, pi_freq/2], with the
+    certified node errors, a node-doubling truncation estimate, and the
+    endpoint-bracket sliver folded into the error."""
     require_precision(precision_bits)
-    if quad_nodes < 8:
-        raise DomainError("needs quad_nodes >= 8")
-    m = quad_nodes + (quad_nodes % 2)
     pf = pi_freq(precision_bits + 24)
     a = pf.value.value / 2
     delta = pf.value.err / 2
-    lo_end = ZERO if half else -a
-    # the m-node pass uses the even nodes of the 2m-node pass
-    h = (a - lo_end) / (2 * m)
-    speeds = [_speed(lo_end + i * h, precision_bits + 16) for i in range(2 * m + 1)]
+    # the QUAD_NODES pass uses the even nodes of the 2 QUAD_NODES pass
+    h = a / QUAD_NODES
+    speeds = [_speed(-a + i * h, precision_bits + 16) for i in range(2 * QUAD_NODES + 1)]
     q1 = _simpson(speeds[::2], 2 * h, precision_bits + 16)
     q2 = _simpson(speeds, h, precision_bits + 16)
     doubling = abs(q2.value - q1.value)
-    ends = 1 if half else 2
-    # endpoint sliver: |speed| <= sqrt(2) e^2 < 12 anywhere within |x| <= 2
-    extra = doubling + ends * delta * 12
+    # endpoint sliver at both ends: |speed| <= sqrt(2) e^2 < 12 anywhere
+    # within |x| <= 2
+    extra = doubling + 2 * delta * 12
     return ApproxReal(q2.value, q2.err + extra, precision_bits)
 
 
@@ -259,14 +246,14 @@ def arc_length(precision_bits: int, quad_nodes: int = 32,
 # The four-way comparison
 # ---------------------------------------------------------------------------
 
-def three_way_pi_compare(precision_bits: int, wallis_pairs: int = 20_000,
-                         quad_nodes: int = 32) -> dict[str, ApproxReal]:
+def three_way_pi_compare(precision_bits: int) -> dict[str, ApproxReal]:
     """The four certified estimates of pi by name: "freq" (pi_freq), "amp"
-    (pi_amp), "arc" (arc_length) and "oracle" (the Machin oracle)."""
+    (pi_amp at WALLIS_PAIRS), "arc" (arc_length) and "oracle" (the Machin
+    oracle)."""
     require_precision(precision_bits)
     return {
         "freq": pi_freq(precision_bits).value,
-        "amp": pi_amp(wallis_pairs, precision_bits).value,
-        "arc": arc_length(precision_bits, quad_nodes),
+        "amp": pi_amp(WALLIS_PAIRS, precision_bits).value,
+        "arc": arc_length(precision_bits),
         "oracle": pi_oracle(precision_bits),
     }

@@ -98,12 +98,13 @@ def monotonicity_scan(N: int, grid_size: int) -> Optional[tuple[Fraction, Fracti
     if grid_size < 3:
         raise DomainError("grid_size must be at least 3")
     half = Fraction(1, 2)
-    xs = [Fraction(i, grid_size - 1) for i in range(grid_size)]
-    vals = [eval_F_shifted(x, N) for x in xs]
-    for i in range(len(xs) - 1):
-        x1, x2 = xs[i], xs[i + 1]
-        if x2 <= half and not ((x2 - x1) * (1 - x1 - x2) >= 0 and vals[i] < vals[i + 1]):
+    x1, v1 = ZERO, eval_F_shifted(ZERO, N)
+    for i in range(1, grid_size):
+        x2 = Fraction(i, grid_size - 1)
+        v2 = eval_F_shifted(x2, N)
+        if x2 <= half and not ((x2 - x1) * (1 - x1 - x2) >= 0 and v1 < v2):
             return x1, x2
-        if x1 >= half and not vals[i] > vals[i + 1]:
+        if x1 >= half and not v1 > v2:
             return x1, x2
+        x1, v1 = x2, v2
     return None

@@ -140,6 +140,8 @@ def suite_bijection_alpha(config: RunConfig) -> list[VerificationReport]:
     """Every alpha component with entries <= bound cancels exactly."""
     ks = (2, 3, 4) if config.k is None else (config.k,)
     bound = 20 if config.bound is None else config.bound
+    for k in ks:   # refuse before any closure is built
+        bijection.require_alpha_size(k, bound)
     out = []
     for k in ks:
         try:

@@ -123,6 +123,15 @@ def test_the_admitted_beta_hub_at_k6_is_refused_before_the_search(monkeypatch):
         bijection.component(V1((), 3), "beta", 6, M=1549)
 
 
+def test_the_alpha_suite_checks_every_level_before_any_closure(monkeypatch):
+    # at bound 44 the default levels k = 2 and 3 fit, and k = 4 does not
+    assert (bijection.vertex_count(3, 44) <= bijection.VERTEX_CEILING
+            < bijection.vertex_count(4, 44))
+    assert _refused_before_work(
+        monkeypatch, lambda: suites.run_suite("bijection-alpha", RunConfig(bound=44)),
+        [(bijection, "component")])
+
+
 @pytest.mark.parametrize("k", [1, 4, 8, 0])
 def test_closed_form_refusal_is_within_two_bits_of_the_reach(k, monkeypatch):
     # with the depth capped at 18 the reach is about 450 bits, cheap to probe

@@ -197,6 +197,18 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: polynomial division")
 
 
+def test_broken_alpha_closure_is_an_internal_error_without_traceback(tmp_path):
+    script = ("import sys; from mzvfactor import bijection, cli; "
+              "bijection.ALPHA_SAFETY_BOUND = 1; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "bijection-dump", "--k", "3", "--bound", "4",
+         "--kind", "alpha", "--out", str(tmp_path)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("internal error: alpha closure of")
+    assert "Traceback" not in proc.stderr
+
+
 def test_malformed_m_sweep_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bijection-dump", "--k", "2", "--kind", "beta", "--m-sweep", "3,x"])

@@ -194,8 +194,8 @@ widths = st.fractions(min_value=0, max_value=Fraction(1, 10))
 @settings(max_examples=200)
 def test_approx_wide_balls_contain_every_image(a, b, wa, wb, ta, tb, prec):
     # balls of radius wa, wb around a, b; pa, pb are points inside them
-    xa = ApproxReal.from_rational(a, prec, err=wa)
-    xb = ApproxReal.from_rational(b, prec, err=wb)
+    xa = ApproxReal.from_bracket(a - wa, a + wa, prec)
+    xb = ApproxReal.from_bracket(b - wb, b + wb, prec)
     pa, pb = a + ta * wa, b + tb * wb
     assert (xa + xb).contains(pa + pb)
     assert (xa - xb).contains(pa - pb)

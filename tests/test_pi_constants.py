@@ -41,7 +41,7 @@ def _crude_zeta2_bracket(N):
 def test_pi_freq_crude_bracket():
     # integral-comparison tail at N=10: width below 0.01 and contains pi
     lo, hi = _crude_zeta2_bracket(10)
-    est = ApproxReal.from_bracket(6 * lo, 6 * hi, 80).sqrt(80)
+    est = ApproxReal.from_bracket(6 * lo, 6 * hi, 80).sqrt()
     pi = pi_oracle(64)
     assert 2 * est.err < Fraction(1, 100)
     assert est.contains(pi.value)
@@ -96,7 +96,7 @@ def test_wallis_half_step_recurrence():
 def test_g_eval_examples():
     g0, gp0 = g_eval(Fraction(0))
     assert g0.value == 0 and gp0.value == 1
-    g1, _ = g_eval(Fraction(1), terms=20)
+    g1, _ = g_eval(Fraction(1))
     assert g1.decimal(9).startswith("0.84147098")
 
 
@@ -119,7 +119,7 @@ def test_g_eval_domain_guard():
 def test_g_at_half_frequency_hits_one():
     pf = pi_freq(160)
     half = pf.value * Fraction(1, 2)
-    g, gp = g_eval(half, precision_bits=160)
+    g, gp = g_eval(half.value, precision_bits=160)
     assert g.contains(Fraction(1))
     assert abs(gp.value) <= gp.err + Fraction(1, 2 ** 100)
 
@@ -139,19 +139,13 @@ def test_pythagorean_at_zero_exact():
 
 
 def test_arc_length_equals_frequency_constant():
-    arc = arc_length(96, 16)
+    arc = arc_length(96)
     pf = pi_freq(96)
     assert abs(arc.value - pf.value.value) < Fraction(1, 10 ** 10)
 
 
-def test_arc_length_halving_symmetry():
-    full = arc_length(96, 16)
-    half = arc_length(96, 16, half=True)
-    assert abs(full.value - 2 * half.value) < Fraction(1, 10 ** 15)
-
-
 def test_arc_length_evaluates_each_node_once(monkeypatch):
-    # the 16-node pass reads the even nodes of the 32-node pass
+    # the QUAD_NODES pass reads the even nodes of the 2 QUAD_NODES pass
     nodes = []
     real = pi_constants.g_eval
 
@@ -160,8 +154,8 @@ def test_arc_length_evaluates_each_node_once(monkeypatch):
         return real(x, *args)
 
     monkeypatch.setattr(pi_constants, "g_eval", counted)
-    arc_length(96, 16)
-    assert len(nodes) == len(set(nodes)) == 2 * 16 + 1
+    arc_length(96)
+    assert len(nodes) == len(set(nodes)) == 2 * pi_constants.QUAD_NODES + 1
 
 
 def test_speed_at_zero_is_one():
@@ -176,7 +170,7 @@ def _trio_distance(ests) -> Fraction:
 
 def test_three_way_compare_64():
     tol = Fraction(1, 10 ** 8)
-    ests = three_way_pi_compare(64, wallis_pairs=2000, quad_nodes=16)
+    ests = three_way_pi_compare(64)
     assert sorted(ests) == ["amp", "arc", "freq", "oracle"]
     for a, b in itertools.combinations(ests.values(), 2):
         assert abs(a.value - b.value) <= a.err + b.err + tol
@@ -184,8 +178,8 @@ def test_three_way_compare_64():
 
 
 def test_agreement_tightens_with_precision():
-    lo = three_way_pi_compare(64, wallis_pairs=500, quad_nodes=16)
-    hi = three_way_pi_compare(128, wallis_pairs=500, quad_nodes=16)
+    lo = three_way_pi_compare(64)
+    hi = three_way_pi_compare(128)
     assert _trio_distance(hi) < _trio_distance(lo)
 
 
@@ -203,7 +197,7 @@ def test_series_matches_product_spot_checks():
     pf = pi_freq(128).value
     for x in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3),
               Fraction(2, 5), Fraction(9, 20)):
-        g, _ = g_eval(pf * x, precision_bits=128)
+        g, _ = g_eval((pf * x).value, precision_bits=128)
         series_value = g.value / pf.value
         product_value = eval_F(x, 4000)
         assert abs(series_value - product_value) < Fraction(1, 1000)

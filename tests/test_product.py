@@ -1,6 +1,7 @@
 """The truncated product: both displays, the shifted form, periodicity with
 its sign, and the rise/fall scan."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -170,3 +171,13 @@ def test_periodicity_pole_rejected():
 def test_monotonicity_scan_small_cases():
     assert monotonicity_scan(1, 3) is None
     assert monotonicity_scan(100, 9) is None
+
+
+def test_monotonicity_scan_holds_one_pair_at_a_time():
+    tracemalloc.start()
+    try:
+        assert monotonicity_scan(20, 2001) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
