@@ -4,14 +4,16 @@ identification with the geometric circle constant.
 
 pi_freq = sqrt(6 sum 1/n^2) comes from the certified zeta(2) bracket;
 pi_amp = 2 prod (2n/(2n-1))(2n/(2n+1)) comes from the interlacing Wallis
-partial products; the arc length integrates the unit-speed parametrization
-(g, g') between the bracketed endpoints +-pi_freq/2, with g and g' summed
-exactly at rational nodes. All three are compared against the independent
+partial products, with C(2N, N) built from its prime factorization; the
+arc length integrates the unit-speed parametrization (g, g') between the
+bracketed endpoints +-pi_freq/2, with g and g' summed in integer fixed point
+under a derived error bound. All three are compared against the independent
 Machin oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,6 +87,38 @@ def pi_freq(precision_bits: int, N: Optional[int] = None) -> PiEstimate:
 # pi_amp and the Wallis partial products
 # ---------------------------------------------------------------------------
 
+def _central_binomial(N: int) -> int:
+    """C(2N, N) as the balanced product of p^e over the primes p <= 2N,
+    where e = sum_i (floor(2N/p^i) - 2 floor(N/p^i)) (Legendre's formula).
+    The primes are sieved per call."""
+    n = 2 * N
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(min(2, n + 1))
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n + 1, i)))
+    # a binary counter of partial products: an entry of level j is the
+    # product of 2^j consecutive factors, so each multiplication pairs
+    # operands of about equal size, and at most log2 of the factor count
+    # partial products are held at a time
+    stack: list[tuple[int, int]] = []
+    for p in itertools.compress(range(n + 1), sieve):
+        e, pk = 0, p
+        while pk <= n:
+            e += n // pk - 2 * (N // pk)
+            pk *= p
+        if e:
+            f, level = p ** e, 0
+            while stack and stack[-1][0] == level:
+                f *= stack.pop()[1]
+                level += 1
+            stack.append((level, f))
+    result = 1
+    for _, f in reversed(stack):
+        result *= f
+    return result
+
+
 def _wallis_raw(N: int) -> tuple[int, int]:
     """Numerator/denominator of 2 prod_{n<=N} (2n)^2/((2n-1)(2n+1)) in the
     closed form 2^(4N+1) / (C(2N, N)^2 (2N+1)); the numerator is a power of
@@ -94,7 +128,7 @@ def _wallis_raw(N: int) -> tuple[int, int]:
         raise DomainError("needs N >= 0")
     if N > WALLIS_N_CEILING:
         raise ResourceError(f"Wallis truncation {N} exceeds {WALLIS_N_CEILING}")
-    return 1 << (4 * N + 1), math.comb(2 * N, N) ** 2 * (2 * N + 1)
+    return 1 << (4 * N + 1), _central_binomial(N) ** 2 * (2 * N + 1)
 
 
 def wallis_pair_product(N: int) -> Fraction:
@@ -144,50 +178,88 @@ def pi_amp(N: int, precision_bits: int = 128) -> PiEstimate:
 # The normalized odd series g and its derivative
 # ---------------------------------------------------------------------------
 
-def _auto_terms(x_abs: Fraction, precision_bits: int) -> int:
-    eps = Fraction(1, 1 << (precision_bits + 8))
+def _round_up(c: int, e: int) -> tuple[int, int]:
+    """An upper bound m 2^f of c 2^e (c > 0) with a 64-bit mantissa m."""
+    n = c.bit_length() - 64
+    return (-(-c >> n), e + n) if n > 0 else (c << -n, e + n)
+
+
+def _terms(p: int, q: int, precision_bits: int) -> tuple[int, int]:
+    """(T, L) for g at x = p/q with 0 < x <= 4. T is the first t >= 1 at
+    which upper bounds show x^(2t+1)/(2t+1)! < 2^-(precision_bits+8) and
+    x^2 < (2t+2)(2t+3); 2^L is at most the first omitted term
+    x^(2T+3)/(2T+3)!.
+
+    The bounds are taken on small integers: x <= m 2^-s with m of 64 bits,
+    and each term is rounded up to a 64-bit mantissa. Each of the 4T + 5
+    roundings gains a factor below 1 + 2^-63, so the bound of the first
+    omitted term is less than twice the term."""
+    s = 64 + q.bit_length() - p.bit_length()
+    m = -(-(p << s) // q)
+    m2 = m * m
+    c, e = m, -s
     t = 1
-    term = x_abs
     while True:
-        # term currently |x|^(2t+1)/(2t+1)!; also require the ratio < 1
-        term = term * x_abs * x_abs / ((2 * t) * (2 * t + 1))
-        if term <= eps and x_abs * x_abs < (2 * t + 2) * (2 * t + 3):
-            return t
+        c, e = _round_up(-(-c * m2 // ((2 * t) * (2 * t + 1))), e - 2 * s)
+        ratio_ok = m2 < ((2 * t + 2) * (2 * t + 3)) << (2 * s)
+        if ratio_ok and c.bit_length() + e <= -(precision_bits + 8):
+            c, e = _round_up(-(-c * m2 // ((2 * t + 2) * (2 * t + 3))), e - 2 * s)
+            return t, c.bit_length() + e - 2
         t += 1
 
 
 def g_eval(x: Fraction, precision_bits: int = 128) -> tuple[ApproxReal, ApproxReal]:
-    """(g(x), g'(x)) for g(x) = sum (-1)^k x^(2k+1)/(2k+1)!.
+    """(g(x), g'(x)) for g(x) = sum (-1)^k x^(2k+1)/(2k+1)!, |x| <= 4.
 
-    The partial sums are exact rationals, and the alternating remainders
-    bound the truncation. Requires |x| <= 4.
+    With x = p/q and u/v = x^2, both series are summed in units of 2^-W.
+    The k-th term of g is a_k = a_{k-1} u // (v 2k(2k+1)) from
+    a_0 = |p| 2^W // q. Each floor leaves a_k below the true term by at most
+    E_k = ceil(E_{k-1} u / (v 2k(2k+1))) + 1, from E_0 = 1. The terms of g'
+    are b_k = b_{k-1} u // (v (2k-1)2k) from b_0 = 2^W, with F_k alike and
+    F_0 = 0. As x^2 < (2T+2)(2T+3), the terms decrease after the last one
+    summed, so each alternating remainder is at most its first omitted
+    term: ceil((a_T + E_T) u / (v (2T+2)(2T+3))) for g and
+    ceil((b_T + F_T) u / (v (2T+1)(2T+2))) for g'. Each radius is the sum
+    of the E_k (F_k) plus that remainder bound, in units of 2^-W.
+
+    For |x| <= 4 the E_k sum to at most 2T + 8, and the remainder bound
+    exceeds the remainder by at most E_T + 1 <= 6 units. W is
+    precision_bits + 32, or more where 2T + 16 units would exceed half of
+    the first omitted term of g (the smaller remainder); so no radius is
+    more than 1.5 times its remainder.
     """
     require_precision(precision_bits)
     x = Fraction(x)
     if abs(x) > 4:
         raise DomainError("g_eval is certified on [-4, 4] only")
+    prec = precision_bits + 16
     if x == 0:
-        g_sum, gp_sum = ZERO, ONE
-        rem_g = rem_gp = ZERO
-    else:
-        T = _auto_terms(abs(x), precision_bits)
-        g_sum = ZERO
-        gp_sum = ZERO
-        xp = x          # x^(2k+1)
-        x2 = x * x
-        for k in range(T + 1):
-            sign = 1 if k % 2 == 0 else -1
-            fact = math.factorial(2 * k + 1)
-            g_sum += Fraction(sign) * xp / fact
-            gp_sum += Fraction(sign) * (xp / x) / math.factorial(2 * k)
-            xp *= x2
-        # _auto_terms keeps x^2 < (2T+2)(2T+3), so the remainders alternate
-        ax = abs(x)
-        rem_g = ax ** (2 * T + 3) / Fraction(math.factorial(2 * T + 3))
-        rem_gp = ax ** (2 * T + 2) / Fraction(math.factorial(2 * T + 2))
-    g = ApproxReal.from_bracket(g_sum - rem_g, g_sum + rem_g, precision_bits + 16)
-    gp = ApproxReal.from_bracket(gp_sum - rem_gp, gp_sum + rem_gp, precision_bits + 16)
-    return g, gp
+        return ApproxReal(ZERO, ZERO, prec), ApproxReal(ONE, ZERO, prec)
+    p, q = abs(x.numerator), x.denominator
+    T, L = _terms(p, q, precision_bits)
+    W = max(precision_bits + 32, (2 * T + 16).bit_length() + 1 - L)
+    u, v = p * p, q * q
+    a, E = (p << W) // q, 1
+    b, F = 1 << W, 0
+    g_sum, g_err, gp_sum, gp_err = a, E, b, F
+    for k in range(1, T + 1):
+        da = v * ((2 * k) * (2 * k + 1))
+        db = v * ((2 * k - 1) * (2 * k))
+        a, E = a * u // da, -(-E * u // da) + 1
+        b, F = b * u // db, -(-F * u // db) + 1
+        if k & 1:
+            g_sum, gp_sum = g_sum - a, gp_sum - b
+        else:
+            g_sum, gp_sum = g_sum + a, gp_sum + b
+        g_err += E
+        gp_err += F
+    g_err += -(-(a + E) * u // (v * ((2 * T + 2) * (2 * T + 3))))
+    gp_err += -(-(b + F) * u // (v * ((2 * T + 1) * (2 * T + 2))))
+    if x < 0:
+        g_sum = -g_sum
+    unit = 1 << W
+    return (ApproxReal(Fraction(g_sum, unit), Fraction(g_err, unit), prec),
+            ApproxReal(Fraction(gp_sum, unit), Fraction(gp_err, unit), prec))
 
 
 def pythagorean_check(grid: list[Fraction],

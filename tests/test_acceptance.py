@@ -135,8 +135,7 @@ def test_multiplicity_identity():
 
 
 def test_pythagorean_invariant():
-    # the one direct check: no suite runs this grid; its 101 points cost
-    # about as much as the whole pi-equality suite
+    # the one direct check: no suite runs this grid of 101 points
     pi = pi_oracle(160)
     grid = [pi.value * Fraction(i, 50) for i in range(-50, 51)]
     devs = pi_constants.pythagorean_check(grid, precision_bits=128)

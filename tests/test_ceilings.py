@@ -1,7 +1,8 @@
 """Every resource ceiling of series, pi_constants, bijection and the
 product-structure suite refuses the smallest request it refuses within 2 s
 of process time; a certified limit is refused before it builds anything,
-within two bits of what its escalation reaches.
+within two bits of what its escalation reaches. The largest Wallis request
+admitted finishes within seconds.
 """
 
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from mzvfactor import bijection, pi_constants, series, suites
 from mzvfactor.bijection import V1
-from mzvfactor.numeric import MAX_PRECISION, ResourceError
+from mzvfactor.numeric import MAX_PRECISION, ResourceError, pi_oracle
 from mzvfactor.report import RunConfig
 
 
@@ -112,6 +113,14 @@ def test_every_ceiling_refuses_its_smallest_request_within_2s(monkeypatch):
         with pytest.raises(ResourceError):
             call()
         assert time.process_time() - start < 2, name
+
+
+def test_the_largest_admitted_wallis_request_brackets_pi_within_5s():
+    start = time.process_time()
+    est = pi_constants.pi_amp(pi_constants.WALLIS_N_CEILING, 64)
+    assert time.process_time() - start < 5
+    pi = pi_oracle(64)
+    assert est.value.lo <= pi.lo and pi.hi <= est.value.hi
 
 
 def test_the_admitted_beta_hub_at_k6_is_refused_before_the_search(monkeypatch):

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mzvfactor import pi_constants
 from mzvfactor.numeric import ApproxReal, DomainError, pi_oracle, zeta2_tail_bracket
@@ -100,15 +101,73 @@ def test_g_eval_examples():
     assert g1.decimal(9).startswith("0.84147098")
 
 
+def _series_bracket(x, depth):
+    """The exact partial sums of g and g' through the term of index `depth`,
+    and their first omitted terms |x|^(2 depth+3)/(2 depth+3)! and
+    |x|^(2 depth+2)/(2 depth+2)!."""
+    g = gp = Fraction(0)
+    for k in range(depth + 1):
+        sign = Fraction((-1) ** k)
+        g += sign * x ** (2 * k + 1) / math.factorial(2 * k + 1)
+        gp += sign * x ** (2 * k) / math.factorial(2 * k)
+    ax = abs(x)
+    return (g, gp, ax ** (2 * depth + 3) / math.factorial(2 * depth + 3),
+            ax ** (2 * depth + 2) / math.factorial(2 * depth + 2))
+
+
+def _exact_terms(x_abs, precision_bits):
+    """The first t >= 1 with x^(2t+1)/(2t+1)! <= 2^-(precision_bits+8) and
+    x^2 < (2t+2)(2t+3), on exact rationals."""
+    eps = Fraction(1, 1 << (precision_bits + 8))
+    t = 1
+    term = x_abs
+    while True:
+        term = term * x_abs * x_abs / ((2 * t) * (2 * t + 1))
+        if term <= eps and x_abs * x_abs < (2 * t + 2) * (2 * t + 3):
+            return t
+        t += 1
+
+
+def _exact_g_eval(x, precision_bits):
+    """The (g, g') balls of the exact rational summation: partial sums at the
+    depth _exact_terms chooses, plus and minus the first omitted terms."""
+    g, gp, rem, rem_p = _series_bracket(x, _exact_terms(abs(x), precision_bits))
+    prec = precision_bits + 16
+    return (ApproxReal.from_bracket(g - rem, g + rem, prec),
+            ApproxReal.from_bracket(gp - rem_p, gp + rem_p, prec))
+
+
 def test_g_eval_independent_series_oracle():
-    # evaluate the same alternating series with a plain loop at higher depth
-    x = Fraction(1, 3)
-    s = Fraction(0)
-    for k in range(40):
-        term = Fraction((-1) ** k) * x ** (2 * k + 1) / math.factorial(2 * k + 1)
-        s += term
-    g, _ = g_eval(x)
-    assert g.contains(s) or abs(g.value - s) < Fraction(1, 2 ** 100)
+    # the ball must hold the whole bracket of the 120-term partial sum s:
+    # [s - r, s + r], with r the first omitted term
+    for x, prec in itertools.product(
+            (Fraction(1, 3), Fraction(-7, 2), Fraction(4), Fraction(22, 7),
+             Fraction(1, 10 ** 6)), (32, 128, 1024)):
+        s, _, r, _ = _series_bracket(x, 119)
+        g, _ = g_eval(x, prec)
+        assert g.lo <= s - r and s + r <= g.hi, (x, prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=-4, max_value=4), st.sampled_from([32, 64, 128, 1024]))
+@example(Fraction(4), 1024)
+@example(Fraction(-22, 7), 1024)
+@example(Fraction(1, 2 ** 40), 64)
+@example(Fraction(1, 15), 1024)
+def test_g_eval_fixed_point_against_the_exact_series(x, prec):
+    # each ball holds the exact bracket 8 terms deeper than the exact
+    # summation stops, and is at most twice as wide as that summation's ball
+    depth = _exact_terms(abs(x), prec) + 8
+    s, sp, r, rp = _series_bracket(x, depth)
+    for ball, exact, mid, rem in zip(g_eval(x, prec), _exact_g_eval(x, prec),
+                                     (s, sp), (r, rp)):
+        assert ball.lo <= mid - rem and mid + rem <= ball.hi
+        assert ball.err <= 2 * exact.err
+
+
+def test_central_binomial_matches_math_comb():
+    for N in (*range(401), pi_constants.WALLIS_PAIRS, 10 ** 5):
+        assert pi_constants._central_binomial(N) == math.comb(2 * N, N), N
 
 
 def test_g_eval_domain_guard():
