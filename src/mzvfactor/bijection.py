@@ -19,6 +19,11 @@ Alpha rule 2 (the eps flip) deliberately skips 2-distinct vertices with
 |mu| = k-2: flipping eps there does not cancel (the pair sums to
 8/(l1^2 l2^2) times the mu weight), and exactly those vertices must stay
 edge-free for the residual identity to hold.
+
+A vertex is validated once, where it enters from outside this module (a
+closure's seed, weight()); the vertices that iter_vertices, a residual
+identity or a neighbour function builds are valid by construction and are
+not checked again.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .numeric import (DEFAULT_PRECISION, ApproxReal, DomainError, ResourceError,
-                      ZERO, pi_oracle)
+                      pi_oracle)
 from .series import mzv_limit, mzv_truncated, zeta_even_truncated
 
 
@@ -84,25 +89,21 @@ def _check_mu(mu: tuple[int, ...]) -> None:
         raise DomainError(f"index set must be strictly increasing: {mu}")
 
 
-def _check_entries(v: Vertex) -> None:
-    """The checks of validate_vertex that do not read the index set."""
-    if isinstance(v, V1):
-        if v.n <= 0:
-            raise DomainError("V1 needs a positive distinguished integer")
-    elif not 0 < v.l1 < v.l2:
-        raise DomainError("V2 needs 0 < l1 < l2")
-    elif v.eps not in (1, 2):
-        raise DomainError("eps must be 1 or 2")
-
-
 def validate_vertex(v: Vertex, k: int) -> None:
     if not isinstance(v, (V1, V2)):
         raise DomainError(f"not a vertex: {v!r}")
     _check_mu(v.mu)
-    _check_entries(v)
-    if isinstance(v, V1) and len(v.mu) > k - 1:
-        raise DomainError(f"V1 order {len(v.mu)} exceeds k-1 at level {k}")
-    if isinstance(v, V2) and len(v.mu) > k - 2:
+    if isinstance(v, V1):
+        if v.n <= 0:
+            raise DomainError("V1 needs a positive distinguished integer")
+        if len(v.mu) > k - 1:
+            raise DomainError(f"V1 order {len(v.mu)} exceeds k-1 at level {k}")
+        return
+    if not 0 < v.l1 < v.l2:
+        raise DomainError("V2 needs 0 < l1 < l2")
+    if v.eps not in (1, 2):
+        raise DomainError("eps must be 1 or 2")
+    if len(v.mu) > k - 2:
         raise DomainError(f"V2 order {len(v.mu)} exceeds k-2 at level {k}")
 
 
@@ -128,18 +129,6 @@ def weight(v: Vertex, k: int) -> Fraction:
         le ** (2 * (k - j - 1)) * (v.l2 * v.l2 - v.l1 * v.l1))
 
 
-def weight_form_alt(v: V2, k: int) -> Fraction:
-    """The 4(...) display of the same pair weight, for cross-checking."""
-    validate_vertex(v, k)
-    j = len(v.mu)
-    p = _mu_square_product(v.mu)
-    sign = 1 if j % 2 == 0 else -1
-    eps_sign = 1 if v.eps == 1 else -1
-    le = v.l1 if v.eps == 1 else v.l2
-    return (4 * sign * p / Fraction(le ** (2 * (k - j) - 1))
-            * (Fraction(eps_sign, v.l2 - v.l1) - Fraction(1, v.l1 + v.l2)))
-
-
 # ---------------------------------------------------------------------------
 # Integer weight-sum kernel
 # ---------------------------------------------------------------------------
@@ -148,8 +137,8 @@ def weight_term(v: Vertex, k: int) -> tuple[int, int]:
     """t_k(v) * prod(mu)^2, the weight without its index-set factor, as an
     unreduced (signed numerator, positive denominator) pair of ints.
 
-    The integer kernel's per-vertex entry point. It does not validate v:
-    each caller validates every vertex once (validate_vertex).
+    The integer kernel's per-vertex entry point. v must be valid; it is
+    not validated here.
     """
     j = len(v.mu)
     if isinstance(v, V1):
@@ -191,25 +180,12 @@ def _index_set_sum(groups: Iterable[tuple[tuple[int, ...], Iterable[Vertex]]],
     """The exact sum of t_k over groups (mu, vertices whose index set is mu):
     an integer sum over each group's vertices, times the group's factor
     1/prod(mu)^2, reduced once at the end. A group is consumed before the
-    next is drawn."""
+    next is drawn. The vertices must be valid; they are not validated here."""
     def group_terms():
         for mu, vertices in groups:
-            total, den = _add_terms(_group_terms(vertices, k))
+            total, den = _add_terms(weight_term(v, k) for v in vertices)
             yield total, den * math.prod(mu) ** 2
     return Fraction(*_add_terms(group_terms()))
-
-
-def _group_terms(vertices: Iterable[Vertex], k: int) -> Iterator[tuple[int, int]]:
-    """weight_term of every vertex of one index-set group, validated: the
-    index set they share with the first vertex, and each vertex's own
-    entries one by one."""
-    vertices = iter(vertices)
-    for v in itertools.islice(vertices, 1):
-        validate_vertex(v, k)
-        yield weight_term(v, k)
-    for v in vertices:
-        _check_entries(v)
-        yield weight_term(v, k)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +208,10 @@ def alpha_neighbors(v: Vertex, k: int) -> set[Vertex]:
     Rule 3 draws triangles on eps = 1 vertices (lam; a,b), (lam+a; a,b),
     (lam+b; a,b). Rule 4 toggles the larger pair element's membership on
     eps = 1 vertices that carry the smaller one.
+
+    v must be valid; it is not validated here. Every partner of a valid
+    vertex is valid.
     """
-    validate_vertex(v, k)
     out: set[Vertex] = set()
     if isinstance(v, V1):
         if v.n in v.mu:
@@ -289,8 +267,10 @@ def beta_neighbors(v: Vertex, k: int, M: int) -> set[Vertex]:
     n in the marked slot; an order-0 vertex joins every empty-set pair vertex
     (the stated rule for the empty set really is that broad). Top order k-1
     carries no beta edge. V2 partners are the inverse images.
+
+    v must be valid; it is not validated here. Every partner of a valid
+    vertex is valid.
     """
-    validate_vertex(v, k)
     if M < 1:
         raise DomainError("beta_neighbors needs a positive bound M")
     out: set[Vertex] = set()
@@ -381,15 +361,14 @@ def _beta_neighbors_hub_once(k: int, M: int):
 
     Every order-0 V1 has the same partners (all empty-mu pairs within M),
     and every empty-mu pair the same (all order-0 V1 within M). Once one
-    member of a hub is expanded, the others add nothing new, so they are
-    only validated."""
+    member of a hub is expanded, the others add nothing new and are not
+    expanded."""
     expanded = set()
 
     def neighbors(u: Vertex):
         if not u.mu:
             hub = isinstance(u, V1)
             if hub in expanded:
-                validate_vertex(u, k)
                 return ()
             expanded.add(hub)
         return beta_neighbors(u, k, M)
@@ -403,11 +382,12 @@ def component(v: Vertex, kind: str, k: int, M: Optional[int] = None) -> Weighted
     ALPHA_SAFETY_BOUND vertices is reported as a structural failure, not
     truncated silently.
     Beta closures are truncated at entry bound M and refused from their
-    closed-form size by require_beta_size. The neighbour
-    functions validate each vertex as the search expands it, and the weight
-    sum runs on the integer kernel.
+    closed-form size by require_beta_size. Only the seed v is validated:
+    every other vertex the search reaches is a partner of a valid vertex,
+    valid by construction. The weight sum runs on the integer kernel.
     """
     if kind == "alpha":
+        validate_vertex(v, k)
         neighbors = lambda u: alpha_neighbors(u, k)
     elif kind == "beta":
         if M is None:
@@ -550,41 +530,6 @@ def multiplicity_identity(k: int) -> bool:
     """6k + 8 C(k,2) = (2k+1)(2k), the count matching residual patterns to
     the factorization coefficient."""
     return 6 * k + 8 * math.comb(k, 2) == (2 * k + 1) * (2 * k)
-
-
-# ---------------------------------------------------------------------------
-# Absolute-convergence bounds
-# ---------------------------------------------------------------------------
-
-def abs_weight_sum_bound(k: int, j: int, M: int
-                         ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(v1_abs_sum, v1_bound, v2_abs_sum, v2_bound): the sums of |t_k| over
-    the order-j V1 and V2 vertices with entries <= M, and the displayed
-    absolute-convergence bounds instantiated at the truncation,
-    6 zeta_M({2}^j) zeta_M(2(k-j)) for V1 and
-    16 zeta_M({2}^j) zeta_M(2) zeta_M(2(k-j-1)) for V2 (both V2 values are
-    0 at the top order j = k-1, which has no V2 vertex). Each sum must stay
-    below its bound."""
-    if not 2 <= k <= 6 or not 0 <= j <= k - 1 or M > 200:
-        raise DomainError("abs_weight_sum_bound: k in 2..6, j in 0..k-1, M <= 200")
-    universe = range(1, M + 1)
-    zmj = mzv_truncated(M, j) if j else Fraction(1)
-    v1 = ZERO
-    for mu in itertools.combinations(universe, j):
-        for n in universe:
-            v1 += abs(weight(V1(mu, n), k))
-    v1_bound = 6 * zmj * zeta_even_truncated(M, k - j)
-    v2 = ZERO
-    v2_bound = ZERO
-    if j <= k - 2:
-        for mu in itertools.combinations(universe, j):
-            for l1 in universe:
-                for l2 in range(l1 + 1, M + 1):
-                    v2 += abs(weight(V2(mu, l1, l2, 1), k))
-                    v2 += abs(weight(V2(mu, l1, l2, 2), k))
-        v2_bound = (16 * zmj * zeta_even_truncated(M, 1)
-                    * zeta_even_truncated(M, k - j - 1))
-    return v1, v1_bound, v2, v2_bound
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import re
 import sys
@@ -62,7 +63,10 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="output_path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later one in the process."""
     parser = argparse.ArgumentParser(
         prog="mzvfactor",
         description="compute and verify the zeta({2}^k) factorization, the "

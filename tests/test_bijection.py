@@ -1,5 +1,6 @@
 """Vertex weights, edge rules, components, and the residual identities."""
 
+import itertools
 import math
 import random
 import time
@@ -12,7 +13,6 @@ from mzvfactor import bijection
 from mzvfactor.bijection import (
     V1,
     V2,
-    abs_weight_sum_bound,
     alpha_components_up_to,
     alpha_neighbors,
     alpha_residual_identity,
@@ -27,8 +27,8 @@ from mzvfactor.bijection import (
     iter_vertices,
     multiplicity_identity,
     residual_classification_consistent,
+    validate_vertex,
     weight,
-    weight_form_alt,
     weight_sum,
 )
 from mzvfactor.numeric import DomainError, ResourceError
@@ -45,6 +45,46 @@ def _random_vertex(rng, k, bound):
     l1 = rng.randint(1, bound - 1)
     l2 = rng.randint(l1 + 1, bound)
     return V2(mu, l1, l2, rng.choice((1, 2)))
+
+
+def weight_form_alt(v, k):
+    """The 4(...) display of the pair weight, the cross-check of weight()."""
+    validate_vertex(v, k)
+    j = len(v.mu)
+    p = bijection._mu_square_product(v.mu)
+    sign = 1 if j % 2 == 0 else -1
+    eps_sign = 1 if v.eps == 1 else -1
+    le = v.l1 if v.eps == 1 else v.l2
+    return (4 * sign * p / Fraction(le ** (2 * (k - j) - 1))
+            * (Fraction(eps_sign, v.l2 - v.l1) - Fraction(1, v.l1 + v.l2)))
+
+
+def abs_weight_sum_bound(k, j, M):
+    """(v1_abs_sum, v1_bound, v2_abs_sum, v2_bound): the sums of |t_k| over
+    the order-j V1 and V2 vertices with entries <= M, and the displayed
+    absolute-convergence bounds instantiated at the truncation,
+    6 zeta_M({2}^j) zeta_M(2(k-j)) for V1 and
+    16 zeta_M({2}^j) zeta_M(2) zeta_M(2(k-j-1)) for V2 (both V2 values are
+    0 at the top order j = k-1, which has no V2 vertex). Each sum must stay
+    below its bound."""
+    universe = range(1, M + 1)
+    zmj = mzv_truncated(M, j) if j else Fraction(1)
+    v1 = Fraction(0)
+    for mu in itertools.combinations(universe, j):
+        for n in universe:
+            v1 += abs(weight(V1(mu, n), k))
+    v1_bound = 6 * zmj * zeta_even_truncated(M, k - j)
+    v2 = Fraction(0)
+    v2_bound = Fraction(0)
+    if j <= k - 2:
+        for mu in itertools.combinations(universe, j):
+            for l1 in universe:
+                for l2 in range(l1 + 1, M + 1):
+                    v2 += abs(weight(V2(mu, l1, l2, 1), k))
+                    v2 += abs(weight(V2(mu, l1, l2, 2), k))
+        v2_bound = (16 * zmj * zeta_even_truncated(M, 1)
+                    * zeta_even_truncated(M, k - j - 1))
+    return v1, v1_bound, v2, v2_bound
 
 
 def test_weight_examples():
@@ -84,11 +124,11 @@ def test_weight_form_consistency_random():
 
 
 @st.composite
-def _levelled_vertices(draw):
+def _levelled_vertices(draw, top=60):
     """A level k in 2..6 and a list of valid V1 and V2 vertices at that
-    level with entries <= 60."""
+    level with entries <= top."""
     k = draw(st.integers(2, 6))
-    entries = st.integers(1, 60)
+    entries = st.integers(1, top)
     vertices = []
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.booleans()):
@@ -105,6 +145,32 @@ def _levelled_vertices(draw):
 def test_integer_kernel_matches_fraction_weights(case):
     k, vertices = case
     assert weight_sum(vertices, k) == sum((weight(v, k) for v in vertices), Fraction(0))
+
+
+@given(_levelled_vertices(top=12), st.integers(1, 14))
+def test_every_neighbour_of_a_valid_vertex_is_valid(case, M):
+    # the premise of validating a closure only at its seed
+    k, vertices = case
+    for v in vertices:
+        validate_vertex(v, k)
+        for u in alpha_neighbors(v, k):
+            validate_vertex(u, k)
+        for u in beta_neighbors(v, k, M):
+            validate_vertex(u, k)
+
+
+def test_iter_vertices_yields_only_valid_vertices():
+    for k in range(1, 5):
+        for bound in range(1, 7):
+            for v in iter_vertices(k, bound):
+                validate_vertex(v, k)
+
+
+def test_closure_seed_is_validated():
+    with pytest.raises(DomainError):
+        component(V1((2, 1), 3), "alpha", 4)
+    with pytest.raises(DomainError):
+        component(V2((), 3, 3, 1), "beta", 4, M=5)
 
 
 def test_alpha_neighbor_examples():

@@ -302,6 +302,28 @@ def test_bijection_dump_beta_sweep(tmp_path):
     assert "# M=10" in text and "# M=40" in text
 
 
+def test_one_parser_serves_a_mixed_sequence_like_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; a request that exits 2 leaves
+    # nothing behind for the next one
+    assert cli.build_parser() is cli.build_parser()
+    sequence = (["compute", "p-eval", "--x", "-9/10", "--N", "600"],
+                ["verify", "residuals", "--k", "2", "--N", "12", "--format", "json"],
+                ["verify", "basel", "--k", "1", "--j", "3"],
+                ["bijection-dump", "--k", "2", "--bound", "6", "--kind", "alpha",
+                 "--out", str(tmp_path)],
+                ["compute", "mzv", "--k", "3", "--precision", "64"])
+    in_process = []
+    for argv in sequence:
+        code = _exit_code(argv)
+        in_process.append((code, capsys.readouterr().out.encode()))
+    fresh = [subprocess.run([sys.executable, "-m", "mzvfactor.cli", *argv],
+                            capture_output=True, check=False)
+             for argv in sequence]
+    assert in_process == [(proc.returncode, proc.stdout) for proc in fresh]
+    assert [(code, bool(out)) for code, out in in_process] == [
+        (0, True), (0, True), (2, False), (0, True), (0, True)]
+
+
 def test_dump_bound_guard():
     proc = _run("bijection-dump", "--k", "9", "--bound", "10")
     assert proc.returncode == 2
