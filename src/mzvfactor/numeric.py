@@ -2,10 +2,11 @@
 self-contained high-precision pi oracle.
 
 Everything here is certified: an ApproxReal is a dyadic ball, an integer
-midpoint mantissa and exponent with a short radius rounded up, that is
-guaranteed to contain the true real number. No floating point is used
-anywhere in the package; "rounding" means explicit dyadic rounding at a
-precision the caller passes, whose error bound is added to the radius.
+midpoint and an integer radius on one shared exponent, that is guaranteed
+to contain the true real number. No floating point is used anywhere in the
+package; "rounding" means explicit dyadic rounding at a precision the
+caller passes, whose error bound is added to the radius, and the radius
+itself is only ever rounded up, at GUARD_BITS below the midpoint's unit.
 """
 
 from __future__ import annotations
@@ -117,123 +118,67 @@ def frac_to_decimal(q: Fraction, places: int = 30) -> str:
     return f"{sign}{ipart}.{frac}" if frac else f"{sign}{ipart}"
 
 
-def _to_fraction(m: int, e: int) -> Fraction:
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
-
-
-# Radii are "magnitudes": pairs (m, e) with m >= 0 standing for m * 2^e,
-# kept at about ERR_BITS bits and only ever rounded up (lower bounds, used for
-# a divisor, are rounded down), so their arithmetic stays on short ints.
-
-def _mag_of(q: Fraction) -> tuple[int, int]:
-    """Dyadic upper bound of the rational radius q >= 0 (err_up, then up to
-    a power-of-two denominator)."""
-    q = err_up(q)
-    n, d = q.numerator, q.denominator
-    if d & (d - 1) == 0:
-        return n, 1 - d.bit_length()
-    s = ERR_BITS - n.bit_length() + d.bit_length()
-    return -(-(n << s) // d), -s
-
-
-def _mag_up(m: int, e: int) -> tuple[int, int]:
-    """Upper bound of m 2^e with at most ERR_BITS + 1 bits."""
-    n = m.bit_length() - ERR_BITS
-    if n <= 0:
-        return m, e
-    return -(-m >> n), e + n
-
-
-def _mag_down(m: int, e: int) -> tuple[int, int]:
-    """Lower bound of m 2^e (m > 0) with exactly ERR_BITS bits."""
-    n = m.bit_length() - ERR_BITS
-    return (m >> n, e + n) if n >= 0 else (m << -n, e + n)
-
-
-def _mag_add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
-    """Upper bound of m1 2^e1 + m2 2^e2."""
-    if not m2:
-        return _mag_up(m1, e1)
-    if not m1:
-        return _mag_up(m2, e2)
-    b1, b2 = m1.bit_length(), m2.bit_length()
-    if e1 + b1 < e2 + b2:
-        m1, e1, b1, m2, e2, b2 = m2, e2, b2, m1, e1, b1
-    if b1 < ERR_BITS:
-        e1 -= ERR_BITS - b1
-        m1 <<= ERR_BITS - b1
-    d = e1 - e2
-    if d >= b2:
-        # the smaller term is below one unit in the last place of the larger
-        return _mag_up(m1 + 1, e1)
-    if d >= 0:
-        return _mag_up((m1 << d) + m2, e2)
-    return _mag_up(m1 + (m2 << -d), e1)
-
-
-def _mag_div(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
-    """Upper bound of (m1 2^e1) / (m2 2^e2), m2 > 0."""
-    s = ERR_BITS + m2.bit_length() - m1.bit_length()
-    if s >= 0:
-        return -(-(m1 << s) // m2), e1 - e2 - s
-    return -(-m1 // (m2 << -s)), e1 - e2 - s
-
-
+# The radius's bits below the midpoint's last place: each upward rounding
+# of a radius costs 2^-GUARD_BITS of a unit (8 bits widen radii by >2^-10).
+GUARD_BITS = 16
 _new = object.__new__
 
 
-def _make(m: int, e: int, rm: int, re: int, prec: int) -> "ApproxReal":
+def _make(m: int, r: int, e: int, prec: int) -> "ApproxReal":
     b = _new(ApproxReal)
     b.man = m
+    b.rad = r
     b.exp = e
-    b.rad = rm
-    b.rexp = re
     b.prec = prec
     return b
 
 
-def _rounded(m: int, e: int, rm: int, re: int, prec: int) -> "ApproxReal":
+def _ball(m: int, r: int, e: int, prec: int) -> "ApproxReal":
     """The ball with midpoint m 2^e rounded to nearest at prec + 1
-    significant bits (as round_to_bits does) and radius rm 2^re widened by
-    the rounding error."""
-    n = m.bit_length() - prec - 1
+    significant bits (as round_to_bits does) and radius r 2^(e - GUARD_BITS)
+    widened by the rounding error and rounded up to the new unit."""
+    # a zero midpoint is rounded at its radius, which would outgrow prec else
+    n = (m.bit_length() or r.bit_length() - GUARD_BITS) - prec - 1
     if n > 0:
         low = m & ((1 << n) - 1)
         m >>= n
         if low >> (n - 1):
             m += 1
             low = (1 << n) - low
-        if low:
-            rm, re = _mag_add(rm, re, low, e)
+        r = -(-(r + (low << GUARD_BITS)) >> n)
         e += n
-    return _make(m, e, rm, re, prec)
+    return _make(m, r, e, prec)
 
 
 class ApproxReal:
     """A dyadic ball: the true value lies in [value - err, value + err].
 
-    The midpoint is man * 2^exp and the radius rad * 2^rexp, all ints; the
-    radius keeps about ERR_BITS bits and is always rounded up. `prec` is the
-    ball's working precision: an operation rounds its midpoint to nearest at
-    the larger precision of its operands, and adds that rounding error to the
-    radius. Ints and Fractions mixed into an operation count as exact balls
-    at the other operand's precision (a non-dyadic Fraction is rounded
-    first). Balls are never mutated after construction.
+    The midpoint is man * 2^exp and the radius rad * 2^(exp - GUARD_BITS),
+    all ints on one exponent; the radius is always rounded up. `prec` is
+    the ball's working precision: an operation rounds its midpoint to
+    nearest at the larger precision of its operands, and adds that rounding
+    error to the radius. Ints and Fractions mixed into an operation count as
+    exact balls at the other operand's precision (a non-dyadic Fraction is
+    rounded first). Balls are never mutated after construction.
     """
 
-    __slots__ = ("man", "exp", "rad", "rexp", "prec")
+    __slots__ = ("man", "rad", "exp", "prec")
 
     def __init__(self, value: Fraction | int, err: Fraction | int, prec: int) -> None:
         require_precision(prec)
-        value = Fraction(value)
+        value, err = Fraction(value), Fraction(err)
         den = value.denominator
         if den & (den - 1):
             raise DomainError("a ball's midpoint must be dyadic")
         if err < 0:
             raise DomainError("negative error radius")
-        self.man = value.numerator
-        self.exp = 1 - den.bit_length()
-        self.rad, self.rexp = _mag_of(Fraction(err))
+        e = 1 - den.bit_length()
+        if err:
+            # a unit small enough for the radius to keep ERR_BITS bits
+            e = min(e, _floor_log2(err) - ERR_BITS + GUARD_BITS)
+        self.man = value.numerator << (1 - den.bit_length() - e)
+        self.rad = -(-(err.numerator << (GUARD_BITS - e)) // err.denominator)
+        self.exp = e
         self.prec = prec
 
     # ---- constructors ----
@@ -260,11 +205,13 @@ class ApproxReal:
 
     @property
     def value(self) -> Fraction:
-        return _to_fraction(self.man, self.exp)
+        m, e = self.man, self.exp
+        return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
     @property
     def err(self) -> Fraction:
-        return _to_fraction(self.rad, self.rexp)
+        r, e = self.rad, self.exp - GUARD_BITS
+        return Fraction(r << e) if e >= 0 else Fraction(r, 1 << -e)
 
     @property
     def lo(self) -> Fraction:
@@ -286,10 +233,10 @@ class ApproxReal:
     # ---- arithmetic ----
 
     def __neg__(self) -> "ApproxReal":
-        return _make(-self.man, self.exp, self.rad, self.rexp, self.prec)
+        return _make(-self.man, self.rad, self.exp, self.prec)
 
     def __abs__(self) -> "ApproxReal":
-        return _make(abs(self.man), self.exp, self.rad, self.rexp, self.prec)
+        return _make(abs(self.man), self.rad, self.exp, self.prec)
 
     def __add__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
         return _add(self, _coerce(other, self.prec), False)
@@ -304,62 +251,45 @@ class ApproxReal:
 
     def __mul__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
         other = _coerce(other, self.prec)
-        m1, e1, r1, f1, p1 = self.man, self.exp, self.rad, self.rexp, self.prec
-        m2, e2, r2, f2, p2 = other.man, other.exp, other.rad, other.rexp, other.prec
+        m1, r1, e1, p1 = self.man, self.rad, self.exp, self.prec
+        m2, r2, e2, p2 = other.man, other.rad, other.exp, other.prec
         # |a| rb + |b| ra + ra rb
-        rm = re = 0
-        if r2:
-            am, ae = _mag_up(abs(m1), e1)
-            rm, re = _mag_up(am * r2, ae + f2)
-        if r1:
-            bm, be = _mag_up(abs(m2), e2)
-            rm, re = _mag_add(rm, re, bm * r1, be + f1)
-            if r2:
-                rm, re = _mag_add(rm, re, r1 * r2, f1 + f2)
-        return _rounded(m1 * m2, e1 + e2, rm, re, p1 if p1 >= p2 else p2)
+        r = abs(m1) * r2 + abs(m2) * r1
+        if r1 and r2:
+            r += -(-(r1 * r2) >> GUARD_BITS)
+        return _ball(m1 * m2, r, e1 + e2, p1 if p1 >= p2 else p2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
         other = _coerce(other, self.prec)
-        m1, e1, r1, f1, p1 = self.man, self.exp, self.rad, self.rexp, self.prec
-        m2, e2, r2, f2, p2 = other.man, other.exp, other.rad, other.rexp, other.prec
+        m1, r1, e1, p1 = self.man, self.rad, self.exp, self.prec
+        m2, r2, e2, p2 = other.man, other.rad, other.exp, other.prec
         prec = p1 if p1 >= p2 else p2
-        if not m2:
-            raise DomainError("division by a bracket containing zero")
         a, d = abs(m1), abs(m2)
-        # a lower bound of |b| - rb, which must be positive
-        lm, le = _mag_down(d, e2)
-        if r2:
-            if f2 + r2.bit_length() <= le:
-                lm -= 1
-            elif f2 >= le:
-                lm -= r2 << (f2 - le)
-            else:
-                lm, le = (lm << (le - f2)) - r2, f2
-            if lm <= 0:
-                raise DomainError("division by a bracket containing zero")
+        # |b| - rb in units of 2^(e2 - GUARD_BITS), which must be positive
+        low = (d << GUARD_BITS) - r2
+        if low <= 0:
+            raise DomainError("division by a bracket containing zero")
         # midpoint quotient with prec + 1 or prec + 2 bits, rounded to nearest
         s = prec + 1 + d.bit_length() - a.bit_length()
         if s < 0:
             d <<= -s
-        q, r = divmod(a << s if s > 0 else a, d)
+        q, rem = divmod(a << s if s > 0 else a, d)
         e = e1 - e2 - s
-        # radius (ra + |a/b| rb) / (|b| - rb)
-        rm = re = 0
-        if r2:
-            qm, qe = _mag_up(q + 1, e)
-            rm, re = _mag_add(r1, f1, qm * r2, qe + f2)
-            rm, re = _mag_div(rm, re, lm, le)
-        elif r1:
-            rm, re = _mag_div(r1, f1, lm, le)
-        if r:
-            if 2 * r >= d:
+        # radius (ra + |a/b| rb) / (|b| - rb) in units of 2^(e - GUARD_BITS)
+        if s >= 0:
+            num = (r1 << s) + (q + 1) * r2
+        else:
+            num, low = r1 + ((q + 1) * r2 << -s), low << -s
+        r = -(-(num << GUARD_BITS) // low)
+        if rem:
+            if 2 * rem >= d:
                 q += 1
-            rm, re = _mag_add(rm, re, 1, e - 1)
+            r += 1 << (GUARD_BITS - 1)
         if (m1 < 0) != (m2 < 0):
             q = -q
-        return _make(q, e, rm, re, prec)
+        return _make(q, r, e, prec)
 
     def __rtruediv__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
         return _coerce(other, self.prec) / self
@@ -374,7 +304,7 @@ class ApproxReal:
     def power(self, n: int) -> "ApproxReal":
         if n < 0:
             raise DomainError("negative powers not supported")
-        out = _make(1, 0, 0, 0, self.prec)
+        out = _make(1, 0, 0, self.prec)
         base = self
         e = n
         while e:
@@ -386,28 +316,27 @@ class ApproxReal:
 
 
 def _add(a: ApproxReal, b: ApproxReal, negate: bool) -> ApproxReal:
-    """a + b, or a - b when `negate`."""
-    m1, e1, p1 = a.man, a.exp, a.prec
-    m2, e2, p2 = b.man, b.exp, b.prec
+    """a + b, or a - b when `negate`, on the smaller of the two units."""
+    m1, r1, e1, p1 = a.man, a.rad, a.exp, a.prec
+    m2, r2, e2, p2 = b.man, b.rad, b.exp, b.prec
     if negate:
         m2 = -m2
-    if e1 >= e2:
-        m, e = (m1 << (e1 - e2)) + m2, e2
-    else:
-        m, e = m1 + (m2 << (e2 - e1)), e1
-    rm, re = _mag_add(a.rad, a.rexp, b.rad, b.rexp)
-    return _rounded(m, e, rm, re, p1 if p1 >= p2 else p2)
+    if e1 > e2:
+        m1, r1, e1 = m1 << (e1 - e2), r1 << (e1 - e2), e2
+    elif e2 > e1:
+        m2, r2 = m2 << (e2 - e1), r2 << (e2 - e1)
+    return _ball(m1 + m2, r1 + r2, e1, p1 if p1 >= p2 else p2)
 
 
 def _coerce(x: "ApproxReal | Fraction | int", prec: int) -> ApproxReal:
     if isinstance(x, ApproxReal):
         return x
     if isinstance(x, int):
-        return _make(x, 0, 0, 0, prec)
+        return _make(x, 0, 0, prec)
     q = Fraction(x)
     den = q.denominator
     if den & (den - 1) == 0:
-        return _make(q.numerator, 1 - den.bit_length(), 0, 0, prec)
+        return _make(q.numerator, 0, 1 - den.bit_length(), prec)
     return ApproxReal.from_rational(q, prec)
 
 # ---------------------------------------------------------------------------
@@ -442,17 +371,6 @@ _cache = HarmonicCache()
 def harmonic(n: int) -> Fraction:
     """H(n), exact, memoized in the shared cache."""
     return _cache.harmonic(n)
-
-
-# ---------------------------------------------------------------------------
-# Elementary tail brackets
-# ---------------------------------------------------------------------------
-
-def zeta2_tail_bracket(N: int) -> tuple[Fraction, Fraction]:
-    """Integral-comparison bracket: 1/(N+1) <= sum_{n>N} 1/n^2 <= 1/N."""
-    if N < 1:
-        raise DomainError("tail bracket needs N >= 1")
-    return Fraction(1, N + 1), Fraction(1, N)
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,6 @@ def poly_diff(a: Poly) -> Poly:
     return poly_trim([a[i] * i for i in range(1, len(a))])
 
 
-def poly_eval(a: Poly, x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def poly_divexact(a: Poly, b: Poly) -> Poly:
     """Exact division; raises if b does not divide a."""
     a = list(a)

@@ -16,7 +16,6 @@ tests as an oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +31,6 @@ from .numeric import (
     round_to_bits,
 )
 
-BRUTEFORCE_LIMIT = 12
 # the largest truncation of an exact head row or zeta_N(2)
 EXACT_N_LIMIT = 10 ** 4
 # The deepest Euler-Maclaurin tail, at N = 8192: about 13,660 bits, 24 s of
@@ -88,24 +86,6 @@ def mzv_truncated(N: int, k: int) -> Fraction:
     if k > N:
         return ZERO
     return mzv_row(N, k)[k]
-
-
-def mzv_bruteforce(N: int, k: int) -> Fraction:
-    """Independent oracle: explicit enumeration of the increasing tuples.
-
-    Guarded at N <= 12 because the tuple count is combinatorial.
-    """
-    if N > BRUTEFORCE_LIMIT:
-        raise DomainError(f"brute-force enumeration refused for N > {BRUTEFORCE_LIMIT}")
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    total = ZERO
-    for combo in itertools.combinations(range(1, N + 1), k):
-        term = ONE
-        for n in combo:
-            term *= Fraction(1, n * n)
-        total += term
-    return total
 
 
 def zeta_even_truncated(N: int, j: int) -> Fraction:

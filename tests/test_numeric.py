@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzvfactor.bijection import factorization_check
 from mzvfactor.numeric import (
+    GUARD_BITS,
     ApproxReal,
     DomainError,
     HarmonicCache,
@@ -19,8 +21,8 @@ from mzvfactor.numeric import (
     power_sum_tail_bracket,
     round_to_bits,
     sqrt_bounds,
-    zeta2_tail_bracket,
 )
+from mzvfactor.pfunc import p_eval
 from mzvfactor.series import zeta_even_truncated
 
 rationals = st.fractions(min_value=-1000, max_value=1000)
@@ -51,6 +53,13 @@ def test_harmonic_difference(n):
 @given(st.integers(min_value=1, max_value=200))
 def test_harmonic_even_odd_step(n):
     assert harmonic(2 * n) - harmonic(2 * n - 1) == Fraction(1, 2 * n)
+
+
+def zeta2_tail_bracket(N: int) -> tuple[Fraction, Fraction]:
+    """Integral-comparison bracket: 1/(N+1) <= sum_{n>N} 1/n^2 <= 1/N."""
+    if N < 1:
+        raise DomainError("tail bracket needs N >= 1")
+    return Fraction(1, N + 1), Fraction(1, N)
 
 
 def test_zeta2_tail_bracket_values():
@@ -241,3 +250,128 @@ def test_ball_precision_is_checked():
         ApproxReal.exact(1, 1 << 20)
     with pytest.raises(DomainError):
         ApproxReal.exact(Fraction(1, 3), 64)   # a ball's midpoint is dyadic
+
+
+# The radii of the previous ball layout (a radius with an exponent of its
+# own, commit 2d74315), exactly, as (m, e) for m 2^e. p_eval at the points
+# of test_p_eval_ball_contains_exact_truncation, precisions 32, 64, 128, 256:
+PINNED_P_EVAL_RADII = {
+    (Fraction(0), 11): ((1717, -39), (1997, -71), (1981, -135), (1957, -263)),
+    (Fraction(0), 57): ((177021, -43), (39967, -73), (19455, -136), (139983, -267)),
+    (Fraction(0), 200):
+        ((18947857, -48), (19430807, -80), (18642887, -144), (19030397, -272)),
+    (Fraction(1, 2), 11):
+        ((2454423685, -58), (697699433, -88), (593456239, -152), (1174957567, -281)),
+    (Fraction(1, 2), 57):
+        ((1440536107, -55), (2577109331, -88), (2957578095, -152), (2264164791, -280)),
+    (Fraction(1, 2), 200):
+        ((1210890681, -53), (1204305507, -85), (2477210525, -150), (137712629, -274)),
+    (Fraction(-3, 7), 11):
+        ((616577085, -56), (37563655, -84), (186132827, -150), (204750821, -278)),
+    (Fraction(-3, 7), 57):
+        ((2345074649, -56), (2485968081, -88), (2690716573, -152), (679880041, -278)),
+    (Fraction(-3, 7), 200):
+        ((1981834421, -54), (509443671, -84), (2103956523, -150), (32781263, -272)),
+    (Fraction(9, 10), 11):
+        ((2693179095, -52), (3166360587, -84), (1380296057, -147), (2591349775, -276)),
+    (Fraction(9, 10), 57):
+        ((1281175195, -50), (2909143699, -83), (2857972215, -147), (612695831, -273)),
+    (Fraction(9, 10), 200):
+        ((3411092423, -50), (3656290821, -82), (876514679, -144), (430889397, -271)),
+}
+# factorization_check(6, 96), level by level: (lhs, rhs, mzv, closed_form)
+PINNED_FACTORIZATION_RADII = [
+    ((3482749539, -134), (3482749539, -134), (4643666051, -137), (942585999, -157)),
+    ((646532623, -130), (1432223395, -131), (4137808787, -137), (3259164589, -159)),
+    ((2961850291, -134), (3965956277, -133), (4513295681, -140), (2084209953, -160)),
+    ((2424177133, -137), (1360347757, -134), (1077412059, -142), (3210295781, -163)),
+    ((3784843933, -140), (2121664451, -138), (2202091015, -146), (2809591869, -166)),
+    ((2530306453, -142), (3450088541, -142), (519037221, -147), (3420233807, -170)),
+]
+PINNED_PI_ORACLE_RADIUS = (2727750931, -287)   # pi_oracle(256)
+RADIUS_SLACK = 1 + Fraction(1, 2 ** 10)
+
+
+def _pinned(m_e):
+    m, e = m_e
+    return RADIUS_SLACK * m * Fraction(2) ** e
+
+
+def test_radii_stay_at_their_pinned_widths():
+    # one exponent per ball may widen a radius only by the guard bits' share
+    for (x, N), radii in PINNED_P_EVAL_RADII.items():
+        for prec, pinned in zip((32, 64, 128, 256), radii):
+            assert p_eval(x, N, prec).err <= _pinned(pinned), (x, N, prec)
+    levels = factorization_check(6, 96)
+    for k, (level, radii) in enumerate(zip(levels, PINNED_FACTORIZATION_RADII), 1):
+        for name, ball, pinned in zip(("lhs", "rhs", "mzv", "closed"), level, radii):
+            assert ball.err <= _pinned(pinned), (k, name)
+    assert pi_oracle(256).err <= _pinned(PINNED_PI_ORACLE_RADIUS)
+
+
+def _corners(ball):
+    return ball.lo, ball.value, ball.hi
+
+
+# odd and of more than ERR_BITS - GUARD_BITS bits, so that a ball of radius
+# about |m| 2^e keeps 2^e as its unit and holds that radius exactly
+mantissas = st.integers(min_value=2 ** 20, max_value=2 ** 300).flatmap(
+    lambda j: st.sampled_from([2 * j + 1, -2 * j - 1]))
+exponents = st.integers(min_value=-400, max_value=400)
+
+
+@given(mantissas, exponents, st.integers(min_value=1, max_value=(1 << GUARD_BITS) - 1),
+       rationals, precisions)
+@settings(max_examples=200)
+def test_approx_div_by_a_ball_whose_lower_end_is_under_one_unit(m, e, gap, a, prec):
+    # |b| - rb = gap units of 2^(e - GUARD_BITS): positive, below one unit of m
+    unit = Fraction(2) ** (e - GUARD_BITS)
+    mid = m * Fraction(2) ** e
+    xb = ApproxReal(mid, abs(mid) - gap * unit, prec)
+    assert xb.err == abs(mid) - gap * unit and xb.lo * xb.hi > 0
+    xa = ApproxReal.from_rational(a, prec)
+    q = xa / xb
+    for pa in _corners(xa):
+        for pb in _corners(xb):
+            assert q.contains(pa / pb)
+
+
+@given(mantissas, exponents, st.integers(min_value=0, max_value=3), precisions)
+def test_approx_div_by_a_ball_touching_zero_raises(m, e, extra, prec):
+    mid = m * Fraction(2) ** e
+    xb = ApproxReal(mid, abs(mid) + extra * Fraction(2) ** (e - GUARD_BITS), prec)
+    with pytest.raises(DomainError):
+        ApproxReal.from_rational(1, prec) / xb
+
+
+@given(rationals, st.integers(min_value=2001, max_value=6000), mantissas,
+       st.integers(min_value=0, max_value=200), precisions)
+@settings(max_examples=200)
+def test_approx_add_across_a_wide_exponent_gap(a, shift, m, rshift, prec):
+    xa = ApproxReal.from_rational(a, prec)
+    tiny = m * Fraction(2) ** (-shift - m.bit_length())
+    xt = ApproxReal(tiny, abs(tiny) * Fraction(2) ** -rshift, prec)
+    s1, s2, d1, d2 = xa + xt, xt + xa, xa - xt, xt - xa
+    for pa in _corners(xa):
+        for pt in _corners(xt):
+            assert s1.contains(pa + pt) and s2.contains(pa + pt)
+            assert d1.contains(pa - pt) and d2.contains(pt - pa)
+
+
+def test_one_plus_a_ball_three_thousand_bits_down():
+    tiny = ApproxReal(Fraction(1, 2 ** 3000), Fraction(1, 2 ** 3100), 64)
+    total = 1 + tiny
+    assert total.contains(1 + Fraction(1, 2 ** 3000) + Fraction(1, 2 ** 3100))
+    assert total.contains(1 + Fraction(1, 2 ** 3000) - Fraction(1, 2 ** 3100))
+    assert total.err <= Fraction(1, 2 ** 64)
+
+
+def test_a_ball_about_zero_keeps_a_short_radius():
+    # a zero midpoint is never rounded, so the radius is rounded at its own
+    # size; otherwise each product would lengthen it by the precision
+    third = ApproxReal.from_rational(Fraction(1, 3), 64)
+    z = ApproxReal(0, Fraction(1, 3), 64)
+    for _ in range(50):
+        z = z * third
+    assert z.contains(Fraction(1, 3) ** 51) and z.contains(-Fraction(1, 3) ** 51)
+    assert z.err.numerator.bit_length() <= 64 + GUARD_BITS + 2

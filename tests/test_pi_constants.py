@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mzvfactor import pi_constants
-from mzvfactor.numeric import ApproxReal, DomainError, pi_oracle, zeta2_tail_bracket
+from mzvfactor.numeric import ApproxReal, DomainError, pi_oracle
 from mzvfactor.pi_constants import (
     arc_length,
     g_eval,
@@ -33,10 +33,10 @@ def test_pi_freq_agrees_with_oracle():
 
 
 def _crude_zeta2_bracket(N):
-    # head to N plus the integral-comparison tail
+    # head to N plus the integral-comparison tail:
+    # 1/(N+1) <= sum_{n>N} 1/n^2 <= 1/N
     head = zeta_even_truncated(N, 1)
-    lo, hi = zeta2_tail_bracket(N)
-    return head + lo, head + hi
+    return head + Fraction(1, N + 1), head + Fraction(1, N)
 
 
 def test_pi_freq_crude_bracket():

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mzvfactor.numeric import DomainError, pi_oracle
-from mzvfactor.polys import poly_eval
 from mzvfactor.product import (
     eval_F,
     eval_F_factored,
@@ -89,6 +88,13 @@ def test_zero_set_exact():
 @settings(max_examples=60)
 def test_two_product_forms_agree(x, N):
     assert eval_F(x, N) == eval_F_factored(x, N)
+
+
+def poly_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def test_polynomial_expansion_consistency():

@@ -1,6 +1,7 @@
 """Truncated multiple zeta values: recursion vs enumeration, coefficients,
 and the certified limits."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -10,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from mzvfactor import series
 from mzvfactor import pi_constants
-from mzvfactor.numeric import DomainError, ResourceError, pi_oracle
+from mzvfactor.numeric import ONE, ZERO, DomainError, ResourceError, pi_oracle
 from mzvfactor.product import f_polynomial
 from mzvfactor.series import (
-    mzv_bruteforce,
     mzv_limit,
     mzv_limit_bracket,
     mzv_row,
@@ -28,6 +28,27 @@ def test_mzv_truncated_examples():
     # oracle: direct nested loops
     direct = sum(Fraction(1, n * n) for n in range(1, 4))
     assert mzv_truncated(3, 1) == direct == Fraction(49, 36)
+
+
+BRUTEFORCE_LIMIT = 12
+
+
+def mzv_bruteforce(N: int, k: int) -> Fraction:
+    """Independent oracle: explicit enumeration of the increasing tuples.
+
+    Guarded at N <= 12 because the tuple count is combinatorial.
+    """
+    if N > BRUTEFORCE_LIMIT:
+        raise DomainError(f"brute-force enumeration refused for N > {BRUTEFORCE_LIMIT}")
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    total = ZERO
+    for combo in itertools.combinations(range(1, N + 1), k):
+        term = ONE
+        for n in combo:
+            term *= Fraction(1, n * n)
+        total += term
+    return total
 
 
 def test_mzv_bruteforce_examples():
