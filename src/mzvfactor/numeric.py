@@ -101,21 +101,15 @@ def sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def frac_to_decimal(q: Fraction, places: int = 30) -> str:
-    """Exact decimal expansion of q truncated toward zero at `places` digits."""
+    """Exact decimal expansion of q truncated toward zero at `places` digits;
+    one that ends sooner stops at its last digit (an integer at one 0)."""
     sign = "-" if q < 0 else ""
-    q = abs(q)
-    ipart = q.numerator // q.denominator
-    rem = q.numerator - ipart * q.denominator
-    digits = []
-    for _ in range(places):
-        rem *= 10
-        d = rem // q.denominator
-        digits.append(str(d))
-        rem -= d * q.denominator
-        if rem == 0:
-            break
-    frac = "".join(digits)
-    return f"{sign}{ipart}.{frac}" if frac else f"{sign}{ipart}"
+    ipart, rem = divmod(abs(q.numerator), q.denominator)
+    if places <= 0:
+        return f"{sign}{ipart}"
+    digits, rest = divmod(rem * 10 ** places, q.denominator)
+    frac = f"{digits:0{places}d}"
+    return f"{sign}{ipart}.{frac if rest else frac.rstrip('0') or '0'}"
 
 
 # The radius's bits below the midpoint's last place: each upward rounding
@@ -430,28 +424,41 @@ def bernoulli_even(count: int) -> tuple[Fraction, ...]:
                  for m in range(1, count + 1))
 
 
-def power_sum_tail_bracket(N: int, j: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
-    """Exact rational bracket for sum_{n>N} 1/n^(2j).
+def power_sum_tail_numerators(N: int, k: int, em_terms: int = 6) -> tuple[int, list[tuple[int, int]]]:
+    """Brackets lo_j / den <= p_j <= hi_j / den for p_j = sum_{n>N} 1/n^(2j),
+    j = 1..k, on one denominator: (den, [(lo_j, hi_j)]).
 
     Euler-Maclaurin at a = N+1, to depth m = em_terms:
-        tail = 1/(2 a^(2j)) + sum_{i=0..m} c_i / a^(2j+2i-1) + R,
+        p_j = 1/(2 a^(2j)) + sum_{i=0..m} c_i / a^(2j+2i-1) + R,
         c_i = B_{2i} C(2j+2i-2, 2i) / (2j-1), B_0 = 1,
     and since x^(-2j) is completely monotone the remainder R is bounded by
     the first omitted term c_{m+1} / a^(2j+2m+1) and shares its sign, so
-    appending that term yields a two-sided bracket. The sum is taken on the
-    common denominator D a^(2j+2m) by Horner's rule in a^2, and reduced once.
+    appending that term yields a two-sided bracket. With L the lcm of the
+    Bernoulli denominators and O that of 1, 3, .., 2k-1, each c_i is an
+    integer over 2 L O, and each sum is taken by Horner's rule in a^2.
     """
-    if N < 1 or j < 1 or em_terms < 0:
+    if N < 1 or k < 1 or em_terms < 0:
         raise DomainError("power_sum_tail_bracket needs N, j >= 1 and em_terms >= 0")
-    a = N + 1
-    u = a * a
-    b = (ONE,) + bernoulli_even(em_terms + 1)
-    c = [Fraction(math.comb(2 * j + 2 * i - 2, 2 * i), 2 * j - 1) * b[i]
-         for i in range(em_terms + 2)]
-    omit = c.pop() / a ** (2 * j + 2 * em_terms + 1)
-    D = math.lcm(2, *(q.denominator for q in c))
-    acc = 0
-    for q in c:
-        acc = acc * u + q.numerator * (D // q.denominator)
-    s = Fraction(a * acc + (D // 2) * u ** em_terms, D * a ** (2 * j + 2 * em_terms))
-    return (min(s, s + omit), max(s, s + omit))
+    a, m, u = N + 1, em_terms, (N + 1) ** 2
+    b = bernoulli_even(m + 1)
+    L = math.lcm(*(q.denominator for q in b))
+    bn = [L] + [q.numerator * (L // q.denominator) for q in b]   # B_{2i} L
+    O = math.lcm(*range(1, 2 * k, 2))
+    ends = []
+    for j in range(1, k + 1):
+        acc = 0
+        for i in range(m + 1):
+            acc = acc * u + math.comb(2 * j + 2 * i - 2, 2 * i) * bn[i]
+        # c_i 2 L O = 2 (O / (2j-1)) C(2j+2i-2, 2i) B_{2i} L, and u^(k-j)
+        # lifts a^(2j+2m+1) to den's a^(2k+2m+1)
+        w = O // (2 * j - 1) * u ** (k - j)
+        s = w * a * (2 * a * acc + (2 * j - 1) * L * u ** m)
+        t = s + 2 * w * math.comb(2 * j + 2 * m, 2 * m + 2) * bn[m + 1]
+        ends.append((min(s, t), max(s, t)))
+    return 2 * L * O * a ** (2 * k + 2 * m + 1), ends
+
+
+def power_sum_tail_bracket(N: int, j: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
+    """Exact rational bracket for sum_{n>N} 1/n^(2j) (power_sum_tail_numerators)."""
+    den, ends = power_sum_tail_numerators(N, j, em_terms)
+    return Fraction(ends[-1][0], den), Fraction(ends[-1][1], den)

