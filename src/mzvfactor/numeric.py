@@ -337,34 +337,17 @@ def _coerce(x: "ApproxReal | Fraction | int", prec: int) -> ApproxReal:
 # Harmonic numbers
 # ---------------------------------------------------------------------------
 
-class HarmonicCache:
-    """Monotone, append-only cache of H(n) = sum_{k<=n} 1/k.
-
-    Safe for concurrent reads once warmed; verification runs never evict.
-    """
-
-    def __init__(self) -> None:
-        self._values: list[Fraction] = [ZERO]
-
-    def harmonic(self, n: int) -> Fraction:
-        if n < 0:
-            raise DomainError("harmonic number needs n >= 0")
-        vals = self._values
-        while len(vals) <= n:
-            m = len(vals)
-            vals.append(vals[m - 1] + Fraction(1, m))
-        return vals[n]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-_cache = HarmonicCache()
+# H(0), H(1), ...: append-only, never evicted
+_harmonics: list[Fraction] = [ZERO]
 
 
 def harmonic(n: int) -> Fraction:
-    """H(n), exact, memoized in the shared cache."""
-    return _cache.harmonic(n)
+    """H(n) = sum_{k<=n} 1/k, exact, memoized in _harmonics."""
+    if n < 0:
+        raise DomainError("harmonic number needs n >= 0")
+    while len(_harmonics) <= n:
+        _harmonics.append(_harmonics[-1] + Fraction(1, len(_harmonics)))
+    return _harmonics[n]
 
 
 # ---------------------------------------------------------------------------

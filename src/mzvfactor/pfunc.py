@@ -1,7 +1,7 @@
 """The log-derivative sum p(x) with F'' = -F p: partial-fraction identity,
-interchange-of-summation bounds, harmonic telescoping closed forms, the
-per-coefficient cancellation witnesses, and the structural second-derivative
-identity on the truncated polynomial.
+interchange-of-summation bounds, the per-coefficient cancellation witnesses
+in their harmonic closed forms, and the structural second-derivative
+identity on the integer factors of the truncated product.
 
 The heart of the constancy argument is exact per-(n, j) cancellation:
 the x^(2j) coefficient of the double sum splits into a telescoped tail
@@ -11,11 +11,11 @@ total -6/n^(2j+2) kills the matching coefficient of the single sum.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .numeric import DEFAULT_PRECISION, ApproxReal, DomainError, ZERO, harmonic
-from .polys import Poly, poly_add, poly_diff, poly_divexact, poly_eq, poly_mul
-from .product import f_polynomial
+from .series import poly_mul_trunc
 
 
 def partial_fraction_check(x: Fraction, l1: int, l2: int) -> bool:
@@ -33,29 +33,6 @@ def partial_fraction_check(x: Fraction, l1: int, l2: int) -> bool:
            + 4 * (Fraction(1, l2 - l1) - Fraction(1, l2 + l1))
            / (l1 * (1 - x2 / (l1 * l1))))
     return lhs == rhs
-
-
-def telescoped_tail(n: int, j: int, M: int) -> tuple[Fraction, Fraction]:
-    """The partial telescoped l2-sum and its closed form -4 H(2n)/n^(2j+1):
-    returns (partial, closed_form) with
-
-        partial = -4/n^(2j+1) * sum_{l2=n+1}^{M} (1/(l2-n) - 1/(l2+n)).
-
-    The two differ by at most telescoped_remainder_bound(n, j, M).
-    """
-    if M <= 2 * n:
-        raise DomainError("need M > 2n so the telescoping has collapsed")
-    s = ZERO
-    for l2 in range(n + 1, M + 1):
-        s += Fraction(1, l2 - n) - Fraction(1, l2 + n)
-    scale = Fraction(-4, n ** (2 * j + 1))
-    return scale * s, scale * harmonic(2 * n)
-
-
-def telescoped_remainder_bound(n: int, j: int, M: int) -> Fraction:
-    """8n / (n^(2j+1) (M-n)), a bound on |partial - closed_form| of
-    telescoped_tail(n, j, M)."""
-    return Fraction(8 * n, n ** (2 * j + 1) * (M - n))
 
 
 def p_coefficient_witness(n: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -123,24 +100,31 @@ def interchange_bound_check(x: Fraction, N: int) -> bool:
 def fpp_assembly_identity(N: int) -> bool:
     """Structural second-derivative identity on the expanded truncation.
 
-    With factors f_0 = x and f_n = 1 - x^2/n^2, checks exactly that
+    With factors f_0 = x and f_n = 1 - x^2/n^2, the claim is that
         (prod f)'' = sum_{i != j} f_i' f_j' prod_{m != i,j} f_m
                      + sum_i f_i'' prod_{m != i} f_m
-    as polynomials, by expansion and coefficient comparison.
+    as polynomials. It is checked exactly on the integer factors g_0 = x and
+    g_n = n^2 - x^2 = n^2 f_n: every term on either side holds each factor
+    index exactly once, as g, g' or g'', so scaling f_n by n^2 multiplies
+    both sides by prod n^2 and leaves the identity unchanged. Every product
+    has degree at most 2N + 1, so multiplying mod x^(2N+2) is exact.
     """
     if N < 1:
         raise DomainError("needs N >= 1")
-    factors: list[Poly] = [[ZERO, Fraction(1)]]
-    factors += [[Fraction(1), ZERO, Fraction(-1, n * n)] for n in range(1, N + 1)]
-    full = f_polynomial(N)
-    lhs = poly_diff(poly_diff(full))
-    rhs: Poly = [ZERO]
-    others = [poly_divexact(full, f) for f in factors]
-    for i, fi in enumerate(factors):
-        rhs = poly_add(rhs, poly_mul(poly_diff(poly_diff(fi)), others[i]))
-        for j, fj in enumerate(factors):
-            if i == j:
-                continue
-            rest = poly_divexact(others[i], fj)
-            rhs = poly_add(rhs, poly_mul(poly_mul(poly_diff(fi), poly_diff(fj)), rest))
-    return poly_eq(lhs, rhs)
+    size = 2 * N + 2
+    g = [[0, 1] + [0] * (size - 2)]
+    g += [[n * n, 0, -1] + [0] * (size - 3) for n in range(1, N + 1)]
+
+    def diff(p: list[int]) -> list[int]:
+        return [i * c for i, c in enumerate(p)][1:] + [0]
+
+    def prod(ps: list[list[int]]) -> list[int]:
+        return functools.reduce(poly_mul_trunc, ps)
+
+    rhs = [0] * size
+    for i, gi in enumerate(g):
+        terms = [[diff(diff(gi))] + g[:i] + g[i + 1:]]
+        terms += [[diff(gi), diff(gj)] + [gm for m, gm in enumerate(g) if m not in (i, j)]
+                  for j, gj in enumerate(g) if j != i]
+        rhs = [sum(cs) for cs in zip(rhs, *map(prod, terms))]
+    return diff(diff(prod(g))) == rhs

@@ -1,6 +1,7 @@
 """The truncated product F_N(x) = x * prod_{n<=N} (1 - x^2/n^2): exact
 evaluation in both displayed forms, the convergent shifted-product form, the
-periodicity ratio, the expanded polynomial, and the rise/fall scan on [0, 1].
+periodicity ratio, and the rise/fall scan on [0, 1]. Its expanded
+coefficients are the zeta_N({2}^k) rows of series.py.
 
 eval_F and eval_F_shifted multiply ints and reduce once; eval_F_factored folds
 Fraction factors, the independent display that product.two_forms checks.
@@ -12,8 +13,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .numeric import DomainError, ZERO, ONE
-from .polys import Poly, poly_mul, poly_trim
+from .numeric import DomainError, ZERO
 
 
 def eval_F(x: Fraction, N: int) -> Fraction:
@@ -76,14 +76,6 @@ def periodicity_ratio(x: Fraction, N: int) -> Fraction:
         raise DomainError("F_N(x) vanishes at integers |x| <= N")
     denom = eval_F(x, N)
     return eval_F(x + 1, N) / denom
-
-
-def f_polynomial(N: int) -> Poly:
-    """Expanded coefficients of x * prod_{n<=N} (1 - x^2/n^2)."""
-    poly: Poly = [ZERO, ONE]
-    for n in range(1, N + 1):
-        poly = poly_mul(poly, [ONE, ZERO, -Fraction(1, n * n)])
-    return poly_trim(poly)
 
 
 def monotonicity_scan(N: int, grid_size: int) -> Optional[tuple[Fraction, Fraction]]:

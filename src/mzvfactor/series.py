@@ -40,13 +40,19 @@ EXACT_N_LIMIT = 10 ** 4
 # CPU time at k = 8 on a 2.0 GHz Xeon core. One more doubling of the depth
 # took 61 s for its k = 8 bracket alone, past the 60 s budget.
 EM_CEILING = 1152
+# The largest k of a certified limit. The slowest request at a given k runs
+# the whole escalation, up to depth EM_CEILING, at a precision at the reach;
+# on a 2.1 GHz Xeon core that took 4.5 s of CPU time at k = 8, 13 to 17 s
+# at k = 16, 35 s at k = 20, 47 s at k = 24 and 77 s at k = 28, past the
+# 60 s budget. A 64-bit request at k = 24 takes 0.04 s.
+MZV_K_CEILING = 24
 
 
 # ranges of n this short multiply their linear factors in one at a time
 _LEAF = 32
 
 
-def _poly_mul_trunc(a: list[int], b: list[int]) -> list[int]:
+def poly_mul_trunc(a: list[int], b: list[int]) -> list[int]:
     """a * b mod t^len(a), for integer coefficient lists of equal length."""
     return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
 
@@ -63,8 +69,8 @@ def _factor_product(lo: int, hi: int, k_max: int) -> list[int]:
             poly[0] *= sq
         return poly
     mid = (lo + hi) // 2
-    return _poly_mul_trunc(_factor_product(lo, mid, k_max),
-                           _factor_product(mid, hi, k_max))
+    return poly_mul_trunc(_factor_product(lo, mid, k_max),
+                          _factor_product(mid, hi, k_max))
 
 
 def mzv_row(N: int, k_max: int) -> list[Fraction]:
@@ -188,9 +194,18 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
                  for end in (0, 1))
 
 
+def require_limit_k(k: int) -> None:
+    """Refuse a certified limit zeta({2}^k) by its k alone, before any work."""
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    if k > MZV_K_CEILING:
+        raise ResourceError(f"zeta({{2}}^{k}): k exceeds ceiling {MZV_K_CEILING}")
+
+
 def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:
     """zeta({2}^k) with certified error meeting the requested precision,
     tried at the steps limit_steps(256, N)."""
+    require_limit_k(k)
     require_precision(precision_bits)
     if k == 0:
         return ApproxReal.exact(1, precision_bits)
@@ -207,7 +222,7 @@ def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:
     prod, built = [1] + [0] * k, 0
     for n, em in steps:
         if built < n:
-            prod, built = _poly_mul_trunc(prod, _factor_product(built, n, k)), n
+            prod, built = poly_mul_trunc(prod, _factor_product(built, n, k)), n
             g = math.gcd(*prod)
             prod = [c // g for c in prod]
         lo, hi = mzv_limit_bracket(k, n, em, row=prod)

@@ -37,6 +37,7 @@ def _tol(config: RunConfig, default: Fraction) -> Fraction:
 def suite_basel(config: RunConfig) -> list[VerificationReport]:
     """zeta({2}^k) brackets against pi^(2k)/(2k+1)! from the oracle."""
     k_max = 8 if config.k is None else config.k
+    series.require_limit_k(k_max)   # refuse before any limit is computed
     prec = config.precision_bits
     width_tol = _tol(config, TEN ** -20)
     out = []
@@ -57,6 +58,7 @@ def suite_basel(config: RunConfig) -> list[VerificationReport]:
 def suite_factorization(config: RunConfig) -> list[VerificationReport]:
     """(2k+1)(2k) zeta({2}^k) = zeta({2}^{k-1}) 6 zeta(2), certified."""
     k_max = 8 if config.k is None else config.k
+    series.require_limit_k(k_max)   # refuse before any limit is computed
     prec = config.precision_bits
     err_tol = _tol(config, TEN ** -20)
     out = []

@@ -1,8 +1,8 @@
 """Every resource ceiling of series, pi_constants, bijection and the
 product-structure suite refuses the smallest request it refuses within 2 s
 of process time; a certified limit is refused before it builds anything,
-within two bits of what its escalation reaches. The largest Wallis request
-admitted finishes within seconds.
+within two bits of what its escalation reaches or past its k ceiling. The
+largest Wallis request admitted finishes within seconds.
 """
 
 import time
@@ -80,6 +80,7 @@ def _requests(monkeypatch):
         out.append((f"mzv k={k} at {p} bits", lambda k=k, p=p: series.mzv_limit(k, p)))
     p = _first_refused_precision(monkeypatch, pi_constants.pi_freq, _PI_FREQ_WORK)
     out.append((f"pi_freq at {p} bits", lambda p=p: pi_constants.pi_freq(p)))
+    out.append(("mzv k ceiling", lambda: series.mzv_limit(series.MZV_K_CEILING + 1, 64)))
     pinned = series.EXACT_N_LIMIT + 1
     out += [("mzv pinned N", lambda: series.mzv_limit(2, 64, N=pinned)),
             ("pi_freq pinned N", lambda: pi_constants.pi_freq(64, N=pinned)),
@@ -107,7 +108,7 @@ def _requests(monkeypatch):
 
 def test_every_ceiling_refuses_its_smallest_request_within_2s(monkeypatch):
     requests = _requests(monkeypatch)
-    assert len(requests) == 17
+    assert len(requests) == 18
     for name, call in requests:
         start = time.process_time()
         with pytest.raises(ResourceError):
@@ -130,6 +131,18 @@ def test_the_admitted_beta_hub_at_k6_is_refused_before_the_search(monkeypatch):
     bijection.require_beta_size(V1((), 3), 2, 1549)
     with pytest.raises(ResourceError):
         bijection.component(V1((), 3), "beta", 6, M=1549)
+
+
+def test_the_k_ceiling_refuses_before_any_limit_is_built(monkeypatch):
+    # every limit past k = 0 builds a head product first, so the suites'
+    # refusals also come before their smaller k
+    for k in (series.MZV_K_CEILING, series.MZV_K_CEILING + 1):
+        config = RunConfig(k=k, precision_bits=64)
+        calls = (lambda: series.mzv_limit(k, 64),
+                 lambda: suites.run_suite("basel", config),
+                 lambda: suites.run_suite("factorization", config))
+        refused = [_refused_before_work(monkeypatch, call, _MZV_WORK) for call in calls]
+        assert refused == [k > series.MZV_K_CEILING] * 3
 
 
 def test_the_alpha_suite_checks_every_level_before_any_closure(monkeypatch):

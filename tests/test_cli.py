@@ -172,6 +172,11 @@ def test_run_that_checks_nothing_is_a_usage_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_negative_k_of_a_limit_is_a_usage_error(capsys):
+    assert _exit_code(["compute", "mzv", "--k", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: k must be nonnegative")
+
+
 def test_each_subcommand_accepts_only_its_flags():
     for argv in (["compute", "mzv", "--seed", "3"],
                  ["bijection-dump", "--k", "2", "--format", "json"],

@@ -1,4 +1,4 @@
-"""Exact arithmetic, harmonic cache, Bernoulli numbers, tail brackets, and
+"""Exact arithmetic, harmonic numbers, Bernoulli numbers, tail brackets, and
 the pi oracle."""
 
 import math
@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mzvfactor import numeric
 from mzvfactor.bijection import factorization_check
 from mzvfactor.numeric import (
     GUARD_BITS,
     ApproxReal,
     DomainError,
-    HarmonicCache,
     ResourceError,
+    ZERO,
     bernoulli_even,
     err_up,
     frac_to_decimal,
@@ -38,12 +39,12 @@ def test_harmonic_small_values():
     assert harmonic(4) == sum(Fraction(1, k) for k in range(1, 5)) == Fraction(25, 12)
 
 
-def test_harmonic_cache_is_incremental():
-    cache = HarmonicCache()
-    assert cache.harmonic(10) == sum(Fraction(1, k) for k in range(1, 11))
-    assert len(cache) == 11
-    cache.harmonic(3)
-    assert len(cache) == 11  # never evicted, never recomputed
+def test_harmonic_cache_is_incremental(monkeypatch):
+    monkeypatch.setattr(numeric, "_harmonics", [ZERO])
+    assert harmonic(10) == sum(Fraction(1, k) for k in range(1, 11))
+    assert len(numeric._harmonics) == 11
+    harmonic(3)
+    assert len(numeric._harmonics) == 11  # never evicted, never recomputed
 
 
 @given(st.integers(min_value=1, max_value=400))

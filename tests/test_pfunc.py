@@ -7,15 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvfactor.numeric import DomainError, harmonic
+from mzvfactor.numeric import ZERO, DomainError, harmonic
 from mzvfactor.pfunc import (
     fpp_assembly_identity,
     interchange_bound_check,
     p_coefficient_witness,
     p_eval,
     partial_fraction_check,
-    telescoped_tail,
-    telescoped_remainder_bound,
 )
 from mzvfactor.series import zeta_even_truncated
 
@@ -47,6 +45,29 @@ def test_partial_fraction_200_seeded_triples():
         l2 = l1 + rng.randint(1, 50)
         x = Fraction(rng.randint(-300, 300), rng.randint(301, 600))
         assert partial_fraction_check(x, l1, l2)
+
+
+def telescoped_tail(n: int, j: int, M: int) -> tuple[Fraction, Fraction]:
+    """The partial telescoped l2-sum and its closed form -4 H(2n)/n^(2j+1):
+    returns (partial, closed_form) with
+
+        partial = -4/n^(2j+1) * sum_{l2=n+1}^{M} (1/(l2-n) - 1/(l2+n)).
+
+    The two differ by at most telescoped_remainder_bound(n, j, M).
+    """
+    if M <= 2 * n:
+        raise DomainError("need M > 2n so the telescoping has collapsed")
+    s = ZERO
+    for l2 in range(n + 1, M + 1):
+        s += Fraction(1, l2 - n) - Fraction(1, l2 + n)
+    scale = Fraction(-4, n ** (2 * j + 1))
+    return scale * s, scale * harmonic(2 * n)
+
+
+def telescoped_remainder_bound(n: int, j: int, M: int) -> Fraction:
+    """8n / (n^(2j+1) (M-n)), a bound on |partial - closed_form| of
+    telescoped_tail(n, j, M)."""
+    return Fraction(8 * n, n ** (2 * j + 1) * (M - n))
 
 
 def test_telescoped_tail_closed_forms():

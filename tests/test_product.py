@@ -12,7 +12,6 @@ from mzvfactor.product import (
     eval_F,
     eval_F_factored,
     eval_F_shifted,
-    f_polynomial,
     monotonicity_scan,
     periodicity_ratio,
     shifted_truncation_gap_bound,
@@ -88,6 +87,16 @@ def test_zero_set_exact():
 @settings(max_examples=60)
 def test_two_product_forms_agree(x, N):
     assert eval_F(x, N) == eval_F_factored(x, N)
+
+
+def f_polynomial(N):
+    """Oracle for the expanded coefficients of x * prod_{n<=N} (1 - x^2/n^2),
+    index = degree: multiply the Fraction factors out one at a time."""
+    zero = Fraction(0)
+    poly = [zero, Fraction(1)]
+    for n in range(1, N + 1):
+        poly = [a - b / (n * n) for a, b in zip(poly + [zero, zero], [zero, zero] + poly)]
+    return poly
 
 
 def poly_eval(a, x):

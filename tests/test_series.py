@@ -19,7 +19,6 @@ from mzvfactor.numeric import (
     pi_oracle,
     power_sum_tail_bracket,
 )
-from mzvfactor.product import f_polynomial
 from mzvfactor.series import (
     mzv_limit,
     mzv_limit_bracket,
@@ -27,6 +26,7 @@ from mzvfactor.series import (
     mzv_truncated,
     zeta_even_truncated,
 )
+from test_product import f_polynomial
 
 
 def test_mzv_truncated_examples():
