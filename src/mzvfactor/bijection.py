@@ -448,11 +448,17 @@ def require_alpha_size(k: int, bound: int) -> None:
 def alpha_walk(k: int, bound: int) -> Iterator[WeightedComponent]:
     """Every alpha component touching vertices with entries <= bound, once
     each and singletons included, in the order iter_vertices first reaches
-    it. The size check runs at the first step, before any vertex."""
+    it. The size check runs at the first step, before any vertex. A vertex
+    without alpha partners is its own component, weighed directly; only the
+    others run the closure search."""
     require_alpha_size(k, bound)
     seen: set[Vertex] = set()
     for v in iter_vertices(k, bound):
         if v in seen:
+            continue
+        if not alpha_neighbors(v, k):
+            num, den = weight_term(v, k)
+            yield WeightedComponent("alpha", k, (v,), Fraction(num, den * math.prod(v.mu) ** 2))
             continue
         comp = component(v, "alpha", k)
         seen.update(comp.vertices)

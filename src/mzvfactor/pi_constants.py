@@ -29,7 +29,7 @@ from .numeric import (
     power_sum_tail_bracket,
     require_precision,
 )
-from .series import bracket_floor, limit_steps, mzv_truncated
+from .series import mzv_truncated, plan_limit
 
 WALLIS_N_CEILING = 10 ** 6
 
@@ -63,24 +63,31 @@ def zeta2_bracket(N: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
 
 
 def pi_freq(precision_bits: int, N: Optional[int] = None) -> PiEstimate:
-    """sqrt of six times the certified zeta(2) bracket, tried at the steps
-    limit_steps(64, N); a pinned truncation N reports whatever width it
-    certifies."""
+    """sqrt of six times the certified zeta(2) bracket, taken once at the
+    (N, em) of plan_limit, within 2^-(precision_bits + 2); a pinned
+    truncation N reports whatever width it certifies."""
     require_precision(precision_bits)
     target = Fraction(1, 1 << (precision_bits + 2))
-    steps = limit_steps(64, N)
-    # sqrt(6 z) has slope 3 / sqrt(6 z) > 3/4 for z < 8/3, so the ball's
-    # radius is at least 3/8 of the zeta(2) bracket's width
-    if N is None and 3 * bracket_floor(0, *steps[-1]) > 8 * target:
-        raise ResourceError("pi_freq cannot reach the requested precision")
-    for n, em in steps:
-        lo, hi = zeta2_bracket(n, em)
-        value = ApproxReal.from_bracket(6 * lo, 6 * hi, precision_bits + 16).sqrt()
-        if value.err <= target or N is not None:
-            return PiEstimate(value=value,
-                              truncation={"N": n, "em_terms": em,
-                                          "precision_bits": precision_bits})
-    raise ResourceError("pi_freq cannot reach the requested precision")
+    pinned = N is not None
+    # For N >= 64 the ball 6 [lo, hi] lies above 9.6, where sqrt has slope
+    # below 3 / (2 * 3.09) < 1/2, so the square root's radius is at most
+    # 0.49 of the zeta(2) bracket's width. The three roundings at
+    # precision_bits + 16 bits (the midpoint of 6 [lo, hi], below 10; the
+    # sqrt_bounds ends; the midpoint of the root, below 4) and the radius
+    # roundings add less than 2^-(precision_bits + 13).
+    try:
+        N, em = plan_limit(1, 2 * target - Fraction(1, 1 << (precision_bits + 12)), 64, N)
+    except ResourceError:
+        if pinned:
+            raise
+        raise ResourceError("pi_freq cannot reach the requested precision") from None
+    lo, hi = zeta2_bracket(N, em)
+    value = ApproxReal.from_bracket(6 * lo, 6 * hi, precision_bits + 16).sqrt()
+    if value.err > target and not pinned:
+        raise ValueError(f"pi_freq: the planned bracket at N = {N}, em = {em} "
+                         f"missed 2^-{precision_bits + 2}")
+    return PiEstimate(value=value,
+                      truncation={"N": N, "em_terms": em, "precision_bits": precision_bits})
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Every resource ceiling of series, pi_constants, bijection and the
 product-structure suite refuses the smallest request it refuses within 2 s
 of process time; a certified limit is refused before it builds anything,
-within two bits of what its escalation reaches or past its k ceiling. The
+within two bits of what its plan reaches or past its k ceiling. The
 largest Wallis request admitted finishes within seconds.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -152,6 +153,17 @@ def test_the_alpha_suite_checks_every_level_before_any_closure(monkeypatch):
     assert _refused_before_work(
         monkeypatch, lambda: suites.run_suite("bijection-alpha", RunConfig(bound=44)),
         [(bijection, "component")])
+
+
+def test_a_request_just_past_the_reach_is_refused_before_any_work(monkeypatch):
+    # the first omitted term's floor admits 13,680 bits at k = 8 (a radius
+    # of half the width plus the rounding); the bound on the whole bracket
+    # does not
+    floor = series.bracket_floor(7, 8192, series.EM_CEILING)
+    assert floor <= Fraction(1, 2 ** 13681) - Fraction(1, 2 ** 13686)
+    start = time.process_time()
+    assert _refused_before_work(monkeypatch, lambda: series.mzv_limit(8, 13680), _MZV_WORK)
+    assert time.process_time() - start < 2
 
 
 @pytest.mark.parametrize("k", [1, 4, 8, 0])

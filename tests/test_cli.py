@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvfactor import bijection, cli, pfunc, product
+from mzvfactor import bijection, cli, pfunc, pi_constants, product, series
 from mzvfactor.numeric import DomainError, ResourceError
 
 
@@ -202,6 +202,24 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: polynomial division")
 
 
+def test_a_missed_plan_is_an_internal_error_not_a_retry(monkeypatch, capsys):
+    # a width bound that admits every depth plans (256, 6) and (64, 6); the
+    # bracket there misses 200 bits, and nothing is tried after it
+    attempts = []
+    real_bracket, real_zeta2 = series.mzv_limit_bracket, pi_constants.zeta2_bracket
+    monkeypatch.setattr(series, "width_bound", lambda *args: 0)
+    monkeypatch.setattr(series, "_floor_terms", lambda *args: (0, 1))
+    monkeypatch.setattr(series, "mzv_limit_bracket",
+                        lambda *a, **kw: attempts.append(a[1:3]) or real_bracket(*a, **kw))
+    monkeypatch.setattr(pi_constants, "zeta2_bracket",
+                        lambda *a: attempts.append(a) or real_zeta2(*a))
+    assert cli.main(["compute", "mzv", "--k", "2", "--precision", "200"]) == 1
+    assert capsys.readouterr().err.startswith("internal error: zeta({2}^2): the planned")
+    assert cli.main(["compute", "pi-freq", "--precision", "200"]) == 1
+    assert capsys.readouterr().err.startswith("internal error: pi_freq: the planned")
+    assert attempts == [(256, 6), (64, 6)]
+
+
 def test_broken_alpha_closure_is_an_internal_error_without_traceback(tmp_path):
     script = ("import sys; from mzvfactor import bijection, cli; "
               "bijection.ALPHA_SAFETY_BOUND = 1; sys.exit(cli.main(sys.argv[1:]))")
@@ -340,8 +358,9 @@ def test_dump_bound_guard():
 
 
 def test_alpha_dump_takes_its_singletons_from_the_one_walk(tmp_path, monkeypatch):
-    # one component call per component, and the singleton file holds the
-    # components of the residual vertices, as a second pass would find them
+    # one component call per component of two or more vertices and none per
+    # singleton, and the singleton file holds the components of the
+    # residual vertices, as a second pass would find them
     real = bijection.component
     calls = []
     monkeypatch.setattr(bijection, "component",
@@ -352,7 +371,8 @@ def test_alpha_dump_takes_its_singletons_from_the_one_walk(tmp_path, monkeypatch
                          "--kind", "alpha", "--out", str(tmp_path)]) == 0
         comps = (tmp_path / f"alpha_k{k}_b{bound}.components.txt").read_text()
         singles = (tmp_path / f"alpha_k{k}_b{bound}.residual_singletons.txt").read_text()
-        assert len(calls) == comps.count("sum=") + singles.count("sum=")
+        assert len(calls) == comps.count("sum=")
+        assert all(len(real(*args).vertices) > 1 for args in calls)
         residual = [v for v in bijection.iter_vertices(k, bound)
                     if bijection.is_alpha_residual(v, k)]
         assert singles == "".join(bijection.format_component(real(v, "alpha", k)) + "\n"

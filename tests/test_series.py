@@ -14,10 +14,12 @@ from mzvfactor import pi_constants
 from mzvfactor.numeric import (
     ONE,
     ZERO,
+    ApproxReal,
     DomainError,
     ResourceError,
     pi_oracle,
     power_sum_tail_bracket,
+    round_to_bits,
 )
 from mzvfactor.series import (
     mzv_limit,
@@ -93,6 +95,7 @@ def test_product_tree_row_matches_rolling_recursion_at_1024():
 
 
 def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
+    # one attempt, on one head built over (0, N] at the planned N
     built, attempts = [], []
     build, bracket = series._factor_product, series.mzv_limit_bracket
 
@@ -105,23 +108,22 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
         return bracket(*args, **kwargs)
 
     def no_row(N, k_max):
-        raise AssertionError("mzv_limit rebuilt a row from n = 1")
+        raise AssertionError("mzv_limit built a row instead of the product")
 
     monkeypatch.setattr(series, "_factor_product", counted_build)
     monkeypatch.setattr(series, "mzv_limit_bracket", counted_bracket)
     monkeypatch.setattr(series, "mzv_row", no_row)
     mzv_limit(4, 208)
     monkeypatch.undo()
-    # em 6..9 at N = 256, then one doubling per attempt
-    assert [a[:3] for a, _ in attempts] == (
-        [(4, 256, em) for em in range(6, 10)] + [(4, n, 9) for n in (512, 1024, 2048)])
+    N, em = series.plan_limit(4, Fraction(1, 2 ** 209) - Fraction(1, 2 ** 214), 256)
+    assert [a[:3] for a, _ in attempts] == [(4, N, em)]
     assert len(built) == len(set(built))
-    assert {(0, 256), (256, 512), (512, 1024), (1024, 2048)} <= set(built)
-    args, kwargs = attempts[-1]
+    assert (0, N) in built and all(0 <= lo < hi <= N for lo, hi in built)
+    args, kwargs = attempts[0]
     # the passed row is the product's coefficients over their common factor
-    row, prod = kwargs["row"], build(0, 2048, 4)
+    row, prod = kwargs["row"], build(0, N, 4)
     assert row == [c // math.gcd(*prod) for c in prod]
-    assert [Fraction(c, row[0]) for c in row] == mzv_row(2048, 4)
+    assert [Fraction(c, row[0]) for c in row] == mzv_row(N, 4)
     assert bracket(*args, **kwargs) == bracket(*args)
 
 
@@ -252,20 +254,144 @@ def test_bracket_narrows_with_truncation():
     assert lo1 <= lo2 <= hi2 <= hi1
 
 
+def limit_steps(n, N=None):
+    """The escalation ladder certified limits used to walk, kept as the
+    oracle of the planner: depths 6..9 at n, then n doubled at depth 9
+    while it stays within EXACT_N_LIMIT, then the depth doubled at that
+    last n up to EM_CEILING. A pinned truncation N is the one attempt (N, 6)."""
+    if N is not None:
+        return [series.plan_limit(1, ONE, n, N)]
+    steps = [(n, em) for em in range(6, 10)]
+    while 2 * n <= series.EXACT_N_LIMIT:
+        n *= 2
+        steps.append((n, 9))
+    em = 9
+    while em < series.EM_CEILING:
+        em = min(2 * em, series.EM_CEILING)
+        steps.append((n, em))
+    return steps
+
+
+def _ladder_balls(steps, bracket, ball, precisions):
+    """{P: the ball the ladder certifies at P bits}: each step's bracket is
+    taken once for all P, and the first ball within 2^-(P+2) wins, as the
+    escalation did. ball(lo, hi) is the step's ball as a function of P."""
+    out = {}
+    for n, em in steps:
+        at = ball(*bracket(n, em))
+        for P in precisions:
+            if P not in out:
+                b = at(P)
+                if b is not None and b.err <= Fraction(1, 2 ** (P + 2)):
+                    out[P] = b
+        if len(out) == len(precisions):
+            return out
+    raise AssertionError("the ladder ran out")
+
+
+def _mzv_ball(lo, hi):
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+
+    def at(P):
+        if half > Fraction(1, 2 ** (P + 2)):
+            return None
+        v, r = round_to_bits(mid, P + 8)
+        return ApproxReal(v, half + r, P)
+    return at
+
+
+def _pi_freq_ball(lo, hi):
+    return lambda P: ApproxReal.from_bracket(6 * lo, 6 * hi, P + 16).sqrt()
+
+
+def _overlap(a, b):
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
 def test_limit_steps_double_n_then_the_depth_at_the_last_exact_n():
+    # the oracle's ladder; the planner keeps its pinned attempt (N, 6)
     em_steps = [9 * 2 ** r for r in range(1, 8)]
     assert series.EM_CEILING == em_steps[-1]
-    assert series.limit_steps(256) == (
+    assert limit_steps(256) == (
         [(256, em) for em in range(6, 10)]
         + [(n, 9) for n in (512, 1024, 2048, 4096, 8192)]
         + [(8192, em) for em in em_steps])
-    assert series.limit_steps(64)[:9] == (
+    assert limit_steps(64)[:9] == (
         [(64, em) for em in range(6, 10)] + [(n, 9) for n in (128, 256, 512, 1024, 2048)])
-    assert series.limit_steps(64, N=300) == [(300, 6)]
+    assert limit_steps(64, N=300) == [(300, 6)]
     with pytest.raises(ResourceError):
-        series.limit_steps(64, N=series.EXACT_N_LIMIT + 1)
+        limit_steps(64, N=series.EXACT_N_LIMIT + 1)
     with pytest.raises(DomainError):
-        series.limit_steps(64, N=0)
+        limit_steps(64, N=0)
+
+
+_PLANNED_PRECISIONS = (64, 116, 147, 155, 176, 219, 300, 512, 1024)
+
+
+def test_the_plan_takes_one_bracket_that_overlaps_the_ladder(monkeypatch):
+    pi = pi_oracle(1024 + 64)
+    # the ladder's heads, prod (n^2 + t) to t^8 over their common factor,
+    # built once for every k
+    heads = {}
+    for n in {n for n, _ in limit_steps(256)}:
+        prod = series._factor_product(0, n, 8)
+        g = math.gcd(*prod)
+        heads[n] = [c // g for c in prod]
+    calls = []
+    bracket, zeta2 = series.mzv_limit_bracket, pi_constants.zeta2_bracket
+    monkeypatch.setattr(series, "mzv_limit_bracket",
+                        lambda *a, **kw: calls.append(a) or bracket(*a, **kw))
+    monkeypatch.setattr(pi_constants, "zeta2_bracket",
+                        lambda *a, **kw: calls.append(a) or zeta2(*a, **kw))
+    for k in range(1, 9):
+        closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
+        oracle = _ladder_balls(limit_steps(256),
+                               lambda n, em: bracket(k, n, em, row=heads[n][:k + 1]),
+                               _mzv_ball, _PLANNED_PRECISIONS)
+        for P in _PLANNED_PRECISIONS:
+            calls.clear()
+            z = mzv_limit(k, P)
+            assert len(calls) == 1, (k, P)
+            assert z.err <= Fraction(1, 2 ** (P + 2)), (k, P)
+            assert _overlap(z, oracle[P]) and _overlap(z, closed), (k, P)
+    precisions = (64, 100, 128, 176, 224, 300, 512, 1024)
+    oracle = _ladder_balls(limit_steps(64), zeta2, _pi_freq_ball, precisions)
+    for P in precisions:
+        calls.clear()
+        est = pi_constants.pi_freq(P)
+        assert [(est.truncation["N"], est.truncation["em_terms"])] == calls, P
+        assert est.value.err <= Fraction(1, 2 ** (P + 2)), P
+        assert _overlap(est.value, oracle[P]) and _overlap(est.value, pi), P
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 16, 24])
+def test_the_width_bound_covers_the_whole_bracket(k):
+    # the j < k-1 terms count: at k = 24, N = 256, em = 50 the bracket is
+    # far wider than zeta({2}^23) times the width of p_1 alone. The bound
+    # takes zeta({2}^j) for zeta_N({2}^j), which at k = 24 is loose at
+    # small N
+    for N, em in ((256, 6), (256, 50), (64, 25)):
+        lo, hi = mzv_limit_bracket(k, N, em)
+        s = (hi - lo).denominator.bit_length() + 8
+        bound = Fraction(series.width_bound(k, N, em, s), 1 << s)
+        assert hi - lo <= bound <= (hi - lo) * (3 if N >= 256 else 8), (k, N, em)
+
+
+def test_a_plan_costs_a_logarithmic_number_of_bounds(monkeypatch):
+    floors, wholes = [], []
+    floor, whole = series._floor_terms, series.width_bound
+    monkeypatch.setattr(series, "_floor_terms", lambda *a: floors.append(a) or floor(*a))
+    monkeypatch.setattr(series, "width_bound", lambda *a: wholes.append(a) or whole(*a))
+    log_em = series.EM_CEILING.bit_length()
+    for k in (1, 8, 24):
+        for P in (64, 219, 1024, 4096, 13000):
+            floors.clear()
+            wholes.clear()
+            N, em = series.plan_limit(k, Fraction(1, 2 ** P), 256)
+            assert 6 <= em <= series.EM_CEILING and N <= series.EXACT_N_LIMIT
+            assert len(floors) <= 6 * (log_em + 1), (k, P)
+            assert len(wholes) <= 2 * (log_em + 1), (k, P)
+            assert whole(k, N, em, P + 32) <= 1 << 32, (k, P)
 
 
 def test_closed_form_floor_bounds_the_bracket_width_from_below():
