@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .numeric import DEFAULT_PRECISION, ApproxReal, DomainError, ZERO, harmonic
+from .numeric import DEFAULT_PRECISION, ApproxReal, DomainError, ResourceError, ZERO, harmonic
 from .series import poly_mul_trunc
 
 
@@ -48,6 +48,54 @@ def p_coefficient_witness(n: int, j: int) -> tuple[Fraction, Fraction, Fraction]
     return tail, fin, diag
 
 
+# p_eval spends nearly all its time on the two integer floors of each term.
+# On a shared 2-CPU x86-64 host (CPython 3.11) a term took 0.27 to 0.49 us
+# at P = 128 and 0.56 us near n = 10^8, 13 to 25 us at P = 16384, and 13 to
+# 22 us at P = 128 with a 2048-bit denominator b, as the host's load varied.
+# Under `python -X dev`, whose debug allocator slows every integer operation
+# and which the CI test job uses, a term took up to 1.3 us at P = 128. The
+# closed form in require_p_eval_size gives 1.5 to 7.8 times each of these in
+# microseconds, and 1.5 to 2.5 times the debug-mode figures: its 1.5 us a
+# term is there so that the largest request admitted at the default
+# precision also finishes within the budget under -X dev. The ceiling is
+# 60 s of it.
+P_EVAL_CEILING = 60 * 10 ** 6
+
+
+def require_p_eval_size(N: int, precision: int, den_bits: int, calls: int = 1) -> None:
+    """Refuse `calls` p_eval calls at depth N and `precision` bits, at points
+    whose denominators have at most `den_bits` bits, from a closed-form bound
+    of their time in microseconds, before any term is summed."""
+    nb = N.bit_length()
+    w = precision + nb + 8
+    per_term = (3 * 2 ** 15 + 3 * w * (den_bits + 4 * nb + 40) // 2 + 2 ** 8 * den_bits
+                + den_bits ** 2 // 4)
+    cost = calls * N * per_term >> 16
+    if cost > P_EVAL_CEILING:
+        raise ResourceError(f"p_eval at N = {N}, precision {precision}: {cost} us "
+                            f"exceeds ceiling {P_EVAL_CEILING}")
+
+
+def _sum_balls(x: Fraction, N: int, precision: int) -> tuple[ApproxReal, ApproxReal]:
+    """Balls around S = sum_{n<=N} 1/(n^2 - x^2) and S2 = sum 1/(n^2 - x^2)^2
+    for |x| < 1. With x = a/b the terms are the positive rationals b^2/d_n
+    and b^4/d_n^2, d_n = n^2 b^2 - a^2. Each is floored on
+    W = precision + bitlen(N) + 8 fractional bits, less than one unit short,
+    so each sum lies in [s, s + N] 2^-W, s its floor sum."""
+    a, b = x.as_integer_ratio()
+    b2, a2 = b * b, a * a
+    W = precision + N.bit_length() + 8
+    num, num2 = b2 << W, (b2 * b2) << W
+    s = s2 = 0
+    for n in range(1, N + 1):
+        d = n * n * b2 - a2
+        s += num // d
+        s2 += num2 // (d * d)
+    unit = 1 << (W + 1)
+    return (ApproxReal(Fraction(2 * s + N, unit), Fraction(N, unit), precision),
+            ApproxReal(Fraction(2 * s2 + N, unit), Fraction(N, unit), precision))
+
+
 def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxReal:
     """Certified value of the depth-N truncation
 
@@ -55,10 +103,14 @@ def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxRea
         - 8 x^2 sum_{l1<l2<=N} 1/((l1^2 - x^2)(l2^2 - x^2)),
 
     using the exact pair-sum rearrangement (S^2 - S2)/2 of the same
-    truncation, in balls of `precision` bits (the radius grows about as
-    N 2^-precision). Points within 1/N of an integer are rejected: the
-    terms blow up and the bracket becomes vacuous; the check reads x rounded
-    to a ball, whose radius counts against the distance.
+    truncation: S and S2 come from integer floor sums within N 2^-W of
+    their floors, W = precision + bitlen(N) + 8, and only the combination
+    6 S - 4 x^2 (S^2 - S2) runs in balls of `precision` bits. For
+    |x| <= 9/10 the radius is at most 2^-(precision - 4) times the value,
+    whatever N. Points within 1/N of an integer are rejected: the terms blow
+    up and the bracket becomes vacuous; the check reads x rounded to a ball,
+    whose radius counts against the distance. A request past P_EVAL_CEILING
+    raises ResourceError before any term is summed.
     """
     if N < 2:
         raise DomainError("p_eval needs N >= 2")
@@ -68,14 +120,11 @@ def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxRea
         raise DomainError("p_eval needs 0 <= |x| < 1")
     if 1 - mag < Fraction(1, N):
         raise DomainError(f"x within 1/{N} of the pole at 1; bracket would be vacuous")
+    x = Fraction(x)
+    require_p_eval_size(N, precision, x.denominator.bit_length())
+    S, S2 = _sum_balls(x, N, precision)
     x2 = xa * xa
-    s = s2 = ApproxReal.exact(0, precision)
-    for n in range(1, N + 1):
-        term = 1 / (n * n - x2)
-        s = s + term
-        s2 = s2 + term * term
-    pair_sum = (s * s - s2) * Fraction(1, 2)
-    return 6 * s - x2 * pair_sum * 8
+    return 6 * S - x2 * (S * S - S2) * 4
 
 
 def interchange_bound_check(x: Fraction, N: int) -> bool:

@@ -80,6 +80,10 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
     """The exact core of the constancy argument plus its numeric shadow."""
     n_max = 200 if config.n_max is None else config.n_max
     j_max = 10 if config.j_max is None else config.j_max
+    n_small = 1000 if config.N is None else config.N
+    n_large = 10 * n_small
+    # ten points x = i/10 at each depth: together at most eleven calls at n_large
+    pfunc.require_p_eval_size(n_large, DEFAULT_PRECISION, 4, calls=11)
     out = []
     for j in range(1, j_max + 1):
         worst = ZERO
@@ -107,8 +111,6 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
             f"p.interchange_bound.x{x.numerator}_{x.denominator}",
             pfunc.interchange_bound_check(x, 50), params={"N": 50, "x": str(x)}))
 
-    n_small = 1000 if config.N is None else config.N
-    n_large = 10 * n_small
     dev_small = _constancy_deviation(n_small)
     dev_large = _constancy_deviation(n_large)
     out.append(make_record(

@@ -1,8 +1,10 @@
-"""Every resource ceiling of series, pi_constants, bijection and the
-product-structure suite refuses the smallest request it refuses within 2 s
-of process time; a certified limit is refused before it builds anything,
-within two bits of what its plan reaches or past its k ceiling. The
-largest Wallis request admitted finishes within seconds.
+"""Every resource ceiling of series, pi_constants, bijection, pfunc and the
+product-structure and p-constant suites refuses the smallest request it
+refuses within 2 s of process time; a certified limit is refused before it
+builds anything, within two bits of what its plan reaches or past its k
+ceiling. The largest Wallis request admitted finishes within seconds, and
+the largest p_eval request admitted at the default precision within its
+budget.
 """
 
 import time
@@ -10,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from mzvfactor import bijection, pi_constants, series, suites
+from mzvfactor import bijection, pfunc, pi_constants, series, suites
 from mzvfactor.bijection import V1
-from mzvfactor.numeric import MAX_PRECISION, ResourceError, pi_oracle
+from mzvfactor.numeric import DEFAULT_PRECISION, MAX_PRECISION, ResourceError, pi_oracle
 from mzvfactor.report import RunConfig
 
 
@@ -104,12 +106,26 @@ def _requests(monkeypatch):
              lambda n=n: suites.run_suite("product-structure", RunConfig(N=n))),
             (f"product structure grid={g}",
              lambda g=g: suites.run_suite("product-structure", RunConfig(bound=g)))]
+    n = _largest_admitted_p_eval() + 1
+    out.append((f"p_eval N={n}", lambda n=n: pfunc.p_eval(Fraction(0), n)))
+    # the suite checks its depths before the witness loops, its first work
+    n = _smallest(lambda n: _refused_before_work(
+        monkeypatch, lambda: suites.run_suite("p-constant", RunConfig(N=n)),
+        [(pfunc, "p_coefficient_witness")]), 1)
+    out.append((f"p-constant N={n}",
+                lambda n=n: suites.run_suite("p-constant", RunConfig(N=n))))
     return out
+
+
+def _largest_admitted_p_eval():
+    """The largest N admitted for p_eval at x = 0 and the default precision."""
+    return _smallest(_size_check(
+        lambda n: pfunc.require_p_eval_size(n, DEFAULT_PRECISION, 1)), 2) - 1
 
 
 def test_every_ceiling_refuses_its_smallest_request_within_2s(monkeypatch):
     requests = _requests(monkeypatch)
-    assert len(requests) == 18
+    assert len(requests) == 20
     for name, call in requests:
         start = time.process_time()
         with pytest.raises(ResourceError):
@@ -123,6 +139,16 @@ def test_the_largest_admitted_wallis_request_brackets_pi_within_5s():
     assert time.process_time() - start < 5
     pi = pi_oracle(64)
     assert est.value.lo <= pi.lo and pi.hi <= est.value.hi
+
+
+def test_the_largest_admitted_p_eval_at_the_default_precision_finishes_within_budget():
+    n = _largest_admitted_p_eval()
+    start = time.process_time()
+    v = pfunc.p_eval(Fraction(0), n)
+    assert time.process_time() - start < pfunc.P_EVAL_CEILING / 10 ** 6
+    # 6 zeta_n(2) lies between pi^2 - 6/n and pi^2 - 6/(n + 1)
+    pi = pi_oracle(DEFAULT_PRECISION)
+    assert v.lo <= pi.hi ** 2 - Fraction(6, n + 1) and pi.lo ** 2 - Fraction(6, n) <= v.hi
 
 
 def test_the_admitted_beta_hub_at_k6_is_refused_before_the_search(monkeypatch):

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvfactor.numeric import ZERO, DomainError, harmonic
+from mzvfactor.numeric import ZERO, ApproxReal, DomainError, harmonic
 from mzvfactor.pfunc import (
+    _sum_balls,
     fpp_assembly_identity,
     interchange_bound_check,
     p_coefficient_witness,
@@ -157,10 +158,14 @@ def test_p_eval_matches_direct_double_sum():
     assert p_eval(x, N).contains(expected)
 
 
+def _exact_sums(x: Fraction, N: int) -> tuple[Fraction, Fraction]:
+    terms = [1 / (Fraction(n * n) - x * x) for n in range(1, N + 1)]
+    return sum(terms), sum(t * t for t in terms)
+
+
 def _exact_p(x: Fraction, N: int) -> Fraction:
     # the same pair-sum rearrangement, in exact rationals
-    terms = [1 / (Fraction(n * n) - x * x) for n in range(1, N + 1)]
-    s, s2 = sum(terms), sum(t * t for t in terms)
+    s, s2 = _exact_sums(x, N)
     return 6 * s - 8 * x * x * (s * s - s2) / 2
 
 
@@ -190,6 +195,77 @@ def test_p_eval_pole_guard():
         p_eval(Fraction(9999, 10000), 10 ** 4)
     with pytest.raises(DomainError):
         p_eval(Fraction(3, 2), 100)
+    # the boundary: a dyadic x at exactly 1/N from the pole is admitted; a
+    # rounded x there has a radius, which counts against the distance
+    p_eval(Fraction(1023, 1024), 1024)
+    with pytest.raises(DomainError):
+        p_eval(Fraction(999, 1000), 1000)
+
+
+def _p_eval_balls(x: Fraction, N: int, precision: int) -> ApproxReal:
+    """The reference: the same guard, then S and S2 summed term by term in
+    balls of `precision` bits, about 5N rounded ball operations."""
+    if N < 2:
+        raise DomainError("p_eval needs N >= 2")
+    xa = ApproxReal.from_rational(Fraction(x), precision)
+    mag = abs(xa.value) + xa.err
+    if mag >= 1:
+        raise DomainError("p_eval needs 0 <= |x| < 1")
+    if 1 - mag < Fraction(1, N):
+        raise DomainError(f"x within 1/{N} of the pole at 1; bracket would be vacuous")
+    x2 = xa * xa
+    s = s2 = ApproxReal.exact(0, precision)
+    for n in range(1, N + 1):
+        term = 1 / (n * n - x2)
+        s = s + term
+        s2 = s2 + term * term
+    pair_sum = (s * s - s2) * Fraction(1, 2)
+    return 6 * s - x2 * pair_sum * 8
+
+
+_points = st.integers(min_value=1, max_value=60).flatmap(
+    lambda b: st.builds(Fraction, st.integers(min_value=-(9 * b // 10), max_value=9 * b // 10),
+                        st.just(b)))
+
+
+@given(_points, st.integers(min_value=2, max_value=400), st.sampled_from([32, 64, 100, 256, 512]))
+@settings(max_examples=120, deadline=None)
+def test_p_eval_agrees_with_the_ball_loop(x, N, precision):
+    try:
+        ref = _p_eval_balls(x, N, precision)
+    except DomainError:
+        with pytest.raises(DomainError):
+            p_eval(x, N, precision)
+        return
+    v = p_eval(x, N, precision)
+    assert max(v.lo, ref.lo) <= min(v.hi, ref.hi)
+    assert v.err <= abs(v.value) / 2 ** (precision - 4)
+    if N <= 60:
+        assert v.contains(_exact_p(x, N))
+        S, S2 = _sum_balls(x, N, precision)
+        exact_s, exact_s2 = _exact_sums(x, N)
+        assert S.contains(exact_s) and S2.contains(exact_s2)
+
+
+@pytest.mark.parametrize("x", [Fraction(5, 9), Fraction(-7, 10), Fraction(9, 10)])
+def test_the_floor_sums_bracket_the_exact_sums(x):
+    # the floors lose more than N/2 units here, so the sums sit in the upper
+    # half of [s, s + N] 2^-W: a ball that kept only the floor's half would
+    # miss them
+    N, precision = 90, 64
+    S, S2 = _sum_balls(x, N, precision)
+    exact_s, exact_s2 = _exact_sums(x, N)
+    for ball, exact in ((S, exact_s), (S2, exact_s2)):
+        assert ball.contains(exact)
+        assert exact > ball.value
+
+
+@pytest.mark.parametrize("precision", [32, 128, 512])
+def test_p_eval_radius_does_not_grow_with_N(precision):
+    for x in (Fraction(0), Fraction(-1, 3), Fraction(9, 10)):
+        for N in (20, 10 ** 3, 10 ** 5):
+            v = p_eval(x, N, precision)
+            assert v.err <= abs(v.value) / 2 ** (precision - 4), (x, N)
 
 
 def test_interchange_bounds():
