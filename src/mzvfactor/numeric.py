@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -394,17 +393,24 @@ def pi_oracle(precision_bits: int) -> ApproxReal:
 # Bernoulli numbers and Euler-Maclaurin power-sum tails
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
+# B_2, B_4, ...: the longest table built so far, replaced only by a longer one
+_bernoulli: list[Fraction] = []
+
+
 def bernoulli_even(count: int) -> tuple[Fraction, ...]:
     """(B_2, B_4, ..., B_{2 count}) from the integer tangent numbers T_i
     (Brent & Harvey, "Fast computation of Bernoulli, tangent and secant
-    numbers", 2011): B_{2i} = (-1)^(i-1) 2i T_i / (4^i (4^i - 1))."""
-    t = [0] + [math.factorial(m - 1) for m in range(1, count + 1)]
-    for m in range(2, count + 1):
-        for j in range(m, count + 1):
-            t[j] = (j - m) * t[j - 1] + (j - m + 2) * t[j]
-    return tuple(Fraction((-1) ** (m - 1) * 2 * m * t[m], 4 ** m * (4 ** m - 1))
-                 for m in range(1, count + 1))
+    numbers", 2011): B_{2i} = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)).
+    T_i for i <= c does not depend on the length of the table, so a shorter
+    count is served as a prefix of the longest table built so far."""
+    if count > len(_bernoulli):
+        t = [0] + [math.factorial(m - 1) for m in range(1, count + 1)]
+        for m in range(2, count + 1):
+            for j in range(m, count + 1):
+                t[j] = (j - m) * t[j - 1] + (j - m + 2) * t[j]
+        _bernoulli[:] = (Fraction((-1) ** (m - 1) * 2 * m * t[m], 4 ** m * (4 ** m - 1))
+                         for m in range(1, count + 1))
+    return tuple(_bernoulli[:count])
 
 
 def power_sum_tail_numerators(N: int, k: int, em_terms: int = 6) -> tuple[int, list[tuple[int, int]]]:

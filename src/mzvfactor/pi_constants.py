@@ -22,6 +22,7 @@ from typing import Optional
 from .numeric import (
     ApproxReal,
     DomainError,
+    MAX_PRECISION,
     ResourceError,
     ZERO,
     ONE,
@@ -67,6 +68,10 @@ def pi_freq(precision_bits: int, N: Optional[int] = None) -> PiEstimate:
     (N, em) of plan_limit, within 2^-(precision_bits + 2); a pinned
     truncation N reports whatever width it certifies."""
     require_precision(precision_bits)
+    # the square root is taken in a ball at precision_bits + 16 bits
+    if precision_bits + 16 > MAX_PRECISION:
+        raise ResourceError(f"pi_freq: precision {precision_bits} exceeds ceiling "
+                            f"{MAX_PRECISION - 16}")
     target = Fraction(1, 1 << (precision_bits + 2))
     pinned = N is not None
     # For N >= 64 the ball 6 [lo, hi] lies above 9.6, where sqrt has slope

@@ -37,8 +37,23 @@ class VerificationReport:
     artifact_path: Optional[str] = None
 
 
+# Python's str() refuses an int of more than 4300 digits; an exact value at
+# the 16384-bit precision ceiling has about 4,940
+_CHUNK_DIGITS = 4000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_str(n: int) -> str:
+    """str(n), converted in chunks of _CHUNK_DIGITS digits."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    head, tail = divmod(abs(n), _CHUNK)
+    return ("-" if n < 0 else "") + _int_str(head) + str(tail).zfill(_CHUNK_DIGITS)
+
+
 def rational_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    num = _int_str(q.numerator)
+    return f"{num}/{_int_str(q.denominator)}" if q.denominator != 1 else num
 
 
 def make_record(claim_id: str, observed: Fraction, expected: Fraction,

@@ -9,16 +9,19 @@ so every entry of a row comes from one integer polynomial:
 
 The product is taken mod t^(k+1) over a balanced tree of ranges of n
 (binary splitting; Haible & Papanikolaou 1998, Bernstein 2008), so its
-operands stay balanced and the row costs one division per entry. The
-certified limit's tail runs Newton's identities on integer numerators over
-the one denominator of its power-sum brackets, so with the integer head
-each end of a bracket is reduced once. A limit takes one bracket, at the
-truncation and depth plan_limit picks from closed-form bounds before any
-work (Johansson, "Rigorous high-precision computation of the Hurwitz zeta
-function and its derivatives", Numer. Algorithms 2015). The rolling recursion
-e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2 and the rational interval Newton
-recursion, and the escalation ladder the limits used to walk, are left to
-the tests as oracles.
+operands stay balanced and the row costs one division per entry. A
+certified limit keeps that exact head, but takes everything else on W-bit
+integers, W about 39 bits past the requested precision: each ratio
+c_j / c_0 and each power-sum bracket of the tail is rounded outward to
+2^-W once, and Newton's identities and the head-times-tail sum floor every
+lower end and ceil every upper one (the one-sided working precision of ball
+arithmetic). A limit takes one bracket, at the truncation and depth
+plan_limit picks from closed-form bounds before any work (Johansson,
+"Rigorous high-precision computation of the Hurwitz zeta function and its
+derivatives", Numer. Algorithms 2015); the bound counts the rounding. The
+rolling recursion e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2, the rational
+interval Newton recursion, the exact integer limit kernel and the
+escalation ladder the limits used to walk are left to the tests as oracles.
 """
 
 from __future__ import annotations
@@ -40,18 +43,23 @@ from .numeric import (
 
 # the largest truncation of an exact head row or zeta_N(2)
 EXACT_N_LIMIT = 10 ** 4
-# The deepest Euler-Maclaurin tail. At N = 8192 it reaches 13,662 bits at
-# k = 1 and 13,679 at k = 8. There the one planned attempt took 1.9 s of CPU
-# time at k = 1, 3.5 s at k = 8 and 41 s at k = 24 on a 2.1 GHz Xeon core;
-# at k = 24 the tail brackets alone took 24 s, and a doubled depth would at
-# least double them, past the 60 s budget.
-EM_CEILING = 1152
+# The deepest Euler-Maclaurin tail. At N = 8192, MAX_PRECISION = 16384 bits
+# takes depth 1469 at k = 1..4, 1467 at k = 8 and 1455 at k = 24, and
+# pi_freq's ceiling of 16368 bits takes 1467; the cap leaves about 8% of
+# headroom, and no admitted request plans deeper than it needs. There a
+# whole `compute mzv` request took 3.4 s of CPU time at k = 1, 3.8 s at
+# k = 8 and 4.7 s at k = 24 on a 2.1 GHz Xeon core (up to 7.3 s at k = 24
+# when the host was loaded), 2.0 s of it the Bernoulli numbers to B_2940.
+EM_CEILING = 1536
 # The largest k of a certified limit. The slowest request at a given k is
-# one at the reach, a single attempt at N = 8192 and a depth near
-# EM_CEILING; on a 2.1 GHz Xeon core it took 1.9 s of CPU time at k = 4,
-# 3.5 s at k = 8, 15 s at k = 16, 41 s at k = 24 and 64 s at k = 28, past
-# the 60 s budget. A 64-bit request at k = 24 takes 0.04 s.
-MZV_K_CEILING = 24
+# one at MAX_PRECISION, a single attempt at N = 8192 and a depth near 1450;
+# on a 2.1 GHz Xeon core it took 3.1-3.4 s of CPU time at k = 1, 4.7-7.3 s
+# at k = 24, 21 s at k = 48, 21-26 s at k = 64 (13 s of it the exact head
+# and 4-7 s the plan's width bounds), 37 s at k = 72, 45-49 s at k = 80
+# and 60 s at k = 96 (the ranges are a quiet and a loaded host), so k = 64
+# keeps more than half of the 60 s budget in hand for a slower host. A
+# 64-bit request at k = 64 takes 0.02 s.
+MZV_K_CEILING = 64
 
 
 # ranges of n this short multiply their linear factors in one at a time
@@ -110,27 +118,33 @@ def zeta_even_truncated(N: int, j: int) -> Fraction:
 # Certified limits
 # ---------------------------------------------------------------------------
 
-def tail_elementary_brackets(N: int, k: int, em_terms: int = 6) -> tuple[int, list[tuple[int, int]]]:
-    """Brackets lo / (den^m m!) <= e_m <= hi / (den^m m!), m = 0..k, for the
-    tail set {1/n^2 : n > N}, as (den, [(lo, hi)]), where p_i = P_i / den.
-    Newton's identities m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i run on
-    numerators: E_m sums E_{m-i} P_i den^(i-1) (m-1)!/(m-i)!. Each e bracket
-    lies in [0, inf), so its product with a p bracket (c, d) runs from the
-    smaller of its ends times c to the larger times d; every denominator is
-    positive, so that choice and the clamp at 0 act on numerators unchanged.
+def tail_elementary_brackets(N: int, k: int, em_terms: int, bits: int) -> list[tuple[int, int]]:
+    """Brackets lo / 2^bits <= e_m <= hi / 2^bits, m = 0..k, of the
+    elementary symmetric functions e_m of the tail set {1/n^2 : n > N}.
+
+    Each power-sum bracket of power_sum_tail_numerators is taken once to
+    2^-bits, its lower end floored and its upper end ceiled. Newton's
+    identities m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i then sum exact
+    products of those integers, and the lower end of e_m is floored and the
+    upper end ceiled. Each e bracket (a, b) lies in [0, inf), so its product
+    with a p bracket (c, d) runs from a c (b c if c < 0) to b d (a d if d < 0).
     """
-    den, p = power_sum_tail_numerators(N, k, em_terms)
-    p = [(c * den ** i, d * den ** i) for i, (c, d) in enumerate(p)]
-    e = [(1, 1)]
+    den, ends = power_sum_tail_numerators(N, k, em_terms)
+    p = [((lo << bits) // den, -((-hi << bits) // den)) for lo, hi in ends]
+    e = [(1 << bits, 1 << bits)]
     for m in range(1, k + 1):
-        lo, hi, scale = 0, 0, 1
+        lo = hi = 0
         for i in range(1, m + 1):
             (a, b), (c, d) = e[m - i], p[i - 1]
-            tlo, thi = scale * min(a * c, b * c), scale * max(a * d, b * d)
-            lo, hi = (lo + tlo, hi + thi) if i % 2 == 1 else (lo - thi, hi - tlo)
-            scale *= m - i
-        e.append((max(0, lo), hi))
-    return den, e
+            tlo = a * c if c >= 0 else b * c
+            thi = b * d if d >= 0 else a * d
+            if i % 2:
+                lo, hi = lo + tlo, hi + thi
+            else:
+                lo, hi = lo - thi, hi - tlo
+        unit = m << bits
+        e.append((max(0, lo // unit), -(-hi // unit)))
+    return e
 
 
 @lru_cache(maxsize=256)
@@ -158,9 +172,19 @@ def bracket_floor(m: int, N: int, em: int) -> Fraction:
 
 def width_bound(k: int, N: int, em: int, s: int) -> int:
     """An upper bound, in units of 2^-s, of the width of
-    mzv_limit_bracket(k, N, em), for k, N >= 1, from closed forms only.
+    mzv_limit_bracket(k, N, em, bits=s), for k, N >= 1, from closed forms
+    only: the bound of the exact bracket plus twice the rounding bound, both
+    from _width_terms."""
+    exact, rounding = _width_terms(k, N, em, s)
+    return exact + 2 * rounding
 
-    That width is sum_{j<k} zeta_N({2}^j) w(e_{k-j}), all terms
+
+def _width_terms(k: int, N: int, em: int, s: int) -> tuple[int, int]:
+    """(B, R) in units of 2^-s: B bounds the width of the exact bracket
+    sum_j zeta_N({2}^j) e_{k-j} of zeta({2}^k), and R how far each end of
+    mzv_limit_bracket(k, N, em, bits=s) lies outside it.
+
+    The exact width is sum_{j<k} zeta_N({2}^j) w(e_{k-j}), all terms
     nonnegative, and zeta_N({2}^j) <= zeta({2}^j) < (355/113)^(2j) / (2j+1)!.
     The tail bracket of p_i has width W_i = |B_2n| C(2i+2em, 2n) /
     ((2i-1) a^(2i+2em+1)), n = em + 1 and a = N + 1, with
@@ -173,6 +197,18 @@ def width_bound(k: int, N: int, em: int, s: int) -> int:
     with hi(e_m) <= e_m + w(e_m) and e_m <= p_1^m / m! <= 1 / (N^m m!).
     Every quantity is rounded up to a whole unit, so the bound exceeds the
     exact sum by at most about k^2 units.
+
+    The s-bit kernel moves each end of a p_i bracket, of an e_m bracket and
+    of a head ratio c_j / c_0 (j > 0) outward by less than one unit, and its
+    products are exact. If the ends of X' lie at most x outside those of X,
+    and those of Y' at most y outside Y, the ends of X'Y' lie at most
+    mag(X') y + mag(Y) x outside those of XY. So each end of e_m lies at most
+        r_m <= 1 + (1/m) sum_{i=1..m} (hi(e_{m-i}) + r_{m-i} + (p_i + W_i) r_{m-i})
+    units outside the exact one, and each end of the limit bracket at most
+        R <= 1 + sum_{j=0..k} ([j > 0] (hi(e_{k-j}) + r_{k-j}) + zeta({2}^j) r_{k-j}),
+    where each term, a product of two quantities in units, is taken over
+    2^s. At the N >= 256 of a plan R is 4 units at k = 1 and 10 at k = 8 to
+    80, against the 2^32 units of the planned width.
     """
     n, a, one = em + 1, N + 1, 1 << s
     big = 2 * math.factorial(2 * n) * (4 ** n + 3) * 53 ** (2 * n) << s
@@ -182,25 +218,32 @@ def width_bound(k: int, N: int, em: int, s: int) -> int:
         w.append(-(-big * math.comb(2 * i + 2 * em, 2 * n)
                    // (small * (2 * i - 1) * a ** (2 * i))))
         q.append(-(-one // ((2 * i - 1) * N ** (2 * i - 1))) + w[i])
-    eps, eta = [0], [one]
+    eps, eta, r = [0], [one], [0]
     for m in range(1, k + 1):
         total = sum(eta[m - i] * w[i] + q[i] * eps[m - i] for i in range(1, m + 1))
         eps.append(-(-total // (m << s)))
         eta.append(-(-one // (N ** m * math.factorial(m))) + eps[m])
-    return sum(-(-355 ** (2 * j) * eps[k - j] // (113 ** (2 * j) * math.factorial(2 * j + 1)))
-               for j in range(k))
+        total = sum(eta[m - i] + (1 + q[i]) * r[m - i] for i in range(1, m + 1))
+        r.append(-(-total // (m << s)) + 1)
+    # zeta({2}^j) < num / den
+    zeta = [(355 ** (2 * j), 113 ** (2 * j) * math.factorial(2 * j + 1)) for j in range(k + 1)]
+    exact = sum(-(-num * eps[k - j] // den) for j, (num, den) in enumerate(zeta[:k]))
+    total = sum(-(-num * r[k - j] * one // den) + (eta[k - j] + r[k - j] if j else 0)
+                for j, (num, den) in enumerate(zeta))
+    return exact, -(-total // one) + 1
 
 
 def plan_limit(k: int, width: Fraction, n: int,
                N: int | None = None) -> tuple[int, int]:
     """The one (truncation, Euler-Maclaurin depth) at which a certified limit
-    takes its bracket: the width of mzv_limit_bracket(k, N, em) (for k = 1,
-    of zeta2_bracket(N, em)) is at most `width` by width_bound. Nothing is
+    takes its bracket: the width of mzv_limit_bracket(k, N, em, bits=s),
+    s = limit_bits(width) (for k = 1, also that of zeta2_bracket(N, em)), is
+    at most `width` by width_bound. Nothing is
     built; past the reach this raises ResourceError. A pinned truncation N
     is the one attempt (N, 6).
 
     N is the first of the ladder n 2^i <= EXACT_N_LIMIT with such an em of
-    at most N/4, or, at the last N, of at most EM_CEILING. At each N the
+    at most N/2, or, at the last N, of at most EM_CEILING. At each N the
     depth is first guessed as the smallest em >= 6 whose
     bracket_floor(k - 1, N, em) is within `width`, by trying em = 6, 12,
     24, ... and bisecting the last step; the floor is a lower bound of the
@@ -208,15 +251,20 @@ def plan_limit(k: int, width: Fraction, n: int,
     or the bound is bisected above it. So a plan costs O(log EM_CEILING)
     closed-form bounds at each N of the ladder.
 
-    The cap N/4 comes from the cost of the attempt (head product, tail
-    brackets, Bernoulli numbers and the one reduction), measured at every N
-    of the ladder for k = 1, 4, 8, 16 and 24 from 64 to 8192 bits: the head
-    costs about 4x per doubling of N, while the tail costs little until the
-    depth nears N/2, where the Euler-Maclaurin terms stop shrinking fast.
-    The rule came within 20% of the cheapest N wherever an attempt takes
-    more than 0.01 s. It keeps N = 256 up to about 660 bits at k = 1 and 775
-    at k = 24 (N = 64 up to 171 bits for pi_freq), then doubles N about once
-    per doubling of the precision.
+    The cap N/2 comes from the cost of the attempt, measured at every N of
+    the ladder for k = 1, 4, 8, 16 and 24 and 512 to 8192 bits in steps of
+    sqrt(2): the exact head costs about 3-4x per doubling of N (3.0 s at
+    N = 8192 and k = 24), while the W-bit tail at a depth of N/2 costs less
+    than the head at N. With the Bernoulli numbers built, as in any process
+    that took a limit as deep before, N/2 picked the cheapest N at every
+    point, and N/4 took up to 3.3 times as long (k = 8 at 2896 bits). A
+    fresh process also builds the Bernoulli numbers once, about 0.7 s at
+    depth 987, so there N/4 is up to 4.5 times cheaper at k = 1 near 8192
+    bits, but at most 0.6 s; over the grid N/2 took 2.0 s against 4.7 s
+    with the numbers built, and 8.0 s against 7.3 s without. The rule keeps
+    N = 256 up to about 1055 bits at k = 1 and 1164 at k = 24 (N = 64 up to
+    268 bits for pi_freq), then doubles N once per doubling of the
+    precision.
     """
     if N is not None:
         if N < 1:
@@ -224,7 +272,7 @@ def plan_limit(k: int, width: Fraction, n: int,
         if N > EXACT_N_LIMIT:
             raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
         return N, 6
-    s = width.denominator.bit_length() + 32
+    s = limit_bits(width)
     allowed = (width.numerator << s) // width.denominator
 
     def floor_fits(N: int, em: int) -> bool:
@@ -234,7 +282,7 @@ def plan_limit(k: int, width: Fraction, n: int,
     ladder = [n << i for i in range((EXACT_N_LIMIT // n).bit_length())]
     for N in ladder:
         # the floor falls as em grows up to about pi (N + 1), above every cap
-        cap = EM_CEILING if N == ladder[-1] else min(EM_CEILING, N // 4)
+        cap = EM_CEILING if N == ladder[-1] else min(EM_CEILING, N // 2)
         if not floor_fits(N, cap):
             continue
         lo, hi = 6, 6
@@ -255,16 +303,26 @@ def plan_limit(k: int, width: Fraction, n: int,
                         f"em <= {EM_CEILING} brackets the limit within the requested width")
 
 
-def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
-                      row: list[int] | None = None) -> tuple[Fraction, Fraction]:
-    """Exact rational bracket for zeta({2}^k).
+def limit_bits(width: Fraction) -> int:
+    """The fractional bits s at which a certified limit planned within
+    `width` takes its bracket: 32 bits past the width's denominator, so the
+    rounding of the s-bit kernel is far inside the width."""
+    return width.denominator.bit_length() + 32
+
+
+def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6, *,
+                      bits: int) -> tuple[Fraction, Fraction]:
+    """A bracket for zeta({2}^k) on the dyadic grid 2^-bits.
 
     Splits the elementary symmetric function over {1..N} and the tail:
         zeta({2}^k) = sum_j zeta_N({2}^j) * e_{k-j}(tail),
-    an identity, so the only width comes from the tail power-sum brackets.
-    With zeta_N({2}^j) = c_j / c_0 from prod_{n<=N} (n^2 + t), each end is
-    one integer sum, reduced once. A caller that already holds c_0..c_k for
-    this same N, or those over a common factor, passes them as `row`.
+    an identity, so the width comes from the tail power-sum brackets and
+    the rounding. With zeta_N({2}^j) = c_j / c_0 from prod_{n<=N} (n^2 + t),
+    each ratio is taken once to 2^-bits, floored for the lower end and
+    ceiled for the upper one; every factor is nonnegative, so each end is
+    one exact integer sum against tail_elementary_brackets, floored or ceiled
+    once. Each end lies outside the exact bracket by at most the rounding
+    bound of _width_terms.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
@@ -272,15 +330,13 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6,
         return (ONE, ONE)
     if N > EXACT_N_LIMIT:
         raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
-    if row is not None and len(row) != k + 1:
-        raise DomainError(f"row has {len(row)} entries, mzv_row(N, {k}) has {k + 1}")
-    head = row if row is not None else _factor_product(0, N, k)
-    den, tails = tail_elementary_brackets(N, k, em_terms)
-    # c_j / c_0 times E_{k-j} / (den^(k-j) (k-j)!), on c_0 den^k k!
-    scaled = [c * den ** j * math.perm(k, j) for j, c in enumerate(head)]
-    whole = head[0] * den ** k * math.factorial(k)
-    return tuple(Fraction(sum(c * e[end] for c, e in zip(scaled, reversed(tails))), whole)
-                 for end in (0, 1))
+    head = _factor_product(0, N, k)
+    lo = hi = 0
+    for c, (elo, ehi) in zip(head, reversed(tail_elementary_brackets(N, k, em_terms, bits))):
+        q, rem = divmod(c << bits, head[0])
+        lo, hi = lo + q * elo, hi + (q + (rem > 0)) * ehi
+    one = 1 << bits
+    return Fraction(lo // one, one), Fraction(-(-hi // one), one)
 
 
 def require_limit_k(k: int) -> None:
@@ -314,11 +370,7 @@ def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:
     # the ball's radius is at least half the bracket's width
     if pinned and bracket_floor(k - 1, N, em) > 2 * target:
         raise ResourceError(refused)
-    # prod_{n <= N} (n^2 + t) mod t^(k+1) over the gcd of its coefficients,
-    # so the bracket reduces on far less than (N!)^2
-    prod = _factor_product(0, N, k)
-    g = math.gcd(*prod)
-    lo, hi = mzv_limit_bracket(k, N, em, row=[c // g for c in prod])
+    lo, hi = mzv_limit_bracket(k, N, em, bits=limit_bits(width))
     v, r = round_to_bits((lo + hi) / 2, precision_bits + 8)
     err = (hi - lo) / 2 + r
     if err <= target:

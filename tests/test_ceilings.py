@@ -66,9 +66,7 @@ def _mzv(k):
 
 
 def _first_refused_precision(monkeypatch, compute, work):
-    p = _smallest(lambda p: _refused_before_work(monkeypatch, lambda: compute(p), work), 32)
-    assert p <= MAX_PRECISION
-    return p
+    return _smallest(lambda p: _refused_before_work(monkeypatch, lambda: compute(p), work), 32)
 
 
 def _size_check(check):
@@ -78,16 +76,20 @@ def _size_check(check):
 def _requests(monkeypatch):
     """(name, the smallest refused request) for every ceiling."""
     out = []
+    # the plans reach every precision the ceilings admit: MAX_PRECISION, and
+    # for pi_freq, whose root is taken 16 bits finer, MAX_PRECISION - 16
     for k in (1, 4, 8):
         p = _first_refused_precision(monkeypatch, _mzv(k), _MZV_WORK)
+        assert p == MAX_PRECISION + 1
         out.append((f"mzv k={k} at {p} bits", lambda k=k, p=p: series.mzv_limit(k, p)))
     p = _first_refused_precision(monkeypatch, pi_constants.pi_freq, _PI_FREQ_WORK)
+    assert p == MAX_PRECISION - 15
     out.append((f"pi_freq at {p} bits", lambda p=p: pi_constants.pi_freq(p)))
     out.append(("mzv k ceiling", lambda: series.mzv_limit(series.MZV_K_CEILING + 1, 64)))
     pinned = series.EXACT_N_LIMIT + 1
     out += [("mzv pinned N", lambda: series.mzv_limit(2, 64, N=pinned)),
             ("pi_freq pinned N", lambda: pi_constants.pi_freq(64, N=pinned)),
-            ("mzv bracket N", lambda: series.mzv_limit_bracket(2, pinned)),
+            ("mzv bracket N", lambda: series.mzv_limit_bracket(2, pinned, bits=64)),
             ("Wallis", lambda: pi_constants.pi_amp(pi_constants.WALLIS_N_CEILING + 1))]
     for kind, identity in (("alpha", bijection.alpha_residual_identity),
                            ("beta", bijection.beta_residual_identity)):
@@ -182,13 +184,28 @@ def test_the_alpha_suite_checks_every_level_before_any_closure(monkeypatch):
 
 
 def test_a_request_just_past_the_reach_is_refused_before_any_work(monkeypatch):
-    # the first omitted term's floor admits 13,680 bits at k = 8 (a radius
-    # of half the width plus the rounding); the bound on the whole bracket
-    # does not
-    floor = series.bracket_floor(7, 8192, series.EM_CEILING)
-    assert floor <= Fraction(1, 2 ** 13681) - Fraction(1, 2 ** 13686)
+    # the plan reaches MAX_PRECISION at every k: such a request gets to its
+    # work, and one bit more is refused before any
+    for k in (1, 8, 24):
+        assert not _refused_before_work(
+            monkeypatch, lambda: series.mzv_limit(k, MAX_PRECISION), _MZV_WORK)
+        start = time.process_time()
+        assert _refused_before_work(
+            monkeypatch, lambda: series.mzv_limit(k, MAX_PRECISION + 1), _MZV_WORK)
+        assert time.process_time() - start < 2
+
+
+def test_pi_freq_certifies_at_its_ceiling_and_refuses_past_it_before_planning(monkeypatch):
+    # the square root is taken at 16 bits past the request, so the ceiling
+    # is MAX_PRECISION - 16
+    p = MAX_PRECISION - 16
+    est = pi_constants.pi_freq(p)
+    assert est.value.err <= Fraction(1, 2 ** (p + 2))
+    pi = pi_oracle(256)
+    assert est.value.lo <= pi.hi and pi.lo <= est.value.hi
     start = time.process_time()
-    assert _refused_before_work(monkeypatch, lambda: series.mzv_limit(8, 13680), _MZV_WORK)
+    assert _refused_before_work(monkeypatch, lambda: pi_constants.pi_freq(p + 1),
+                                _PI_FREQ_WORK + [(pi_constants, "plan_limit")])
     assert time.process_time() - start < 2
 
 

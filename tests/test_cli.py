@@ -245,8 +245,8 @@ def test_resource_error_exit_code():
     assert "resource" in proc.stderr.lower()
 
 
-@pytest.mark.parametrize("argv", [["compute", "mzv", "--k", "8", "--precision", "13700"],
-                                  ["compute", "pi-freq", "--precision", "13700"],
+@pytest.mark.parametrize("argv", [["compute", "mzv", "--k", "8", "--precision", "16385"],
+                                  ["compute", "pi-freq", "--precision", "16369"],
                                   ["compute", "mzv", "--N", "10001"],
                                   ["compute", "pi-freq", "--N", "10001"]])
 def test_limit_past_its_reach_exits_3_at_once(argv):

@@ -93,6 +93,18 @@ def test_tangent_number_bernoulli_matches_the_recurrence():
     assert bernoulli_even(6)[0] == Fraction(1, 6) and bernoulli_even(6)[5] == Fraction(691, -2730)
 
 
+def test_a_shorter_bernoulli_table_is_a_prefix_of_a_longer_one(monkeypatch):
+    # T_i for i <= c does not depend on the length of the table
+    monkeypatch.setattr(numeric, "_bernoulli", [])
+    short = bernoulli_even(50)
+    monkeypatch.setattr(numeric, "_bernoulli", [])
+    assert bernoulli_even(300)[:50] == short
+    # a shorter count is served from the longest table, which stays
+    table = numeric._bernoulli
+    assert bernoulli_even(50) == short and bernoulli_even(0) == ()
+    assert numeric._bernoulli is table and len(table) == 300
+
+
 def test_power_sum_tail_matches_the_term_by_term_sum():
     # oracle: the Euler-Maclaurin terms added one at a time
     for N, j, em in ((1, 1, 0), (7, 2, 5), (64, 3, 9), (255, 1, 30)):

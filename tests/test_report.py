@@ -7,6 +7,7 @@ from mzvfactor.report import (
     all_passed,
     bool_record,
     make_record,
+    rational_str,
     render,
     sort_records,
 )
@@ -18,6 +19,16 @@ def test_status_rule_boundary():
     assert r.status == "pass"
     r = make_record("x", Fraction(11, 10), Fraction(1), Fraction(1, 20), Fraction(1, 21))
     assert r.status == "fail"
+
+
+def test_exact_values_past_the_int_to_str_digit_limit_are_written_in_full():
+    # 10^9000 + 7 has 9001 digits, past the 4300 that str() accepts; the
+    # zeros of the middle chunk must keep their places
+    big = 10 ** 9000 + 7
+    assert rational_str(Fraction(-big, 3)) == "-1" + "0" * 8999 + "7/3"
+    assert rational_str(Fraction(3, big)) == "3/1" + "0" * 8999 + "7"
+    assert rational_str(Fraction(big)) == "1" + "0" * 8999 + "7"
+    assert rational_str(Fraction(-12, 7)) == "-12/7"
 
 
 def test_counterexample_status():

@@ -19,6 +19,7 @@ from mzvfactor.numeric import (
     ResourceError,
     pi_oracle,
     power_sum_tail_bracket,
+    power_sum_tail_numerators,
     round_to_bits,
 )
 from mzvfactor.series import (
@@ -113,23 +114,22 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
     monkeypatch.setattr(series, "_factor_product", counted_build)
     monkeypatch.setattr(series, "mzv_limit_bracket", counted_bracket)
     monkeypatch.setattr(series, "mzv_row", no_row)
-    mzv_limit(4, 208)
+    z = mzv_limit(4, 208)
     monkeypatch.undo()
-    N, em = series.plan_limit(4, Fraction(1, 2 ** 209) - Fraction(1, 2 ** 214), 256)
+    width = Fraction(1, 2 ** 209) - Fraction(1, 2 ** 214)
+    N, em = series.plan_limit(4, width, 256)
     assert [a[:3] for a, _ in attempts] == [(4, N, em)]
     assert len(built) == len(set(built))
     assert (0, N) in built and all(0 <= lo < hi <= N for lo, hi in built)
+    # the bracket is taken on the plan's grid, and it contains the exact
+    # bracket on the head row mzv_row(N, 4), as the ball contains it
     args, kwargs = attempts[0]
-    # the passed row is the product's coefficients over their common factor
-    row, prod = kwargs["row"], build(0, N, 4)
-    assert row == [c // math.gcd(*prod) for c in prod]
-    assert [Fraction(c, row[0]) for c in row] == mzv_row(N, 4)
-    assert bracket(*args, **kwargs) == bracket(*args)
-
-
-def test_mzv_limit_bracket_rejects_a_row_of_the_wrong_length():
-    with pytest.raises(DomainError):
-        mzv_limit_bracket(4, 256, row=series._factor_product(0, 256, 3))
+    assert kwargs == {"bits": series.limit_bits(width)}
+    lo, hi = bracket(*args, **kwargs)
+    head, tails = mzv_row(N, 4), _tail_brackets_by_fractions(N, 4, em)
+    exact = [sum(h * e[end] for h, e in zip(head, reversed(tails))) for end in (0, 1)]
+    assert lo <= exact[0] <= exact[1] <= hi
+    assert z.lo <= lo and hi <= z.hi
 
 
 def _tail_brackets_by_fractions(N, k, em):
@@ -147,6 +147,37 @@ def _tail_brackets_by_fractions(N, k, em):
     return e
 
 
+def _exact_tail_brackets(N, k, em):
+    """oracle: brackets lo / (den^m m!) <= e_m <= hi / (den^m m!), m = 0..k,
+    of the tail set {1/n^2 : n > N}, as (den, [(lo, hi)]), with p_i = P_i / den.
+    Newton's identities m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i run on
+    exact numerators: E_m sums E_{m-i} P_i den^(i-1) (m-1)!/(m-i)!."""
+    den, p = power_sum_tail_numerators(N, k, em)
+    p = [(c * den ** i, d * den ** i) for i, (c, d) in enumerate(p)]
+    e = [(1, 1)]
+    for m in range(1, k + 1):
+        lo, hi, scale = 0, 0, 1
+        for i in range(1, m + 1):
+            (a, b), (c, d) = e[m - i], p[i - 1]
+            tlo, thi = scale * min(a * c, b * c), scale * max(a * d, b * d)
+            lo, hi = (lo + tlo, hi + thi) if i % 2 == 1 else (lo - thi, hi - tlo)
+            scale *= m - i
+        e.append((max(0, lo), hi))
+    return den, e
+
+
+def _exact_limit_bracket(k, N, em, head=None):
+    """oracle: the exact bracket sum_j zeta_N({2}^j) e_{k-j} of zeta({2}^k),
+    each end one integer sum over c_0 den^k k!, from the coefficients c_j of
+    prod_{n<=N} (n^2 + t), or from `head`, those over a common factor."""
+    head = series._factor_product(0, N, k) if head is None else head
+    den, tails = _exact_tail_brackets(N, k, em)
+    scaled = [c * den ** j * math.perm(k, j) for j, c in enumerate(head)]
+    whole = head[0] * den ** k * math.factorial(k)
+    return tuple(Fraction(sum(c * e[end] for c, e in zip(scaled, reversed(tails))), whole)
+                 for end in (0, 1))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3000),
        st.integers(min_value=0, max_value=40))
@@ -156,14 +187,42 @@ def _tail_brackets_by_fractions(N, k, em):
 def test_integer_limit_kernel_equals_the_rational_recursion(k, N, em):
     # (8, 1, 0) clamps e_5..e_8 at 0
     expected = _tail_brackets_by_fractions(N, k, em)
-    den, tails = series.tail_elementary_brackets(N, k, em)
+    den, tails = _exact_tail_brackets(N, k, em)
     scales = [den ** m * math.factorial(m) for m in range(k + 1)]
     assert [(Fraction(lo, s), Fraction(hi, s)) for (lo, hi), s in zip(tails, scales)] == expected
     # oracle: the exact head row times the tail brackets, term by term
     prod = series._factor_product(0, N, k)
     head = [Fraction(c, prod[0]) for c in prod]
-    assert mzv_limit_bracket(k, N, em, row=prod) == tuple(
-        sum(head[j] * expected[k - j][end] for j in range(k + 1)) for end in (0, 1))
+    exact = tuple(sum(head[j] * expected[k - j][end] for j in range(k + 1)) for end in (0, 1))
+    assert _exact_limit_bracket(k, N, em, prod) == exact
+    # the fixed-point kernel contains both, on a coarse grid and a fine one
+    for bits in (24, 256):
+        unit = Fraction(1, 1 << bits)
+        fixed = series.tail_elementary_brackets(N, k, em, bits)
+        assert all(lo * unit <= a and b <= hi * unit
+                   for (lo, hi), (a, b) in zip(fixed, expected)), bits
+        lo, hi = mzv_limit_bracket(k, N, em, bits=bits)
+        assert lo <= exact[0] and exact[1] <= hi, bits
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=3000),
+       st.integers(min_value=0, max_value=40))
+@example(8, 8192, 9)
+@example(24, 256, 6)
+@example(8, 1, 0)
+def test_the_fixed_point_bracket_is_the_exact_one_widened_by_its_rounding_at_most(k, N, em):
+    # on the grid a plan for this width takes, 32 bits past it, and on a
+    # coarse one, where the rounding is most of the width
+    elo, ehi = _exact_limit_bracket(k, N, em)
+    fine = ((ehi - elo).denominator // (ehi - elo).numerator).bit_length() + 32
+    for bits in (fine, 24):
+        lo, hi = mzv_limit_bracket(k, N, em, bits=bits)
+        exact, rounding = series._width_terms(k, N, em, bits)
+        unit = Fraction(1, 1 << bits)
+        assert lo <= elo and ehi <= hi, bits
+        assert elo - lo <= rounding * unit and hi - ehi <= rounding * unit, bits
+        assert ehi - elo <= exact * unit, bits
 
 
 def test_mzv_table_invariants():
@@ -236,7 +295,7 @@ def test_mzv_limit_brackets_contain_closed_form():
 def test_sharp_bracket_inside_monotone_bound():
     N = 500
     for k in (1, 2, 3):
-        lo, hi = mzv_limit_bracket(k, N)
+        lo, hi = mzv_limit_bracket(k, N, bits=128)
         head = mzv_truncated(N, k)
         # the coarse tail bound (zeta_N({2}^{k-1}) + 1) / N
         coarse = (mzv_truncated(N, k - 1) + 1) / N
@@ -249,8 +308,8 @@ def test_mzv_limit_resource_error_when_truncation_pinned_too_low():
 
 
 def test_bracket_narrows_with_truncation():
-    lo1, hi1 = mzv_limit_bracket(2, 100)
-    lo2, hi2 = mzv_limit_bracket(2, 200)
+    lo1, hi1 = mzv_limit_bracket(2, 100, bits=128)
+    lo2, hi2 = mzv_limit_bracket(2, 200, bits=128)
     assert lo1 <= lo2 <= hi2 <= hi1
 
 
@@ -310,8 +369,9 @@ def _overlap(a, b):
 
 def test_limit_steps_double_n_then_the_depth_at_the_last_exact_n():
     # the oracle's ladder; the planner keeps its pinned attempt (N, 6)
-    em_steps = [9 * 2 ** r for r in range(1, 8)]
-    assert series.EM_CEILING == em_steps[-1]
+    # the last doubling of the depth is capped at EM_CEILING
+    em_steps = [9 * 2 ** r for r in range(1, 8)] + [series.EM_CEILING]
+    assert em_steps[-2] < series.EM_CEILING < 2 * em_steps[-2]
     assert limit_steps(256) == (
         [(256, em) for em in range(6, 10)]
         + [(n, 9) for n in (512, 1024, 2048, 4096, 8192)]
@@ -346,7 +406,7 @@ def test_the_plan_takes_one_bracket_that_overlaps_the_ladder(monkeypatch):
     for k in range(1, 9):
         closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
         oracle = _ladder_balls(limit_steps(256),
-                               lambda n, em: bracket(k, n, em, row=heads[n][:k + 1]),
+                               lambda n, em: _exact_limit_bracket(k, n, em, heads[n][:k + 1]),
                                _mzv_ball, _PLANNED_PRECISIONS)
         for P in _PLANNED_PRECISIONS:
             calls.clear()
@@ -371,10 +431,11 @@ def test_the_width_bound_covers_the_whole_bracket(k):
     # takes zeta({2}^j) for zeta_N({2}^j), which at k = 24 is loose at
     # small N
     for N, em in ((256, 6), (256, 50), (64, 25)):
-        lo, hi = mzv_limit_bracket(k, N, em)
-        s = (hi - lo).denominator.bit_length() + 8
+        elo, ehi = _exact_limit_bracket(k, N, em)
+        s = (ehi - elo).denominator.bit_length() + 8
+        lo, hi = mzv_limit_bracket(k, N, em, bits=s)
         bound = Fraction(series.width_bound(k, N, em, s), 1 << s)
-        assert hi - lo <= bound <= (hi - lo) * (3 if N >= 256 else 8), (k, N, em)
+        assert ehi - elo <= hi - lo <= bound <= (ehi - elo) * (3 if N >= 256 else 8), (k, N, em)
 
 
 def test_a_plan_costs_a_logarithmic_number_of_bounds(monkeypatch):
@@ -402,7 +463,7 @@ def test_closed_form_floor_bounds_the_bracket_width_from_below():
     for N, em in ((64, 6), (256, 9), (1000, 40)):
         row, prod = mzv_row(N, 9), series._factor_product(0, N, 9)
         for m in range(1, 9):
-            lo, hi = mzv_limit_bracket(m + 1, N, em, row=prod[:m + 2])
+            lo, hi = _exact_limit_bracket(m + 1, N, em, prod[:m + 2])
             floor = series.bracket_floor(m, N, em)
             assert floor <= row[m] * series.bracket_floor(0, N, em) <= hi - lo, (m, N, em)
     for m in range(1, 9):
