@@ -4,11 +4,14 @@ identification with the geometric circle constant.
 
 pi_freq = sqrt(6 sum 1/n^2) comes from the certified zeta(2) bracket;
 pi_amp = 2 prod (2n/(2n-1))(2n/(2n+1)) comes from the interlacing Wallis
-partial products, with C(2N, N) built from its prime factorization; the
-arc length integrates the unit-speed parametrization (g, g') between the
-bracketed endpoints +-pi_freq/2, with g and g' summed in integer fixed point
-under a derived error bound. All three are compared against the independent
-Machin oracle.
+partial products, with C(2N, N) built from its prime factorization; g and
+g' are summed in integer fixed point under a derived error bound, and the
+Pythagorean check reads them on a grid. The arc length of the
+parametrization (g, g') between the bracketed endpoints +-pi_freq/2 comes
+from one exact polynomial certificate, with no quadrature: Q = G^2 + G'^2 - 1
+for the truncations G, G' of g, g', computed exactly, bounds the speed's
+distance from 1 on the whole interval together with the alternating
+remainders. All three are compared against the independent Machin oracle.
 """
 
 from __future__ import annotations
@@ -39,9 +42,7 @@ WALLIS_N_CEILING = 10 ** 6
 # decimal digits, Python's default limit for int-to-str conversion.
 EXACT_PARTIAL_MAX_BITS = 14_284
 
-# Simpson nodes of arc_length's coarse pass (the fine pass doubles them) and
 # the Wallis pairs of three_way_pi_compare
-QUAD_NODES = 32
 WALLIS_PAIRS = 20_000
 
 
@@ -289,41 +290,40 @@ def pythagorean_check(grid: list[Fraction],
 # Arc length of the parametrized half-circle
 # ---------------------------------------------------------------------------
 
-def _speed(x: Fraction, precision_bits: int) -> ApproxReal:
-    g, gp = g_eval(x, precision_bits)
-    sq = g * g + gp * gp
-    lo = max(ZERO, sq.lo)
-    return ApproxReal.from_bracket(lo, sq.hi, precision_bits + 16).sqrt()
-
-
-def _simpson(speeds: list[ApproxReal], h: Fraction, precision_bits: int) -> ApproxReal:
-    """Composite Simpson sum over the speeds at m + 1 nodes spaced h apart."""
-    m = len(speeds) - 1
-    total = ApproxReal.exact(0, precision_bits)
-    for i, s in enumerate(speeds):
-        w = 1 if i in (0, m) else (4 if i % 2 == 1 else 2)
-        total = total + s * w
-    return total * (h / 3)
+def _speed_defect(D: int) -> tuple[list[int], Fraction]:
+    """(s, eps) for G, G', the degree-D truncations of g, g' (D >= 1): Q = G^2 + G'^2 - 1
+    = sum_m (-1)^m s_m x^(2m)/(2m)!, s_m the sum of (-1)^j C(2m, j) over j, 2m - j in [0, D]
+    less 1 at m = 0, and eps = sum |s_m| A^(2m)/(2m)! + r (10 + r) + r' (10 + r') bounds
+    |g^2 + g'^2 - 1| on |x| <= A = 355/226: |G|, |G'| <= e^A < 5, and r, r' = A^(D+1)/(D+1)!,
+    A^(D+2)/(D+2)! bound the alternating remainders of g, g' (in some order; A^2 < 12). The
+    terms are rounded up on W bits, by under 2^-30 r' in all, as sum |s_m| < 4^(D+1)."""
+    W = (D + 2) * ((D + 2).bit_length() + 2) + 32   # >= log2((D+2)!) + 2D + 36
+    u = list(itertools.accumulate(   # u[j] >= A^j / j! in units of 2^-W
+        range(1, 2 * D + 3), lambda t, j: -(-t * 355 // (226 * j)), initial=1 << W))
+    sums = []
+    for m in range(D + 1):
+        n, j = 2 * m, max(0, 2 * m - D)
+        c, s = math.comb(n, j), -(m == 0)
+        for j in range(j, min(n, D) + 1):
+            s, c = s + (-c if j & 1 else c), c * (n - j) // (j + 1)
+        sums.append(s)
+    eps = sum(abs(s) * u[2 * m] for m, s in enumerate(sums))
+    eps += sum(-(-r * ((10 << W) + r) >> W) for r in u[D + 1:D + 3])
+    return sums, Fraction(eps, 1 << W)
 
 
 def arc_length(precision_bits: int) -> ApproxReal:
-    """Integrate sqrt(g'^2 + g^2) over [-pi_freq/2, pi_freq/2], with the
-    certified node errors, a node-doubling truncation estimate, and the
-    endpoint-bracket sliver folded into the error."""
+    """The length of x -> (g, g') over [-p/2, p/2], p = pi_freq(precision_bits + 24) with p/2
+    in [a - delta, a + delta], a + delta <= A = 355/226 (else ValueError, a broken invariant).
+    As g'' = -g term by term, the squared speed is g^2 + g'^2, within eps of 1 by _speed_defect
+    at D = 2T + 1, T from _terms at A; so the speed is in [1 - eps, 1 + eps/2] and the length
+    in [2 (a - delta)(1 - eps), 2 (a + delta)(1 + eps/2)]."""
     require_precision(precision_bits)
-    pf = pi_freq(precision_bits + 24)
-    a = pf.value.value / 2
-    delta = pf.value.err / 2
-    # the QUAD_NODES pass uses the even nodes of the 2 QUAD_NODES pass
-    h = a / QUAD_NODES
-    speeds = [_speed(-a + i * h, precision_bits + 16) for i in range(2 * QUAD_NODES + 1)]
-    q1 = _simpson(speeds[::2], 2 * h, precision_bits + 16)
-    q2 = _simpson(speeds, h, precision_bits + 16)
-    doubling = abs(q2.value - q1.value)
-    # endpoint sliver at both ends: |speed| <= sqrt(2) e^2 < 12 anywhere
-    # within |x| <= 2
-    extra = doubling + 2 * delta * 12
-    return ApproxReal(q2.value, q2.err + extra, precision_bits)
+    p = pi_freq(precision_bits + 24).value
+    if p.hi > Fraction(355, 113):
+        raise ValueError("arc_length: an endpoint lies past 355/226")
+    _, eps = _speed_defect(2 * _terms(355, 226, precision_bits + 24)[0] + 1)
+    return ApproxReal.from_bracket(p.lo * (1 - eps), p.hi * (1 + eps / 2), precision_bits + 32)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +335,11 @@ def three_way_pi_compare(precision_bits: int) -> dict[str, ApproxReal]:
     (pi_amp at WALLIS_PAIRS), "arc" (arc_length) and "oracle" (the Machin
     oracle)."""
     require_precision(precision_bits)
+    # arc_length takes pi_freq 24 bits finer, and pi_freq its root 16 bits
+    # finer still: refuse a request past that before any estimate is built
+    if precision_bits + 40 > MAX_PRECISION:
+        raise ResourceError(f"pi-equality: precision {precision_bits} exceeds ceiling "
+                            f"{MAX_PRECISION - 40}")
     return {
         "freq": pi_freq(precision_bits).value,
         "amp": pi_amp(WALLIS_PAIRS, precision_bits).value,

@@ -34,11 +34,36 @@ def _tol(config: RunConfig, default: Fraction) -> Fraction:
 
 # ---------------------------------------------------------------------------
 
+# verify basel and verify factorization take one certified limit for every
+# k <= K. In one process on a shared 2-CPU x86-64 host (CPython 3.11), a limit
+# took 0.17 s at k = 1, 0.35 s at k = 4, 0.72 s at k = 8, 2.1 s at k = 16,
+# 4.2 s at k = 24, 7.2 s at k = 32, 16 s at k = 48 and 30 s at k = 64 at
+# 16352 bits; 0.05, 0.15, 1.2 and 5.2 s at k = 1, 8, 32 and 64 at 8192 bits;
+# 0.01, 0.04, 0.33 and 1.4 s at 4096 bits. The first limit of a process also
+# builds its Bernoulli numbers (3.4 s with the k = 1 limit at 16352 bits), and
+# the basel oracle 32 bits finer took 2.8 s. The closed form in
+# require_limits_size gives 1.03 to 1.55 times each per-k time at 16352 bits,
+# and more at fewer bits, with (P^2 >> 20) + 1 for the growth in the
+# precision P. It admits K = 24 at 16352 bits (59 s by the closed form;
+# verify basel took 39-41 s and verify factorization 43 s) and refuses
+# K = 25. The ceiling is the 60 s of P_EVAL_CEILING.
+def require_limits_size(k_max: int, precision_bits: int) -> None:
+    """Refuse the certified limits zeta({2}^k), k <= k_max, at precision_bits
+    from the k ceiling and a closed-form bound of their time in
+    microseconds, before any limit is computed."""
+    series.require_limit_k(k_max)
+    K, scale = k_max, (precision_bits * precision_bits >> 20) + 1
+    cost = scale * (24000 + 800 * K + 100 * K * (K + 1) + 13 * K * (K + 1) * (2 * K + 1) // 3)
+    if cost > pfunc.P_EVAL_CEILING:
+        raise ResourceError(f"certified limits k <= {k_max} at {precision_bits} bits: "
+                            f"{cost} us exceeds ceiling {pfunc.P_EVAL_CEILING}")
+
+
 def suite_basel(config: RunConfig) -> list[VerificationReport]:
     """zeta({2}^k) brackets against pi^(2k)/(2k+1)! from the oracle."""
     k_max = 8 if config.k is None else config.k
-    series.require_limit_k(k_max)   # refuse before any limit is computed
     prec = config.precision_bits
+    require_limits_size(k_max, prec)   # refuse before any limit is computed
     width_tol = _tol(config, TEN ** -20)
     out = []
     # 32 guard bits keep the closed form's radius far below the limit's
@@ -58,8 +83,8 @@ def suite_basel(config: RunConfig) -> list[VerificationReport]:
 def suite_factorization(config: RunConfig) -> list[VerificationReport]:
     """(2k+1)(2k) zeta({2}^k) = zeta({2}^{k-1}) 6 zeta(2), certified."""
     k_max = 8 if config.k is None else config.k
-    series.require_limit_k(k_max)   # refuse before any limit is computed
     prec = config.precision_bits
+    require_limits_size(k_max, prec)   # refuse before any limit is computed
     err_tol = _tol(config, TEN ** -20)
     out = []
     levels = bijection.factorization_check(k_max, prec)

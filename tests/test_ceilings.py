@@ -1,10 +1,10 @@
 """Every resource ceiling of series, pi_constants, bijection, pfunc and the
-product-structure and p-constant suites refuses the smallest request it
-refuses within 2 s of process time; a certified limit is refused before it
-builds anything, within two bits of what its plan reaches or past its k
-ceiling. The largest Wallis request admitted finishes within seconds, and
-the largest p_eval request admitted at the default precision within its
-budget.
+product-structure, p-constant, pi-equality, basel and factorization suites
+refuses the smallest request it refuses within 2 s of process time; a
+certified limit is refused before it builds anything, within two bits of
+what its plan reaches or past its k ceiling. The largest Wallis request
+admitted finishes within seconds, and the largest p_eval request admitted
+at the default precision within its budget.
 """
 
 import time
@@ -85,7 +85,19 @@ def _requests(monkeypatch):
     p = _first_refused_precision(monkeypatch, pi_constants.pi_freq, _PI_FREQ_WORK)
     assert p == MAX_PRECISION - 15
     out.append((f"pi_freq at {p} bits", lambda p=p: pi_constants.pi_freq(p)))
+    # arc_length takes pi_freq 24 bits finer
+    p = _first_refused_precision(monkeypatch, pi_constants.three_way_pi_compare, _PI_FREQ_WORK)
+    assert p == MAX_PRECISION - 39
+    out.append((f"pi-equality at {p} bits",
+                lambda p=p: suites.run_suite("pi-equality", RunConfig(precision_bits=p))))
     out.append(("mzv k ceiling", lambda: series.mzv_limit(series.MZV_K_CEILING + 1, 64)))
+    # the basel oracle runs 32 bits finer, so 16352 bits is the suites' reach
+    k = _smallest(_size_check(lambda k: suites.require_limits_size(k, MAX_PRECISION - 32)), 1)
+    assert k <= series.MZV_K_CEILING
+    for name in ("basel", "factorization"):
+        config = RunConfig(k=k, precision_bits=MAX_PRECISION - 32)
+        out.append((f"{name} k={k} at {MAX_PRECISION - 32} bits",
+                    lambda name=name, config=config: suites.run_suite(name, config)))
     pinned = series.EXACT_N_LIMIT + 1
     out += [("mzv pinned N", lambda: series.mzv_limit(2, 64, N=pinned)),
             ("pi_freq pinned N", lambda: pi_constants.pi_freq(64, N=pinned)),
@@ -127,7 +139,7 @@ def _largest_admitted_p_eval():
 
 def test_every_ceiling_refuses_its_smallest_request_within_2s(monkeypatch):
     requests = _requests(monkeypatch)
-    assert len(requests) == 20
+    assert len(requests) == 23
     for name, call in requests:
         start = time.process_time()
         with pytest.raises(ResourceError):
@@ -172,6 +184,22 @@ def test_the_k_ceiling_refuses_before_any_limit_is_built(monkeypatch):
                  lambda: suites.run_suite("factorization", config))
         refused = [_refused_before_work(monkeypatch, call, _MZV_WORK) for call in calls]
         assert refused == [k > series.MZV_K_CEILING] * 3
+
+
+def test_the_limit_cost_ceiling_admits_the_defaults_and_the_benchmark_requests():
+    # verify basel and factorization at their defaults (k = 8, 128 bits), the
+    # certified-limits requests (k <= 7, 64 to 116 bits), the k ceiling at
+    # 64 bits, and k = 24 at the suites' reach of 16352 bits
+    for k, prec in ((8, 128), (7, 116), (series.MZV_K_CEILING, 64),
+                    (24, MAX_PRECISION - 32)):
+        suites.require_limits_size(k, prec)
+
+
+def test_the_limit_suites_refuse_past_the_cost_ceiling_before_any_limit(monkeypatch):
+    for name in ("basel", "factorization"):
+        config = RunConfig(k=25, precision_bits=MAX_PRECISION - 32)
+        assert _refused_before_work(
+            monkeypatch, lambda: suites.run_suite(name, config), _MZV_WORK)
 
 
 def test_the_alpha_suite_checks_every_level_before_any_closure(monkeypatch):

@@ -203,18 +203,85 @@ def test_arc_length_equals_frequency_constant():
     assert abs(arc.value - pf.value.value) < Fraction(1, 10 ** 10)
 
 
-def test_arc_length_evaluates_each_node_once(monkeypatch):
-    # the QUAD_NODES pass reads the even nodes of the 2 QUAD_NODES pass
-    nodes = []
-    real = pi_constants.g_eval
+A = Fraction(355, 226)
 
-    def counted(x, *args):
-        nodes.append(x)
-        return real(x, *args)
 
-    monkeypatch.setattr(pi_constants, "g_eval", counted)
-    arc_length(96)
-    assert len(nodes) == len(set(nodes)) == 2 * pi_constants.QUAD_NODES + 1
+def _truncated_q(D):
+    """Q = G^2 + G'^2 - 1 for the degree-D truncations G, G' of g and g', by
+    the Fraction convolution of their coefficient lists."""
+    G = [Fraction((-1) ** (j // 2), math.factorial(j)) if j % 2 else Fraction(0)
+         for j in range(D + 1)]
+    Gp = [Fraction(0) if j % 2 else Fraction((-1) ** (j // 2), math.factorial(j))
+          for j in range(D + 1)]
+    Q = [Fraction(0)] * (2 * D + 1)
+    for i, j in itertools.product(range(D + 1), repeat=2):
+        Q[i + j] += G[i] * G[j] + Gp[i] * Gp[j]
+    Q[0] -= 1
+    return Q
+
+
+def _slow_defect_bound(D):
+    """The bound of _speed_defect rebuilt from the convolution and from the
+    definitions of the first omitted terms, A^(D+1)/(D+1)! and A^(D+2)/(D+2)!
+    (of g' and g for odd D, of g and g' for even D), and the smaller of them."""
+    q = sum(abs(c) * A ** i for i, c in enumerate(_truncated_q(D)))
+    r, r_next = (A ** d / math.factorial(d) for d in (D + 1, D + 2))
+    return q + r * (2 * 5 + r) + r_next * (2 * 5 + r_next), r_next
+
+
+def test_speed_defect_coefficients_match_the_convolution():
+    for D in range(1, 41):
+        sums, eps = pi_constants._speed_defect(D)
+        Q = _truncated_q(D)
+        assert len(sums) == D + 1
+        assert all(Q[i] == 0 for i in range(1, 2 * D + 1, 2)), D
+        assert [Q[2 * m] for m in range(D + 1)] == [
+            Fraction((-1) ** m * s, math.factorial(2 * m)) for m, s in enumerate(sums)], D
+        slow, r_next = _slow_defect_bound(D)
+        assert slow <= eps <= slow + r_next / 2 ** 30, D
+
+
+def test_e_to_the_a_is_below_5():
+    # the premise |G|, |G'| <= e^A < 5: the terms past j = 40 sum to less
+    # than twice the first of them
+    head = sum(A ** j / math.factorial(j) for j in range(40))
+    assert head + 2 * A ** 40 / math.factorial(40) < 5
+
+
+@pytest.mark.parametrize("prec", [32, 64, 128, 224, 512])
+def test_speed_defect_covers_the_slow_bound(prec):
+    # at the D of arc_length(prec), whose rounding adds under 2^-30 of the
+    # smaller omitted term
+    D = 2 * pi_constants._terms(355, 226, prec + 24)[0] + 1
+    _, eps = pi_constants._speed_defect(D)
+    slow, r_next = _slow_defect_bound(D)
+    assert slow <= eps <= slow + r_next / 2 ** 30
+
+
+def test_arc_length_radius_is_at_most_2_to_the_minus_p():
+    for prec in (64, 128, 224):
+        assert arc_length(prec).err <= Fraction(1, 2 ** prec), prec
+
+
+def test_arc_length_radius_is_no_wider_than_the_quadrature_estimate():
+    # the radius of the Simpson quadrature the certificate replaced, rounded
+    # down to 9 bits
+    for prec, old in ((64, Fraction(346, 2 ** 96)), (80, Fraction(510, 2 ** 115)),
+                      (224, Fraction(328, 2 ** 259)), (1024, Fraction(316, 2 ** 1057))):
+        assert arc_length(prec).err <= old, prec
+
+
+@pytest.mark.parametrize("prec", [32, 64, 100, 128, 224, 256, 512, 1024])
+def test_arc_length_overlaps_the_oracle(prec):
+    arc, pi = arc_length(prec), pi_oracle(prec)
+    assert arc.lo <= pi.hi and pi.lo <= arc.hi
+
+
+def test_arc_length_endpoint_past_the_certified_interval_is_a_broken_invariant(monkeypatch):
+    monkeypatch.setattr(pi_constants, "pi_freq", lambda prec: pi_constants.PiEstimate(
+        ApproxReal(Fraction(355, 113), Fraction(1, 2 ** 80), prec)))
+    with pytest.raises(ValueError):
+        arc_length(64)
 
 
 def test_speed_at_zero_is_one():
