@@ -548,12 +548,13 @@ def factorization_check(k_max: int, precision_bits: int
     lhs = (2k+1)(2k) zeta({2}^k), rhs = zeta({2}^{k-1}) * 6 zeta(2),
     mzv = zeta({2}^k), closed_form = pi^(2k)/(2k+1)! from the independent oracle.
 
-    Each limit zeta({2}^j), j = 0..k_max, is computed once. The products
+    Every limit zeta({2}^j), j = 0..k_max, comes from one certified row,
+    one mzv_limit call at k_max. The products
     round at no less than DEFAULT_PRECISION bits, so a low requested
     precision widens only the limits, not the recursion budget.
     """
     work = max(precision_bits, DEFAULT_PRECISION)
-    z = [mzv_limit(j, precision_bits) for j in range(k_max + 1)]
+    z = mzv_limit(k_max, precision_bits)
     pi = pi_oracle(work)
     levels = []
     for k in range(1, k_max + 1):

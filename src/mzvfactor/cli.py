@@ -126,7 +126,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     records = []
     if args.target == "mzv":
         k = config.k if config.k is not None else 2
-        v = series.mzv_limit(k, prec, config.N)
+        v = series.mzv_limit(k, prec, config.N)[-1]
         records.append(make_record(
             f"compute.mzv.k{k}", v.value, v.value, v.err, Fraction(0),
             params={"k": k, "precision_bits": prec}))

@@ -319,7 +319,12 @@ def arc_length(precision_bits: int) -> ApproxReal:
     at D = 2T + 1, T from _terms at A; so the speed is in [1 - eps, 1 + eps/2] and the length
     in [2 (a - delta)(1 - eps), 2 (a + delta)(1 + eps/2)]."""
     require_precision(precision_bits)
-    p = pi_freq(precision_bits + 24).value
+    return _arc_length_between(pi_freq(precision_bits + 24).value, precision_bits)
+
+
+def _arc_length_between(p: ApproxReal, precision_bits: int) -> ApproxReal:
+    """arc_length(precision_bits) over the endpoints +-p/2 of a given ball p
+    of pi, p = pi_freq(precision_bits + 24) or tighter."""
     if p.hi > Fraction(355, 113):
         raise ValueError("arc_length: an endpoint lies past 355/226")
     _, eps = _speed_defect(2 * _terms(355, 226, precision_bits + 24)[0] + 1)
@@ -331,7 +336,8 @@ def arc_length(precision_bits: int) -> ApproxReal:
 # ---------------------------------------------------------------------------
 
 def three_way_pi_compare(precision_bits: int) -> dict[str, ApproxReal]:
-    """The four certified estimates of pi by name: "freq" (pi_freq), "amp"
+    """The four certified estimates of pi by name: "freq" (pi_freq, taken
+    24 bits finer for the arc's endpoints), "amp"
     (pi_amp at WALLIS_PAIRS), "arc" (arc_length) and "oracle" (the Machin
     oracle)."""
     require_precision(precision_bits)
@@ -340,9 +346,10 @@ def three_way_pi_compare(precision_bits: int) -> dict[str, ApproxReal]:
     if precision_bits + 40 > MAX_PRECISION:
         raise ResourceError(f"pi-equality: precision {precision_bits} exceeds ceiling "
                             f"{MAX_PRECISION - 40}")
+    freq = pi_freq(precision_bits + 24).value
     return {
-        "freq": pi_freq(precision_bits).value,
+        "freq": freq,
         "amp": pi_amp(WALLIS_PAIRS, precision_bits).value,
-        "arc": arc_length(precision_bits),
+        "arc": _arc_length_between(freq, precision_bits),
         "oracle": pi_oracle(precision_bits),
     }

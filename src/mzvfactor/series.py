@@ -15,8 +15,10 @@ integers, W about 39 bits past the requested precision: each ratio
 c_j / c_0 and each power-sum bracket of the tail is rounded outward to
 2^-W once, and Newton's identities and the head-times-tail sum floor every
 lower end and ceil every upper one (the one-sided working precision of ball
-arithmetic). A limit takes one bracket, at the truncation and depth
-plan_limit picks from closed-form bounds before any work (Johansson,
+arithmetic). A limit takes one row: every zeta({2}^j), j <= k, from one
+head of degree k, one tail and one bracket per entry, at the truncation
+and depth plan_limit picks for the whole row from closed-form bounds
+before any work (Johansson,
 "Rigorous high-precision computation of the Hurwitz zeta function and its
 derivatives", Numer. Algorithms 2015); the bound counts the rounding. The
 rolling recursion e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2, the rational
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .numeric import (
     ApproxReal,
@@ -38,27 +41,28 @@ from .numeric import (
     ONE,
     power_sum_tail_numerators,
     require_precision,
-    round_to_bits,
+    round_to_bits,  # not called here; bench/test_bench.py checks the tracer wraps this binding
 )
 
 # the largest truncation of an exact head row or zeta_N(2)
 EXACT_N_LIMIT = 10 ** 4
 # The deepest Euler-Maclaurin tail. At N = 8192, MAX_PRECISION = 16384 bits
-# takes depth 1469 at k = 1..4, 1467 at k = 8 and 1455 at k = 24, and
-# pi_freq's ceiling of 16368 bits takes 1467; the cap leaves about 8% of
-# headroom, and no admitted request plans deeper than it needs. There a
-# whole `compute mzv` request took 3.4 s of CPU time at k = 1, 3.8 s at
-# k = 8 and 4.7 s at k = 24 on a 2.1 GHz Xeon core (up to 7.3 s at k = 24
-# when the host was loaded), 2.0 s of it the Bernoulli numbers to B_2940.
+# takes depth 1469 for the row at every k (the entry zeta({2}^2), whose
+# floor is widest, decides it), and pi_freq's ceiling of 16368 bits takes
+# 1467; the cap leaves about 8% of headroom, and no admitted request plans
+# deeper than it needs. There a whole `compute mzv` request took 2.5 s of
+# CPU time at k = 1, 2.7 s at k = 8 and 5.0 s at k = 24 on a shared 2-CPU
+# Xeon host, up to 3.2 s of it the Bernoulli numbers to B_2940.
 EM_CEILING = 1536
 # The largest k of a certified limit. The slowest request at a given k is
-# one at MAX_PRECISION, a single attempt at N = 8192 and a depth near 1450;
-# on a 2.1 GHz Xeon core it took 3.1-3.4 s of CPU time at k = 1, 4.7-7.3 s
-# at k = 24, 21 s at k = 48, 21-26 s at k = 64 (13 s of it the exact head
-# and 4-7 s the plan's width bounds), 37 s at k = 72, 45-49 s at k = 80
-# and 60 s at k = 96 (the ranges are a quiet and a loaded host), so k = 64
-# keeps more than half of the 60 s budget in hand for a slower host. A
-# 64-bit request at k = 64 takes 0.02 s.
+# one at MAX_PRECISION, a single attempt at N = 8192 and depth 1469; on a
+# shared 2-CPU Xeon host a `compute mzv` row there took 2.5 s of CPU time
+# at k = 1, 5.0 s at k = 24, 12.5 s at k = 48 and 22 s at k = 64, most of
+# it the exact head (18 of 25 s at k = 64 under cProfile; the plan 0.1 s,
+# the row's sums 0.7 s). With the head growing as k^2, k = 64 keeps more
+# than half of the 60 s budget in hand for a slower host, and so does
+# `verify basel --k 64` at 16352 bits (26 s). A 64-bit request at k = 64
+# takes 0.02 s.
 MZV_K_CEILING = 64
 
 
@@ -160,31 +164,44 @@ def _floor_terms(m: int, N: int, em: int) -> tuple[int, int]:
     return num, den
 
 
+def _widest_floor(k: int, N: int) -> int:
+    """The m < k with the largest bracket_floor(m, N, em): the floors of
+    the entries 1..k of a row differ only in their head factor, so this m
+    decides, at every em, whether the floor of every entry is within a
+    width. From m = 1 on, (333/106)^(2m) / (2m+1)! falls, so every head
+    factor at m >= 2 is below (333/106)^4 / 5! < 1, the factor at m = 0;
+    the factor at m = 1, (333/106)^2 / 3! - 1/N, is above 1 exactly when
+    N >= 2."""
+    return 1 if k >= 2 and N >= 2 else 0
+
+
 def bracket_floor(m: int, N: int, em: int) -> Fraction:
     """A closed-form lower bound, for N >= 1, of zeta_N({2}^m) times the
-    width of power_sum_tail_bracket(N, 1, em), which the width of
-    mzv_limit_bracket(m + 1, N, em) is at least. That width is
+    width of power_sum_tail_bracket(N, 1, em), which the width of entry
+    m + 1 of mzv_limit_bracket(k, N, em), k > m, is at least. That width is
     |B_2i| / (N+1)^(2i+1), i = em + 1,
     with |B_2i| > 2 (2i)! / (2 pi)^(2i); zeta_N({2}^m) is pi^(2m) / (2m+1)!
     less at most zeta({2}^(m-1)) / N; and 333/106 < pi < 355/113."""
     return Fraction(*_floor_terms(m, N, em))
 
 
-def width_bound(k: int, N: int, em: int, s: int) -> int:
-    """An upper bound, in units of 2^-s, of the width of
-    mzv_limit_bracket(k, N, em, bits=s), for k, N >= 1, from closed forms
-    only: the bound of the exact bracket plus twice the rounding bound, both
-    from _width_terms."""
-    exact, rounding = _width_terms(k, N, em, s)
-    return exact + 2 * rounding
+def width_bound(k: int, N: int, em: int, s: int) -> list[int]:
+    """Upper bounds, in units of 2^-s, of the widths of the entries
+    j = 0..k of mzv_limit_bracket(k, N, em, bits=s), for N >= 1, from
+    closed forms only: the bound of each exact bracket plus twice its
+    rounding bound, all from one _width_terms recursion."""
+    return [exact + 2 * rounding for exact, rounding in _width_terms(k, N, em, s)]
 
 
-def _width_terms(k: int, N: int, em: int, s: int) -> tuple[int, int]:
-    """(B, R) in units of 2^-s: B bounds the width of the exact bracket
-    sum_j zeta_N({2}^j) e_{k-j} of zeta({2}^k), and R how far each end of
-    mzv_limit_bracket(k, N, em, bits=s) lies outside it.
+def _width_terms(k: int, N: int, em: int, s: int) -> list[tuple[int, int]]:
+    """[(B_m, R_m), m = 0..k] in units of 2^-s: B_m bounds the width of the
+    exact bracket sum_j zeta_N({2}^j) e_{m-j} of zeta({2}^m), and R_m how
+    far each end of entry m of mzv_limit_bracket(k, N, em, bits=s) lies
+    outside it. The recursion below runs once for the whole row; only the
+    two final sums depend on m, so entry m equals entry m of
+    _width_terms(m, N, em, s).
 
-    The exact width is sum_{j<k} zeta_N({2}^j) w(e_{k-j}), all terms
+    The exact width of entry m is sum_{j<m} zeta_N({2}^j) w(e_{m-j}), all terms
     nonnegative, and zeta_N({2}^j) <= zeta({2}^j) < (355/113)^(2j) / (2j+1)!.
     The tail bracket of p_i has width W_i = |B_2n| C(2i+2em, 2n) /
     ((2i-1) a^(2i+2em+1)), n = em + 1 and a = N + 1, with
@@ -204,11 +221,11 @@ def _width_terms(k: int, N: int, em: int, s: int) -> tuple[int, int]:
     and those of Y' at most y outside Y, the ends of X'Y' lie at most
     mag(X') y + mag(Y) x outside those of XY. So each end of e_m lies at most
         r_m <= 1 + (1/m) sum_{i=1..m} (hi(e_{m-i}) + r_{m-i} + (p_i + W_i) r_{m-i})
-    units outside the exact one, and each end of the limit bracket at most
-        R <= 1 + sum_{j=0..k} ([j > 0] (hi(e_{k-j}) + r_{k-j}) + zeta({2}^j) r_{k-j}),
+    units outside the exact one, and each end of entry m at most
+        R_m <= 1 + sum_{j=0..m} ([j > 0] (hi(e_{m-j}) + r_{m-j}) + zeta({2}^j) r_{m-j}),
     where each term, a product of two quantities in units, is taken over
-    2^s. At the N >= 256 of a plan R is 4 units at k = 1 and 10 at k = 8 to
-    80, against the 2^32 units of the planned width.
+    2^s. At the N >= 256 of a plan R_m is 4 units at m = 1 and 10 at m = 8
+    to 80, against the 2^32 units of the planned width.
     """
     n, a, one = em + 1, N + 1, 1 << s
     big = 2 * math.factorial(2 * n) * (4 ** n + 3) * 53 ** (2 * n) << s
@@ -227,29 +244,37 @@ def _width_terms(k: int, N: int, em: int, s: int) -> tuple[int, int]:
         r.append(-(-total // (m << s)) + 1)
     # zeta({2}^j) < num / den
     zeta = [(355 ** (2 * j), 113 ** (2 * j) * math.factorial(2 * j + 1)) for j in range(k + 1)]
-    exact = sum(-(-num * eps[k - j] // den) for j, (num, den) in enumerate(zeta[:k]))
-    total = sum(-(-num * r[k - j] * one // den) + (eta[k - j] + r[k - j] if j else 0)
-                for j, (num, den) in enumerate(zeta))
-    return exact, -(-total // one) + 1
+    # carried = sum_{i<m} (hi(e_i) + r_i), the j > 0 terms of R_m that
+    # carry no zeta factor
+    out, carried = [], 0
+    for m in range(k + 1):
+        exact = sum(-(-num * eps[m - j] // den) for j, (num, den) in enumerate(zeta[:m]))
+        total = carried + sum(-(-num * r[m - j] * one // den)
+                              for j, (num, den) in enumerate(zeta[:m + 1]))
+        carried += eta[m] + r[m]
+        out.append((exact, -(-total // one) + 1))
+    return out
 
 
 def plan_limit(k: int, width: Fraction, n: int,
                N: int | None = None) -> tuple[int, int]:
     """The one (truncation, Euler-Maclaurin depth) at which a certified limit
-    takes its bracket: the width of mzv_limit_bracket(k, N, em, bits=s),
-    s = limit_bits(width) (for k = 1, also that of zeta2_bracket(N, em)), is
-    at most `width` by width_bound. Nothing is
-    built; past the reach this raises ResourceError. A pinned truncation N
-    is the one attempt (N, 6).
+    takes its row: the width of every entry j = 1..k of
+    mzv_limit_bracket(k, N, em, bits=s), s = limit_bits(width) (for k = 1,
+    also that of zeta2_bracket(N, em)), is at most `width` by width_bound.
+    Nothing is built; past the reach this raises ResourceError. A pinned
+    truncation N is the one attempt (N, 6).
 
     N is the first of the ladder n 2^i <= EXACT_N_LIMIT with such an em of
     at most N/2, or, at the last N, of at most EM_CEILING. At each N the
     depth is first guessed as the smallest em >= 6 whose
-    bracket_floor(k - 1, N, em) is within `width`, by trying em = 6, 12,
-    24, ... and bisecting the last step; the floor is a lower bound of the
-    width, so no smaller em can pass. The guess is confirmed by width_bound,
-    or the bound is bisected above it. So a plan costs O(log EM_CEILING)
-    closed-form bounds at each N of the ladder.
+    bracket_floor(j - 1, N, em) is within `width` for every j <= k, the
+    largest such em over j, by trying em = 6, 12, 24, ... and bisecting the
+    last step; the floor is a lower bound of the width, so no smaller em can
+    pass. The guess is confirmed by width_bound, or the bound is bisected
+    above it. Each width_bound is one recursion for the whole row, so a
+    plan costs O(log EM_CEILING) closed-form bounds at each N of the ladder,
+    as a plan for entry k alone would.
 
     The cap N/2 comes from the cost of the attempt, measured at every N of
     the ladder for k = 1, 4, 8, 16 and 24 and 512 to 8192 bits in steps of
@@ -262,9 +287,9 @@ def plan_limit(k: int, width: Fraction, n: int,
     depth 987, so there N/4 is up to 4.5 times cheaper at k = 1 near 8192
     bits, but at most 0.6 s; over the grid N/2 took 2.0 s against 4.7 s
     with the numbers built, and 8.0 s against 7.3 s without. The rule keeps
-    N = 256 up to about 1055 bits at k = 1 and 1164 at k = 24 (N = 64 up to
-    268 bits for pi_freq), then doubles N once per doubling of the
-    precision.
+    N = 256 up to about 1055 bits at k = 1 and 1054 at k = 8 and 24
+    (N = 64 up to 268 bits for pi_freq), then doubles N once per doubling
+    of the precision.
     """
     if N is not None:
         if N < 1:
@@ -275,29 +300,33 @@ def plan_limit(k: int, width: Fraction, n: int,
     s = limit_bits(width)
     allowed = (width.numerator << s) // width.denominator
 
-    def floor_fits(N: int, em: int) -> bool:
-        num, den = _floor_terms(k - 1, N, em)
+    def floor_fits(m: int, N: int, em: int) -> bool:
+        num, den = _floor_terms(m, N, em)
         return num * width.denominator <= width.numerator * den
+
+    def fits(N: int, em: int) -> bool:
+        return max(width_bound(k, N, em, s)) <= allowed
 
     ladder = [n << i for i in range((EXACT_N_LIMIT // n).bit_length())]
     for N in ladder:
         # the floor falls as em grows up to about pi (N + 1), above every cap
         cap = EM_CEILING if N == ladder[-1] else min(EM_CEILING, N // 2)
-        if not floor_fits(N, cap):
+        m = _widest_floor(k, N)
+        if not floor_fits(m, N, cap):
             continue
         lo, hi = 6, 6
-        while not floor_fits(N, hi):
+        while not floor_fits(m, N, hi):
             lo, hi = hi + 1, min(2 * hi, cap)
         while lo < hi:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if floor_fits(N, mid) else (mid + 1, hi)
-        if width_bound(k, N, lo, s) > allowed:
-            if width_bound(k, N, cap, s) > allowed:
+            lo, hi = (lo, mid) if floor_fits(m, N, mid) else (mid + 1, hi)
+        if not fits(N, lo):
+            if not fits(N, cap):
                 continue
             lo, hi = lo + 1, cap
             while lo < hi:
                 mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if width_bound(k, N, mid, s) <= allowed else (mid + 1, hi)
+                lo, hi = (lo, mid) if fits(N, mid) else (mid + 1, hi)
         return N, lo
     raise ResourceError(f"no truncation N <= {EXACT_N_LIMIT} with a depth "
                         f"em <= {EM_CEILING} brackets the limit within the requested width")
@@ -311,32 +340,41 @@ def limit_bits(width: Fraction) -> int:
 
 
 def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6, *,
-                      bits: int) -> tuple[Fraction, Fraction]:
-    """A bracket for zeta({2}^k) on the dyadic grid 2^-bits.
+                      bits: int) -> list[tuple[Fraction, Fraction]]:
+    """Brackets for zeta({2}^j), j = 0..k, on the dyadic grid 2^-bits.
 
     Splits the elementary symmetric function over {1..N} and the tail:
-        zeta({2}^k) = sum_j zeta_N({2}^j) * e_{k-j}(tail),
+        zeta({2}^j) = sum_{i<=j} zeta_N({2}^i) * e_{j-i}(tail),
     an identity, so the width comes from the tail power-sum brackets and
-    the rounding. With zeta_N({2}^j) = c_j / c_0 from prod_{n<=N} (n^2 + t),
+    the rounding. With zeta_N({2}^i) = c_i / c_0 from prod_{n<=N} (n^2 + t),
     each ratio is taken once to 2^-bits, floored for the lower end and
     ceiled for the upper one; every factor is nonnegative, so each end is
     one exact integer sum against tail_elementary_brackets, floored or ceiled
-    once. Each end lies outside the exact bracket by at most the rounding
-    bound of _width_terms.
+    once. One head of degree k and one tail serve every entry: the head's
+    coefficients are exact and each tail bracket is rounded from the same
+    rational at any k, so entry j is the bracket a call at j would return.
+    Each end lies outside the exact bracket by at most the rounding bound
+    of _width_terms.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
     if k == 0:
-        return (ONE, ONE)
+        return [(ONE, ONE)]
     if N > EXACT_N_LIMIT:
         raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
     head = _factor_product(0, N, k)
-    lo = hi = 0
-    for c, (elo, ehi) in zip(head, reversed(tail_elementary_brackets(N, k, em_terms, bits))):
+    qlo, qhi = [], []
+    for c in head:
         q, rem = divmod(c << bits, head[0])
-        lo, hi = lo + q * elo, hi + (q + (rem > 0)) * ehi
-    one = 1 << bits
-    return Fraction(lo // one, one), Fraction(-(-hi // one), one)
+        qlo.append(q)
+        qhi.append(q + (rem > 0))
+    elo, ehi = zip(*tail_elementary_brackets(N, k, em_terms, bits))
+    one, row = 1 << bits, []
+    for j in range(k + 1):
+        lo = sum(map(mul, qlo[:j + 1], elo[j::-1]))
+        hi = sum(map(mul, qhi[:j + 1], ehi[j::-1]))
+        row.append((Fraction(lo // one, one), Fraction(-(-hi // one), one)))
+    return row
 
 
 def require_limit_k(k: int) -> None:
@@ -347,13 +385,16 @@ def require_limit_k(k: int) -> None:
         raise ResourceError(f"zeta({{2}}^{k}): k exceeds ceiling {MZV_K_CEILING}")
 
 
-def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:
-    """zeta({2}^k) with certified error at most 2^-(precision_bits + 2), from
-    one bracket at the (N, em) of plan_limit."""
+def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> list[ApproxReal]:
+    """The row [zeta({2}^0), ..., zeta({2}^k)], each entry with certified
+    error at most 2^-(precision_bits + 2), from one bracket row at the
+    (N, em) of plan_limit. A pinned truncation N is the one attempt (N, 6),
+    refused with ResourceError if the floor of any entry's width, or any
+    entry's error, misses that bound."""
     require_limit_k(k)
     require_precision(precision_bits)
     if k == 0:
-        return ApproxReal.exact(1, precision_bits)
+        return [ApproxReal.exact(1, precision_bits)]
     target = Fraction(1, 1 << (precision_bits + 2))
     refused = (f"cannot certify zeta({{2}}^{k}) to {precision_bits} bits "
                f"within configured ceilings")
@@ -368,14 +409,27 @@ def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> ApproxReal:
             raise
         raise ResourceError(refused) from None
     # the ball's radius is at least half the bracket's width
-    if pinned and bracket_floor(k - 1, N, em) > 2 * target:
+    if pinned and bracket_floor(_widest_floor(k, N), N, em) > 2 * target:
         raise ResourceError(refused)
-    lo, hi = mzv_limit_bracket(k, N, em, bits=limit_bits(width))
-    v, r = round_to_bits((lo + hi) / 2, precision_bits + 8)
-    err = (hi - lo) / 2 + r
-    if err <= target:
-        return ApproxReal(v, err, precision_bits)
-    if pinned:
-        raise ResourceError(refused)
-    raise ValueError(f"zeta({{2}}^{k}): the planned bracket at N = {N}, "
-                     f"em = {em} missed 2^-{precision_bits + 2}")
+    bits = limit_bits(width)
+    row = []
+    for lo, hi in mzv_limit_bracket(k, N, em, bits=bits):
+        # in units of 2^-(bits + 1), in integers: the midpoint s, rounded
+        # as round_to_bits rounds it at precision_bits + 8 bits (to the
+        # nearest multiple of 2^t, ties to even), and the error, half the
+        # width plus that rounding
+        a, c = (x.numerator << (bits + 1 - x.denominator.bit_length()) for x in (lo, hi))
+        s = v = a + c
+        t = s.bit_length() - precision_bits - 9
+        if t > 0:
+            q, rest = s >> t, s & ((1 << t) - 1)
+            v = (q + (rest > 1 << (t - 1) or (rest == 1 << (t - 1) and q & 1))) << t
+        err = c - a + abs(v - s)
+        if err > 1 << (bits - precision_bits - 1):
+            if pinned:
+                raise ResourceError(refused)
+            raise ValueError(f"zeta({{2}}^{k}): the planned bracket at N = {N}, "
+                             f"em = {em} missed 2^-{precision_bits + 2}")
+        row.append(ApproxReal(Fraction(v, 1 << (bits + 1)),
+                              Fraction(err, 1 << (bits + 1)), precision_bits))
+    return row

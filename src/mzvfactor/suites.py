@@ -16,7 +16,14 @@ import random
 from fractions import Fraction
 
 from . import bijection, pfunc, pi_constants, product, series
-from .numeric import DEFAULT_PRECISION, ZERO, DomainError, ResourceError, pi_oracle
+from .numeric import (
+    DEFAULT_PRECISION,
+    ZERO,
+    ApproxReal,
+    DomainError,
+    ResourceError,
+    pi_oracle,
+)
 from .report import (
     RunConfig,
     VerificationReport,
@@ -34,26 +41,27 @@ def _tol(config: RunConfig, default: Fraction) -> Fraction:
 
 # ---------------------------------------------------------------------------
 
-# verify basel and verify factorization take one certified limit for every
-# k <= K. In one process on a shared 2-CPU x86-64 host (CPython 3.11), a limit
-# took 0.17 s at k = 1, 0.35 s at k = 4, 0.72 s at k = 8, 2.1 s at k = 16,
-# 4.2 s at k = 24, 7.2 s at k = 32, 16 s at k = 48 and 30 s at k = 64 at
-# 16352 bits; 0.05, 0.15, 1.2 and 5.2 s at k = 1, 8, 32 and 64 at 8192 bits;
-# 0.01, 0.04, 0.33 and 1.4 s at 4096 bits. The first limit of a process also
-# builds its Bernoulli numbers (3.4 s with the k = 1 limit at 16352 bits), and
-# the basel oracle 32 bits finer took 2.8 s. The closed form in
-# require_limits_size gives 1.03 to 1.55 times each per-k time at 16352 bits,
-# and more at fewer bits, with (P^2 >> 20) + 1 for the growth in the
-# precision P. It admits K = 24 at 16352 bits (59 s by the closed form;
-# verify basel took 39-41 s and verify factorization 43 s) and refuses
-# K = 25. The ceiling is the 60 s of P_EVAL_CEILING.
+# verify basel and verify factorization take one certified row, every
+# zeta({2}^k), k <= K, from one mzv_limit call at K. In a fresh process on a
+# shared 2-CPU x86-64 Xeon host (CPython 3.11), a whole verify basel request
+# took 0.22, 0.23, 0.35, 0.73 and 1.03 s of CPU time at K = 1, 8, 24, 48 and
+# 64 at 4096 bits; 1.39, 1.55, 2.08, 3.02 and 4.68 s at 8192 bits; 5.97,
+# 6.63, 8.09, 17.9 and 25.6 s at 16352 bits (verify factorization within
+# 10% of these). Each includes the Bernoulli numbers (3.2 s to B_2940) and
+# the basel oracle 32 bits finer (0.07, 0.37 and 2.55 s); the rest grows
+# with K as the exact head's K^2 products. The closed form in
+# require_limits_size, with (P^2 >> 20) + 1 for the growth in the precision
+# P, gives 1.04 to 1.3 times each of these at 16352 bits, 1.07 to 1.7 at
+# 8192 and about 2 at 4096: 31 s at K = 64 and 16352 bits, so it admits
+# every K up to MZV_K_CEILING at the suites' reach, and a larger K is
+# refused by the k ceiling. The ceiling is the 60 s of P_EVAL_CEILING.
 def require_limits_size(k_max: int, precision_bits: int) -> None:
-    """Refuse the certified limits zeta({2}^k), k <= k_max, at precision_bits
-    from the k ceiling and a closed-form bound of their time in
-    microseconds, before any limit is computed."""
+    """Refuse the certified row zeta({2}^k), k <= k_max, at precision_bits
+    from the k ceiling and a closed-form bound of its time in microseconds,
+    before any limit is computed."""
     series.require_limit_k(k_max)
     K, scale = k_max, (precision_bits * precision_bits >> 20) + 1
-    cost = scale * (24000 + 800 * K + 100 * K * (K + 1) + 13 * K * (K + 1) * (2 * K + 1) // 3)
+    cost = scale * (24000 + 200 * K + 21 * K * K)
     if cost > pfunc.P_EVAL_CEILING:
         raise ResourceError(f"certified limits k <= {k_max} at {precision_bits} bits: "
                             f"{cost} us exceeds ceiling {pfunc.P_EVAL_CEILING}")
@@ -68,8 +76,9 @@ def suite_basel(config: RunConfig) -> list[VerificationReport]:
     out = []
     # 32 guard bits keep the closed form's radius far below the limit's
     pi = pi_oracle(max(prec, DEFAULT_PRECISION) + 32)
+    row = series.mzv_limit(k_max, prec)
     for k in range(1, k_max + 1):
-        z = series.mzv_limit(k, prec)
+        z = row[k]
         closed = pi.power(2 * k) / math.factorial(2 * k + 1)
         out.append(make_record(
             f"eq2.k{k}", z.value, closed.value, z.err + closed.err, ZERO,
@@ -268,14 +277,15 @@ def suite_pi_equality(config: RunConfig) -> list[VerificationReport]:
     out.append(make_record("pi.tight_trio", tight, ZERO, ZERO, tol,
                            params={"precision_bits": prec,
                                    "members": "freq,arc,oracle"}))
-    parity_ok = _wallis_parity(prec)
+    parity_ok = _wallis_parity(ests["oracle"])
     out.append(bool_record("pi.wallis_parity", parity_ok,
                            params={"half_steps": "1..12"}))
     return out
 
 
-def _wallis_parity(prec: int) -> bool:
-    oracle = pi_oracle(prec)
+def _wallis_parity(oracle: ApproxReal) -> bool:
+    """Whether the Wallis partials at half steps 1..12 alternate about the
+    oracle ball of pi, above it at odd steps."""
     for m in range(1, 13):
         v = pi_constants.wallis_partial(m)
         gap = v - oracle.value
@@ -348,24 +358,34 @@ def suite_product_structure(config: RunConfig) -> list[VerificationReport]:
     return out
 
 
+# each suite and the count flags and --tolerance it reads; --precision,
+# --seed and the output flags are common to all
 SUITES = {
-    "basel": suite_basel,
-    "factorization": suite_factorization,
-    "p-constant": suite_p_constant,
-    "bijection-alpha": suite_bijection_alpha,
-    "bijection-beta": suite_bijection_beta,
-    "residuals": suite_residuals,
-    "pi-equality": suite_pi_equality,
-    "product-structure": suite_product_structure,
+    "basel": (suite_basel, {"k", "tolerance"}),
+    "factorization": (suite_factorization, {"k", "tolerance"}),
+    "p-constant": (suite_p_constant, {"n_max", "j_max", "N", "tolerance"}),
+    "bijection-alpha": (suite_bijection_alpha, {"k", "bound"}),
+    "bijection-beta": (suite_bijection_beta, {"k", "M"}),
+    "residuals": (suite_residuals, {"k", "N"}),
+    "pi-equality": (suite_pi_equality, {"tolerance"}),
+    "product-structure": (suite_product_structure, {"N", "bound"}),
 }
+
+_SUITE_FLAGS = ("k", "N", "M", "n_max", "j_max", "bound", "tolerance")
 
 
 def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
-    """The records of suite `name`; a configuration under which the suite
-    checks nothing is a DomainError, never an empty pass."""
+    """The records of suite `name`. A count or tolerance the suite does not
+    read is a DomainError before any work, as is a configuration under
+    which the suite checks nothing, never an empty pass."""
     if name not in SUITES:
         raise KeyError(name)
-    records = SUITES[name](config)
+    suite, reads = SUITES[name]
+    unread = [f"--{flag.replace('_', '-')}" for flag in _SUITE_FLAGS
+              if getattr(config, flag) is not None and flag not in reads]
+    if unread:
+        raise DomainError(f"suite {name} does not read {', '.join(unread)}")
+    records = suite(config)
     if not records:
         raise DomainError(f"suite {name} checks nothing with these parameters")
     return records

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvfactor import bijection, pfunc, pi_constants, series, suites
+from mzvfactor import bijection, cli, pfunc, pi_constants, series, suites
 from mzvfactor.bijection import V1
 from mzvfactor.numeric import DEFAULT_PRECISION, MAX_PRECISION, ResourceError, pi_oracle
 from mzvfactor.report import RunConfig
@@ -91,9 +91,10 @@ def _requests(monkeypatch):
     out.append((f"pi-equality at {p} bits",
                 lambda p=p: suites.run_suite("pi-equality", RunConfig(precision_bits=p))))
     out.append(("mzv k ceiling", lambda: series.mzv_limit(series.MZV_K_CEILING + 1, 64)))
-    # the basel oracle runs 32 bits finer, so 16352 bits is the suites' reach
+    # the basel oracle runs 32 bits finer, so 16352 bits is the suites' reach;
+    # there the row's cost admits every k the k ceiling does
     k = _smallest(_size_check(lambda k: suites.require_limits_size(k, MAX_PRECISION - 32)), 1)
-    assert k <= series.MZV_K_CEILING
+    assert k == series.MZV_K_CEILING + 1
     for name in ("basel", "factorization"):
         config = RunConfig(k=k, precision_bits=MAX_PRECISION - 32)
         out.append((f"{name} k={k} at {MAX_PRECISION - 32} bits",
@@ -189,17 +190,41 @@ def test_the_k_ceiling_refuses_before_any_limit_is_built(monkeypatch):
 def test_the_limit_cost_ceiling_admits_the_defaults_and_the_benchmark_requests():
     # verify basel and factorization at their defaults (k = 8, 128 bits), the
     # certified-limits requests (k <= 7, 64 to 116 bits), the k ceiling at
-    # 64 bits, and k = 24 at the suites' reach of 16352 bits
+    # 64 bits, and k = 24 and the k ceiling at the suites' reach of 16352 bits
     for k, prec in ((8, 128), (7, 116), (series.MZV_K_CEILING, 64),
-                    (24, MAX_PRECISION - 32)):
+                    (24, MAX_PRECISION - 32), (series.MZV_K_CEILING, MAX_PRECISION - 32)):
         suites.require_limits_size(k, prec)
 
 
 def test_the_limit_suites_refuse_past_the_cost_ceiling_before_any_limit(monkeypatch):
     for name in ("basel", "factorization"):
-        config = RunConfig(k=25, precision_bits=MAX_PRECISION - 32)
+        config = RunConfig(k=series.MZV_K_CEILING + 1, precision_bits=MAX_PRECISION - 32)
         assert _refused_before_work(
             monkeypatch, lambda: suites.run_suite(name, config), _MZV_WORK)
+
+
+@pytest.mark.parametrize("name", ["basel", "factorization"])
+def test_a_limit_suite_takes_one_row(name, monkeypatch):
+    # one bracket call, and one head product built from the top, for all
+    # eight levels
+    brackets, heads, depth = [], [], [0]
+    bracket, build = series.mzv_limit_bracket, series._factor_product
+
+    def counted_build(lo, hi, k_max):
+        if not depth[0]:
+            heads.append((lo, hi, k_max))
+        depth[0] += 1
+        try:
+            return build(lo, hi, k_max)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(series, "mzv_limit_bracket",
+                        lambda *a, **kw: brackets.append(a) or bracket(*a, **kw))
+    monkeypatch.setattr(series, "_factor_product", counted_build)
+    assert cli.main(["verify", name, "--k", "8"]) == 0
+    assert [a[0] for a in brackets] == [8]
+    assert heads == [(0, brackets[0][1], 8)]
 
 
 def test_the_alpha_suite_checks_every_level_before_any_closure(monkeypatch):

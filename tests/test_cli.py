@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from mzvfactor import bijection, cli, pfunc, pi_constants, product, series
+from mzvfactor import bijection, cli, pfunc, pi_constants, product, series, suites
 from mzvfactor.numeric import DomainError, ResourceError
+from mzvfactor.report import bool_record
 
 
 def _run(*args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
@@ -184,6 +185,37 @@ def test_each_subcommand_accepts_only_its_flags():
         assert _exit_code(argv) == 2, argv
 
 
+_COUNT_FLAGS = {"k": "3", "N": "20", "M": "10", "n_max": "5", "j_max": "2", "bound": "10",
+                "tolerance": "1/1000"}
+
+
+def test_verify_refuses_a_flag_its_suite_does_not_read(monkeypatch, capsys):
+    # each unread flag exits 2 before the suite runs; a read one reaches it
+    ran = []
+    for name, (suite, reads) in list(suites.SUITES.items()):
+        monkeypatch.setitem(suites.SUITES, name, (lambda config, name=name: ran.append(name) or
+                                                  [bool_record("ok", True)], reads))
+    for name, (_, reads) in suites.SUITES.items():
+        for flag, value in _COUNT_FLAGS.items():
+            argv = ["verify", name, f"--{flag.replace('_', '-')}", value]
+            ran.clear()
+            if flag in reads:
+                assert cli.main(argv) == 0, argv
+                assert ran == [name], argv
+            else:
+                assert cli.main(argv) == 2, argv
+                assert ran == [], argv
+                assert f"does not read --{flag.replace('_', '-')}" in capsys.readouterr().err
+
+
+def test_an_unread_flag_stops_a_long_limit_suite_at_once(capsys):
+    start = time.process_time()
+    assert cli.main(["verify", "basel", "--k", "24", "--precision", "16352",
+                     "--n-max", "1"]) == 2
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().err == "usage error: suite basel does not read --n-max\n"
+
+
 def _raise(exc):
     def engine(*args, **kwargs):
         raise exc
@@ -207,7 +239,7 @@ def test_a_missed_plan_is_an_internal_error_not_a_retry(monkeypatch, capsys):
     # bracket there misses 200 bits, and nothing is tried after it
     attempts = []
     real_bracket, real_zeta2 = series.mzv_limit_bracket, pi_constants.zeta2_bracket
-    monkeypatch.setattr(series, "width_bound", lambda *args: 0)
+    monkeypatch.setattr(series, "width_bound", lambda k, *args: [0] * (k + 1))
     monkeypatch.setattr(series, "_floor_terms", lambda *args: (0, 1))
     monkeypatch.setattr(series, "mzv_limit_bracket",
                         lambda *a, **kw: attempts.append(a[1:3]) or real_bracket(*a, **kw))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mzvfactor import pi_constants
+from mzvfactor import pi_constants, suites
 from mzvfactor.numeric import ApproxReal, DomainError, pi_oracle
 from mzvfactor.pi_constants import (
     arc_length,
@@ -22,6 +22,7 @@ from mzvfactor.pi_constants import (
     zeta2_bracket,
 )
 from mzvfactor.product import eval_F
+from mzvfactor.report import RunConfig
 from mzvfactor.series import mzv_limit, zeta_even_truncated
 
 
@@ -309,11 +310,28 @@ def test_agreement_tightens_with_precision():
     assert _trio_distance(hi) < _trio_distance(lo)
 
 
+def test_pi_equality_builds_one_pi_freq_and_one_oracle(monkeypatch):
+    # the "freq" ball is the arc's endpoint ball, 24 bits finer, and the
+    # Wallis parity check reads the "oracle" ball
+    calls = []
+    real_freq, real_oracle = pi_constants.pi_freq, pi_oracle
+    monkeypatch.setattr(pi_constants, "pi_freq",
+                        lambda p, *a: calls.append(("freq", p)) or real_freq(p, *a))
+    counted_oracle = lambda p: calls.append(("oracle", p)) or real_oracle(p)
+    monkeypatch.setattr(pi_constants, "pi_oracle", counted_oracle)
+    monkeypatch.setattr(suites, "pi_oracle", counted_oracle)
+    records = suites.run_suite("pi-equality", RunConfig(precision_bits=80))
+    assert sorted(calls) == [("freq", 104), ("oracle", 80)]
+    assert all(r.status == "pass" for r in records)
+    ests = three_way_pi_compare(80)
+    assert ests["freq"].err <= Fraction(1, 2 ** 106)
+    assert ests["arc"].err <= Fraction(1, 2 ** 80)
+
+
 def test_series_coefficient_bridge():
     # coefficients of the product's series match (-1)^k pi_freq^(2k)/(2k+1)!
     pf = pi_freq(160).value
-    for k in range(1, 9):
-        z = mzv_limit(k, 128)
+    for k, z in enumerate(mzv_limit(8, 128)[1:], start=1):
         target = pf.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
         assert abs(z.value - target.value) <= z.err + target.err
 

@@ -96,7 +96,8 @@ def test_product_tree_row_matches_rolling_recursion_at_1024():
 
 
 def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
-    # one attempt, on one head built over (0, N] at the planned N
+    # one attempt for the whole row, on one head built over (0, N] at the
+    # planned N
     built, attempts = [], []
     build, bracket = series._factor_product, series.mzv_limit_bracket
 
@@ -114,22 +115,23 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
     monkeypatch.setattr(series, "_factor_product", counted_build)
     monkeypatch.setattr(series, "mzv_limit_bracket", counted_bracket)
     monkeypatch.setattr(series, "mzv_row", no_row)
-    z = mzv_limit(4, 208)
+    row = mzv_limit(4, 208)
     monkeypatch.undo()
     width = Fraction(1, 2 ** 209) - Fraction(1, 2 ** 214)
     N, em = series.plan_limit(4, width, 256)
     assert [a[:3] for a, _ in attempts] == [(4, N, em)]
     assert len(built) == len(set(built))
     assert (0, N) in built and all(0 <= lo < hi <= N for lo, hi in built)
-    # the bracket is taken on the plan's grid, and it contains the exact
-    # bracket on the head row mzv_row(N, 4), as the ball contains it
+    # the brackets are taken on the plan's grid, and each contains the exact
+    # bracket on the head row mzv_row(N, 4), as its ball contains it
     args, kwargs = attempts[0]
     assert kwargs == {"bits": series.limit_bits(width)}
-    lo, hi = bracket(*args, **kwargs)
     head, tails = mzv_row(N, 4), _tail_brackets_by_fractions(N, 4, em)
-    exact = [sum(h * e[end] for h, e in zip(head, reversed(tails))) for end in (0, 1)]
-    assert lo <= exact[0] <= exact[1] <= hi
-    assert z.lo <= lo and hi <= z.hi
+    for j, (z, (lo, hi)) in enumerate(zip(row, bracket(*args, **kwargs))):
+        exact = [sum(h * e[end] for h, e in zip(head, reversed(tails[:j + 1])))
+                 for end in (0, 1)]
+        assert lo <= exact[0] <= exact[1] <= hi, j
+        assert z.lo <= lo and hi <= z.hi, j
 
 
 def _tail_brackets_by_fractions(N, k, em):
@@ -201,7 +203,7 @@ def test_integer_limit_kernel_equals_the_rational_recursion(k, N, em):
         fixed = series.tail_elementary_brackets(N, k, em, bits)
         assert all(lo * unit <= a and b <= hi * unit
                    for (lo, hi), (a, b) in zip(fixed, expected)), bits
-        lo, hi = mzv_limit_bracket(k, N, em, bits=bits)
+        lo, hi = mzv_limit_bracket(k, N, em, bits=bits)[k]
         assert lo <= exact[0] and exact[1] <= hi, bits
 
 
@@ -217,12 +219,110 @@ def test_the_fixed_point_bracket_is_the_exact_one_widened_by_its_rounding_at_mos
     elo, ehi = _exact_limit_bracket(k, N, em)
     fine = ((ehi - elo).denominator // (ehi - elo).numerator).bit_length() + 32
     for bits in (fine, 24):
-        lo, hi = mzv_limit_bracket(k, N, em, bits=bits)
-        exact, rounding = series._width_terms(k, N, em, bits)
+        lo, hi = mzv_limit_bracket(k, N, em, bits=bits)[k]
+        exact, rounding = series._width_terms(k, N, em, bits)[k]
         unit = Fraction(1, 1 << bits)
         assert lo <= elo and ehi <= hi, bits
         assert elo - lo <= rounding * unit and hi - ehi <= rounding * unit, bits
         assert ehi - elo <= exact * unit, bits
+
+
+def _degree_j_bracket(j, N, em, bits):
+    """oracle: the bracket of zeta({2}^j) alone, from a head of degree j and
+    a tail to e_j at (N, em), on the grid 2^-bits, as a limit took it before
+    one row served every entry"""
+    if j == 0:
+        return ONE, ONE
+    head = series._factor_product(0, N, j)
+    lo = hi = 0
+    for c, (elo, ehi) in zip(head, reversed(series.tail_elementary_brackets(N, j, em, bits))):
+        q, rem = divmod(c << bits, head[0])
+        lo, hi = lo + q * elo, hi + (q + (rem > 0)) * ehi
+    one = 1 << bits
+    return Fraction(lo // one, one), Fraction(-(-hi // one), one)
+
+
+_ROW_CASES = (st.integers(min_value=1, max_value=12), st.sampled_from([64, 256, 1000]),
+              st.integers(min_value=0, max_value=40), st.integers(min_value=8, max_value=600))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_ROW_CASES)
+@example(12, 64, 0, 8)
+@example(12, 1000, 40, 600)
+def test_each_row_entry_is_the_bracket_of_its_own_degree(K, N, em, bits):
+    row = mzv_limit_bracket(K, N, em, bits=bits)
+    assert len(row) == K + 1
+    for j, entry in enumerate(row):
+        assert entry == _degree_j_bracket(j, N, em, bits), j
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_ROW_CASES)
+@example(12, 64, 0, 8)
+def test_the_row_width_terms_are_those_of_each_degree_alone(K, N, em, bits):
+    terms = series._width_terms(K, N, em, bits)
+    assert len(terms) == K + 1
+    for j in range(K + 1):
+        assert terms[j] == series._width_terms(j, N, em, bits)[j], j
+    assert series.width_bound(K, N, em, bits) == [b + 2 * r for b, r in terms]
+
+
+def _bracket_ball(lo, hi, P):
+    """oracle: the ball of a limit bracket, its midpoint rounded by
+    round_to_bits at P + 8 bits"""
+    v, r = round_to_bits((lo + hi) / 2, P + 8)
+    return ApproxReal(v, (hi - lo) / 2 + r, P)
+
+
+def _same_ball(a, b):
+    return (a.value, a.err, a.prec) == (b.value, b.err, b.prec)
+
+
+@pytest.mark.parametrize("K, P", [(1, 64), (8, 116), (8, 160), (12, 219), (5, 512), (24, 64)])
+def test_every_row_entry_certifies_and_contains_the_exact_kernel(K, P):
+    target = Fraction(1, 2 ** (P + 2))
+    width = 2 * target - Fraction(1, 2 ** (P + 6))
+    N, em = series.plan_limit(K, width, 256)
+    row = mzv_limit(K, P)
+    assert len(row) == K + 1 and row[0].value == 1 and row[0].err == 0
+    brackets = mzv_limit_bracket(K, N, em, bits=series.limit_bits(width))
+    prod = series._factor_product(0, N, K)
+    for j in range(1, K + 1):
+        lo, hi = _exact_limit_bracket(j, N, em, prod[:j + 1])
+        assert row[j].err <= target, j
+        assert row[j].lo <= lo <= hi <= row[j].hi, j
+        assert _same_ball(row[j], _bracket_ball(*brackets[j], P)), j
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=32, max_value=300),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=2 ** 400),
+                          st.integers(min_value=0, max_value=2 ** 400), st.booleans()),
+                min_size=2, max_size=5))
+def test_row_balls_round_their_midpoints_as_round_to_bits(P, ends):
+    # any brackets on the plan's grid, ties at P + 8 bits among them: each
+    # ball is the one round_to_bits gives, and a bracket too wide misses
+    bits = series.limit_bits(2 * Fraction(1, 2 ** (P + 2)) - Fraction(1, 2 ** (P + 6)))
+    brackets = []
+    for a, w, tie in ends:
+        a %= 1 << (bits + 1)
+        w %= 1 << (bits - P - 1)
+        if tie:   # a midpoint halfway between two values of P + 8 bits
+            t = (2 * a + w).bit_length() - P - 9
+            if t > 0:
+                a = (((2 * a + w) >> t << t) + (1 << (t - 1)) - w) // 2
+                w += (2 * a + w) % 2
+        brackets.append((Fraction(a, 1 << bits), Fraction(a + w, 1 << bits)))
+    expected = [_bracket_ball(lo, hi, P) for lo, hi in brackets]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(series, "mzv_limit_bracket", lambda *a, **kw: brackets)
+        if all(b.err <= Fraction(1, 2 ** (P + 2)) for b in expected):
+            row = mzv_limit(len(brackets) - 1, P)
+            assert all(_same_ball(z, b) for z, b in zip(row, expected))
+        else:
+            with pytest.raises(ValueError):
+                mzv_limit(len(brackets) - 1, P)
 
 
 def test_mzv_table_invariants():
@@ -273,29 +373,30 @@ def test_factorial_upper_bound(N, k):
 
 
 def test_mzv_limit_trivial_and_known_values():
-    z0 = mzv_limit(0, 64)
+    (z0,) = mzv_limit(0, 64)
     assert z0.value == 1 and z0.err == 0
-    z1 = mzv_limit(1, 128)
+    z1 = mzv_limit(1, 128)[1]
     assert z1.decimal(10).startswith("1.6449340668"[:11])
     pi = pi_oracle(160)
     # k=2 instantiates to pi^4/120
-    z2 = mzv_limit(2, 128)
+    z0, z1, z2 = mzv_limit(2, 128)
+    assert z0.value == 1 and z0.err == 0
     target = pi.value ** 4 / 120
     assert abs(z2.value - target) <= z2.err + Fraction(1, 2 ** 120)
 
 
 def test_mzv_limit_brackets_contain_closed_form():
     pi = pi_oracle(160)
-    for k in range(1, 9):
-        z = mzv_limit(k, 128)
-        closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
-        assert abs(z.value - closed.value) <= z.err + closed.err
+    for K in range(1, 9):
+        for k, z in enumerate(mzv_limit(K, 128)):
+            closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
+            assert abs(z.value - closed.value) <= z.err + closed.err, (K, k)
 
 
 def test_sharp_bracket_inside_monotone_bound():
     N = 500
     for k in (1, 2, 3):
-        lo, hi = mzv_limit_bracket(k, N, bits=128)
+        lo, hi = mzv_limit_bracket(k, N, bits=128)[k]
         head = mzv_truncated(N, k)
         # the coarse tail bound (zeta_N({2}^{k-1}) + 1) / N
         coarse = (mzv_truncated(N, k - 1) + 1) / N
@@ -308,8 +409,8 @@ def test_mzv_limit_resource_error_when_truncation_pinned_too_low():
 
 
 def test_bracket_narrows_with_truncation():
-    lo1, hi1 = mzv_limit_bracket(2, 100, bits=128)
-    lo2, hi2 = mzv_limit_bracket(2, 200, bits=128)
+    lo1, hi1 = mzv_limit_bracket(2, 100, bits=128)[2]
+    lo2, hi2 = mzv_limit_bracket(2, 200, bits=128)[2]
     assert lo1 <= lo2 <= hi2 <= hi1
 
 
@@ -410,9 +511,10 @@ def test_the_plan_takes_one_bracket_that_overlaps_the_ladder(monkeypatch):
                                _mzv_ball, _PLANNED_PRECISIONS)
         for P in _PLANNED_PRECISIONS:
             calls.clear()
-            z = mzv_limit(k, P)
+            row = mzv_limit(k, P)
+            z = row[k]
             assert len(calls) == 1, (k, P)
-            assert z.err <= Fraction(1, 2 ** (P + 2)), (k, P)
+            assert all(e.err <= Fraction(1, 2 ** (P + 2)) for e in row), (k, P)
             assert _overlap(z, oracle[P]) and _overlap(z, closed), (k, P)
     precisions = (64, 100, 128, 176, 224, 300, 512, 1024)
     oracle = _ladder_balls(limit_steps(64), zeta2, _pi_freq_ball, precisions)
@@ -433,8 +535,8 @@ def test_the_width_bound_covers_the_whole_bracket(k):
     for N, em in ((256, 6), (256, 50), (64, 25)):
         elo, ehi = _exact_limit_bracket(k, N, em)
         s = (ehi - elo).denominator.bit_length() + 8
-        lo, hi = mzv_limit_bracket(k, N, em, bits=s)
-        bound = Fraction(series.width_bound(k, N, em, s), 1 << s)
+        lo, hi = mzv_limit_bracket(k, N, em, bits=s)[k]
+        bound = Fraction(series.width_bound(k, N, em, s)[k], 1 << s)
         assert ehi - elo <= hi - lo <= bound <= (ehi - elo) * (3 if N >= 256 else 8), (k, N, em)
 
 
@@ -452,7 +554,7 @@ def test_a_plan_costs_a_logarithmic_number_of_bounds(monkeypatch):
             assert 6 <= em <= series.EM_CEILING and N <= series.EXACT_N_LIMIT
             assert len(floors) <= 6 * (log_em + 1), (k, P)
             assert len(wholes) <= 2 * (log_em + 1), (k, P)
-            assert whole(k, N, em, P + 32) <= 1 << 32, (k, P)
+            assert max(whole(k, N, em, P + 32)) <= 1 << 32, (k, P)
 
 
 def test_closed_form_floor_bounds_the_bracket_width_from_below():
@@ -469,6 +571,11 @@ def test_closed_form_floor_bounds_the_bracket_width_from_below():
     for m in range(1, 9):
         for N in (1, 3, 10, 100):
             assert series.bracket_floor(m, N, 6) <= mzv_truncated(N, m) * series.bracket_floor(0, N, 6)
+    # the row's widest floor, in closed form, is the widest of all
+    for N in (1, 2, 3, 64, 256, 8192):
+        for k in range(1, 25):
+            floors = [series.bracket_floor(m, N, 6) for m in range(k)]
+            assert floors[series._widest_floor(k, N)] == max(floors), (k, N)
     # the head's floor is tight at the last exact truncation
     assert 2 * series.bracket_floor(7, 8192, 9) > mzv_truncated(8192, 7) * series.bracket_floor(0, 8192, 9)
 
@@ -486,7 +593,7 @@ def test_deep_limits_contain_the_closed_form():
     for P in (300, 512, 1024):
         pi = pi_oracle(P + 64)
         for k in (1, 4, 8):
-            z = mzv_limit(k, P)
+            z = mzv_limit(k, P)[k]
             closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
             assert z.err <= Fraction(1, 2 ** (P + 2)), (k, P)
             assert abs(z.value - closed.value) <= z.err + closed.err, (k, P)
