@@ -23,12 +23,17 @@ from fractions import Fraction
 from . import bijection, pfunc, pi_constants, series
 from .numeric import DomainError, ResourceError
 from .report import RunConfig, all_passed, make_record, render
-from .suites import SUITES, run_suite
+from .suites import SUITES, refuse_unread, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# the optional flags (those with no default) each compute target and each
+# dump kind reads; any other one given is a usage error
+COMPUTE_READS = {"mzv": {"k"}, "pi-freq": set(), "pi-amp": {"N"}, "p-eval": {"x", "N"}}
+DUMP_READS = {"alpha": set(), "beta": {"m_sweep"}}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -99,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--k", type=int, default=2)
     p_dump.add_argument("--bound", type=int, default=10)
     p_dump.add_argument("--kind", choices=["alpha", "beta"], default="alpha")
-    p_dump.add_argument("--m-sweep", dest="m_sweep", type=_parse_sweep, default=(),
+    p_dump.add_argument("--m-sweep", dest="m_sweep", type=_parse_sweep,
                         help="comma-separated beta truncations, e.g. 20,40,80")
     p_dump.add_argument("--out", dest="output_path")
 
@@ -121,17 +126,19 @@ def _emit(records, config: RunConfig) -> None:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    refuse_unread(f"compute {args.target}", {flag: getattr(args, flag) for flag in ("k", "N", "x")},
+                  COMPUTE_READS[args.target])
     config = _config_from(args)
     prec = config.precision_bits
     records = []
     if args.target == "mzv":
         k = config.k if config.k is not None else 2
-        v = series.mzv_limit(k, prec, config.N)[-1]
+        v = series.mzv_limit(k, prec)[-1]
         records.append(make_record(
             f"compute.mzv.k{k}", v.value, v.value, v.err, Fraction(0),
             params={"k": k, "precision_bits": prec}))
     elif args.target == "pi-freq":
-        est = pi_constants.pi_freq(prec, config.N)
+        est = pi_constants.pi_freq(prec)
         records.append(make_record(
             "compute.pi_freq", est.value.value, est.value.value, est.value.err,
             Fraction(0), params=est.truncation))
@@ -164,6 +171,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bijection_dump(args: argparse.Namespace) -> int:
+    refuse_unread(f"bijection-dump --kind {args.kind}", {"m_sweep": args.m_sweep},
+                  DUMP_READS[args.kind])
     k, bound = args.k, args.bound
     sweep = args.m_sweep or (bound,)
     # alpha dumps are limited by bijection.VERTEX_CEILING instead

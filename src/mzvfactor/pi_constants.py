@@ -64,17 +64,15 @@ def zeta2_bracket(N: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
     return head + lo, head + hi
 
 
-def pi_freq(precision_bits: int, N: Optional[int] = None) -> PiEstimate:
+def pi_freq(precision_bits: int) -> PiEstimate:
     """sqrt of six times the certified zeta(2) bracket, taken once at the
-    (N, em) of plan_limit, within 2^-(precision_bits + 2); a pinned
-    truncation N reports whatever width it certifies."""
+    (N, em) of plan_limit, within 2^-(precision_bits + 2)."""
     require_precision(precision_bits)
     # the square root is taken in a ball at precision_bits + 16 bits
     if precision_bits + 16 > MAX_PRECISION:
         raise ResourceError(f"pi_freq: precision {precision_bits} exceeds ceiling "
                             f"{MAX_PRECISION - 16}")
     target = Fraction(1, 1 << (precision_bits + 2))
-    pinned = N is not None
     # For N >= 64 the ball 6 [lo, hi] lies above 9.6, where sqrt has slope
     # below 3 / (2 * 3.09) < 1/2, so the square root's radius is at most
     # 0.49 of the zeta(2) bracket's width. The three roundings at
@@ -82,14 +80,12 @@ def pi_freq(precision_bits: int, N: Optional[int] = None) -> PiEstimate:
     # sqrt_bounds ends; the midpoint of the root, below 4) and the radius
     # roundings add less than 2^-(precision_bits + 13).
     try:
-        N, em = plan_limit(1, 2 * target - Fraction(1, 1 << (precision_bits + 12)), 64, N)
+        N, em = plan_limit(1, 2 * target - Fraction(1, 1 << (precision_bits + 12)), 64)
     except ResourceError:
-        if pinned:
-            raise
         raise ResourceError("pi_freq cannot reach the requested precision") from None
     lo, hi = zeta2_bracket(N, em)
     value = ApproxReal.from_bracket(6 * lo, 6 * hi, precision_bits + 16).sqrt()
-    if value.err > target and not pinned:
+    if value.err > target:
         raise ValueError(f"pi_freq: the planned bracket at N = {N}, em = {em} "
                          f"missed 2^-{precision_bits + 2}")
     return PiEstimate(value=value,

@@ -153,7 +153,13 @@ def tail_elementary_brackets(N: int, k: int, em_terms: int, bits: int) -> list[t
 
 @lru_cache(maxsize=256)
 def _floor_terms(m: int, N: int, em: int) -> tuple[int, int]:
-    """bracket_floor(m, N, em) as an unreduced (numerator, denominator);
+    """A closed-form lower bound, for N >= 1, of zeta_N({2}^m) times the
+    width of power_sum_tail_bracket(N, 1, em), which the width of entry
+    m + 1 of mzv_limit_bracket(k, N, em), k > m, is at least, as an
+    unreduced (numerator, denominator). That width is
+    |B_2i| / (N+1)^(2i+1), i = em + 1,
+    with |B_2i| > 2 (2i)! / (2 pi)^(2i); zeta_N({2}^m) is pi^(2m) / (2m+1)!
+    less at most zeta({2}^(m-1)) / N; and 333/106 < pi < 355/113. Cached:
     every plan checks the same depth caps and bisection steps at each N."""
     i = em + 1
     num, den = 2 * math.factorial(2 * i) * 113 ** (2 * i), 710 ** (2 * i) * (N + 1) ** (2 * i + 1)
@@ -165,24 +171,14 @@ def _floor_terms(m: int, N: int, em: int) -> tuple[int, int]:
 
 
 def _widest_floor(k: int, N: int) -> int:
-    """The m < k with the largest bracket_floor(m, N, em): the floors of
-    the entries 1..k of a row differ only in their head factor, so this m
+    """The m < k with the largest floor _floor_terms(m, N, em): the floors
+    of the entries 1..k of a row differ only in their head factor, so this m
     decides, at every em, whether the floor of every entry is within a
     width. From m = 1 on, (333/106)^(2m) / (2m+1)! falls, so every head
     factor at m >= 2 is below (333/106)^4 / 5! < 1, the factor at m = 0;
     the factor at m = 1, (333/106)^2 / 3! - 1/N, is above 1 exactly when
     N >= 2."""
     return 1 if k >= 2 and N >= 2 else 0
-
-
-def bracket_floor(m: int, N: int, em: int) -> Fraction:
-    """A closed-form lower bound, for N >= 1, of zeta_N({2}^m) times the
-    width of power_sum_tail_bracket(N, 1, em), which the width of entry
-    m + 1 of mzv_limit_bracket(k, N, em), k > m, is at least. That width is
-    |B_2i| / (N+1)^(2i+1), i = em + 1,
-    with |B_2i| > 2 (2i)! / (2 pi)^(2i); zeta_N({2}^m) is pi^(2m) / (2m+1)!
-    less at most zeta({2}^(m-1)) / N; and 333/106 < pi < 355/113."""
-    return Fraction(*_floor_terms(m, N, em))
 
 
 def width_bound(k: int, N: int, em: int, s: int) -> list[int]:
@@ -256,19 +252,17 @@ def _width_terms(k: int, N: int, em: int, s: int) -> list[tuple[int, int]]:
     return out
 
 
-def plan_limit(k: int, width: Fraction, n: int,
-               N: int | None = None) -> tuple[int, int]:
+def plan_limit(k: int, width: Fraction, n: int) -> tuple[int, int]:
     """The one (truncation, Euler-Maclaurin depth) at which a certified limit
     takes its row: the width of every entry j = 1..k of
     mzv_limit_bracket(k, N, em, bits=s), s = limit_bits(width) (for k = 1,
     also that of zeta2_bracket(N, em)), is at most `width` by width_bound.
-    Nothing is built; past the reach this raises ResourceError. A pinned
-    truncation N is the one attempt (N, 6).
+    Nothing is built; past the reach this raises ResourceError.
 
     N is the first of the ladder n 2^i <= EXACT_N_LIMIT with such an em of
     at most N/2, or, at the last N, of at most EM_CEILING. At each N the
     depth is first guessed as the smallest em >= 6 whose
-    bracket_floor(j - 1, N, em) is within `width` for every j <= k, the
+    floor _floor_terms(j - 1, N, em) is within `width` for every j <= k, the
     largest such em over j, by trying em = 6, 12, 24, ... and bisecting the
     last step; the floor is a lower bound of the width, so no smaller em can
     pass. The guess is confirmed by width_bound, or the bound is bisected
@@ -291,12 +285,6 @@ def plan_limit(k: int, width: Fraction, n: int,
     (N = 64 up to 268 bits for pi_freq), then doubles N once per doubling
     of the precision.
     """
-    if N is not None:
-        if N < 1:
-            raise DomainError("a pinned truncation needs N >= 1")
-        if N > EXACT_N_LIMIT:
-            raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
-        return N, 6
     s = limit_bits(width)
     allowed = (width.numerator << s) // width.denominator
 
@@ -340,8 +328,8 @@ def limit_bits(width: Fraction) -> int:
 
 
 def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6, *,
-                      bits: int) -> list[tuple[Fraction, Fraction]]:
-    """Brackets for zeta({2}^j), j = 0..k, on the dyadic grid 2^-bits.
+                      bits: int) -> list[tuple[int, int]]:
+    """Brackets lo / 2^bits <= zeta({2}^j) <= hi / 2^bits, j = 0..k.
 
     Splits the elementary symmetric function over {1..N} and the tail:
         zeta({2}^j) = sum_{i<=j} zeta_N({2}^i) * e_{j-i}(tail),
@@ -358,8 +346,6 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6, *,
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
-    if k == 0:
-        return [(ONE, ONE)]
     if N > EXACT_N_LIMIT:
         raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
     head = _factor_product(0, N, k)
@@ -369,12 +355,9 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6, *,
         qlo.append(q)
         qhi.append(q + (rem > 0))
     elo, ehi = zip(*tail_elementary_brackets(N, k, em_terms, bits))
-    one, row = 1 << bits, []
-    for j in range(k + 1):
-        lo = sum(map(mul, qlo[:j + 1], elo[j::-1]))
-        hi = sum(map(mul, qhi[:j + 1], ehi[j::-1]))
-        row.append((Fraction(lo // one, one), Fraction(-(-hi // one), one)))
-    return row
+    return [(sum(map(mul, qlo[:j + 1], elo[j::-1])) >> bits,
+             -(-sum(map(mul, qhi[:j + 1], ehi[j::-1])) >> bits))
+            for j in range(k + 1)]
 
 
 def require_limit_k(k: int) -> None:
@@ -385,40 +368,31 @@ def require_limit_k(k: int) -> None:
         raise ResourceError(f"zeta({{2}}^{k}): k exceeds ceiling {MZV_K_CEILING}")
 
 
-def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> list[ApproxReal]:
+def mzv_limit(k: int, precision_bits: int) -> list[ApproxReal]:
     """The row [zeta({2}^0), ..., zeta({2}^k)], each entry with certified
     error at most 2^-(precision_bits + 2), from one bracket row at the
-    (N, em) of plan_limit. A pinned truncation N is the one attempt (N, 6),
-    refused with ResourceError if the floor of any entry's width, or any
-    entry's error, misses that bound."""
+    (N, em) of plan_limit."""
     require_limit_k(k)
     require_precision(precision_bits)
     if k == 0:
         return [ApproxReal.exact(1, precision_bits)]
     target = Fraction(1, 1 << (precision_bits + 2))
-    refused = (f"cannot certify zeta({{2}}^{k}) to {precision_bits} bits "
-               f"within configured ceilings")
     # the midpoint, below 2, is rounded at precision_bits + 8 bits, so the
     # error is half the bracket's width plus less than 2^-(precision_bits + 7)
     width = 2 * target - Fraction(1, 1 << (precision_bits + 6))
-    pinned = N is not None
     try:
-        N, em = plan_limit(k, width, 256, N)
+        N, em = plan_limit(k, width, 256)
     except ResourceError:
-        if pinned:
-            raise
-        raise ResourceError(refused) from None
-    # the ball's radius is at least half the bracket's width
-    if pinned and bracket_floor(_widest_floor(k, N), N, em) > 2 * target:
-        raise ResourceError(refused)
+        raise ResourceError(f"cannot certify zeta({{2}}^{k}) to {precision_bits} bits "
+                            f"within configured ceilings") from None
     bits = limit_bits(width)
     row = []
-    for lo, hi in mzv_limit_bracket(k, N, em, bits=bits):
-        # in units of 2^-(bits + 1), in integers: the midpoint s, rounded
-        # as round_to_bits rounds it at precision_bits + 8 bits (to the
-        # nearest multiple of 2^t, ties to even), and the error, half the
-        # width plus that rounding
-        a, c = (x.numerator << (bits + 1 - x.denominator.bit_length()) for x in (lo, hi))
+    for a, c in mzv_limit_bracket(k, N, em, bits=bits):
+        # the ends a, c are in units of 2^-bits, so in units of
+        # 2^-(bits + 1) the midpoint is s = a + c and half the width c - a:
+        # s is rounded as round_to_bits rounds it at precision_bits + 8
+        # bits (to the nearest multiple of 2^t, ties to even), and the
+        # error is half the width plus that rounding
         s = v = a + c
         t = s.bit_length() - precision_bits - 9
         if t > 0:
@@ -426,8 +400,6 @@ def mzv_limit(k: int, precision_bits: int, N: int | None = None) -> list[ApproxR
             v = (q + (rest > 1 << (t - 1) or (rest == 1 << (t - 1) and q & 1))) << t
         err = c - a + abs(v - s)
         if err > 1 << (bits - precision_bits - 1):
-            if pinned:
-                raise ResourceError(refused)
             raise ValueError(f"zeta({{2}}^{k}): the planned bracket at N = {N}, "
                              f"em = {em} missed 2^-{precision_bits + 2}")
         row.append(ApproxReal(Fraction(v, 1 << (bits + 1)),

@@ -374,6 +374,16 @@ SUITES = {
 _SUITE_FLAGS = ("k", "N", "M", "n_max", "j_max", "bound", "tolerance")
 
 
+def refuse_unread(what: str, given: dict, reads: set) -> None:
+    """The one rule for the optional flags of every command: a flag given a
+    value (not None) that `what` does not read is a DomainError before any
+    work, never silently ignored."""
+    unread = [f"--{flag.replace('_', '-')}" for flag, value in given.items()
+              if value is not None and flag not in reads]
+    if unread:
+        raise DomainError(f"{what} does not read {', '.join(unread)}")
+
+
 def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
     """The records of suite `name`. A count or tolerance the suite does not
     read is a DomainError before any work, as is a configuration under
@@ -381,10 +391,7 @@ def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
     if name not in SUITES:
         raise KeyError(name)
     suite, reads = SUITES[name]
-    unread = [f"--{flag.replace('_', '-')}" for flag in _SUITE_FLAGS
-              if getattr(config, flag) is not None and flag not in reads]
-    if unread:
-        raise DomainError(f"suite {name} does not read {', '.join(unread)}")
+    refuse_unread(f"suite {name}", {flag: getattr(config, flag) for flag in _SUITE_FLAGS}, reads)
     records = suite(config)
     if not records:
         raise DomainError(f"suite {name} checks nothing with these parameters")

@@ -99,10 +99,8 @@ def _requests(monkeypatch):
         config = RunConfig(k=k, precision_bits=MAX_PRECISION - 32)
         out.append((f"{name} k={k} at {MAX_PRECISION - 32} bits",
                     lambda name=name, config=config: suites.run_suite(name, config)))
-    pinned = series.EXACT_N_LIMIT + 1
-    out += [("mzv pinned N", lambda: series.mzv_limit(2, 64, N=pinned)),
-            ("pi_freq pinned N", lambda: pi_constants.pi_freq(64, N=pinned)),
-            ("mzv bracket N", lambda: series.mzv_limit_bracket(2, pinned, bits=64)),
+    out += [("mzv bracket N",
+             lambda: series.mzv_limit_bracket(2, series.EXACT_N_LIMIT + 1, bits=64)),
             ("Wallis", lambda: pi_constants.pi_amp(pi_constants.WALLIS_N_CEILING + 1))]
     for kind, identity in (("alpha", bijection.alpha_residual_identity),
                            ("beta", bijection.beta_residual_identity)):
@@ -140,7 +138,7 @@ def _largest_admitted_p_eval():
 
 def test_every_ceiling_refuses_its_smallest_request_within_2s(monkeypatch):
     requests = _requests(monkeypatch)
-    assert len(requests) == 23
+    assert len(requests) == 21
     for name, call in requests:
         start = time.process_time()
         with pytest.raises(ResourceError):

@@ -16,7 +16,6 @@ from mzvfactor.numeric import (
     ZERO,
     ApproxReal,
     DomainError,
-    ResourceError,
     pi_oracle,
     power_sum_tail_bracket,
     power_sum_tail_numerators,
@@ -126,12 +125,13 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
     # bracket on the head row mzv_row(N, 4), as its ball contains it
     args, kwargs = attempts[0]
     assert kwargs == {"bits": series.limit_bits(width)}
+    unit = Fraction(1, 1 << kwargs["bits"])
     head, tails = mzv_row(N, 4), _tail_brackets_by_fractions(N, 4, em)
     for j, (z, (lo, hi)) in enumerate(zip(row, bracket(*args, **kwargs))):
         exact = [sum(h * e[end] for h, e in zip(head, reversed(tails[:j + 1])))
                  for end in (0, 1)]
-        assert lo <= exact[0] <= exact[1] <= hi, j
-        assert z.lo <= lo and hi <= z.hi, j
+        assert lo * unit <= exact[0] <= exact[1] <= hi * unit, j
+        assert z.lo <= lo * unit and hi * unit <= z.hi, j
 
 
 def _tail_brackets_by_fractions(N, k, em):
@@ -204,7 +204,7 @@ def test_integer_limit_kernel_equals_the_rational_recursion(k, N, em):
         assert all(lo * unit <= a and b <= hi * unit
                    for (lo, hi), (a, b) in zip(fixed, expected)), bits
         lo, hi = mzv_limit_bracket(k, N, em, bits=bits)[k]
-        assert lo <= exact[0] and exact[1] <= hi, bits
+        assert lo * unit <= exact[0] and exact[1] <= hi * unit, bits
 
 
 @settings(max_examples=25, deadline=None)
@@ -219,27 +219,27 @@ def test_the_fixed_point_bracket_is_the_exact_one_widened_by_its_rounding_at_mos
     elo, ehi = _exact_limit_bracket(k, N, em)
     fine = ((ehi - elo).denominator // (ehi - elo).numerator).bit_length() + 32
     for bits in (fine, 24):
-        lo, hi = mzv_limit_bracket(k, N, em, bits=bits)[k]
-        exact, rounding = series._width_terms(k, N, em, bits)[k]
         unit = Fraction(1, 1 << bits)
+        lo, hi = (end * unit for end in mzv_limit_bracket(k, N, em, bits=bits)[k])
+        exact, rounding = series._width_terms(k, N, em, bits)[k]
         assert lo <= elo and ehi <= hi, bits
         assert elo - lo <= rounding * unit and hi - ehi <= rounding * unit, bits
         assert ehi - elo <= exact * unit, bits
 
 
 def _degree_j_bracket(j, N, em, bits):
-    """oracle: the bracket of zeta({2}^j) alone, from a head of degree j and
-    a tail to e_j at (N, em), on the grid 2^-bits, as a limit took it before
-    one row served every entry"""
+    """oracle: the integer ends on the grid 2^-bits of the bracket of
+    zeta({2}^j) alone, from a head of degree j and a tail to e_j at (N, em),
+    as a limit took it before one row served every entry"""
+    one = 1 << bits
     if j == 0:
-        return ONE, ONE
+        return one, one
     head = series._factor_product(0, N, j)
     lo = hi = 0
     for c, (elo, ehi) in zip(head, reversed(series.tail_elementary_brackets(N, j, em, bits))):
         q, rem = divmod(c << bits, head[0])
         lo, hi = lo + q * elo, hi + (q + (rem > 0)) * ehi
-    one = 1 << bits
-    return Fraction(lo // one, one), Fraction(-(-hi // one), one)
+    return lo // one, -(-hi // one)
 
 
 _ROW_CASES = (st.integers(min_value=1, max_value=12), st.sampled_from([64, 256, 1000]),
@@ -268,9 +268,10 @@ def test_the_row_width_terms_are_those_of_each_degree_alone(K, N, em, bits):
     assert series.width_bound(K, N, em, bits) == [b + 2 * r for b, r in terms]
 
 
-def _bracket_ball(lo, hi, P):
-    """oracle: the ball of a limit bracket, its midpoint rounded by
-    round_to_bits at P + 8 bits"""
+def _bracket_ball(lo, hi, bits, P):
+    """oracle: the ball of a limit bracket with integer ends on the grid
+    2^-bits, its midpoint rounded by round_to_bits at P + 8 bits"""
+    lo, hi = Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
     v, r = round_to_bits((lo + hi) / 2, P + 8)
     return ApproxReal(v, (hi - lo) / 2 + r, P)
 
@@ -286,13 +287,17 @@ def test_every_row_entry_certifies_and_contains_the_exact_kernel(K, P):
     N, em = series.plan_limit(K, width, 256)
     row = mzv_limit(K, P)
     assert len(row) == K + 1 and row[0].value == 1 and row[0].err == 0
-    brackets = mzv_limit_bracket(K, N, em, bits=series.limit_bits(width))
+    bits = series.limit_bits(width)
+    brackets = mzv_limit_bracket(K, N, em, bits=bits)
     prod = series._factor_product(0, N, K)
     for j in range(1, K + 1):
         lo, hi = _exact_limit_bracket(j, N, em, prod[:j + 1])
+        a, c = brackets[j]
+        assert type(a) is int and type(c) is int, j
+        assert a <= lo * (1 << bits) and hi * (1 << bits) <= c, j
         assert row[j].err <= target, j
         assert row[j].lo <= lo <= hi <= row[j].hi, j
-        assert _same_ball(row[j], _bracket_ball(*brackets[j], P)), j
+        assert _same_ball(row[j], _bracket_ball(a, c, bits, P)), j
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,8 +318,8 @@ def test_row_balls_round_their_midpoints_as_round_to_bits(P, ends):
             if t > 0:
                 a = (((2 * a + w) >> t << t) + (1 << (t - 1)) - w) // 2
                 w += (2 * a + w) % 2
-        brackets.append((Fraction(a, 1 << bits), Fraction(a + w, 1 << bits)))
-    expected = [_bracket_ball(lo, hi, P) for lo, hi in brackets]
+        brackets.append((a, a + w))
+    expected = [_bracket_ball(lo, hi, bits, P) for lo, hi in brackets]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(series, "mzv_limit_bracket", lambda *a, **kw: brackets)
         if all(b.err <= Fraction(1, 2 ** (P + 2)) for b in expected):
@@ -396,16 +401,11 @@ def test_mzv_limit_brackets_contain_closed_form():
 def test_sharp_bracket_inside_monotone_bound():
     N = 500
     for k in (1, 2, 3):
-        lo, hi = mzv_limit_bracket(k, N, bits=128)[k]
+        lo, hi = (end * Fraction(1, 1 << 128) for end in mzv_limit_bracket(k, N, bits=128)[k])
         head = mzv_truncated(N, k)
         # the coarse tail bound (zeta_N({2}^{k-1}) + 1) / N
         coarse = (mzv_truncated(N, k - 1) + 1) / N
         assert head <= lo <= hi <= head + coarse
-
-
-def test_mzv_limit_resource_error_when_truncation_pinned_too_low():
-    with pytest.raises(ResourceError):
-        mzv_limit(2, 128, N=4)
 
 
 def test_bracket_narrows_with_truncation():
@@ -414,13 +414,11 @@ def test_bracket_narrows_with_truncation():
     assert lo1 <= lo2 <= hi2 <= hi1
 
 
-def limit_steps(n, N=None):
+def limit_steps(n):
     """The escalation ladder certified limits used to walk, kept as the
     oracle of the planner: depths 6..9 at n, then n doubled at depth 9
     while it stays within EXACT_N_LIMIT, then the depth doubled at that
-    last n up to EM_CEILING. A pinned truncation N is the one attempt (N, 6)."""
-    if N is not None:
-        return [series.plan_limit(1, ONE, n, N)]
+    last n up to EM_CEILING."""
     steps = [(n, em) for em in range(6, 10)]
     while 2 * n <= series.EXACT_N_LIMIT:
         n *= 2
@@ -469,8 +467,7 @@ def _overlap(a, b):
 
 
 def test_limit_steps_double_n_then_the_depth_at_the_last_exact_n():
-    # the oracle's ladder; the planner keeps its pinned attempt (N, 6)
-    # the last doubling of the depth is capped at EM_CEILING
+    # the oracle's ladder; the last doubling of the depth is capped at EM_CEILING
     em_steps = [9 * 2 ** r for r in range(1, 8)] + [series.EM_CEILING]
     assert em_steps[-2] < series.EM_CEILING < 2 * em_steps[-2]
     assert limit_steps(256) == (
@@ -479,11 +476,6 @@ def test_limit_steps_double_n_then_the_depth_at_the_last_exact_n():
         + [(8192, em) for em in em_steps])
     assert limit_steps(64)[:9] == (
         [(64, em) for em in range(6, 10)] + [(n, 9) for n in (128, 256, 512, 1024, 2048)])
-    assert limit_steps(64, N=300) == [(300, 6)]
-    with pytest.raises(ResourceError):
-        limit_steps(64, N=series.EXACT_N_LIMIT + 1)
-    with pytest.raises(DomainError):
-        limit_steps(64, N=0)
 
 
 _PLANNED_PRECISIONS = (64, 116, 147, 155, 176, 219, 300, 512, 1024)
@@ -536,8 +528,8 @@ def test_the_width_bound_covers_the_whole_bracket(k):
         elo, ehi = _exact_limit_bracket(k, N, em)
         s = (ehi - elo).denominator.bit_length() + 8
         lo, hi = mzv_limit_bracket(k, N, em, bits=s)[k]
-        bound = Fraction(series.width_bound(k, N, em, s)[k], 1 << s)
-        assert ehi - elo <= hi - lo <= bound <= (ehi - elo) * (3 if N >= 256 else 8), (k, N, em)
+        width, bound = (Fraction(x, 1 << s) for x in (hi - lo, series.width_bound(k, N, em, s)[k]))
+        assert ehi - elo <= width <= bound <= (ehi - elo) * (3 if N >= 256 else 8), (k, N, em)
 
 
 def test_a_plan_costs_a_logarithmic_number_of_bounds(monkeypatch):
@@ -557,27 +549,31 @@ def test_a_plan_costs_a_logarithmic_number_of_bounds(monkeypatch):
             assert max(whole(k, N, em, P + 32)) <= 1 << 32, (k, P)
 
 
+def _floor(m, N, em):
+    return Fraction(*series._floor_terms(m, N, em))
+
+
 def test_closed_form_floor_bounds_the_bracket_width_from_below():
     for N, em in ((64, 6), (256, 9), (1000, 40), (8192, 9), (8192, 72)):
         lo, hi = power_sum_tail_bracket(N, 1, em)
-        floor = series.bracket_floor(0, N, em)
+        floor = _floor(0, N, em)
         assert floor <= hi - lo <= 2 * floor, (N, em)
     for N, em in ((64, 6), (256, 9), (1000, 40)):
         row, prod = mzv_row(N, 9), series._factor_product(0, N, 9)
         for m in range(1, 9):
             lo, hi = _exact_limit_bracket(m + 1, N, em, prod[:m + 2])
-            floor = series.bracket_floor(m, N, em)
-            assert floor <= row[m] * series.bracket_floor(0, N, em) <= hi - lo, (m, N, em)
+            floor = _floor(m, N, em)
+            assert floor <= row[m] * _floor(0, N, em) <= hi - lo, (m, N, em)
     for m in range(1, 9):
         for N in (1, 3, 10, 100):
-            assert series.bracket_floor(m, N, 6) <= mzv_truncated(N, m) * series.bracket_floor(0, N, 6)
+            assert _floor(m, N, 6) <= mzv_truncated(N, m) * _floor(0, N, 6)
     # the row's widest floor, in closed form, is the widest of all
     for N in (1, 2, 3, 64, 256, 8192):
         for k in range(1, 25):
-            floors = [series.bracket_floor(m, N, 6) for m in range(k)]
+            floors = [_floor(m, N, 6) for m in range(k)]
             assert floors[series._widest_floor(k, N)] == max(floors), (k, N)
     # the head's floor is tight at the last exact truncation
-    assert 2 * series.bracket_floor(7, 8192, 9) > mzv_truncated(8192, 7) * series.bracket_floor(0, 8192, 9)
+    assert 2 * _floor(7, 8192, 9) > mzv_truncated(8192, 7) * _floor(0, 8192, 9)
 
 
 @pytest.mark.parametrize("compute", [lambda: mzv_limit(4, 384), lambda: mzv_limit(4, 512),
