@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .numeric import (DEFAULT_PRECISION, ApproxReal, DomainError, ResourceError,
                       pi_oracle)
-from .series import mzv_limit, mzv_truncated, zeta_even_truncated
+from .series import mzv_limit, mzv_row, mzv_truncated
 
 
 class V1(NamedTuple):
@@ -521,14 +521,15 @@ def alpha_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
 
 def beta_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
     """lhs = (-1)^k sum over beta-residual vertices (order k-1, every n <= N);
-    rhs = 6 zeta_N({2}^{k-1}) zeta_N(2)."""
+    rhs = 6 zeta_N({2}^{k-1}) zeta_N(2), both factors from one mzv_row."""
     require_residual_size("beta", k, N)
     universe = range(1, N + 1)
     groups = ((mu, (V1(mu, n) for n in universe))
               for mu in itertools.combinations(universe, k - 1))
     sign = 1 if k % 2 == 0 else -1
     lhs = sign * _index_set_sum(groups, k)
-    rhs = 6 * mzv_truncated(N, k - 1) * zeta_even_truncated(N, 1)
+    row = mzv_row(N, k - 1)
+    rhs = 6 * row[k - 1] * row[1]
     return lhs, rhs
 
 

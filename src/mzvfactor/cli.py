@@ -141,7 +141,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         est = pi_constants.pi_freq(prec)
         records.append(make_record(
             "compute.pi_freq", est.value.value, est.value.value, est.value.err,
-            Fraction(0), params=est.truncation))
+            Fraction(0), params={"precision_bits": prec}))
     elif args.target == "pi-amp":
         n = config.N if config.N is not None else 1000
         est = pi_constants.pi_amp(n, prec)

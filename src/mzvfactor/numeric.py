@@ -254,35 +254,27 @@ class ApproxReal:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        other = _coerce(other, self.prec)
-        m1, r1, e1, p1 = self.man, self.rad, self.exp, self.prec
-        m2, r2, e2, p2 = other.man, other.rad, other.exp, other.prec
-        prec = p1 if p1 >= p2 else p2
-        a, d = abs(m1), abs(m2)
-        # |b| - rb in units of 2^(e2 - GUARD_BITS), which must be positive
-        low = (d << GUARD_BITS) - r2
-        if low <= 0:
-            raise DomainError("division by a bracket containing zero")
+    def __truediv__(self, n: int) -> "ApproxReal":
+        """The ball divided by an exact positive integer, the one divisor in
+        use ((2k+1)! in the limit suites); any other raises DomainError."""
+        if not isinstance(n, int) or n <= 0:
+            raise DomainError("a ball is divided only by a positive integer")
+        m, r, e, prec = self.man, self.rad, self.exp, self.prec
+        a = abs(m)
         # midpoint quotient with prec + 1 or prec + 2 bits, rounded to nearest
-        s = prec + 1 + d.bit_length() - a.bit_length()
-        if s < 0:
-            d <<= -s
-        q, rem = divmod(a << s if s > 0 else a, d)
-        e = e1 - e2 - s
-        # radius (ra + |a/b| rb) / (|b| - rb) in units of 2^(e - GUARD_BITS)
+        s = prec + 1 + n.bit_length() - a.bit_length()
         if s >= 0:
-            num = (r1 << s) + (q + 1) * r2
+            a, r = a << s, r << s
         else:
-            num, low = r1 + ((q + 1) * r2 << -s), low << -s
-        r = -(-(num << GUARD_BITS) // low)
+            n <<= -s
+        q, rem = divmod(a, n)
+        # radius r / n in units of 2^(e - s - GUARD_BITS)
+        r = -(-r // n)
         if rem:
-            if 2 * rem >= d:
+            if 2 * rem >= n:
                 q += 1
             r += 1 << (GUARD_BITS - 1)
-        if (m1 < 0) != (m2 < 0):
-            q = -q
-        return _make(q, r, e, prec)
+        return _make(-q if m < 0 else q, r, e - s, prec)
 
     def __rtruediv__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
         return _coerce(other, self.prec) / self

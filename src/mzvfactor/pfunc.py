@@ -108,21 +108,20 @@ def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxRea
     6 S - 4 x^2 (S^2 - S2) runs in balls of `precision` bits. For
     |x| <= 9/10 the radius is at most 2^-(precision - 4) times the value,
     whatever N. Points within 1/N of an integer are rejected: the terms blow
-    up and the bracket becomes vacuous; the check reads x rounded to a ball,
-    whose radius counts against the distance. A request past P_EVAL_CEILING
-    raises ResourceError before any term is summed.
+    up and the bracket becomes vacuous; the check compares x itself,
+    exactly, so a point exactly 1/N from the pole is accepted. A request
+    past P_EVAL_CEILING raises ResourceError before any term is summed.
     """
     if N < 2:
         raise DomainError("p_eval needs N >= 2")
-    xa = ApproxReal.from_rational(Fraction(x), precision)
-    mag = abs(xa.value) + xa.err
-    if mag >= 1:
-        raise DomainError("p_eval needs 0 <= |x| < 1")
-    if 1 - mag < Fraction(1, N):
-        raise DomainError(f"x within 1/{N} of the pole at 1; bracket would be vacuous")
     x = Fraction(x)
+    if abs(x) >= 1:
+        raise DomainError("p_eval needs 0 <= |x| < 1")
+    if 1 - abs(x) < Fraction(1, N):
+        raise DomainError(f"x within 1/{N} of the pole at 1; bracket would be vacuous")
     require_p_eval_size(N, precision, x.denominator.bit_length())
     S, S2 = _sum_balls(x, N, precision)
+    xa = ApproxReal.from_rational(x, precision)
     x2 = xa * xa
     return 6 * S - x2 * (S * S - S2) * 4
 

@@ -2,7 +2,7 @@
 the normalized odd series g, the Pythagorean invariant, and the arc-length
 identification with the geometric circle constant.
 
-pi_freq = sqrt(6 sum 1/n^2) comes from the certified zeta(2) bracket;
+pi_freq = sqrt(6 sum 1/n^2) comes from the certified zeta(2) of mzv_limit;
 pi_amp = 2 prod (2n/(2n-1))(2n/(2n+1)) comes from the interlacing Wallis
 partial products, with C(2N, N) built from its prime factorization; g and
 g' are summed in integer fixed point under a derived error bound, and the
@@ -33,7 +33,7 @@ from .numeric import (
     power_sum_tail_bracket,
     require_precision,
 )
-from .series import mzv_truncated, plan_limit
+from .series import mzv_limit, mzv_truncated
 
 WALLIS_N_CEILING = 10 ** 6
 
@@ -58,38 +58,35 @@ class PiEstimate:
 # ---------------------------------------------------------------------------
 
 def zeta2_bracket(N: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
-    """Exact bracket for sum 1/n^2: head to N plus the Euler-Maclaurin tail."""
+    """Exact bracket for sum 1/n^2: head to N plus the Euler-Maclaurin tail.
+    No request reads it; the tests take it as the exact reference of the
+    zeta(2) that pi_freq reads from mzv_limit."""
     head = mzv_truncated(N, 1)
     lo, hi = power_sum_tail_bracket(N, 1, em_terms)
     return head + lo, head + hi
 
 
 def pi_freq(precision_bits: int) -> PiEstimate:
-    """sqrt of six times the certified zeta(2) bracket, taken once at the
-    (N, em) of plan_limit, within 2^-(precision_bits + 2)."""
+    """sqrt(6 zeta(2)) within 2^-(precision_bits + 2), zeta(2) the k = 1
+    entry of the certified row mzv_limit(1, precision_bits + 1), so within
+    2^-(precision_bits + 3).
+
+    6 zeta(2) lies above 9.8, where sqrt has slope below 0.16, so the
+    root's radius is at most 0.16 * 6 * 2^-(precision_bits + 3) =
+    0.48 * 2^-(precision_bits + 2) plus the three roundings at
+    precision_bits + 16 bits (the midpoint of 6 zeta(2), below 10; the
+    sqrt_bounds ends; the midpoint of the root, below 4) and the radius
+    roundings, which add less than 2^-(precision_bits + 13)."""
     require_precision(precision_bits)
     # the square root is taken in a ball at precision_bits + 16 bits
     if precision_bits + 16 > MAX_PRECISION:
         raise ResourceError(f"pi_freq: precision {precision_bits} exceeds ceiling "
                             f"{MAX_PRECISION - 16}")
-    target = Fraction(1, 1 << (precision_bits + 2))
-    # For N >= 64 the ball 6 [lo, hi] lies above 9.6, where sqrt has slope
-    # below 3 / (2 * 3.09) < 1/2, so the square root's radius is at most
-    # 0.49 of the zeta(2) bracket's width. The three roundings at
-    # precision_bits + 16 bits (the midpoint of 6 [lo, hi], below 10; the
-    # sqrt_bounds ends; the midpoint of the root, below 4) and the radius
-    # roundings add less than 2^-(precision_bits + 13).
-    try:
-        N, em = plan_limit(1, 2 * target - Fraction(1, 1 << (precision_bits + 12)), 64)
-    except ResourceError:
-        raise ResourceError("pi_freq cannot reach the requested precision") from None
-    lo, hi = zeta2_bracket(N, em)
-    value = ApproxReal.from_bracket(6 * lo, 6 * hi, precision_bits + 16).sqrt()
-    if value.err > target:
-        raise ValueError(f"pi_freq: the planned bracket at N = {N}, em = {em} "
-                         f"missed 2^-{precision_bits + 2}")
-    return PiEstimate(value=value,
-                      truncation={"N": N, "em_terms": em, "precision_bits": precision_bits})
+    z = mzv_limit(1, precision_bits + 1)[1]
+    value = ApproxReal.from_bracket(6 * z.lo, 6 * z.hi, precision_bits + 16).sqrt()
+    if value.err > Fraction(1, 1 << (precision_bits + 2)):
+        raise ValueError(f"pi_freq: the root of 6 zeta(2) missed 2^-{precision_bits + 2}")
+    return PiEstimate(value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +305,14 @@ def _speed_defect(D: int) -> tuple[list[int], Fraction]:
     return sums, Fraction(eps, 1 << W)
 
 
-def arc_length(precision_bits: int) -> ApproxReal:
-    """The length of x -> (g, g') over [-p/2, p/2], p = pi_freq(precision_bits + 24) with p/2
-    in [a - delta, a + delta], a + delta <= A = 355/226 (else ValueError, a broken invariant).
-    As g'' = -g term by term, the squared speed is g^2 + g'^2, within eps of 1 by _speed_defect
-    at D = 2T + 1, T from _terms at A; so the speed is in [1 - eps, 1 + eps/2] and the length
-    in [2 (a - delta)(1 - eps), 2 (a + delta)(1 + eps/2)]."""
-    require_precision(precision_bits)
-    return _arc_length_between(pi_freq(precision_bits + 24).value, precision_bits)
-
-
-def _arc_length_between(p: ApproxReal, precision_bits: int) -> ApproxReal:
-    """arc_length(precision_bits) over the endpoints +-p/2 of a given ball p
-    of pi, p = pi_freq(precision_bits + 24) or tighter."""
+def arc_length(p: ApproxReal, precision_bits: int) -> ApproxReal:
+    """The length of x -> (g, g') over [-p/2, p/2], at the endpoints of a
+    given ball p of pi, p = pi_freq(precision_bits + 24) or tighter, with
+    p/2 in [a - delta, a + delta] and a + delta <= A = 355/226 (else
+    ValueError, a broken invariant). As g'' = -g term by term, the squared
+    speed is g^2 + g'^2, within eps of 1 by _speed_defect at D = 2T + 1, T
+    from _terms at A; so the speed is in [1 - eps, 1 + eps/2] and the
+    length in [2 (a - delta)(1 - eps), 2 (a + delta)(1 + eps/2)]."""
     if p.hi > Fraction(355, 113):
         raise ValueError("arc_length: an endpoint lies past 355/226")
     _, eps = _speed_defect(2 * _terms(355, 226, precision_bits + 24)[0] + 1)
@@ -346,6 +338,6 @@ def three_way_pi_compare(precision_bits: int) -> dict[str, ApproxReal]:
     return {
         "freq": freq,
         "amp": pi_amp(WALLIS_PAIRS, precision_bits).value,
-        "arc": _arc_length_between(freq, precision_bits),
+        "arc": arc_length(freq, precision_bits),
         "oracle": pi_oracle(precision_bits),
     }

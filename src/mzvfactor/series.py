@@ -48,11 +48,12 @@ from .numeric import (
 EXACT_N_LIMIT = 10 ** 4
 # The deepest Euler-Maclaurin tail. At N = 8192, MAX_PRECISION = 16384 bits
 # takes depth 1469 for the row at every k (the entry zeta({2}^2), whose
-# floor is widest, decides it), and pi_freq's ceiling of 16368 bits takes
-# 1467; the cap leaves about 8% of headroom, and no admitted request plans
-# deeper than it needs. There a whole `compute mzv` request took 2.5 s of
-# CPU time at k = 1, 2.7 s at k = 8 and 5.0 s at k = 24 on a shared 2-CPU
-# Xeon host, up to 3.2 s of it the Bernoulli numbers to B_2940.
+# floor is widest, decides it), and pi_freq's ceiling of 16368 bits, a
+# row at 16369 bits, takes 1467; the cap leaves about 8% of headroom, and
+# no admitted request plans deeper than it needs. There a whole `compute
+# mzv` request took 2.5 s of CPU time at k = 1, 2.7 s at k = 8 and 5.0 s
+# at k = 24 on a shared 2-CPU Xeon host, up to 3.2 s of it the Bernoulli
+# numbers to B_2940.
 EM_CEILING = 1536
 # The largest k of a certified limit. The slowest request at a given k is
 # one at MAX_PRECISION, a single attempt at N = 8192 and depth 1469; on a
@@ -252,14 +253,14 @@ def _width_terms(k: int, N: int, em: int, s: int) -> list[tuple[int, int]]:
     return out
 
 
-def plan_limit(k: int, width: Fraction, n: int) -> tuple[int, int]:
+def plan_limit(k: int, width: Fraction) -> tuple[int, int]:
     """The one (truncation, Euler-Maclaurin depth) at which a certified limit
     takes its row: the width of every entry j = 1..k of
-    mzv_limit_bracket(k, N, em, bits=s), s = limit_bits(width) (for k = 1,
-    also that of zeta2_bracket(N, em)), is at most `width` by width_bound.
-    Nothing is built; past the reach this raises ResourceError.
+    mzv_limit_bracket(k, N, em, bits=s), s = limit_bits(width), is at most
+    `width` by width_bound. Nothing is built; past the reach this raises
+    ResourceError.
 
-    N is the first of the ladder n 2^i <= EXACT_N_LIMIT with such an em of
+    N is the first of the ladder 256 2^i <= EXACT_N_LIMIT with such an em of
     at most N/2, or, at the last N, of at most EM_CEILING. At each N the
     depth is first guessed as the smallest em >= 6 whose
     floor _floor_terms(j - 1, N, em) is within `width` for every j <= k, the
@@ -281,9 +282,8 @@ def plan_limit(k: int, width: Fraction, n: int) -> tuple[int, int]:
     depth 987, so there N/4 is up to 4.5 times cheaper at k = 1 near 8192
     bits, but at most 0.6 s; over the grid N/2 took 2.0 s against 4.7 s
     with the numbers built, and 8.0 s against 7.3 s without. The rule keeps
-    N = 256 up to about 1055 bits at k = 1 and 1054 at k = 8 and 24
-    (N = 64 up to 268 bits for pi_freq), then doubles N once per doubling
-    of the precision.
+    N = 256 up to about 1055 bits at k = 1 and 1054 at k = 8 and 24, then
+    doubles N once per doubling of the precision.
     """
     s = limit_bits(width)
     allowed = (width.numerator << s) // width.denominator
@@ -295,7 +295,7 @@ def plan_limit(k: int, width: Fraction, n: int) -> tuple[int, int]:
     def fits(N: int, em: int) -> bool:
         return max(width_bound(k, N, em, s)) <= allowed
 
-    ladder = [n << i for i in range((EXACT_N_LIMIT // n).bit_length())]
+    ladder = [256 << i for i in range((EXACT_N_LIMIT // 256).bit_length())]
     for N in ladder:
         # the floor falls as em grows up to about pi (N + 1), above every cap
         cap = EM_CEILING if N == ladder[-1] else min(EM_CEILING, N // 2)
@@ -381,7 +381,7 @@ def mzv_limit(k: int, precision_bits: int) -> list[ApproxReal]:
     # error is half the bracket's width plus less than 2^-(precision_bits + 7)
     width = 2 * target - Fraction(1, 1 << (precision_bits + 6))
     try:
-        N, em = plan_limit(k, width, 256)
+        N, em = plan_limit(k, width)
     except ResourceError:
         raise ResourceError(f"cannot certify zeta({{2}}^{k}) to {precision_bits} bits "
                             f"within configured ceilings") from None

@@ -347,6 +347,11 @@ def test_beta_residual_identity_examples():
     # smallest case: the single vertex family ({1}; 1)
     lhs, rhs = beta_residual_identity(2, 1)
     assert lhs == rhs == 6
+    # both factors of the rhs come from one row; the reference sums them apart
+    for k in (2, 3, 4):
+        for N in sorted({1, 2, k - 1, 40}):
+            lhs, rhs = beta_residual_identity(k, N)
+            assert lhs == rhs == 6 * mzv_truncated(N, k - 1) * zeta_even_truncated(N, 1), (k, N)
 
 
 def test_residual_identities_top_level():

@@ -28,7 +28,6 @@ def _build(*args, **kwargs):
 
 # what a certified limit builds once its closed-form check has passed
 _MZV_WORK = [(series, "_factor_product"), (series, "mzv_limit_bracket")]
-_PI_FREQ_WORK = [(pi_constants, "zeta2_bracket")]
 
 
 def _refused(call):
@@ -77,16 +76,17 @@ def _requests(monkeypatch):
     """(name, the smallest refused request) for every ceiling."""
     out = []
     # the plans reach every precision the ceilings admit: MAX_PRECISION, and
-    # for pi_freq, whose root is taken 16 bits finer, MAX_PRECISION - 16
+    # for pi_freq, whose root is taken 16 bits finer, MAX_PRECISION - 16 (a
+    # row at MAX_PRECISION - 15)
     for k in (1, 4, 8):
         p = _first_refused_precision(monkeypatch, _mzv(k), _MZV_WORK)
         assert p == MAX_PRECISION + 1
         out.append((f"mzv k={k} at {p} bits", lambda k=k, p=p: series.mzv_limit(k, p)))
-    p = _first_refused_precision(monkeypatch, pi_constants.pi_freq, _PI_FREQ_WORK)
+    p = _first_refused_precision(monkeypatch, pi_constants.pi_freq, _MZV_WORK)
     assert p == MAX_PRECISION - 15
     out.append((f"pi_freq at {p} bits", lambda p=p: pi_constants.pi_freq(p)))
     # arc_length takes pi_freq 24 bits finer
-    p = _first_refused_precision(monkeypatch, pi_constants.three_way_pi_compare, _PI_FREQ_WORK)
+    p = _first_refused_precision(monkeypatch, pi_constants.three_way_pi_compare, _MZV_WORK)
     assert p == MAX_PRECISION - 39
     out.append((f"pi-equality at {p} bits",
                 lambda p=p: suites.run_suite("pi-equality", RunConfig(precision_bits=p))))
@@ -256,7 +256,7 @@ def test_pi_freq_certifies_at_its_ceiling_and_refuses_past_it_before_planning(mo
     assert est.value.lo <= pi.hi and pi.lo <= est.value.hi
     start = time.process_time()
     assert _refused_before_work(monkeypatch, lambda: pi_constants.pi_freq(p + 1),
-                                _PI_FREQ_WORK + [(pi_constants, "plan_limit")])
+                                _MZV_WORK + [(series, "plan_limit")])
     assert time.process_time() - start < 2
 
 
@@ -264,8 +264,8 @@ def test_pi_freq_certifies_at_its_ceiling_and_refuses_past_it_before_planning(mo
 def test_closed_form_refusal_is_within_two_bits_of_the_reach(k, monkeypatch):
     # with the depth capped at 18 the reach is about 450 bits, cheap to probe
     monkeypatch.setattr(series, "EM_CEILING", 18)
-    compute, work = (_mzv(k), _MZV_WORK) if k else (pi_constants.pi_freq, _PI_FREQ_WORK)
-    p = _first_refused_precision(monkeypatch, compute, work)
+    compute = _mzv(k) if k else pi_constants.pi_freq
+    p = _first_refused_precision(monkeypatch, compute, _MZV_WORK)
     assert 300 < p < 600
     compute(p - 2)
     with pytest.raises(ResourceError):

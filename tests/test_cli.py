@@ -159,6 +159,14 @@ def test_negative_rational_after_x_is_its_value(capsys):
     assert _exit_code(["compute", "p-eval", "--x", "--N", "5"]) == 2
 
 
+def test_p_eval_exactly_1_over_n_from_the_pole_exits_0_and_nearer_exits_2(capsys):
+    # the distance is compared exactly, not on x rounded into a ball
+    for x, n in (("2/3", 3), ("4/5", 5), ("-9/10", 10), ("99/100", 100)):
+        assert cli.main(["compute", "p-eval", "--x", x, "--N", str(n)]) == 0, x
+        assert cli.main(["compute", "p-eval", "--x", x, "--N", str(n - 1)]) == 2, x
+        assert "of the pole" in capsys.readouterr().err, x
+
+
 def test_run_that_checks_nothing_is_a_usage_error(capsys):
     # a count below 1 is refused, never swapped for the default, and a
     # suite that returns no record does not pass
@@ -272,21 +280,20 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
 
 
 def test_a_missed_plan_is_an_internal_error_not_a_retry(monkeypatch, capsys):
-    # a width bound that admits every depth plans (256, 6) and (64, 6); the
-    # bracket there misses 200 bits, and nothing is tried after it
+    # a width bound that admits every depth plans (256, 6) for zeta({2}^2)
+    # and for the zeta(2) of pi-freq; the bracket there misses 200 bits, and
+    # nothing is tried after it
     attempts = []
-    real_bracket, real_zeta2 = series.mzv_limit_bracket, pi_constants.zeta2_bracket
+    real_bracket = series.mzv_limit_bracket
     monkeypatch.setattr(series, "width_bound", lambda k, *args: [0] * (k + 1))
     monkeypatch.setattr(series, "_floor_terms", lambda *args: (0, 1))
     monkeypatch.setattr(series, "mzv_limit_bracket",
                         lambda *a, **kw: attempts.append(a[1:3]) or real_bracket(*a, **kw))
-    monkeypatch.setattr(pi_constants, "zeta2_bracket",
-                        lambda *a: attempts.append(a) or real_zeta2(*a))
     assert cli.main(["compute", "mzv", "--k", "2", "--precision", "200"]) == 1
     assert capsys.readouterr().err.startswith("internal error: zeta({2}^2): the planned")
     assert cli.main(["compute", "pi-freq", "--precision", "200"]) == 1
-    assert capsys.readouterr().err.startswith("internal error: pi_freq: the planned")
-    assert attempts == [(256, 6), (64, 6)]
+    assert capsys.readouterr().err.startswith("internal error: zeta({2}^1): the planned")
+    assert attempts == [(256, 6), (256, 6)]
 
 
 def test_broken_alpha_closure_is_an_internal_error_without_traceback(tmp_path):

@@ -233,12 +233,45 @@ def test_approx_add_sub_mul_contain_exact(a, b, prec):
     assert (xa * b).contains(a * b)
 
 
-@given(rationals, rationals.filter(lambda q: abs(q) > Fraction(1, 100)), precisions)
+def general_div(x: ApproxReal, y: ApproxReal) -> ApproxReal:
+    """The reference: x / y for any ball y whose interval misses zero, the
+    general ball division ApproxReal once had; a positive-integer divisor is
+    the case y = n with radius 0, exponent 0 and x's precision."""
+    m1, r1, e1, p1 = x.man, x.rad, x.exp, x.prec
+    m2, r2, e2, p2 = y.man, y.rad, y.exp, y.prec
+    prec = p1 if p1 >= p2 else p2
+    a, d = abs(m1), abs(m2)
+    # |b| - rb in units of 2^(e2 - GUARD_BITS), which must be positive
+    low = (d << GUARD_BITS) - r2
+    if low <= 0:
+        raise DomainError("division by a bracket containing zero")
+    # midpoint quotient with prec + 1 or prec + 2 bits, rounded to nearest
+    s = prec + 1 + d.bit_length() - a.bit_length()
+    if s < 0:
+        d <<= -s
+    q, rem = divmod(a << s if s > 0 else a, d)
+    e = e1 - e2 - s
+    # radius (ra + |a/b| rb) / (|b| - rb) in units of 2^(e - GUARD_BITS)
+    if s >= 0:
+        num = (r1 << s) + (q + 1) * r2
+    else:
+        num, low = r1 + ((q + 1) * r2 << -s), low << -s
+    r = -(-(num << GUARD_BITS) // low)
+    if rem:
+        if 2 * rem >= d:
+            q += 1
+        r += 1 << (GUARD_BITS - 1)
+    if (m1 < 0) != (m2 < 0):
+        q = -q
+    return numeric._make(q, r, e, prec)
+
+
+@given(rationals, st.integers(min_value=1, max_value=10 ** 40), precisions)
 @settings(max_examples=200)
-def test_approx_div_contains_exact(a, b, prec):
-    xa, xb = ApproxReal.from_rational(a, prec), ApproxReal.from_rational(b, prec)
-    assert (xa / xb).contains(a / b)
-    assert (1 / xb).contains(1 / b)
+def test_approx_div_contains_exact(a, n, prec):
+    xa = ApproxReal.from_rational(a, prec)
+    for d in (n, math.factorial(n % 60 + 1)):
+        assert (xa / d).contains(a / d)
 
 
 @given(rationals.filter(lambda q: q >= 0), precisions)
@@ -261,13 +294,16 @@ def test_approx_wide_balls_contain_every_image(a, b, wa, wb, ta, tb, prec):
     assert (xa + xb).contains(pa + pb)
     assert (xa - xb).contains(pa - pb)
     assert (xa * xb).contains(pa * pb)
-    if abs(b) > 2 * wb + Fraction(1, 100):
-        assert (xa / xb).contains(pa / pb)
 
 
-def test_approx_div_by_zero_bracket_raises():
+def test_approx_div_by_anything_but_a_positive_integer_raises():
+    one = ApproxReal.from_rational(1, 64)
+    for divisor in (ApproxReal(3, 0, 64), ApproxReal(Fraction(0), Fraction(1, 10), 64),
+                    Fraction(1, 3), Fraction(3), 0, -3):
+        with pytest.raises(DomainError):
+            one / divisor
     with pytest.raises(DomainError):
-        ApproxReal.from_rational(1, 64) / ApproxReal(Fraction(0), Fraction(1, 10), 64)
+        1 / ApproxReal(3, 0, 64)
 
 
 @given(small_rationals, st.integers(min_value=0, max_value=12), precisions)
@@ -372,28 +408,20 @@ mantissas = st.integers(min_value=2 ** 20, max_value=2 ** 300).flatmap(
 exponents = st.integers(min_value=-400, max_value=400)
 
 
-@given(mantissas, exponents, st.integers(min_value=1, max_value=(1 << GUARD_BITS) - 1),
-       rationals, precisions)
-@settings(max_examples=200)
-def test_approx_div_by_a_ball_whose_lower_end_is_under_one_unit(m, e, gap, a, prec):
-    # |b| - rb = gap units of 2^(e - GUARD_BITS): positive, below one unit of m
-    unit = Fraction(2) ** (e - GUARD_BITS)
-    mid = m * Fraction(2) ** e
-    xb = ApproxReal(mid, abs(mid) - gap * unit, prec)
-    assert xb.err == abs(mid) - gap * unit and xb.lo * xb.hi > 0
-    xa = ApproxReal.from_rational(a, prec)
-    q = xa / xb
-    for pa in _corners(xa):
-        for pb in _corners(xb):
-            assert q.contains(pa / pb)
-
-
-@given(mantissas, exponents, st.integers(min_value=0, max_value=3), precisions)
-def test_approx_div_by_a_ball_touching_zero_raises(m, e, extra, prec):
-    mid = m * Fraction(2) ** e
-    xb = ApproxReal(mid, abs(mid) + extra * Fraction(2) ** (e - GUARD_BITS), prec)
-    with pytest.raises(DomainError):
-        ApproxReal.from_rational(1, prec) / xb
+@given(mantissas, exponents, st.integers(min_value=0, max_value=2 ** 64),
+       st.integers(min_value=1, max_value=2 ** 400), precisions)
+@settings(max_examples=300)
+@example(m=2 ** 20 + 1, e=0, rad=0, n=3, prec=32)
+@example(m=2 ** 34 + 1, e=0, rad=0, n=2, prec=32)   # a tie, rounded up
+@example(m=-(2 ** 300 + 1), e=-400, rad=2 ** 64, n=math.factorial(129), prec=1024)
+def test_approx_div_by_an_integer_is_the_general_division_at_radius_zero(m, e, rad, n, prec):
+    # bit for bit, on balls with and without a radius, at quotients of more
+    # and of fewer bits than the precision
+    x = numeric._make(m, rad, e, prec)
+    q, ref = x / n, general_div(x, ApproxReal.exact(n, prec))
+    assert (q.man, q.rad, q.exp, q.prec) == (ref.man, ref.rad, ref.exp, ref.prec)
+    for corner in _corners(x):
+        assert q.contains(corner / n)
 
 
 @given(rationals, st.integers(min_value=2001, max_value=6000), mantissas,

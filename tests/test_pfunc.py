@@ -17,6 +17,7 @@ from mzvfactor.pfunc import (
     partial_fraction_check,
 )
 from mzvfactor.series import zeta_even_truncated
+from test_numeric import general_div
 
 
 def test_partial_fraction_examples():
@@ -192,31 +193,35 @@ def test_p_eval_near_constant_in_x():
 
 def test_p_eval_pole_guard():
     with pytest.raises(DomainError):
-        p_eval(Fraction(9999, 10000), 10 ** 4)
-    with pytest.raises(DomainError):
         p_eval(Fraction(3, 2), 100)
-    # the boundary: a dyadic x at exactly 1/N from the pole is admitted; a
-    # rounded x there has a radius, which counts against the distance
-    p_eval(Fraction(1023, 1024), 1024)
-    with pytest.raises(DomainError):
-        p_eval(Fraction(999, 1000), 1000)
+    # the boundary is exact: a point at exactly 1/N from the pole is
+    # admitted, dyadic or not, and one any nearer is refused
+    for x, N in ((Fraction(1023, 1024), 1024), (Fraction(3, 4), 4), (Fraction(2, 3), 3),
+                 (Fraction(4, 5), 5), (Fraction(-9, 10), 10), (Fraction(99, 100), 100),
+                 (Fraction(999, 1000), 1000), (Fraction(9999, 10000), 10 ** 4)):
+        assert p_eval(x, N).value > 0, (x, N)
+        with pytest.raises(DomainError):
+            p_eval(x, N - 1)
+        with pytest.raises(DomainError):
+            p_eval(x * (1 + Fraction(1, 10 ** 30)), N)
 
 
 def _p_eval_balls(x: Fraction, N: int, precision: int) -> ApproxReal:
     """The reference: the same guard, then S and S2 summed term by term in
-    balls of `precision` bits, about 5N rounded ball operations."""
+    balls of `precision` bits, about 5N rounded ball operations, each term
+    by the general ball division."""
     if N < 2:
         raise DomainError("p_eval needs N >= 2")
-    xa = ApproxReal.from_rational(Fraction(x), precision)
-    mag = abs(xa.value) + xa.err
-    if mag >= 1:
+    x = Fraction(x)
+    if abs(x) >= 1:
         raise DomainError("p_eval needs 0 <= |x| < 1")
-    if 1 - mag < Fraction(1, N):
+    if 1 - abs(x) < Fraction(1, N):
         raise DomainError(f"x within 1/{N} of the pole at 1; bracket would be vacuous")
+    xa = ApproxReal.from_rational(x, precision)
     x2 = xa * xa
     s = s2 = ApproxReal.exact(0, precision)
     for n in range(1, N + 1):
-        term = 1 / (n * n - x2)
+        term = general_div(ApproxReal.exact(1, precision), n * n - x2)
         s = s + term
         s2 = s2 + term * term
     pair_sum = (s * s - s2) * Fraction(1, 2)

@@ -117,7 +117,7 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
     row = mzv_limit(4, 208)
     monkeypatch.undo()
     width = Fraction(1, 2 ** 209) - Fraction(1, 2 ** 214)
-    N, em = series.plan_limit(4, width, 256)
+    N, em = series.plan_limit(4, width)
     assert [a[:3] for a, _ in attempts] == [(4, N, em)]
     assert len(built) == len(set(built))
     assert (0, N) in built and all(0 <= lo < hi <= N for lo, hi in built)
@@ -284,7 +284,7 @@ def _same_ball(a, b):
 def test_every_row_entry_certifies_and_contains_the_exact_kernel(K, P):
     target = Fraction(1, 2 ** (P + 2))
     width = 2 * target - Fraction(1, 2 ** (P + 6))
-    N, em = series.plan_limit(K, width, 256)
+    N, em = series.plan_limit(K, width)
     row = mzv_limit(K, P)
     assert len(row) == K + 1 and row[0].value == 1 and row[0].err == 0
     bits = series.limit_bits(width)
@@ -414,11 +414,12 @@ def test_bracket_narrows_with_truncation():
     assert lo1 <= lo2 <= hi2 <= hi1
 
 
-def limit_steps(n):
+def limit_steps():
     """The escalation ladder certified limits used to walk, kept as the
-    oracle of the planner: depths 6..9 at n, then n doubled at depth 9
+    oracle of the planner: depths 6..9 at n = 256, then n doubled at depth 9
     while it stays within EXACT_N_LIMIT, then the depth doubled at that
     last n up to EM_CEILING."""
+    n = 256
     steps = [(n, em) for em in range(6, 10)]
     while 2 * n <= series.EXACT_N_LIMIT:
         n *= 2
@@ -470,12 +471,10 @@ def test_limit_steps_double_n_then_the_depth_at_the_last_exact_n():
     # the oracle's ladder; the last doubling of the depth is capped at EM_CEILING
     em_steps = [9 * 2 ** r for r in range(1, 8)] + [series.EM_CEILING]
     assert em_steps[-2] < series.EM_CEILING < 2 * em_steps[-2]
-    assert limit_steps(256) == (
+    assert limit_steps() == (
         [(256, em) for em in range(6, 10)]
         + [(n, 9) for n in (512, 1024, 2048, 4096, 8192)]
         + [(8192, em) for em in em_steps])
-    assert limit_steps(64)[:9] == (
-        [(64, em) for em in range(6, 10)] + [(n, 9) for n in (128, 256, 512, 1024, 2048)])
 
 
 _PLANNED_PRECISIONS = (64, 116, 147, 155, 176, 219, 300, 512, 1024)
@@ -486,19 +485,17 @@ def test_the_plan_takes_one_bracket_that_overlaps_the_ladder(monkeypatch):
     # the ladder's heads, prod (n^2 + t) to t^8 over their common factor,
     # built once for every k
     heads = {}
-    for n in {n for n, _ in limit_steps(256)}:
+    for n in {n for n, _ in limit_steps()}:
         prod = series._factor_product(0, n, 8)
         g = math.gcd(*prod)
         heads[n] = [c // g for c in prod]
     calls = []
-    bracket, zeta2 = series.mzv_limit_bracket, pi_constants.zeta2_bracket
+    bracket = series.mzv_limit_bracket
     monkeypatch.setattr(series, "mzv_limit_bracket",
                         lambda *a, **kw: calls.append(a) or bracket(*a, **kw))
-    monkeypatch.setattr(pi_constants, "zeta2_bracket",
-                        lambda *a, **kw: calls.append(a) or zeta2(*a, **kw))
     for k in range(1, 9):
         closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
-        oracle = _ladder_balls(limit_steps(256),
+        oracle = _ladder_balls(limit_steps(),
                                lambda n, em: _exact_limit_bracket(k, n, em, heads[n][:k + 1]),
                                _mzv_ball, _PLANNED_PRECISIONS)
         for P in _PLANNED_PRECISIONS:
@@ -508,14 +505,32 @@ def test_the_plan_takes_one_bracket_that_overlaps_the_ladder(monkeypatch):
             assert len(calls) == 1, (k, P)
             assert all(e.err <= Fraction(1, 2 ** (P + 2)) for e in row), (k, P)
             assert _overlap(z, oracle[P]) and _overlap(z, closed), (k, P)
-    precisions = (64, 100, 128, 176, 224, 300, 512, 1024)
-    oracle = _ladder_balls(limit_steps(64), zeta2, _pi_freq_ball, precisions)
-    for P in precisions:
+
+
+_PI_FREQ_PRECISIONS = (32, 64, 100, 128, 176, 224, 268, 269, 300, 512, 1024, 4096)
+
+
+def test_pi_freq_is_the_root_of_the_certified_zeta2_row_entry(monkeypatch):
+    # pi_freq takes zeta(2) from one mzv_limit(1, P + 1) bracket, never from
+    # zeta2_bracket; its ball overlaps the root of that exact
+    # Euler-Maclaurin bracket at the same plan and the oracle, within
+    # 2^-(P + 2)
+    pi = pi_oracle(4096 + 64)
+    calls = []
+    bracket, zeta2 = series.mzv_limit_bracket, pi_constants.zeta2_bracket
+    monkeypatch.setattr(series, "mzv_limit_bracket",
+                        lambda *a, **kw: calls.append((a, kw)) or bracket(*a, **kw))
+    monkeypatch.setattr(pi_constants, "zeta2_bracket", None)
+    for P in _PI_FREQ_PRECISIONS:
         calls.clear()
-        est = pi_constants.pi_freq(P)
-        assert [(est.truncation["N"], est.truncation["em_terms"])] == calls, P
-        assert est.value.err <= Fraction(1, 2 ** (P + 2)), P
-        assert _overlap(est.value, oracle[P]) and _overlap(est.value, pi), P
+        est = pi_constants.pi_freq(P).value
+        # the row's width at P + 1 bits
+        width = Fraction(1, 2 ** (P + 2)) - Fraction(1, 2 ** (P + 7))
+        plan = series.plan_limit(1, width)
+        assert calls == [((1, *plan), {"bits": series.limit_bits(width)})], P
+        exact = _pi_freq_ball(*zeta2(*plan))(P)
+        assert est.err <= Fraction(1, 2 ** (P + 2)), P
+        assert _overlap(est, exact) and _overlap(est, pi), P
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 16, 24])
@@ -542,7 +557,7 @@ def test_a_plan_costs_a_logarithmic_number_of_bounds(monkeypatch):
         for P in (64, 219, 1024, 4096, 13000):
             floors.clear()
             wholes.clear()
-            N, em = series.plan_limit(k, Fraction(1, 2 ** P), 256)
+            N, em = series.plan_limit(k, Fraction(1, 2 ** P))
             assert 6 <= em <= series.EM_CEILING and N <= series.EXACT_N_LIMIT
             assert len(floors) <= 6 * (log_em + 1), (k, P)
             assert len(wholes) <= 2 * (log_em + 1), (k, P)
