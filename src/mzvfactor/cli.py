@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import bijection, pfunc, pi_constants, series
-from .numeric import DomainError, ResourceError
+from .numeric import DEFAULT_PRECISION, DomainError, ResourceError
 from .report import RunConfig, all_passed, make_record, render
 from .suites import SUITES, refuse_unread, run_suite
 
@@ -62,7 +62,7 @@ def _count(text: str) -> int:
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", dest="precision_bits", type=int, default=128)
+    p.add_argument("--precision", dest="precision_bits", type=int)
     p.add_argument("--format", dest="output_format",
                    choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", dest="output_path")
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--k", "--N", "--M", "--n-max", "--j-max", "--bound"):
         p_verify.add_argument(flag, type=_count)
     p_verify.add_argument("--tolerance", type=_parse_fraction)
-    p_verify.add_argument("--seed", type=int, default=0)
+    # each suite resolves an absent --precision or --seed, or refuses it
+    p_verify.add_argument("--seed", type=int)
     _add_report_flags(p_verify)
 
     p_dump = sub.add_parser("bijection-dump", help="enumerate and dump components",
@@ -129,7 +130,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     refuse_unread(f"compute {args.target}", {flag: getattr(args, flag) for flag in ("k", "N", "x")},
                   COMPUTE_READS[args.target])
     config = _config_from(args)
-    prec = config.precision_bits
+    prec = DEFAULT_PRECISION if config.precision_bits is None else config.precision_bits
     records = []
     if args.target == "mzv":
         k = config.k if config.k is not None else 2

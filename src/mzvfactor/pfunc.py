@@ -105,7 +105,8 @@ def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxRea
     using the exact pair-sum rearrangement (S^2 - S2)/2 of the same
     truncation: S and S2 come from integer floor sums within N 2^-W of
     their floors, W = precision + bitlen(N) + 8, and only the combination
-    6 S - 4 x^2 (S^2 - S2) runs in balls of `precision` bits. For
+    6 S - 4 x^2 (S^2 - S2) runs in balls of `precision` bits, with x^2
+    rounded once from its exact value. For
     |x| <= 9/10 the radius is at most 2^-(precision - 4) times the value,
     whatever N. Points within 1/N of an integer are rejected: the terms blow
     up and the bracket becomes vacuous; the check compares x itself,
@@ -121,8 +122,7 @@ def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxRea
         raise DomainError(f"x within 1/{N} of the pole at 1; bracket would be vacuous")
     require_p_eval_size(N, precision, x.denominator.bit_length())
     S, S2 = _sum_balls(x, N, precision)
-    xa = ApproxReal.from_rational(x, precision)
-    x2 = xa * xa
+    x2 = ApproxReal.from_rational(x * x, precision)
     return 6 * S - x2 * (S * S - S2) * 4
 
 

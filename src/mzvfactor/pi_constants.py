@@ -4,14 +4,13 @@ identification with the geometric circle constant.
 
 pi_freq = sqrt(6 sum 1/n^2) comes from the certified zeta(2) of mzv_limit;
 pi_amp = 2 prod (2n/(2n-1))(2n/(2n+1)) comes from the interlacing Wallis
-partial products, with C(2N, N) built from its prime factorization; g and
-g' are summed in integer fixed point under a derived error bound, and the
-Pythagorean check reads them on a grid. The arc length of the
-parametrization (g, g') between the bracketed endpoints +-pi_freq/2 comes
-from one exact polynomial certificate, with no quadrature: Q = G^2 + G'^2 - 1
-for the truncations G, G' of g, g', computed exactly, bounds the speed's
-distance from 1 on the whole interval together with the alternating
-remainders. All three are compared against the independent Machin oracle.
+partial products, with C(2N, N) built from its prime factorization. One
+exact polynomial certificate, Q = G^2 + G'^2 - 1 for the truncations G, G'
+of g, g', computed exactly, bounds |g^2 + g'^2 - 1| on all of
+|x| <= 355/113 > pi with the alternating remainders: that bound is the
+Pythagorean record, and the speed's distance from 1 for the arc length of
+(g, g') between the bracketed endpoints +-pi_freq/2, with no quadrature.
+The estimates are compared against the independent Machin oracle.
 """
 
 from __future__ import annotations
@@ -216,6 +215,7 @@ def _terms(p: int, q: int, precision_bits: int) -> tuple[int, int]:
 
 def g_eval(x: Fraction, precision_bits: int = 128) -> tuple[ApproxReal, ApproxReal]:
     """(g(x), g'(x)) for g(x) = sum (-1)^k x^(2k+1)/(2k+1)!, |x| <= 4.
+    No request reads it; the tests take it as the pointwise reference.
 
     With x = p/q and u/v = x^2, both series are summed in units of 2^-W.
     The k-th term of g is a_k = a_{k-1} u // (v 2k(2k+1)) from
@@ -268,17 +268,6 @@ def g_eval(x: Fraction, precision_bits: int = 128) -> tuple[ApproxReal, ApproxRe
             ApproxReal(Fraction(gp_sum, unit), Fraction(gp_err, unit), prec))
 
 
-def pythagorean_check(grid: list[Fraction],
-                      precision_bits: int = 128) -> list[ApproxReal]:
-    """The deviation balls g(x)^2 + g'(x)^2 - 1, one per grid point; a ball
-    that misses 0 refutes the invariant g^2 + g'^2 = 1 at its point."""
-    out = []
-    for x in grid:
-        g, gp = g_eval(x, precision_bits)
-        out.append(g * g + gp * gp - 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Arc length of the parametrized half-circle
 # ---------------------------------------------------------------------------
@@ -286,13 +275,15 @@ def pythagorean_check(grid: list[Fraction],
 def _speed_defect(D: int) -> tuple[list[int], Fraction]:
     """(s, eps) for G, G', the degree-D truncations of g, g' (D >= 1): Q = G^2 + G'^2 - 1
     = sum_m (-1)^m s_m x^(2m)/(2m)!, s_m the sum of (-1)^j C(2m, j) over j, 2m - j in [0, D]
-    less 1 at m = 0, and eps = sum |s_m| A^(2m)/(2m)! + r (10 + r) + r' (10 + r') bounds
-    |g^2 + g'^2 - 1| on |x| <= A = 355/226: |G|, |G'| <= e^A < 5, and r, r' = A^(D+1)/(D+1)!,
-    A^(D+2)/(D+2)! bound the alternating remainders of g, g' (in some order; A^2 < 12). The
-    terms are rounded up on W bits, by under 2^-30 r' in all, as sum |s_m| < 4^(D+1)."""
+    less 1 at m = 0, and eps = sum |s_m| A^(2m)/(2m)! + r (48 + r) + r' (48 + r') bounds
+    |g^2 + g'^2 - 1| on |x| <= A = 355/113, which holds [-pi, pi]: |G|, |G'| <= e^A < 24,
+    and r, r' = A^(D+1)/(D+1)!, A^(D+2)/(D+2)! bound the alternating remainders R of g, g'
+    (in some order; A^2 < 10 < (D+2)(D+3)), so |g^2 - G^2| = |R| |2G + R| <= r (48 + r).
+    The terms are rounded up on W bits, by under 2^-30 r' in all: each u[j] by under
+    e^A < 24 units, and sum |s_m| < 4^(D+1)."""
     W = (D + 2) * ((D + 2).bit_length() + 2) + 32   # >= log2((D+2)!) + 2D + 36
     u = list(itertools.accumulate(   # u[j] >= A^j / j! in units of 2^-W
-        range(1, 2 * D + 3), lambda t, j: -(-t * 355 // (226 * j)), initial=1 << W))
+        range(1, 2 * D + 3), lambda t, j: -(-t * 355 // (113 * j)), initial=1 << W))
     sums = []
     for m in range(D + 1):
         n, j = 2 * m, max(0, 2 * m - D)
@@ -301,33 +292,34 @@ def _speed_defect(D: int) -> tuple[list[int], Fraction]:
             s, c = s + (-c if j & 1 else c), c * (n - j) // (j + 1)
         sums.append(s)
     eps = sum(abs(s) * u[2 * m] for m, s in enumerate(sums))
-    eps += sum(-(-r * ((10 << W) + r) >> W) for r in u[D + 1:D + 3])
+    eps += sum(-(-r * ((48 << W) + r) >> W) for r in u[D + 1:D + 3])
     return sums, Fraction(eps, 1 << W)
 
 
-def arc_length(p: ApproxReal, precision_bits: int) -> ApproxReal:
-    """The length of x -> (g, g') over [-p/2, p/2], at the endpoints of a
-    given ball p of pi, p = pi_freq(precision_bits + 24) or tighter, with
-    p/2 in [a - delta, a + delta] and a + delta <= A = 355/226 (else
-    ValueError, a broken invariant). As g'' = -g term by term, the squared
-    speed is g^2 + g'^2, within eps of 1 by _speed_defect at D = 2T + 1, T
-    from _terms at A; so the speed is in [1 - eps, 1 + eps/2] and the
-    length in [2 (a - delta)(1 - eps), 2 (a + delta)(1 + eps/2)]."""
-    if p.hi > Fraction(355, 113):
-        raise ValueError("arc_length: an endpoint lies past 355/226")
-    _, eps = _speed_defect(2 * _terms(355, 226, precision_bits + 24)[0] + 1)
-    return ApproxReal.from_bracket(p.lo * (1 - eps), p.hi * (1 + eps / 2), precision_bits + 32)
+def arc_length(p: ApproxReal, precision_bits: int) -> tuple[ApproxReal, Fraction]:
+    """(length, eps): the length of x -> (g, g') over [-p/2, p/2], at the
+    endpoints of a given ball p of pi, p = pi_freq(precision_bits + 24) or
+    tighter, with p/2 in [a - delta, a + delta] and a + delta <= A = 355/113
+    (else ValueError, a broken invariant), and the eps of _speed_defect at
+    D = 2T + 1, T from _terms at A. As g'' = -g term by term, the squared
+    speed g^2 + g'^2 is within eps of 1, so the speed is in [1 - eps, 1 + eps/2]
+    and the length in [2 (a - delta)(1 - eps), 2 (a + delta)(1 + eps/2)]."""
+    if p.hi > Fraction(710, 113):
+        raise ValueError("arc_length: an endpoint lies past 355/113")
+    _, eps = _speed_defect(2 * _terms(355, 113, precision_bits + 24)[0] + 1)
+    length = ApproxReal.from_bracket(p.lo * (1 - eps), p.hi * (1 + eps / 2), precision_bits + 32)
+    return length, eps
 
 
 # ---------------------------------------------------------------------------
 # The four-way comparison
 # ---------------------------------------------------------------------------
 
-def three_way_pi_compare(precision_bits: int) -> dict[str, ApproxReal]:
+def three_way_pi_compare(precision_bits: int) -> tuple[dict[str, ApproxReal], Fraction]:
     """The four certified estimates of pi by name: "freq" (pi_freq, taken
-    24 bits finer for the arc's endpoints), "amp"
-    (pi_amp at WALLIS_PAIRS), "arc" (arc_length) and "oracle" (the Machin
-    oracle)."""
+    24 bits finer for the arc's endpoints), "amp" (pi_amp at WALLIS_PAIRS),
+    "arc" (arc_length) and "oracle" (the Machin oracle); and the arc's eps,
+    the bound of |g^2 + g'^2 - 1| on |x| <= 355/113."""
     require_precision(precision_bits)
     # arc_length takes pi_freq 24 bits finer, and pi_freq its root 16 bits
     # finer still: refuse a request past that before any estimate is built
@@ -335,9 +327,10 @@ def three_way_pi_compare(precision_bits: int) -> dict[str, ApproxReal]:
         raise ResourceError(f"pi-equality: precision {precision_bits} exceeds ceiling "
                             f"{MAX_PRECISION - 40}")
     freq = pi_freq(precision_bits + 24).value
+    arc, eps = arc_length(freq, precision_bits)
     return {
         "freq": freq,
         "amp": pi_amp(WALLIS_PAIRS, precision_bits).value,
-        "arc": arc_length(freq, precision_bits),
+        "arc": arc,
         "oracle": pi_oracle(precision_bits),
-    }
+    }, eps

@@ -141,8 +141,8 @@ class RunConfig:
     n_max: Optional[int] = None
     j_max: Optional[int] = None
     bound: Optional[int] = None
-    precision_bits: int = 128
+    precision_bits: Optional[int] = None
     tolerance: Optional[Fraction] = None
     output_format: str = "text"
     output_path: Optional[str] = None
-    seed: int = 0
+    seed: Optional[int] = None

@@ -70,7 +70,7 @@ def require_limits_size(k_max: int, precision_bits: int) -> None:
 def suite_basel(config: RunConfig) -> list[VerificationReport]:
     """zeta({2}^k) brackets against pi^(2k)/(2k+1)! from the oracle."""
     k_max = 8 if config.k is None else config.k
-    prec = config.precision_bits
+    prec = DEFAULT_PRECISION if config.precision_bits is None else config.precision_bits
     require_limits_size(k_max, prec)   # refuse before any limit is computed
     width_tol = _tol(config, TEN ** -20)
     out = []
@@ -92,7 +92,7 @@ def suite_basel(config: RunConfig) -> list[VerificationReport]:
 def suite_factorization(config: RunConfig) -> list[VerificationReport]:
     """(2k+1)(2k) zeta({2}^k) = zeta({2}^{k-1}) 6 zeta(2), certified."""
     k_max = 8 if config.k is None else config.k
-    prec = config.precision_bits
+    prec = DEFAULT_PRECISION if config.precision_bits is None else config.precision_bits
     require_limits_size(k_max, prec)   # refuse before any limit is computed
     err_tol = _tol(config, TEN ** -20)
     out = []
@@ -127,7 +127,8 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
             f"p.witness.j{j}", worst, ZERO, ZERO, ZERO,
             params={"n_max": n_max, "j": j}))
 
-    rng = random.Random(config.seed)
+    seed = 0 if config.seed is None else config.seed
+    rng = random.Random(seed)
     trials = 200
     ok = 0
     for _ in range(trials):
@@ -138,7 +139,7 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
             ok += 1
     out.append(make_record(
         "p.partial_fraction.random", Fraction(ok), Fraction(trials), ZERO, ZERO,
-        params={"seed": config.seed, "trials": trials}))
+        params={"seed": seed, "trials": trials}))
 
     for x in (Fraction(1, 2), Fraction(1, 10)):
         out.append(bool_record(
@@ -261,10 +262,13 @@ def suite_residuals(config: RunConfig) -> list[VerificationReport]:
 
 
 def suite_pi_equality(config: RunConfig) -> list[VerificationReport]:
-    prec = config.precision_bits
+    """The four estimates of pi agree, and g^2 + g'^2 = 1 on [-pi, pi]."""
+    prec = DEFAULT_PRECISION if config.precision_bits is None else config.precision_bits
     tol = _tol(config, TEN ** -20 if prec >= 128 else TEN ** -8)
-    ests = pi_constants.three_way_pi_compare(prec)
-    out = []
+    ests, eps = pi_constants.three_way_pi_compare(prec)
+    # the arc's certificate bounds |g^2 + g'^2 - 1| on all of |x| <= 355/113
+    out = [make_record("pi.pythagorean", eps, ZERO, ZERO, tol,
+                       params={"precision_bits": prec, "interval": "|x| <= 355/113"})]
     for first, second in itertools.combinations(sorted(ests), 2):
         a, b = ests[first], ests[second]
         out.append(make_record(
@@ -358,20 +362,19 @@ def suite_product_structure(config: RunConfig) -> list[VerificationReport]:
     return out
 
 
-# each suite and the count flags and --tolerance it reads; --precision,
-# --seed and the output flags are common to all
+# each suite and the optional flags it reads; the output flags are common to all
 SUITES = {
-    "basel": (suite_basel, {"k", "tolerance"}),
-    "factorization": (suite_factorization, {"k", "tolerance"}),
-    "p-constant": (suite_p_constant, {"n_max", "j_max", "N", "tolerance"}),
+    "basel": (suite_basel, {"k", "tolerance", "precision"}),
+    "factorization": (suite_factorization, {"k", "tolerance", "precision"}),
+    "p-constant": (suite_p_constant, {"n_max", "j_max", "N", "tolerance", "seed"}),
     "bijection-alpha": (suite_bijection_alpha, {"k", "bound"}),
     "bijection-beta": (suite_bijection_beta, {"k", "M"}),
     "residuals": (suite_residuals, {"k", "N"}),
-    "pi-equality": (suite_pi_equality, {"tolerance"}),
+    "pi-equality": (suite_pi_equality, {"tolerance", "precision"}),
     "product-structure": (suite_product_structure, {"N", "bound"}),
 }
 
-_SUITE_FLAGS = ("k", "N", "M", "n_max", "j_max", "bound", "tolerance")
+_SUITE_FLAGS = ("k", "N", "M", "n_max", "j_max", "bound", "tolerance", "seed")
 
 
 def refuse_unread(what: str, given: dict, reads: set) -> None:
@@ -385,13 +388,15 @@ def refuse_unread(what: str, given: dict, reads: set) -> None:
 
 
 def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
-    """The records of suite `name`. A count or tolerance the suite does not
-    read is a DomainError before any work, as is a configuration under
+    """The records of suite `name`. A flag the suite does not read is a
+    DomainError before any work, as is a configuration under
     which the suite checks nothing, never an empty pass."""
     if name not in SUITES:
         raise KeyError(name)
     suite, reads = SUITES[name]
-    refuse_unread(f"suite {name}", {flag: getattr(config, flag) for flag in _SUITE_FLAGS}, reads)
+    given = {flag: getattr(config, flag) for flag in _SUITE_FLAGS}
+    given["precision"] = config.precision_bits   # --precision sets precision_bits
+    refuse_unread(f"suite {name}", given, reads)
     records = suite(config)
     if not records:
         raise DomainError(f"suite {name} checks nothing with these parameters")

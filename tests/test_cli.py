@@ -51,12 +51,13 @@ def test_compute_p_eval_matches_six_zeta():
 
 
 def test_verify_exit_zero_and_determinism():
-    a = _run("verify", "product-structure", "--N", "40", "--bound", "81",
-             "--format", "json", "--seed", "5")
-    b = _run("verify", "product-structure", "--N", "40", "--bound", "81",
-             "--format", "json", "--seed", "5")
-    assert a.returncode == 0
-    assert a.stdout == b.stdout   # byte-identical reports
+    # byte-identical reports, also for the one suite that reads --seed
+    for argv in (("verify", "product-structure", "--N", "40", "--bound", "81"),
+                 ("verify", "p-constant", "--n-max", "5", "--j-max", "2", "--seed", "5")):
+        a = _run(*argv, "--format", "json")
+        b = _run(*argv, "--format", "json")
+        assert a.returncode == 0, argv
+        assert a.stdout == b.stdout, argv
 
 
 def test_verify_csv_has_header():
@@ -194,7 +195,7 @@ def test_each_subcommand_accepts_only_its_flags():
 
 
 _COUNT_FLAGS = {"k": "3", "N": "20", "M": "10", "n_max": "5", "j_max": "2", "bound": "10",
-                "tolerance": "1/1000"}
+                "tolerance": "1/1000", "precision": "64", "seed": "3"}
 
 
 def test_verify_refuses_a_flag_its_suite_does_not_read(monkeypatch, capsys):
@@ -214,6 +215,28 @@ def test_verify_refuses_a_flag_its_suite_does_not_read(monkeypatch, capsys):
                 assert cli.main(argv) == 2, argv
                 assert ran == [], argv
                 assert f"does not read --{flag.replace('_', '-')}" in capsys.readouterr().err
+
+
+def test_which_suites_read_precision_and_seed(capsys):
+    def readers(flag):
+        return {name for name, (_, reads) in suites.SUITES.items() if flag in reads}
+    assert readers("precision") == {"basel", "factorization", "pi-equality"}
+    assert readers("seed") == {"p-constant"}
+    assert cli.main(["verify", "residuals", "--precision", "64"]) == 2
+    assert capsys.readouterr().err == "usage error: suite residuals does not read --precision\n"
+
+
+@pytest.mark.parametrize("argv, explicit", [
+    (["verify", "pi-equality"], ["--precision", "128"]),
+    (["verify", "basel", "--k", "3"], ["--precision", "128"]),
+    (["verify", "p-constant", "--n-max", "5", "--j-max", "2"], ["--seed", "0"])])
+def test_an_absent_precision_or_seed_is_128_or_0(argv, explicit, capsys):
+    # the report bytes of a request without the flag are those with its default
+    outputs = []
+    for args in (argv, argv + explicit):
+        assert cli.main(args + ["--format", "json"]) == 0, args
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_an_unread_flag_stops_a_long_limit_suite_at_once(capsys):

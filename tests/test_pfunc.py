@@ -273,6 +273,15 @@ def test_p_eval_radius_does_not_grow_with_N(precision):
             assert v.err <= abs(v.value) / 2 ** (precision - 4), (x, N)
 
 
+@pytest.mark.parametrize("x, N, precision, units", [
+    (Fraction(9, 10), 2000, 64, 26), (Fraction(9, 10), 500, 128, 47),
+    (Fraction(-9, 10), 4000, 256, 78)])
+def test_p_eval_rounds_x_squared_once(x, N, precision, units):
+    # x^2 = a^2/b^2 is rounded once, not squared from a rounded x; squaring
+    # gave radii of 54.9, 62.1 and 97.7 units of 2^-precision here
+    assert p_eval(x, N, precision).err <= Fraction(units, 2 ** precision)
+
+
 def test_interchange_bounds():
     assert interchange_bound_check(Fraction(1, 2), 50)
     assert interchange_bound_check(Fraction(1, 10), 50)

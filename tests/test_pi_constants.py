@@ -15,7 +15,6 @@ from mzvfactor.pi_constants import (
     g_eval,
     pi_amp,
     pi_freq,
-    pythagorean_check,
     three_way_pi_compare,
     wallis_pair_product,
     wallis_partial,
@@ -184,23 +183,9 @@ def test_g_at_half_frequency_hits_one():
     assert abs(gp.value) <= gp.err + Fraction(1, 2 ** 100)
 
 
-def test_pythagorean_check_grid():
-    pi = pi_oracle(128)
-    grid = [pi.value * Fraction(i, 50) for i in range(-50, 51)]
-    devs = pythagorean_check(grid, precision_bits=128)
-    assert len(devs) == len(grid)
-    assert all(d.contains(0) for d in devs)
-    assert max(abs(d.value) + d.err for d in devs) < Fraction(1, 10 ** 20)
-
-
-def test_pythagorean_at_zero_exact():
-    [dev] = pythagorean_check([Fraction(0)])
-    assert dev.value == dev.err == 0
-
-
 def _arc(prec):
     """The arc over the endpoints of the pi_freq ball that pi-equality takes."""
-    return arc_length(pi_freq(prec + 24).value, prec)
+    return arc_length(pi_freq(prec + 24).value, prec)[0]
 
 
 def test_arc_length_equals_frequency_constant():
@@ -209,7 +194,7 @@ def test_arc_length_equals_frequency_constant():
     assert abs(arc.value - pf.value.value) < Fraction(1, 10 ** 10)
 
 
-A = Fraction(355, 226)
+A = Fraction(355, 113)
 
 
 def _truncated_q(D):
@@ -232,7 +217,7 @@ def _slow_defect_bound(D):
     (of g' and g for odd D, of g and g' for even D), and the smaller of them."""
     q = sum(abs(c) * A ** i for i, c in enumerate(_truncated_q(D)))
     r, r_next = (A ** d / math.factorial(d) for d in (D + 1, D + 2))
-    return q + r * (2 * 5 + r) + r_next * (2 * 5 + r_next), r_next
+    return q + r * (2 * 24 + r) + r_next * (2 * 24 + r_next), r_next
 
 
 def test_speed_defect_coefficients_match_the_convolution():
@@ -247,18 +232,25 @@ def test_speed_defect_coefficients_match_the_convolution():
         assert slow <= eps <= slow + r_next / 2 ** 30, D
 
 
-def test_e_to_the_a_is_below_5():
-    # the premise |G|, |G'| <= e^A < 5: the terms past j = 40 sum to less
+def test_e_to_the_a_is_below_24():
+    # the premise |G|, |G'| <= e^A < 24: the terms past j = 40 sum to less
     # than twice the first of them
     head = sum(A ** j / math.factorial(j) for j in range(40))
-    assert head + 2 * A ** 40 / math.factorial(40) < 5
+    assert head + 2 * A ** 40 / math.factorial(40) < 24
+
+
+def test_the_certified_interval_holds_minus_pi_to_pi():
+    # A = 355/113 exceeds pi, so the Pythagorean record covers [-pi, pi],
+    # and A^2 < 10 < (D+2)(D+3) keeps the remainders alternating
+    pi = pi_oracle(64)
+    assert pi.hi < A and A * A < 10
 
 
 @pytest.mark.parametrize("prec", [32, 64, 128, 224, 512])
 def test_speed_defect_covers_the_slow_bound(prec):
     # at the D of arc_length(p, prec), whose rounding adds under 2^-30 of the
     # smaller omitted term
-    D = 2 * pi_constants._terms(355, 226, prec + 24)[0] + 1
+    D = 2 * pi_constants._terms(355, 113, prec + 24)[0] + 1
     _, eps = pi_constants._speed_defect(D)
     slow, r_next = _slow_defect_bound(D)
     assert slow <= eps <= slow + r_next / 2 ** 30
@@ -285,7 +277,7 @@ def test_arc_length_overlaps_the_oracle(prec):
 
 def test_arc_length_endpoint_past_the_certified_interval_is_a_broken_invariant():
     with pytest.raises(ValueError):
-        arc_length(ApproxReal(Fraction(355, 113), Fraction(1, 2 ** 80), 88), 64)
+        arc_length(ApproxReal(Fraction(710, 113), Fraction(1, 2 ** 80), 88), 64)
 
 
 def test_speed_at_zero_is_one():
@@ -300,7 +292,7 @@ def _trio_distance(ests) -> Fraction:
 
 def test_three_way_compare_64():
     tol = Fraction(1, 10 ** 8)
-    ests = three_way_pi_compare(64)
+    ests, _ = three_way_pi_compare(64)
     assert sorted(ests) == ["amp", "arc", "freq", "oracle"]
     for a, b in itertools.combinations(ests.values(), 2):
         assert abs(a.value - b.value) <= a.err + b.err + tol
@@ -308,8 +300,8 @@ def test_three_way_compare_64():
 
 
 def test_agreement_tightens_with_precision():
-    lo = three_way_pi_compare(64)
-    hi = three_way_pi_compare(128)
+    lo, _ = three_way_pi_compare(64)
+    hi, _ = three_way_pi_compare(128)
     assert _trio_distance(hi) < _trio_distance(lo)
 
 
@@ -326,9 +318,26 @@ def test_pi_equality_builds_one_pi_freq_and_one_oracle(monkeypatch):
     records = suites.run_suite("pi-equality", RunConfig(precision_bits=80))
     assert sorted(calls) == [("freq", 104), ("oracle", 80)]
     assert all(r.status == "pass" for r in records)
-    ests = three_way_pi_compare(80)
+    ests, _ = three_way_pi_compare(80)
     assert ests["freq"].err <= Fraction(1, 2 ** 106)
     assert ests["arc"].err <= Fraction(1, 2 ** 80)
+
+
+@pytest.mark.parametrize("prec", [32, 64, 128])
+def test_pi_equality_computes_one_certificate_and_reports_the_arcs_eps(prec, monkeypatch):
+    # the Pythagorean record and the arc read one _speed_defect call, at
+    # the D the arc's precision asks for
+    calls = []
+    real = pi_constants._speed_defect
+    monkeypatch.setattr(pi_constants, "_speed_defect",
+                        lambda D: calls.append((D, real(D)[1])) or real(D))
+    records = {r.claim_id: r for r in suites.run_suite("pi-equality",
+                                                       RunConfig(precision_bits=prec))}
+    [(D, eps)] = calls
+    assert D == 2 * pi_constants._terms(355, 113, prec + 24)[0] + 1
+    record = records["pi.pythagorean"]
+    assert record.status == "pass"
+    assert Fraction(record.params["observed_exact"]) == eps <= Fraction(1, 2 ** (prec + 30))
 
 
 def test_series_coefficient_bridge():
