@@ -18,22 +18,56 @@ import functools
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import bijection, pfunc, pi_constants, series
-from .numeric import DEFAULT_PRECISION, DomainError, ResourceError
+from .numeric import DEFAULT_PRECISION, ZERO, ApproxReal, DomainError, ResourceError
 from .report import RunConfig, all_passed, make_record, render
-from .suites import SUITES, refuse_unread, run_suite
+from .suites import SUITES, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# the optional flags (those with no default) each compute target and each
-# dump kind reads; any other one given is a usage error
-COMPUTE_READS = {"mzv": {"k"}, "pi-freq": set(), "pi-amp": {"N"}, "p-eval": {"x", "N"}}
-DUMP_READS = {"alpha": set(), "beta": {"m_sweep"}}
+
+def _value_record(claim_id: str, v: ApproxReal, params: dict):
+    return make_record(claim_id, v.value, v.value, v.err, ZERO, params=params)
+
+
+def compute_mzv(config: RunConfig) -> list:
+    k, prec = config.k, config.precision
+    return [_value_record(f"compute.mzv.k{k}", series.mzv_limit(k, prec)[-1],
+                          {"k": k, "precision_bits": prec})]
+
+
+def compute_pi_freq(config: RunConfig) -> list:
+    return [_value_record("compute.pi_freq", pi_constants.pi_freq(config.precision),
+                          {"precision_bits": config.precision})]
+
+
+def compute_pi_amp(config: RunConfig) -> list:
+    v, exact_partial = pi_constants.pi_amp(config.N, config.precision)
+    params = {"N": config.N}
+    if exact_partial is not None:
+        params["exact_partial"] = f"{exact_partial.numerator}/{exact_partial.denominator}"
+    return [_value_record("compute.pi_amp", v, params)]
+
+
+def compute_p_eval(config: RunConfig) -> list:
+    x, n = config.x, config.N
+    return [_value_record(f"compute.p_eval.x{x.numerator}_{x.denominator}",
+                          pfunc.p_eval(x, n, config.precision), {"x": str(x), "N": n})]
+
+
+# each compute target and the default of each optional flag it reads, as in SUITES
+COMPUTE = {
+    "mzv": (compute_mzv, {"k": 2, "precision": DEFAULT_PRECISION}),
+    "pi-freq": (compute_pi_freq, {"precision": DEFAULT_PRECISION}),
+    "pi-amp": (compute_pi_amp, {"N": 1000, "precision": DEFAULT_PRECISION}),
+    "p-eval": (compute_p_eval, {"x": ZERO, "N": 1000, "precision": DEFAULT_PRECISION}),
+}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -41,6 +75,12 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _tolerance(text: str) -> Fraction:
+    if (value := _parse_fraction(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return value
 
 
 def _parse_sweep(text: str) -> tuple[int, ...]:
@@ -62,7 +102,7 @@ def _count(text: str) -> int:
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", dest="precision_bits", type=int)
+    p.add_argument("--precision", type=int)
     p.add_argument("--format", dest="output_format",
                    choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", dest="output_path")
@@ -71,7 +111,8 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused by every
-    later one in the process."""
+    later one in the process. No optional flag has a default here: each
+    entry of COMPUTE, SUITES and DUMP declares the ones it reads."""
     parser = argparse.ArgumentParser(
         prog="mzvfactor",
         description="compute and verify the zeta({2}^k) factorization, the "
@@ -80,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="print values with certified errors",
                                allow_abbrev=False)
-    p_compute.add_argument("target", choices=["mzv", "pi-freq", "pi-amp", "p-eval"])
+    p_compute.add_argument("target", choices=list(COMPUTE))
     p_compute.add_argument("--k", type=int)
     p_compute.add_argument("--N", type=int)
     p_compute.add_argument("--x", type=_parse_fraction)
@@ -95,16 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     # sizes and counts: below 1 a suite would have nothing to check
     for flag in ("--k", "--N", "--M", "--n-max", "--j-max", "--bound"):
         p_verify.add_argument(flag, type=_count)
-    p_verify.add_argument("--tolerance", type=_parse_fraction)
-    # each suite resolves an absent --precision or --seed, or refuses it
+    p_verify.add_argument("--tolerance", type=_tolerance)
     p_verify.add_argument("--seed", type=int)
     _add_report_flags(p_verify)
 
     p_dump = sub.add_parser("bijection-dump", help="enumerate and dump components",
                             allow_abbrev=False)
-    p_dump.add_argument("--k", type=int, default=2)
-    p_dump.add_argument("--bound", type=int, default=10)
-    p_dump.add_argument("--kind", choices=["alpha", "beta"], default="alpha")
+    p_dump.add_argument("--k", type=int)
+    p_dump.add_argument("--bound", type=int)
+    p_dump.add_argument("--kind", choices=list(DUMP), default="alpha")
     p_dump.add_argument("--m-sweep", dest="m_sweep", type=_parse_sweep,
                         help="comma-separated beta truncations, e.g. 20,40,80")
     p_dump.add_argument("--out", dest="output_path")
@@ -117,124 +157,90 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
                         for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)})
 
 
-def _emit(records, config: RunConfig) -> None:
+def cmd_records(args: argparse.Namespace) -> int:
+    """`compute` and `verify`: emit the records of one entry (a compute
+    record always passes)."""
+    config = _config_from(args)
+    if args.command == "verify":
+        records = run_suite(args.suite, config)
+    else:
+        compute, defaults = COMPUTE[args.target]
+        records = compute(config.resolve(f"compute {args.target}", defaults))
     text = render(records, config.output_format)
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def cmd_compute(args: argparse.Namespace) -> int:
-    refuse_unread(f"compute {args.target}", {flag: getattr(args, flag) for flag in ("k", "N", "x")},
-                  COMPUTE_READS[args.target])
-    config = _config_from(args)
-    prec = DEFAULT_PRECISION if config.precision_bits is None else config.precision_bits
-    records = []
-    if args.target == "mzv":
-        k = config.k if config.k is not None else 2
-        v = series.mzv_limit(k, prec)[-1]
-        records.append(make_record(
-            f"compute.mzv.k{k}", v.value, v.value, v.err, Fraction(0),
-            params={"k": k, "precision_bits": prec}))
-    elif args.target == "pi-freq":
-        est = pi_constants.pi_freq(prec)
-        records.append(make_record(
-            "compute.pi_freq", est.value.value, est.value.value, est.value.err,
-            Fraction(0), params={"precision_bits": prec}))
-    elif args.target == "pi-amp":
-        n = config.N if config.N is not None else 1000
-        est = pi_constants.pi_amp(n, prec)
-        params = dict(est.truncation)
-        if est.exact_partial is not None:
-            params["exact_partial"] = (f"{est.exact_partial.numerator}"
-                                       f"/{est.exact_partial.denominator}")
-        records.append(make_record(
-            "compute.pi_amp", est.value.value, est.value.value, est.value.err,
-            Fraction(0), params=params))
-    else:  # p-eval
-        x = args.x if args.x is not None else Fraction(0)
-        n = config.N if config.N is not None else 1000
-        v = pfunc.p_eval(x, n, prec)
-        records.append(make_record(
-            f"compute.p_eval.x{x.numerator}_{x.denominator}", v.value, v.value,
-            v.err, Fraction(0), params={"x": str(x), "N": n}))
-    _emit(records, config)
-    return EXIT_PASS
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    records = run_suite(args.suite, config)
-    _emit(records, config)
     return EXIT_PASS if all_passed(records) else EXIT_FAIL
 
 
+def dump_alpha(config: RunConfig, out_dir: str) -> tuple[list, str]:
+    """The alpha components with entries <= bound of two or more vertices, and
+    the residual vertices, the singleton components, in a file of their own."""
+    k, bound = config.k, config.bound
+    components, singles = [], []
+    for c in bijection.alpha_walk(k, bound):
+        (components if c.size() > 1 else singles).append(c)
+    path = os.path.join(out_dir, f"alpha_k{k}_b{bound}.components.txt")
+    _write_components(path, components)
+    _write_components(
+        os.path.join(out_dir, f"alpha_k{k}_b{bound}.residual_singletons.txt"), singles)
+    return components, path
+
+
+def dump_beta(config: RunConfig, out_dir: str) -> tuple[list, str]:
+    """The beta component of one seed vertex at each truncation of the sweep."""
+    k, sweep = config.k, config.m_sweep or (config.bound,)
+    seed_vertex = bijection.V1((), 1) if k == 2 else bijection.V1((1,), 2)
+    components = [bijection.component(seed_vertex, "beta", k, M=m) for m in sweep]
+    path = os.path.join(out_dir, f"beta_k{k}.components.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# M={m}\n{bijection.format_component(c)}\n"
+                      for m, c in zip(sweep, components))
+    return components, path
+
+
+# each dump kind and the default of each optional flag it reads; an absent
+# --m-sweep is the one truncation --bound
+DUMP = {
+    "alpha": (dump_alpha, {"k": 2, "bound": 10}),
+    "beta": (dump_beta, {"k": 2, "bound": 10, "m_sweep": None}),
+}
+
+
 def cmd_bijection_dump(args: argparse.Namespace) -> int:
-    refuse_unread(f"bijection-dump --kind {args.kind}", {"m_sweep": args.m_sweep},
-                  DUMP_READS[args.kind])
-    k, bound = args.k, args.bound
-    sweep = args.m_sweep or (bound,)
+    dump, defaults = DUMP[args.kind]
+    config = _config_from(args).resolve(f"bijection-dump --kind {args.kind}", defaults)
+    sweep = config.m_sweep or (config.bound,)
     # alpha dumps are limited by bijection.VERTEX_CEILING instead
-    if not 2 <= k <= 5 or (args.kind == "beta" and max(bound, *sweep) > 60):
+    if not 2 <= config.k <= 5 or (args.kind == "beta" and max(config.bound, *sweep) > 60):
         raise DomainError("bijection-dump needs k in 2..5, and a bound and "
                           "--m-sweep values <= 60 for --kind beta")
-    out_dir = args.output_path or "."
+    out_dir = config.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
-    components = []
-    if args.kind == "alpha":
-        # residual vertices are the singleton components; they dump separately
-        singles = []
-        for c in bijection.alpha_walk(k, bound):
-            (components if c.size() > 1 else singles).append(c)
-        path = os.path.join(out_dir, f"alpha_k{k}_b{bound}.components.txt")
-        _write_components(path, components)
-        _write_components(
-            os.path.join(out_dir, f"alpha_k{k}_b{bound}.residual_singletons.txt"), singles)
-    else:
-        path = os.path.join(out_dir, f"beta_k{k}.components.txt")
-        seed_vertex = bijection.V1((), 1) if k == 2 else bijection.V1((1,), 2)
-        with open(path, "w", encoding="utf-8") as fh:
-            for m in sweep:
-                c = bijection.component(seed_vertex, "beta", k, M=m)
-                components.append(c)
-                fh.write(f"# M={m}\n")
-                fh.write(bijection.format_component(c))
-                fh.write("\n")
-    sizes = sorted(c.size() for c in components)
-    largest = max((abs(c.weight_sum) for c in components), default=Fraction(0))
-    sys.stdout.write(f"components: {len(components)}\n")
-    sys.stdout.write(f"size histogram: {_histogram(sizes)}\n")
-    sys.stdout.write(
-        f"max |weight_sum|: {largest.numerator}/{largest.denominator}\n")
-    sys.stdout.write(f"dump: {path}\n")
+    components, path = dump(config, out_dir)
+    histogram = sorted(Counter(c.size() for c in components).items())
+    largest = max((abs(c.weight_sum) for c in components), default=ZERO)
+    sys.stdout.write(f"components: {len(components)}\n"
+                     f"size histogram: {' '.join(f'{s}x{n}' for s, n in histogram)}\n"
+                     f"max |weight_sum|: {largest.numerator}/{largest.denominator}\n"
+                     f"dump: {path}\n")
     return EXIT_PASS
 
 
 def _write_components(path: str, components) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for c in components:
-            fh.write(bijection.format_component(c))
-            fh.write("\n")
-
-
-def _histogram(sizes: list[int]) -> str:
-    counts: dict[int, int] = {}
-    for s in sizes:
-        counts[s] = counts.get(s, 0) + 1
-    return " ".join(f"{size}x{count}" for size, count in sorted(counts.items()))
+        fh.writelines(bijection.format_component(c) + "\n" for c in components)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_bijection_dump(args)
+        if args.command == "bijection-dump":
+            return cmd_bijection_dump(args)
+        return cmd_records(args)
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -19,6 +19,7 @@ ONE = Fraction(1)
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1 << 14
+TIME_CEILING = 60 * 10 ** 6   # us, the budget of every closed-form time ceiling
 
 
 class DomainError(ValueError):

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .numeric import (
     ApproxReal,
@@ -45,13 +43,6 @@ EXACT_PARTIAL_MAX_BITS = 14_284
 WALLIS_PAIRS = 20_000
 
 
-@dataclass(frozen=True)
-class PiEstimate:
-    value: ApproxReal
-    truncation: dict = field(default_factory=dict)
-    exact_partial: Optional[Fraction] = None
-
-
 # ---------------------------------------------------------------------------
 # pi_freq
 # ---------------------------------------------------------------------------
@@ -65,7 +56,7 @@ def zeta2_bracket(N: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
     return head + lo, head + hi
 
 
-def pi_freq(precision_bits: int) -> PiEstimate:
+def pi_freq(precision_bits: int) -> ApproxReal:
     """sqrt(6 zeta(2)) within 2^-(precision_bits + 2), zeta(2) the k = 1
     entry of the certified row mzv_limit(1, precision_bits + 1), so within
     2^-(precision_bits + 3).
@@ -85,7 +76,7 @@ def pi_freq(precision_bits: int) -> PiEstimate:
     value = ApproxReal.from_bracket(6 * z.lo, 6 * z.hi, precision_bits + 16).sqrt()
     if value.err > Fraction(1, 1 << (precision_bits + 2)):
         raise ValueError(f"pi_freq: the root of 6 zeta(2) missed 2^-{precision_bits + 2}")
-    return PiEstimate(value=value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +146,10 @@ def wallis_partial(half_steps: int) -> Fraction:
     return w
 
 
-def pi_amp(N: int, precision_bits: int = 128) -> PiEstimate:
-    """N-pair Wallis partial product with the certified interlacing bracket
-    [W_N, W_N * (2N+2)/(2N+1)].
+def pi_amp(N: int, precision_bits: int = 128) -> tuple[ApproxReal, Fraction | None]:
+    """(ball, exact partial): the N-pair Wallis partial product with the
+    certified interlacing bracket [W_N, W_N * (2N+2)/(2N+1)], and W_N itself
+    while its numerator and denominator fit EXACT_PARTIAL_MAX_BITS, else None.
 
     The bracket endpoints are dyadic roundings taken outward (floor below,
     ceiling above), so the certificate survives the rounding.
@@ -175,8 +167,7 @@ def pi_amp(N: int, precision_bits: int = 128) -> PiEstimate:
     exact_partial = None
     if max(num.bit_length(), den.bit_length()) - twos <= EXACT_PARTIAL_MAX_BITS:
         exact_partial = Fraction(num >> twos, den >> twos)
-    return PiEstimate(value=value, truncation={"N": N},
-                      exact_partial=exact_partial)
+    return value, exact_partial
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +317,11 @@ def three_way_pi_compare(precision_bits: int) -> tuple[dict[str, ApproxReal], Fr
     if precision_bits + 40 > MAX_PRECISION:
         raise ResourceError(f"pi-equality: precision {precision_bits} exceeds ceiling "
                             f"{MAX_PRECISION - 40}")
-    freq = pi_freq(precision_bits + 24).value
+    freq = pi_freq(precision_bits + 24)
     arc, eps = arc_length(freq, precision_bits)
     return {
         "freq": freq,
-        "amp": pi_amp(WALLIS_PAIRS, precision_bits).value,
+        "amp": pi_amp(WALLIS_PAIRS, precision_bits)[0],
         "arc": arc,
         "oracle": pi_oracle(precision_bits),
     }, eps

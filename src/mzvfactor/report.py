@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
-from .numeric import frac_to_decimal
+from .numeric import DomainError, frac_to_decimal
 
 DECIMAL_PLACES = 45
 
@@ -133,16 +133,32 @@ def render(records: list[VerificationReport], fmt: str) -> str:
 
 @dataclass
 class RunConfig:
-    """The parameters of a run; a command or suite reads what it needs, and
-    None selects its default."""
+    """The parameters of a run. Every field but the two output ones is the
+    optional flag of its name, None when absent; `resolve` fills in the ones
+    a request reads."""
     k: Optional[int] = None
     N: Optional[int] = None
     M: Optional[int] = None
     n_max: Optional[int] = None
     j_max: Optional[int] = None
     bound: Optional[int] = None
-    precision_bits: Optional[int] = None
     tolerance: Optional[Fraction] = None
+    seed: Optional[int] = None
+    precision: Optional[int] = None
+    x: Optional[Fraction] = None
+    m_sweep: Optional[tuple[int, ...]] = None
     output_format: str = "text"
     output_path: Optional[str] = None
-    seed: Optional[int] = None
+
+    def resolve(self, what: str, defaults: dict) -> RunConfig:
+        """The one rule for the optional flags of every command. `defaults`
+        maps each field `what` reads to its default; a flag given that it
+        does not read is a DomainError, and each absent one it reads takes
+        its default."""
+        unread = [f"--{f.name.replace('_', '-')}" for f in fields(self)
+                  if f.name not in defaults and f.name not in ("output_format", "output_path")
+                  and getattr(self, f.name) is not None]
+        if unread:
+            raise DomainError(f"{what} does not read {', '.join(unread)}")
+        return replace(self, **{name: value for name, value in defaults.items()
+                                if getattr(self, name) is None})

@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import bijection, pfunc, pi_constants, product, series
 from .numeric import (
     DEFAULT_PRECISION,
+    TIME_CEILING,
     ZERO,
     ApproxReal,
     DomainError,
@@ -35,10 +36,6 @@ from .report import (
 TEN = Fraction(10)
 
 
-def _tol(config: RunConfig, default: Fraction) -> Fraction:
-    return config.tolerance if config.tolerance is not None else default
-
-
 # ---------------------------------------------------------------------------
 
 # verify basel and verify factorization take one certified row, every
@@ -54,7 +51,7 @@ def _tol(config: RunConfig, default: Fraction) -> Fraction:
 # P, gives 1.04 to 1.3 times each of these at 16352 bits, 1.07 to 1.7 at
 # 8192 and about 2 at 4096: 31 s at K = 64 and 16352 bits, so it admits
 # every K up to MZV_K_CEILING at the suites' reach, and a larger K is
-# refused by the k ceiling. The ceiling is the 60 s of P_EVAL_CEILING.
+# refused by the k ceiling. The ceiling is TIME_CEILING.
 def require_limits_size(k_max: int, precision_bits: int) -> None:
     """Refuse the certified row zeta({2}^k), k <= k_max, at precision_bits
     from the k ceiling and a closed-form bound of its time in microseconds,
@@ -62,17 +59,15 @@ def require_limits_size(k_max: int, precision_bits: int) -> None:
     series.require_limit_k(k_max)
     K, scale = k_max, (precision_bits * precision_bits >> 20) + 1
     cost = scale * (24000 + 200 * K + 21 * K * K)
-    if cost > pfunc.P_EVAL_CEILING:
+    if cost > TIME_CEILING:
         raise ResourceError(f"certified limits k <= {k_max} at {precision_bits} bits: "
-                            f"{cost} us exceeds ceiling {pfunc.P_EVAL_CEILING}")
+                            f"{cost} us exceeds ceiling {TIME_CEILING}")
 
 
 def suite_basel(config: RunConfig) -> list[VerificationReport]:
     """zeta({2}^k) brackets against pi^(2k)/(2k+1)! from the oracle."""
-    k_max = 8 if config.k is None else config.k
-    prec = DEFAULT_PRECISION if config.precision_bits is None else config.precision_bits
+    k_max, prec = config.k, config.precision
     require_limits_size(k_max, prec)   # refuse before any limit is computed
-    width_tol = _tol(config, TEN ** -20)
     out = []
     # 32 guard bits keep the closed form's radius far below the limit's
     pi = pi_oracle(max(prec, DEFAULT_PRECISION) + 32)
@@ -84,17 +79,15 @@ def suite_basel(config: RunConfig) -> list[VerificationReport]:
             f"eq2.k{k}", z.value, closed.value, z.err + closed.err, ZERO,
             params={"k": k, "precision_bits": prec}))
         out.append(make_record(
-            f"eq2.width.k{k}", 2 * z.err, ZERO, ZERO, width_tol,
+            f"eq2.width.k{k}", 2 * z.err, ZERO, ZERO, config.tolerance,
             params={"k": k, "precision_bits": prec}))
     return out
 
 
 def suite_factorization(config: RunConfig) -> list[VerificationReport]:
     """(2k+1)(2k) zeta({2}^k) = zeta({2}^{k-1}) 6 zeta(2), certified."""
-    k_max = 8 if config.k is None else config.k
-    prec = DEFAULT_PRECISION if config.precision_bits is None else config.precision_bits
+    k_max, prec = config.k, config.precision
     require_limits_size(k_max, prec)   # refuse before any limit is computed
-    err_tol = _tol(config, TEN ** -20)
     out = []
     levels = bijection.factorization_check(k_max, prec)
     for k, (lhs, rhs, mzv, closed) in enumerate(levels, start=1):
@@ -103,7 +96,7 @@ def suite_factorization(config: RunConfig) -> list[VerificationReport]:
             f"factorization.k{k}", lhs.value, rhs.value, budget, ZERO,
             params={"k": k, "precision_bits": prec}))
         out.append(make_record(
-            f"factorization.err.k{k}", budget, ZERO, ZERO, err_tol, params={"k": k}))
+            f"factorization.err.k{k}", budget, ZERO, ZERO, config.tolerance, params={"k": k}))
         out.append(bool_record(
             f"factorization.closed_form.k{k}",
             abs(mzv.value - closed.value) <= mzv.err + closed.err, params={"k": k}))
@@ -112,23 +105,20 @@ def suite_factorization(config: RunConfig) -> list[VerificationReport]:
 
 def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
     """The exact core of the constancy argument plus its numeric shadow."""
-    n_max = 200 if config.n_max is None else config.n_max
-    j_max = 10 if config.j_max is None else config.j_max
-    n_small = 1000 if config.N is None else config.N
+    n_small = config.N
     n_large = 10 * n_small
     # ten points x = i/10 at each depth: together at most eleven calls at n_large
     pfunc.require_p_eval_size(n_large, DEFAULT_PRECISION, 4, calls=11)
     out = []
-    for j in range(1, j_max + 1):
+    for j in range(1, config.j_max + 1):
         worst = ZERO
-        for n in range(1, n_max + 1):
+        for n in range(1, config.n_max + 1):
             worst = max(worst, abs(sum(pfunc.p_coefficient_witness(n, j))))
         out.append(make_record(
             f"p.witness.j{j}", worst, ZERO, ZERO, ZERO,
-            params={"n_max": n_max, "j": j}))
+            params={"n_max": config.n_max, "j": j}))
 
-    seed = 0 if config.seed is None else config.seed
-    rng = random.Random(seed)
+    rng = random.Random(config.seed)
     trials = 200
     ok = 0
     for _ in range(trials):
@@ -139,7 +129,7 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
             ok += 1
     out.append(make_record(
         "p.partial_fraction.random", Fraction(ok), Fraction(trials), ZERO, ZERO,
-        params={"seed": seed, "trials": trials}))
+        params={"seed": config.seed, "trials": trials}))
 
     for x in (Fraction(1, 2), Fraction(1, 10)):
         out.append(bool_record(
@@ -149,7 +139,7 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
     dev_small = _constancy_deviation(n_small)
     dev_large = _constancy_deviation(n_large)
     out.append(make_record(
-        f"p.constancy.N{n_small}", dev_small, ZERO, ZERO, _tol(config, Fraction(5, 100)),
+        f"p.constancy.N{n_small}", dev_small, ZERO, ZERO, config.tolerance,
         params={"N": n_small, "grid": "0,0.1,...,0.9"}))
     out.append(bool_record(
         f"p.constancy.shrink.N{n_large}", dev_large * 3 <= dev_small,
@@ -178,13 +168,12 @@ def _constancy_deviation(N: int) -> Fraction:
 def suite_bijection_alpha(config: RunConfig) -> list[VerificationReport]:
     """Every alpha component with entries <= bound cancels exactly."""
     ks = (2, 3, 4) if config.k is None else (config.k,)
-    bound = 20 if config.bound is None else config.bound
     for k in ks:   # refuse before any closure is built
-        bijection.require_alpha_size(k, bound)
+        bijection.require_alpha_size(k, config.bound)
     out = []
     for k in ks:
         try:
-            comps = bijection.alpha_components_up_to(k, bound)
+            comps = bijection.alpha_components_up_to(k, config.bound)
         except bijection.StructuralFailure as exc:
             path = _dump_failure(config, f"alpha_overflow_k{k}", str(exc))
             out.append(bool_record(f"alpha.cancel.k{k}", False, params={"k": k},
@@ -198,7 +187,7 @@ def suite_bijection_alpha(config: RunConfig) -> list[VerificationReport]:
                                  "".join(bijection.format_component(c) for c in bad))
         out.append(make_record(
             f"alpha.cancel.k{k}", worst, ZERO, ZERO, ZERO,
-            params={"k": k, "bound": bound, "components": len(comps),
+            params={"k": k, "bound": config.bound, "components": len(comps),
                     "largest": max((c.size() for c in comps), default=0)},
             artifact_path=path, counterexample_on_fail=True))
     return out
@@ -238,7 +227,7 @@ def suite_residuals(config: RunConfig) -> list[VerificationReport]:
     """Exact residual identities on both edge systems, the classification
     cross-check, and the multiplicity identity."""
     ks = (2, 3, 4) if config.k is None else (config.k,)
-    N = 40 if config.N is None else config.N
+    N = config.N
     for k in ks:   # refuse before any identity runs
         for kind in ("alpha", "beta"):
             bijection.require_residual_size(kind, k, N)
@@ -263,8 +252,9 @@ def suite_residuals(config: RunConfig) -> list[VerificationReport]:
 
 def suite_pi_equality(config: RunConfig) -> list[VerificationReport]:
     """The four estimates of pi agree, and g^2 + g'^2 = 1 on [-pi, pi]."""
-    prec = DEFAULT_PRECISION if config.precision_bits is None else config.precision_bits
-    tol = _tol(config, TEN ** -20 if prec >= 128 else TEN ** -8)
+    prec = config.precision
+    default = TEN ** -20 if prec >= 128 else TEN ** -8
+    tol = default if config.tolerance is None else config.tolerance
     ests, eps = pi_constants.three_way_pi_compare(prec)
     # the arc's certificate bounds |g^2 + g'^2 - 1| on all of |x| <= 355/113
     out = [make_record("pi.pythagorean", eps, ZERO, ZERO, tol,
@@ -309,8 +299,7 @@ def _wallis_parity(oracle: ApproxReal) -> bool:
 # N = 1000 (grid 1001) and 35 ms at N = 4000 (grid 11). The closed form in
 # require_product_structure_size gives 1.1 to 2.1 times each of these in
 # microseconds. The largest request it admits at the default grid, N = 2347
-# (60 s by the closed form), took 49 s. The ceiling is 60 s of it.
-PRODUCT_STRUCTURE_CEILING = 60 * 10 ** 6
+# (60 s by the closed form), took 49 s. The ceiling is TIME_CEILING.
 
 
 def require_product_structure_size(N: int, grid: int) -> None:
@@ -319,16 +308,15 @@ def require_product_structure_size(N: int, grid: int) -> None:
     bits = N * (N * grid).bit_length()
     cost = ((2 * N + 1) * (10 + N // 4 + N * N // 2500)
             + grid * (20 + N + bits * bits // 60000))
-    if cost > PRODUCT_STRUCTURE_CEILING:
+    if cost > TIME_CEILING:
         raise ResourceError(f"product structure at N = {N}, grid = {grid}: {cost} us "
-                            f"exceeds ceiling {PRODUCT_STRUCTURE_CEILING}")
+                            f"exceeds ceiling {TIME_CEILING}")
 
 
 def suite_product_structure(config: RunConfig) -> list[VerificationReport]:
     """Oddness, integer zeros, the two product displays, the periodicity
     sign, the shifted-form gap bound, and the rise/fall scan."""
-    N = 100 if config.N is None else config.N
-    grid = 1001 if config.bound is None else config.bound
+    N, grid = config.N, config.bound
     require_product_structure_size(N, grid)
     out = []
     xs = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 4), Fraction(9, 2)]
@@ -362,42 +350,30 @@ def suite_product_structure(config: RunConfig) -> list[VerificationReport]:
     return out
 
 
-# each suite and the optional flags it reads; the output flags are common to all
+# each suite and the default of each optional flag it reads; the output
+# flags are common to all. A suite resolves a default of None: an absent
+# --k or --M selects a sweep, and pi-equality's tolerance depends on the
+# precision
+_LIMIT_FLAGS = {"k": 8, "tolerance": TEN ** -20, "precision": DEFAULT_PRECISION}
 SUITES = {
-    "basel": (suite_basel, {"k", "tolerance", "precision"}),
-    "factorization": (suite_factorization, {"k", "tolerance", "precision"}),
-    "p-constant": (suite_p_constant, {"n_max", "j_max", "N", "tolerance", "seed"}),
-    "bijection-alpha": (suite_bijection_alpha, {"k", "bound"}),
-    "bijection-beta": (suite_bijection_beta, {"k", "M"}),
-    "residuals": (suite_residuals, {"k", "N"}),
-    "pi-equality": (suite_pi_equality, {"tolerance", "precision"}),
-    "product-structure": (suite_product_structure, {"N", "bound"}),
+    "basel": (suite_basel, _LIMIT_FLAGS),
+    "factorization": (suite_factorization, _LIMIT_FLAGS),
+    "p-constant": (suite_p_constant, {"n_max": 200, "j_max": 10, "N": 1000,
+                                      "tolerance": Fraction(5, 100), "seed": 0}),
+    "bijection-alpha": (suite_bijection_alpha, {"k": None, "bound": 20}),
+    "bijection-beta": (suite_bijection_beta, {"k": None, "M": None}),
+    "residuals": (suite_residuals, {"k": None, "N": 40}),
+    "pi-equality": (suite_pi_equality, {"tolerance": None, "precision": DEFAULT_PRECISION}),
+    "product-structure": (suite_product_structure, {"N": 100, "bound": 1001}),
 }
-
-_SUITE_FLAGS = ("k", "N", "M", "n_max", "j_max", "bound", "tolerance", "seed")
-
-
-def refuse_unread(what: str, given: dict, reads: set) -> None:
-    """The one rule for the optional flags of every command: a flag given a
-    value (not None) that `what` does not read is a DomainError before any
-    work, never silently ignored."""
-    unread = [f"--{flag.replace('_', '-')}" for flag, value in given.items()
-              if value is not None and flag not in reads]
-    if unread:
-        raise DomainError(f"{what} does not read {', '.join(unread)}")
 
 
 def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
     """The records of suite `name`. A flag the suite does not read is a
     DomainError before any work, as is a configuration under
     which the suite checks nothing, never an empty pass."""
-    if name not in SUITES:
-        raise KeyError(name)
-    suite, reads = SUITES[name]
-    given = {flag: getattr(config, flag) for flag in _SUITE_FLAGS}
-    given["precision"] = config.precision_bits   # --precision sets precision_bits
-    refuse_unread(f"suite {name}", given, reads)
-    records = suite(config)
+    suite, defaults = SUITES[name]   # KeyError for an unknown name
+    records = suite(config.resolve(f"suite {name}", defaults))
     if not records:
         raise DomainError(f"suite {name} checks nothing with these parameters")
     return records

@@ -25,7 +25,7 @@ GATE = [
     (("bijection-alpha", "residuals"), RunConfig(), 180, {}),
     (("bijection-beta",), RunConfig(), None, {}),
     (("pi-equality",), RunConfig(), None, {"pi.pythagorean": TOL20}),
-    (("pi-equality",), RunConfig(precision_bits=64), None, {}),
+    (("pi-equality",), RunConfig(precision=64), None, {}),
     (("product-structure",), RunConfig(), None, {}),
 ]
 
@@ -33,7 +33,7 @@ GATE = [
 def _gate_id(entry) -> str:
     suites, config = entry[0], entry[1]
     name = "+".join(suites)
-    return name if config == RunConfig() else f"{name}@{config.precision_bits}"
+    return name if config == RunConfig() else f"{name}@{config.precision}"
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,12 @@ def test_each_subcommand_accepts_only_its_flags():
         assert _exit_code(argv) == 2, argv
 
 
+def _flag(field: str) -> str:
+    """The flag that sets a RunConfig field."""
+    return f"--{field.replace('_', '-')}"
+
+
+# a value of each optional flag of verify, under the RunConfig field it sets
 _COUNT_FLAGS = {"k": "3", "N": "20", "M": "10", "n_max": "5", "j_max": "2", "bound": "10",
                 "tolerance": "1/1000", "precision": "64", "seed": "3"}
 
@@ -206,7 +213,7 @@ def test_verify_refuses_a_flag_its_suite_does_not_read(monkeypatch, capsys):
                                                   [bool_record("ok", True)], reads))
     for name, (_, reads) in suites.SUITES.items():
         for flag, value in _COUNT_FLAGS.items():
-            argv = ["verify", name, f"--{flag.replace('_', '-')}", value]
+            argv = ["verify", name, _flag(flag), value]
             ran.clear()
             if flag in reads:
                 assert cli.main(argv) == 0, argv
@@ -214,7 +221,7 @@ def test_verify_refuses_a_flag_its_suite_does_not_read(monkeypatch, capsys):
             else:
                 assert cli.main(argv) == 2, argv
                 assert ran == [], argv
-                assert f"does not read --{flag.replace('_', '-')}" in capsys.readouterr().err
+                assert f"does not read {_flag(flag)}" in capsys.readouterr().err
 
 
 def test_which_suites_read_precision_and_seed(capsys):
@@ -226,17 +233,87 @@ def test_which_suites_read_precision_and_seed(capsys):
     assert capsys.readouterr().err == "usage error: suite residuals does not read --precision\n"
 
 
-@pytest.mark.parametrize("argv, explicit", [
-    (["verify", "pi-equality"], ["--precision", "128"]),
-    (["verify", "basel", "--k", "3"], ["--precision", "128"]),
-    (["verify", "p-constant", "--n-max", "5", "--j-max", "2"], ["--seed", "0"])])
-def test_an_absent_precision_or_seed_is_128_or_0(argv, explicit, capsys):
-    # the report bytes of a request without the flag are those with its default
+# each command's registry: its entries, each a function and the default of
+# every optional flag it reads, and the argv that selects an entry
+_REGISTRIES = (("verify", suites.SUITES, lambda name: ["verify", name]),
+               ("compute", cli.COMPUTE, lambda name: ["compute", name]),
+               ("bijection-dump", cli.DUMP, lambda name: ["bijection-dump", "--kind", name]))
+# small values of the size flags, for the flags a request does not test
+_SMALL = {"k": 2, "N": 20, "M": 5, "n_max": 5, "j_max": 2, "bound": 9, "precision": 64}
+
+
+def _text(value) -> str:
+    """A default as the README writes it and the parser reads it."""
+    digits = str(value.denominator) if isinstance(value, Fraction) else ""
+    if value.numerator == 1 and digits.startswith("10") and set(digits) == {"1", "0"}:
+        return f"1e-{len(digits) - 1}"
+    return str(value)
+
+
+def _default_requests():
+    """(argv without the flag, the flag and its default) for every entry of
+    every command and each flag it reads with a default; every other size
+    flag the entry reads is set small"""
+    out = []
+    for command, registry, select in _REGISTRIES:
+        for name, (_, defaults) in registry.items():
+            for field, default in defaults.items():
+                if default is None:
+                    continue
+                argv = select(name)
+                for other in defaults:
+                    if other != field and other in _SMALL:
+                        argv += [_flag(other), str(_SMALL[other])]
+                out.append(pytest.param(argv, [_flag(field), _text(default)],
+                                        id=f"{name}{_flag(field)}"))
+    return out
+
+
+@pytest.mark.parametrize("argv, explicit", _default_requests())
+def test_an_absent_flag_is_its_declared_default(argv, explicit, tmp_path, monkeypatch, capsys):
+    # the report bytes, and a dump's files, of a request without the flag
+    # are those with its declared default
+    monkeypatch.chdir(tmp_path)
     outputs = []
     for args in (argv, argv + explicit):
-        assert cli.main(args + ["--format", "json"]) == 0, args
-        outputs.append(capsys.readouterr().out)
+        code = cli.main(args + (["--out", "dump"] if args[0] == "bijection-dump"
+                                else ["--format", "json"]))
+        files = {path.name: path.read_text() for path in tmp_path.glob("dump/*")}
+        for path in tmp_path.glob("dump/*"):
+            path.unlink()
+        outputs.append((code, capsys.readouterr().out, files))
     assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 1) and outputs[0][1]
+
+
+def _readme_table(command: str) -> str:
+    """The README's table of what each entry of `command` reads: every flag
+    with its default, * where the default depends on the request."""
+    _, registry, _ = next(r for r in _REGISTRIES if r[0] == command)
+    head = {"verify": "suite", "compute": "target", "bijection-dump": "kind"}[command]
+    rows = [f"| {head} | flags read, with their defaults |", "|---|---|"]
+    for name, (_, defaults) in registry.items():
+        flags = " ".join(f"`{_flag(field)} {'*' if default is None else _text(default)}`"
+                         for field, default in defaults.items())
+        rows.append(f"| {name} | {flags} |")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "compute", "bijection-dump"])
+def test_readme_states_the_flags_and_defaults_of_each_registry_entry(command):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert _readme_table(command) in readme
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "basel", "--k", "1", "--tolerance=-1"],
+    ["verify", "basel", "--k", "1", "--tolerance", "-1"],
+    ["verify", "pi-equality", "--precision", "64", "--tolerance=-1/2"],
+    ["verify", "pi-equality", "--precision", "64", "--tolerance", "-1/2"]])
+def test_a_negative_tolerance_is_a_usage_error(argv, capsys):
+    # refused by the parser, before any suite reports a failure
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_an_unread_flag_stops_a_long_limit_suite_at_once(capsys):

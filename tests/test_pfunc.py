@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvfactor.numeric import ZERO, ApproxReal, DomainError, harmonic
+from mzvfactor.numeric import MAX_PRECISION, ZERO, ApproxReal, DomainError, harmonic
 from mzvfactor.pfunc import (
     _sum_balls,
     fpp_assembly_identity,
@@ -244,7 +244,7 @@ def test_p_eval_agrees_with_the_ball_loop(x, N, precision):
         return
     v = p_eval(x, N, precision)
     assert max(v.lo, ref.lo) <= min(v.hi, ref.hi)
-    assert v.err <= abs(v.value) / 2 ** (precision - 4)
+    assert v.err <= abs(v.value) / 2 ** (precision + 1)
     if N <= 60:
         assert v.contains(_exact_p(x, N))
         S, S2 = _sum_balls(x, N, precision)
@@ -270,7 +270,21 @@ def test_p_eval_radius_does_not_grow_with_N(precision):
     for x in (Fraction(0), Fraction(-1, 3), Fraction(9, 10)):
         for N in (20, 10 ** 3, 10 ** 5):
             v = p_eval(x, N, precision)
-            assert v.err <= abs(v.value) / 2 ** (precision - 4), (x, N)
+            assert v.err <= abs(v.value) / 2 ** (precision + 1), (x, N)
+
+
+def test_p_eval_combines_the_sums_at_their_working_precision():
+    # S, S2 and x^2 keep W = P + bitlen(N) + 8 bits through the combination;
+    # rounded at P bits, the radius here was 6.09 times 2^-P of the value
+    v = p_eval(Fraction(9, 10), 1000, 128)
+    assert v.err <= abs(v.value) / 2 ** 128
+
+
+def test_p_eval_within_w_of_the_precision_ceiling_rounds_at_the_ceiling():
+    # W = P + bitlen(N) + 8 would pass MAX_PRECISION here
+    v = p_eval(Fraction(9, 10), 50, MAX_PRECISION)
+    assert v.prec == MAX_PRECISION
+    assert v.err <= abs(v.value) / 2 ** (MAX_PRECISION - 9)
 
 
 @pytest.mark.parametrize("x, N, precision, units", [

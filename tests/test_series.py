@@ -523,7 +523,7 @@ def test_pi_freq_is_the_root_of_the_certified_zeta2_row_entry(monkeypatch):
     monkeypatch.setattr(pi_constants, "zeta2_bracket", None)
     for P in _PI_FREQ_PRECISIONS:
         calls.clear()
-        est = pi_constants.pi_freq(P).value
+        est = pi_constants.pi_freq(P)
         # the row's width at P + 1 bits
         width = Fraction(1, 2 ** (P + 2)) - Fraction(1, 2 ** (P + 7))
         plan = series.plan_limit(1, width)
