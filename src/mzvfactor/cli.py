@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import bijection, pfunc, pi_constants, series
@@ -175,34 +176,33 @@ def cmd_records(args: argparse.Namespace) -> int:
     return EXIT_PASS if all_passed(records) else EXIT_FAIL
 
 
-def dump_alpha(config: RunConfig, out_dir: str) -> tuple[list, str]:
+def _blocks(components) -> Iterable[str]:
+    return (bijection.format_component(c) + "\n" for c in components)
+
+
+def dump_alpha(config: RunConfig) -> tuple[list, dict[str, Iterable[str]]]:
     """The alpha components with entries <= bound of two or more vertices, and
     the residual vertices, the singleton components, in a file of their own."""
     k, bound = config.k, config.bound
     components, singles = [], []
     for c in bijection.alpha_walk(k, bound):
         (components if c.size() > 1 else singles).append(c)
-    path = os.path.join(out_dir, f"alpha_k{k}_b{bound}.components.txt")
-    _write_components(path, components)
-    _write_components(
-        os.path.join(out_dir, f"alpha_k{k}_b{bound}.residual_singletons.txt"), singles)
-    return components, path
+    return components, {f"alpha_k{k}_b{bound}.components.txt": _blocks(components),
+                        f"alpha_k{k}_b{bound}.residual_singletons.txt": _blocks(singles)}
 
 
-def dump_beta(config: RunConfig, out_dir: str) -> tuple[list, str]:
+def dump_beta(config: RunConfig) -> tuple[list, dict[str, Iterable[str]]]:
     """The beta component of one seed vertex at each truncation of the sweep."""
     k, sweep = config.k, config.m_sweep or (config.bound,)
     seed_vertex = bijection.V1((), 1) if k == 2 else bijection.V1((1,), 2)
     components = [bijection.component(seed_vertex, "beta", k, M=m) for m in sweep]
-    path = os.path.join(out_dir, f"beta_k{k}.components.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"# M={m}\n{bijection.format_component(c)}\n"
-                      for m, c in zip(sweep, components))
-    return components, path
+    return components, {f"beta_k{k}.components.txt": (
+        f"# M={m}\n{bijection.format_component(c)}\n" for m, c in zip(sweep, components))}
 
 
 # each dump kind and the default of each optional flag it reads; an absent
-# --m-sweep is the one truncation --bound
+# --m-sweep is the one truncation --bound. A kind returns its components and
+# the lines of each file it writes, its dump first
 DUMP = {
     "alpha": (dump_alpha, {"k": 2, "bound": 10}),
     "beta": (dump_beta, {"k": 2, "bound": 10, "m_sweep": None}),
@@ -217,21 +217,20 @@ def cmd_bijection_dump(args: argparse.Namespace) -> int:
     if not 2 <= config.k <= 5 or (args.kind == "beta" and max(config.bound, *sweep) > 60):
         raise DomainError("bijection-dump needs k in 2..5, and a bound and "
                           "--m-sweep values <= 60 for --kind beta")
+    components, files = dump(config)
+    # nothing is made before the engine has checked k, the bound and the size
     out_dir = config.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
-    components, path = dump(config, out_dir)
+    for name, lines in files.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
     histogram = sorted(Counter(c.size() for c in components).items())
     largest = max((abs(c.weight_sum) for c in components), default=ZERO)
     sys.stdout.write(f"components: {len(components)}\n"
                      f"size histogram: {' '.join(f'{s}x{n}' for s, n in histogram)}\n"
                      f"max |weight_sum|: {largest.numerator}/{largest.denominator}\n"
-                     f"dump: {path}\n")
+                     f"dump: {os.path.join(out_dir, next(iter(files)))}\n")
     return EXIT_PASS
-
-
-def _write_components(path: str, components) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(bijection.format_component(c) + "\n" for c in components)
 
 
 def main(argv: list[str] | None = None) -> int:

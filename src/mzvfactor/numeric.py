@@ -159,7 +159,6 @@ class ApproxReal:
     __slots__ = ("man", "rad", "exp", "prec")
 
     def __init__(self, value: Fraction | int, err: Fraction | int, prec: int) -> None:
-        require_precision(prec)
         value, err = Fraction(value), Fraction(err)
         den = value.denominator
         if den & (den - 1):
@@ -373,7 +372,6 @@ def pi_oracle(precision_bits: int) -> ApproxReal:
     The truncation error is the exact alternating-series bracket; the only
     other error is the final dyadic rounding, also exact.
     """
-    require_precision(precision_bits)
     eps = Fraction(1, 1 << (precision_bits + 8))
     lo5, hi5 = _atan_inv_bracket(5, eps / 32)
     lo239, hi239 = _atan_inv_bracket(239, eps / 8)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .numeric import DEFAULT_PRECISION, MAX_PRECISION, TIME_CEILING, ZERO, ApproxReal
+from .numeric import DEFAULT_PRECISION, TIME_CEILING, ZERO, ApproxReal
 from .numeric import DomainError, ResourceError, harmonic
 from .series import poly_mul_trunc
 
@@ -78,7 +78,7 @@ def require_p_eval_size(N: int, precision: int, den_bits: int, calls: int = 1) -
 
 def _sum_balls(x: Fraction, N: int, precision: int) -> tuple[ApproxReal, ApproxReal]:
     """Balls around S = sum_{n<=N} 1/(n^2 - x^2) and S2 = sum 1/(n^2 - x^2)^2
-    for |x| < 1, of working precision min(W, MAX_PRECISION). With x = a/b
+    for |x| < 1, of working precision W. With x = a/b
     the terms are the positive rationals b^2/d_n and b^4/d_n^2,
     d_n = n^2 b^2 - a^2. Each is floored on W = precision + bitlen(N) + 8
     fractional bits, less than one unit short, so each sum lies in
@@ -86,7 +86,6 @@ def _sum_balls(x: Fraction, N: int, precision: int) -> tuple[ApproxReal, ApproxR
     a, b = x.as_integer_ratio()
     b2, a2 = b * b, a * a
     W = precision + N.bit_length() + 8
-    prec = min(W, MAX_PRECISION)
     num, num2 = b2 << W, (b2 * b2) << W
     s = s2 = 0
     for n in range(1, N + 1):
@@ -94,8 +93,8 @@ def _sum_balls(x: Fraction, N: int, precision: int) -> tuple[ApproxReal, ApproxR
         s += num // d
         s2 += num2 // (d * d)
     unit = 1 << (W + 1)
-    return (ApproxReal(Fraction(2 * s + N, unit), Fraction(N, unit), prec),
-            ApproxReal(Fraction(2 * s2 + N, unit), Fraction(N, unit), prec))
+    return (ApproxReal(Fraction(2 * s + N, unit), Fraction(N, unit), W),
+            ApproxReal(Fraction(2 * s2 + N, unit), Fraction(N, unit), W))
 
 
 def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxReal:
@@ -107,15 +106,14 @@ def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxRea
     using the exact pair-sum rearrangement (S^2 - S2)/2 of the same
     truncation: S and S2 come from integer floor sums with radii below
     2^-(precision + 9), and 6 S - 4 x^2 (S^2 - S2) is taken in balls of
-    V = min(W, MAX_PRECISION) bits, W = precision + bitlen(N) + 8, with x^2
-    rounded once from its exact value. For |x| <= 9/10 (S < 6.1, S2 < 28.1,
-    S^2 - S2 < 37.2) the sums' radii add less than 0.09 2^-precision, and
-    the rounding of x^2 and the five roundings at V + 1 bits, amplified by
-    at most 4 (S^2 - S2) or 4 x^2, less than 339 2^-V. The value is above
-    1.29: with t_n = 1/(n^2 - x^2) it is sum_l t_l (6 - 8 x^2 sum_{n>l} t_n),
-    and sum_{n>=2} t_n < 0.726. So the radius is at most 2^-(precision + 1)
-    times the value whatever N, as W >= precision + 10, and
-    2^-(precision - 9) times it within bitlen(N) + 8 bits of MAX_PRECISION.
+    W = precision + bitlen(N) + 8 bits, with x^2 rounded once from its
+    exact value. For |x| <= 9/10 (S < 6.1, S2 < 28.1, S^2 - S2 < 37.2) the
+    sums' radii add less than 0.09 2^-precision, and the rounding of x^2
+    and the five roundings at W + 1 bits, amplified by at most
+    4 (S^2 - S2) or 4 x^2, less than 339 2^-W. The value is above 1.29:
+    with t_n = 1/(n^2 - x^2) it is sum_l t_l (6 - 8 x^2 sum_{n>l} t_n), and
+    sum_{n>=2} t_n < 0.726. So the radius is at most 2^-(precision + 1)
+    times the value whatever N, as W >= precision + 10.
     Points within 1/N of an integer are rejected: the terms blow up and the
     bracket becomes vacuous; the check compares x itself, exactly, so a
     point exactly 1/N from the pole is accepted. A request past

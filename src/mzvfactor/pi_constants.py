@@ -22,13 +22,11 @@ from fractions import Fraction
 from .numeric import (
     ApproxReal,
     DomainError,
-    MAX_PRECISION,
     ResourceError,
     ZERO,
     ONE,
     pi_oracle,
     power_sum_tail_bracket,
-    require_precision,
 )
 from .series import mzv_limit, mzv_truncated
 
@@ -67,11 +65,6 @@ def pi_freq(precision_bits: int) -> ApproxReal:
     precision_bits + 16 bits (the midpoint of 6 zeta(2), below 10; the
     sqrt_bounds ends; the midpoint of the root, below 4) and the radius
     roundings, which add less than 2^-(precision_bits + 13)."""
-    require_precision(precision_bits)
-    # the square root is taken in a ball at precision_bits + 16 bits
-    if precision_bits + 16 > MAX_PRECISION:
-        raise ResourceError(f"pi_freq: precision {precision_bits} exceeds ceiling "
-                            f"{MAX_PRECISION - 16}")
     z = mzv_limit(1, precision_bits + 1)[1]
     value = ApproxReal.from_bracket(6 * z.lo, 6 * z.hi, precision_bits + 16).sqrt()
     if value.err > Fraction(1, 1 << (precision_bits + 2)):
@@ -154,7 +147,6 @@ def pi_amp(N: int, precision_bits: int = 128) -> tuple[ApproxReal, Fraction | No
     The bracket endpoints are dyadic roundings taken outward (floor below,
     ceiling above), so the certificate survives the rounding.
     """
-    require_precision(precision_bits)
     num, den = _wallis_raw(N)
     shift = precision_bits + 8
     lo = Fraction((num << shift) // den, 1 << shift)
@@ -225,7 +217,6 @@ def g_eval(x: Fraction, precision_bits: int = 128) -> tuple[ApproxReal, ApproxRe
     the first omitted term of g (the smaller remainder); so no radius is
     more than 1.5 times its remainder.
     """
-    require_precision(precision_bits)
     x = Fraction(x)
     if abs(x) > 4:
         raise DomainError("g_eval is certified on [-4, 4] only")
@@ -311,12 +302,6 @@ def three_way_pi_compare(precision_bits: int) -> tuple[dict[str, ApproxReal], Fr
     24 bits finer for the arc's endpoints), "amp" (pi_amp at WALLIS_PAIRS),
     "arc" (arc_length) and "oracle" (the Machin oracle); and the arc's eps,
     the bound of |g^2 + g'^2 - 1| on |x| <= 355/113."""
-    require_precision(precision_bits)
-    # arc_length takes pi_freq 24 bits finer, and pi_freq its root 16 bits
-    # finer still: refuse a request past that before any estimate is built
-    if precision_bits + 40 > MAX_PRECISION:
-        raise ResourceError(f"pi-equality: precision {precision_bits} exceeds ceiling "
-                            f"{MAX_PRECISION - 40}")
     freq = pi_freq(precision_bits + 24)
     arc, eps = arc_length(freq, precision_bits)
     return {

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
-from .numeric import DomainError, frac_to_decimal
+from .numeric import DomainError, frac_to_decimal, require_precision
 
 DECIMAL_PLACES = 45
 
@@ -154,11 +154,16 @@ class RunConfig:
         """The one rule for the optional flags of every command. `defaults`
         maps each field `what` reads to its default; a flag given that it
         does not read is a DomainError, and each absent one it reads takes
-        its default."""
+        its default. A precision it reads is checked here and nowhere else:
+        the engine takes its guard bits past it uncapped, so it certifies
+        every precision in range."""
         unread = [f"--{f.name.replace('_', '-')}" for f in fields(self)
                   if f.name not in defaults and f.name not in ("output_format", "output_path")
                   and getattr(self, f.name) is not None]
         if unread:
             raise DomainError(f"{what} does not read {', '.join(unread)}")
-        return replace(self, **{name: value for name, value in defaults.items()
-                                if getattr(self, name) is None})
+        config = replace(self, **{name: value for name, value in defaults.items()
+                                  if getattr(self, name) is None})
+        if "precision" in defaults:
+            require_precision(config.precision)
+        return config

@@ -40,30 +40,32 @@ from .numeric import (
     ZERO,
     ONE,
     power_sum_tail_numerators,
-    require_precision,
     round_to_bits,  # not called here; bench/test_bench.py checks the tracer wraps this binding
 )
 
 # the largest truncation of an exact head row or zeta_N(2)
 EXACT_N_LIMIT = 10 ** 4
-# The deepest Euler-Maclaurin tail. At N = 8192, MAX_PRECISION = 16384 bits
-# takes depth 1469 for the row at every k (the entry zeta({2}^2), whose
-# floor is widest, decides it), and pi_freq's ceiling of 16368 bits, a
-# row at 16369 bits, takes 1467; the cap leaves about 8% of headroom, and
-# no admitted request plans deeper than it needs. There a whole `compute
-# mzv` request took 2.5 s of CPU time at k = 1, 2.7 s at k = 8 and 5.0 s
-# at k = 24 on a shared 2-CPU Xeon host, up to 3.2 s of it the Bernoulli
-# numbers to B_2940.
+# The deepest Euler-Maclaurin tail. At N = 8192 a row at the 16384-bit
+# precision ceiling takes depth 1469 at every k (the entry zeta({2}^2),
+# whose floor is widest, decides it), and the deepest plan any request
+# makes, pi-equality's zeta(2) row at 16409 bits (pi_freq 24 bits finer,
+# its row one bit finer still), takes 1472; the cap leaves about 4% of
+# headroom (the plan reaches 16936 bits), and no admitted request plans
+# deeper than it needs. There a whole `compute mzv` request took 2.5 s of
+# CPU time at k = 1, 2.7 s at k = 8 and 5.0 s at k = 24 on a shared 2-CPU
+# Xeon host, up to 3.2 s of it the Bernoulli numbers to B_2940.
 EM_CEILING = 1536
 # The largest k of a certified limit. The slowest request at a given k is
-# one at MAX_PRECISION, a single attempt at N = 8192 and depth 1469; on a
-# shared 2-CPU Xeon host a `compute mzv` row there took 2.5 s of CPU time
-# at k = 1, 5.0 s at k = 24, 12.5 s at k = 48 and 22 s at k = 64, most of
-# it the exact head (18 of 25 s at k = 64 under cProfile; the plan 0.1 s,
-# the row's sums 0.7 s). With the head growing as k^2, k = 64 keeps more
-# than half of the 60 s budget in hand for a slower host, and so does
-# `verify basel --k 64` at 16352 bits (26 s). A 64-bit request at k = 64
-# takes 0.02 s.
+# one at the 16384-bit precision ceiling, a single attempt at N = 8192 and
+# depth 1469; on a shared 2-CPU Xeon host a `compute mzv` row there took
+# 2.5 s of CPU time at k = 1, 5.0 s at k = 24, 12.5 s at k = 48 and 22 s
+# at k = 64, most of it the exact head (18 of 25 s at k = 64 under
+# cProfile; the plan 0.1 s, the row's sums 0.7 s). With the head growing
+# as k^2, k = 64 keeps about half of the 60 s budget in hand for a slower
+# host, and so do `verify basel --k 64` and `verify factorization --k 64`
+# there (29-33 s, with basel's oracle 32 bits finer): this ceiling alone
+# bounds the time of the limit suites. A 64-bit request at k = 64 takes
+# 0.02 s.
 MZV_K_CEILING = 64
 
 
@@ -373,7 +375,6 @@ def mzv_limit(k: int, precision_bits: int) -> list[ApproxReal]:
     error at most 2^-(precision_bits + 2), from one bracket row at the
     (N, em) of plan_limit."""
     require_limit_k(k)
-    require_precision(precision_bits)
     if k == 0:
         return [ApproxReal.exact(1, precision_bits)]
     target = Fraction(1, 1 << (precision_bits + 2))

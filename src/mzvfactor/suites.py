@@ -39,35 +39,14 @@ TEN = Fraction(10)
 # ---------------------------------------------------------------------------
 
 # verify basel and verify factorization take one certified row, every
-# zeta({2}^k), k <= K, from one mzv_limit call at K. In a fresh process on a
-# shared 2-CPU x86-64 Xeon host (CPython 3.11), a whole verify basel request
-# took 0.22, 0.23, 0.35, 0.73 and 1.03 s of CPU time at K = 1, 8, 24, 48 and
-# 64 at 4096 bits; 1.39, 1.55, 2.08, 3.02 and 4.68 s at 8192 bits; 5.97,
-# 6.63, 8.09, 17.9 and 25.6 s at 16352 bits (verify factorization within
-# 10% of these). Each includes the Bernoulli numbers (3.2 s to B_2940) and
-# the basel oracle 32 bits finer (0.07, 0.37 and 2.55 s); the rest grows
-# with K as the exact head's K^2 products. The closed form in
-# require_limits_size, with (P^2 >> 20) + 1 for the growth in the precision
-# P, gives 1.04 to 1.3 times each of these at 16352 bits, 1.07 to 1.7 at
-# 8192 and about 2 at 4096: 31 s at K = 64 and 16352 bits, so it admits
-# every K up to MZV_K_CEILING at the suites' reach, and a larger K is
-# refused by the k ceiling. The ceiling is TIME_CEILING.
-def require_limits_size(k_max: int, precision_bits: int) -> None:
-    """Refuse the certified row zeta({2}^k), k <= k_max, at precision_bits
-    from the k ceiling and a closed-form bound of its time in microseconds,
-    before any limit is computed."""
-    series.require_limit_k(k_max)
-    K, scale = k_max, (precision_bits * precision_bits >> 20) + 1
-    cost = scale * (24000 + 200 * K + 21 * K * K)
-    if cost > TIME_CEILING:
-        raise ResourceError(f"certified limits k <= {k_max} at {precision_bits} bits: "
-                            f"{cost} us exceeds ceiling {TIME_CEILING}")
+# zeta({2}^k), k <= K, from one mzv_limit call at K: series.MZV_K_CEILING
+# bounds their time at every admitted precision.
 
 
 def suite_basel(config: RunConfig) -> list[VerificationReport]:
     """zeta({2}^k) brackets against pi^(2k)/(2k+1)! from the oracle."""
     k_max, prec = config.k, config.precision
-    require_limits_size(k_max, prec)   # refuse before any limit is computed
+    series.require_limit_k(k_max)   # refuse before the oracle and any limit
     out = []
     # 32 guard bits keep the closed form's radius far below the limit's
     pi = pi_oracle(max(prec, DEFAULT_PRECISION) + 32)
@@ -87,8 +66,8 @@ def suite_basel(config: RunConfig) -> list[VerificationReport]:
 def suite_factorization(config: RunConfig) -> list[VerificationReport]:
     """(2k+1)(2k) zeta({2}^k) = zeta({2}^{k-1}) 6 zeta(2), certified."""
     k_max, prec = config.k, config.precision
-    require_limits_size(k_max, prec)   # refuse before any limit is computed
     out = []
+    # its first work is the row, which refuses a k past the ceiling
     levels = bijection.factorization_check(k_max, prec)
     for k, (lhs, rhs, mzv, closed) in enumerate(levels, start=1):
         budget = lhs.err + rhs.err

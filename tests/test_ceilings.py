@@ -1,10 +1,10 @@
 """Every resource ceiling of series, pi_constants, bijection, pfunc and the
 product-structure, p-constant, pi-equality, basel and factorization suites
 refuses the smallest request it refuses within 2 s of process time; a
-certified limit is refused before it builds anything, within two bits of
-what its plan reaches or past its k ceiling. The largest Wallis request
-admitted finishes within seconds, and the largest p_eval request admitted
-at the default precision within its budget.
+certified limit is refused before it builds anything, past the precision
+ceiling, within two bits of what its plan reaches or past its k ceiling.
+The largest Wallis request admitted finishes within seconds, and the
+largest p_eval request admitted at the default precision within its budget.
 """
 
 import time
@@ -78,32 +78,36 @@ def _size_check(check):
     return lambda n: _refused(lambda: check(n))
 
 
+def _compute(target, **flags):
+    """A compute request through the registry, as the CLI resolves it."""
+    compute, defaults = cli.COMPUTE[target]
+    return compute(RunConfig(**flags).resolve(f"compute {target}", defaults))
+
+
 def _requests(monkeypatch):
     """(name, the smallest refused request) for every ceiling."""
     out = []
-    # the plans reach every precision the ceilings admit: MAX_PRECISION, and
-    # for pi_freq, whose root is taken 16 bits finer, MAX_PRECISION - 16 (a
-    # row at MAX_PRECISION - 15)
-    for k in (1, 4, 8):
-        p = _first_refused_precision(monkeypatch, _mzv(k), _MZV_WORK)
+    # the precision is checked once, where a request is resolved: every
+    # command reaches its work at MAX_PRECISION, and is refused one bit past
+    # it, whatever guard bits it takes below
+    for name, compute in [(f"mzv k={k}", lambda p, k=k: _compute("mzv", k=k, precision=p))
+                          for k in (1, 4, 8)] + [
+            ("pi_freq", lambda p: _compute("pi-freq", precision=p)),
+            ("pi-equality", lambda p: suites.run_suite("pi-equality", RunConfig(precision=p)))]:
+        p = _first_refused_precision(monkeypatch, compute, _MZV_WORK)
         assert p == MAX_PRECISION + 1
-        out.append((f"mzv k={k} at {p} bits", lambda k=k, p=p: series.mzv_limit(k, p)))
-    p = _first_refused_precision(monkeypatch, pi_constants.pi_freq, _MZV_WORK)
-    assert p == MAX_PRECISION - 15
-    out.append((f"pi_freq at {p} bits", lambda p=p: pi_constants.pi_freq(p)))
-    # arc_length takes pi_freq 24 bits finer
-    p = _first_refused_precision(monkeypatch, pi_constants.three_way_pi_compare, _MZV_WORK)
-    assert p == MAX_PRECISION - 39
-    out.append((f"pi-equality at {p} bits",
-                lambda p=p: suites.run_suite("pi-equality", RunConfig(precision=p))))
+        out.append((f"{name} at {p} bits", lambda p=p, compute=compute: compute(p)))
+    p = _smallest(lambda p: _refused_before_work(
+        monkeypatch, lambda: _compute("p-eval", N=10, precision=p), [(pfunc, "_sum_balls")]), 32)
+    assert p == MAX_PRECISION + 1
+    out.append((f"p-eval at {p} bits", lambda p=p: _compute("p-eval", N=10, precision=p)))
     out.append(("mzv k ceiling", lambda: series.mzv_limit(series.MZV_K_CEILING + 1, 64)))
-    # the basel oracle runs 32 bits finer, so 16352 bits is the suites' reach;
-    # there the row's cost admits every k the k ceiling does
-    k = _smallest(_size_check(lambda k: suites.require_limits_size(k, MAX_PRECISION - 32)), 1)
+    # the limit suites are refused by the k ceiling alone, at every precision
+    k = _smallest(_size_check(series.require_limit_k), 1)
     assert k == series.MZV_K_CEILING + 1
     for name in ("basel", "factorization"):
-        config = RunConfig(k=k, precision=MAX_PRECISION - 32)
-        out.append((f"{name} k={k} at {MAX_PRECISION - 32} bits",
+        config = RunConfig(k=k, precision=MAX_PRECISION)
+        out.append((f"{name} k={k} at {MAX_PRECISION} bits",
                     lambda name=name, config=config: suites.run_suite(name, config)))
     out += [("mzv bracket N",
              lambda: series.mzv_limit_bracket(2, series.EXACT_N_LIMIT + 1, bits=64)),
@@ -144,7 +148,7 @@ def _largest_admitted_p_eval():
 
 def test_every_ceiling_refuses_its_smallest_request_within_2s(monkeypatch):
     requests = _requests(monkeypatch)
-    assert len(requests) == 21
+    assert len(requests) == 22
     for name, call in requests:
         start = time.process_time()
         with pytest.raises(ResourceError):
@@ -191,20 +195,26 @@ def test_the_k_ceiling_refuses_before_any_limit_is_built(monkeypatch):
         assert refused == [k > series.MZV_K_CEILING] * 3
 
 
-def test_the_limit_cost_ceiling_admits_the_defaults_and_the_benchmark_requests():
+def test_the_limit_suites_admit_every_k_to_the_k_ceiling_at_every_precision(monkeypatch):
     # verify basel and factorization at their defaults (k = 8, 128 bits), the
     # certified-limits requests (k <= 7, 64 to 116 bits), the k ceiling at
-    # 64 bits, and k = 24 and the k ceiling at the suites' reach of 16352 bits
+    # 64 bits, and k = 24 and the k ceiling at MAX_PRECISION reach their
+    # work: basel its oracle, factorization its row
     for k, prec in ((8, 128), (7, 116), (series.MZV_K_CEILING, 64),
-                    (24, MAX_PRECISION - 32), (series.MZV_K_CEILING, MAX_PRECISION - 32)):
-        suites.require_limits_size(k, prec)
+                    (24, MAX_PRECISION), (series.MZV_K_CEILING, MAX_PRECISION)):
+        for name in ("basel", "factorization"):
+            config = RunConfig(k=k, precision=prec)
+            assert not _refused_before_work(
+                monkeypatch, lambda: suites.run_suite(name, config),
+                _MZV_WORK + [(suites, "pi_oracle")]), (name, k, prec)
 
 
-def test_the_limit_suites_refuse_past_the_cost_ceiling_before_any_limit(monkeypatch):
+def test_the_limit_suites_refuse_past_the_k_ceiling_before_the_oracle_or_any_limit(monkeypatch):
     for name in ("basel", "factorization"):
-        config = RunConfig(k=series.MZV_K_CEILING + 1, precision=MAX_PRECISION - 32)
+        config = RunConfig(k=series.MZV_K_CEILING + 1, precision=MAX_PRECISION)
         assert _refused_before_work(
-            monkeypatch, lambda: suites.run_suite(name, config), _MZV_WORK)
+            monkeypatch, lambda: suites.run_suite(name, config),
+            _MZV_WORK + [(suites, "pi_oracle")])
 
 
 @pytest.mark.parametrize("name", ["basel", "factorization"])
@@ -241,27 +251,28 @@ def test_the_alpha_suite_checks_every_level_before_any_closure(monkeypatch):
 
 
 def test_a_request_just_past_the_reach_is_refused_before_any_work(monkeypatch):
-    # the plan reaches MAX_PRECISION at every k: such a request gets to its
-    # work, and one bit more is refused before any
+    # every k gets to its work at MAX_PRECISION, and one bit more is
+    # refused before any
     for k in (1, 8, 24):
         assert not _refused_before_work(
-            monkeypatch, lambda: series.mzv_limit(k, MAX_PRECISION), _MZV_WORK)
+            monkeypatch, lambda: _compute("mzv", k=k, precision=MAX_PRECISION), _MZV_WORK)
         start = time.process_time()
         assert _refused_before_work(
-            monkeypatch, lambda: series.mzv_limit(k, MAX_PRECISION + 1), _MZV_WORK)
+            monkeypatch, lambda: _compute("mzv", k=k, precision=MAX_PRECISION + 1), _MZV_WORK)
         assert time.process_time() - start < 2
 
 
 def test_pi_freq_certifies_at_its_ceiling_and_refuses_past_it_before_planning(monkeypatch):
-    # the square root is taken at 16 bits past the request, so the ceiling
-    # is MAX_PRECISION - 16
-    p = MAX_PRECISION - 16
+    # the square root is taken 16 bits past the request and the row one bit
+    # past it, neither capped: its ceiling is MAX_PRECISION, as for every
+    # command
+    p = MAX_PRECISION
     est = pi_constants.pi_freq(p)
     assert est.err <= Fraction(1, 2 ** (p + 2))
     pi = pi_oracle(256)
     assert est.lo <= pi.hi and pi.lo <= est.hi
     start = time.process_time()
-    assert _refused_before_work(monkeypatch, lambda: pi_constants.pi_freq(p + 1),
+    assert _refused_before_work(monkeypatch, lambda: _compute("pi-freq", precision=p + 1),
                                 _MZV_WORK + [(series, "plan_limit")])
     assert time.process_time() - start < 2
 

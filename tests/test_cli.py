@@ -238,6 +238,29 @@ def test_which_suites_read_precision_and_seed(capsys):
 _REGISTRIES = (("verify", suites.SUITES, lambda name: ["verify", name]),
                ("compute", cli.COMPUTE, lambda name: ["compute", name]),
                ("bijection-dump", cli.DUMP, lambda name: ["bijection-dump", "--kind", name]))
+
+
+@pytest.mark.parametrize("precision, code", [(31, 2), (32, 0), (16384, 0), (16385, 3)])
+@pytest.mark.parametrize("command, registry, name", [
+    pytest.param(command, registry, name, id=f"{command}-{name}")
+    for command, registry, _ in _REGISTRIES
+    for name, (_, defaults) in registry.items() if "precision" in defaults])
+def test_every_entry_that_reads_precision_takes_32_to_16384_bits(
+        command, registry, name, precision, code, monkeypatch, capsys):
+    # one rule, checked as the request is resolved: outside the range the
+    # entry never runs and nothing is written
+    ran = []
+    monkeypatch.setitem(registry, name, (lambda config: ran.append(config.precision) or
+                                         [bool_record("ok", True)], registry[name][1]))
+    start = time.process_time()
+    assert cli.main([command, name, "--precision", str(precision)]) == code
+    assert time.process_time() - start < 1
+    out, err = capsys.readouterr()
+    assert ran == ([precision] if code == 0 else [])
+    assert (out == "") == (code != 0)
+    if code:
+        assert err.startswith("usage error: precision must be at least 32" if code == 2
+                              else "resource error: precision 16385 exceeds ceiling 16384")
 # small values of the size flags, for the flags a request does not test
 _SMALL = {"k": 2, "N": 20, "M": 5, "n_max": 5, "j_max": 2, "bound": 9, "precision": 64}
 
@@ -318,7 +341,7 @@ def test_a_negative_tolerance_is_a_usage_error(argv, capsys):
 
 def test_an_unread_flag_stops_a_long_limit_suite_at_once(capsys):
     start = time.process_time()
-    assert cli.main(["verify", "basel", "--k", "24", "--precision", "16352",
+    assert cli.main(["verify", "basel", "--k", "24", "--precision", "16384",
                      "--n-max", "1"]) == 2
     assert time.process_time() - start < 1
     assert capsys.readouterr().err == "usage error: suite basel does not read --n-max\n"
@@ -422,7 +445,7 @@ def test_resource_error_exit_code():
 
 
 @pytest.mark.parametrize("argv", [["compute", "mzv", "--k", "8", "--precision", "16385"],
-                                  ["compute", "pi-freq", "--precision", "16369"]])
+                                  ["compute", "pi-freq", "--precision", "16385"]])
 def test_limit_past_its_reach_exits_3_at_once(argv):
     start = time.process_time()
     assert cli.main(argv) == 3
@@ -488,6 +511,20 @@ def test_bijection_dump_alpha(tmp_path):
         assert block.splitlines()[-1] == "sum=0/1"
     singles = (tmp_path / "alpha_k2_b6.residual_singletons.txt").read_text()
     assert "sum=" in singles
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--bound", "-3"], 2),
+    # k = 2 has more than bound^2 vertices, here past VERTEX_CEILING
+    (["--k", "2", "--bound", str(math.isqrt(bijection.VERTEX_CEILING) + 1)], 3)])
+def test_a_refused_bijection_dump_leaves_no_directory(argv, code, tmp_path, capsys):
+    # the engine checks k, the bound and the size before anything is made
+    out = tmp_path / "newdir"
+    start = time.process_time()
+    assert cli.main(["bijection-dump", *argv, "--kind", "alpha", "--out", str(out)]) == code
+    assert time.process_time() - start < 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 def test_bijection_dump_beta_sweep(tmp_path):

@@ -13,7 +13,6 @@ from mzvfactor.numeric import (
     GUARD_BITS,
     ApproxReal,
     DomainError,
-    ResourceError,
     ZERO,
     bernoulli_even,
     err_up,
@@ -186,13 +185,6 @@ def test_pi_oracle_consistency_across_precisions():
     assert abs(a.value - b.value) <= a.err + b.err
 
 
-def test_pi_oracle_rejects_out_of_range_precision():
-    with pytest.raises(DomainError):
-        pi_oracle(16)
-    with pytest.raises(ResourceError):
-        pi_oracle(1 << 20)
-
-
 def test_round_to_bits_error_is_exact():
     q = Fraction(1, 3)
     v, err = round_to_bits(q, 64)
@@ -331,13 +323,10 @@ def test_approx_radius_bounds_a_long_sum(terms, prec):
     assert total.err <= 3 * len(terms) * scale / 2 ** (prec + 1)
 
 
-def test_ball_precision_is_checked():
+def test_a_ball_midpoint_is_dyadic():
+    # the precision is checked where a request is resolved (tests/test_report.py)
     with pytest.raises(DomainError):
-        ApproxReal.from_rational(Fraction(1, 3), 8)
-    with pytest.raises(ResourceError):
-        ApproxReal.exact(1, 1 << 20)
-    with pytest.raises(DomainError):
-        ApproxReal.exact(Fraction(1, 3), 64)   # a ball's midpoint is dyadic
+        ApproxReal.exact(Fraction(1, 3), 64)
 
 
 # The radii of the previous ball layout (a radius with an exponent of its

@@ -280,11 +280,12 @@ def test_p_eval_combines_the_sums_at_their_working_precision():
     assert v.err <= abs(v.value) / 2 ** 128
 
 
-def test_p_eval_within_w_of_the_precision_ceiling_rounds_at_the_ceiling():
-    # W = P + bitlen(N) + 8 would pass MAX_PRECISION here
+def test_p_eval_at_the_precision_ceiling_keeps_its_working_precision():
+    # W = P + bitlen(N) + 8 passes MAX_PRECISION here; the ball is not
+    # capped there, so the radius bound holds at the ceiling too
     v = p_eval(Fraction(9, 10), 50, MAX_PRECISION)
-    assert v.prec == MAX_PRECISION
-    assert v.err <= abs(v.value) / 2 ** (MAX_PRECISION - 9)
+    assert v.prec == MAX_PRECISION + (50).bit_length() + 8
+    assert v.err <= abs(v.value) / 2 ** (MAX_PRECISION + 1)
 
 
 @pytest.mark.parametrize("x, N, precision, units", [

@@ -1,9 +1,14 @@
-"""Report records: the pass rule, formats, and ordering."""
+"""Report records: the pass rule, formats, and ordering; the one rule for
+a request's optional flags."""
 
 import json
 from fractions import Fraction
 
+import pytest
+
+from mzvfactor.numeric import MAX_PRECISION, DomainError, ResourceError
 from mzvfactor.report import (
+    RunConfig,
     all_passed,
     bool_record,
     make_record,
@@ -74,3 +79,21 @@ def test_sort_is_stable_copy():
     ordered = sort_records(recs)
     assert [r.claim_id for r in ordered] == ["a", "z"]
     assert [r.claim_id for r in recs] == ["z", "a"]
+
+
+def test_resolve_checks_the_precision_of_an_entry_that_reads_it():
+    reads = {"precision": 128}
+    for bits in (32, 128, MAX_PRECISION):
+        assert RunConfig(precision=bits).resolve("entry", reads).precision == bits
+    for bits in (16, 31):
+        with pytest.raises(DomainError, match=f"at least 32 bits, got {bits}"):
+            RunConfig(precision=bits).resolve("entry", reads)
+    for bits in (MAX_PRECISION + 1, 1 << 20):
+        with pytest.raises(ResourceError, match=f"precision {bits} exceeds ceiling"):
+            RunConfig(precision=bits).resolve("entry", reads)
+    # the resolved value is the one checked, a default as well as a flag
+    with pytest.raises(DomainError):
+        RunConfig().resolve("entry", {"precision": 16})
+    # an entry that does not read --precision refuses it as unread
+    with pytest.raises(DomainError, match="entry does not read --precision"):
+        RunConfig(precision=MAX_PRECISION + 1).resolve("entry", {"k": 2})
