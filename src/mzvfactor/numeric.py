@@ -1,5 +1,5 @@
 """Exact rational arithmetic, harmonic numbers, tail brackets, and a
-self-contained high-precision pi oracle.
+self-contained high-precision pi oracle, Machin's formula summed on integers.
 
 Everything here is certified: an ApproxReal is a dyadic ball, an integer
 midpoint and an integer radius on one shared exponent, that is guaranteed
@@ -345,39 +345,32 @@ def harmonic(n: int) -> Fraction:
 # pi oracle (Machin arctangent series, independent of everything else)
 # ---------------------------------------------------------------------------
 
-def _atan_inv_bracket(m: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact bracket for arctan(1/m) via the alternating Taylor series.
-
-    Consecutive partial sums bracket the limit, so [min(S_T, S_{T+1}),
-    max(S_T, S_{T+1})] is certified once the appended term is below eps.
-    """
-    s = ZERO
-    term_num = Fraction(1, m)
-    k = 0
-    prev = s
-    while True:
-        prev = s
-        t = term_num / (2 * k + 1)
-        s = s + t if k % 2 == 0 else s - t
-        if t <= eps and k > 0:
-            break
-        term_num /= m * m
-        k += 1
-    return (min(prev, s), max(prev, s))
+def _atan_inv(m: int, b: int) -> tuple[int, int]:
+    """Integer ends lo <= 2^b arctan(1/m) <= hi, m >= 2, by the alternating
+    Taylor series on floors: p_0 = 2^b // m, p_j = p_{j-1} // m^2 and
+    t_j = p_j // (2j+1). Nested floors make t_j the floor of the exact term
+    2^b / (m^(2j+1) (2j+1)), less than one unit short, so the exact sum of
+    the J terms lies less than ceil(J/2) units above their sum s and
+    floor(J/2) below it. The sum stops at the first p_J = 0, where the exact
+    term and so the remainder are below one unit."""
+    p, s, j = (1 << b) // m, 0, 0
+    while p:
+        t = p // (2 * j + 1)
+        s, p, j = s - t if j & 1 else s + t, p // (m * m), j + 1
+    return s - j // 2 - 1, s + (j + 1) // 2 + 1
 
 
 def pi_oracle(precision_bits: int) -> ApproxReal:
-    """pi to the requested precision via 16*atan(1/5) - 4*atan(1/239).
-
-    The truncation error is the exact alternating-series bracket; the only
-    other error is the final dyadic rounding, also exact.
-    """
-    eps = Fraction(1, 1 << (precision_bits + 8))
-    lo5, hi5 = _atan_inv_bracket(5, eps / 32)
-    lo239, hi239 = _atan_inv_bracket(239, eps / 8)
-    lo = 16 * lo5 - 4 * hi239
-    hi = 16 * hi5 - 4 * lo239
-    return ApproxReal.from_bracket(lo, hi, precision_bits)
+    """pi via 16 atan(1/5) - 4 atan(1/239), each by _atan_inv on b =
+    precision_bits + bitlen(precision_bits) + 16 bits. Their J_m terms
+    (m^(2 J_m - 1) <= 2^b) leave a bracket of 16 (J_5 + 2) + 4 (J_239 + 2)
+    < 3.8 b + 50 < 2^(b - precision_bits - 8) units of 2^-b; the final
+    dyadic rounding is exact."""
+    b = precision_bits + precision_bits.bit_length() + 16
+    lo5, hi5 = _atan_inv(5, b)
+    lo239, hi239 = _atan_inv(239, b)
+    return ApproxReal.from_bracket(Fraction(16 * lo5 - 4 * hi239, 1 << b),
+                                   Fraction(16 * hi5 - 4 * lo239, 1 << b), precision_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -166,34 +166,18 @@ def pi_amp(N: int, precision_bits: int = 128) -> tuple[ApproxReal, Fraction | No
 # The normalized odd series g and its derivative
 # ---------------------------------------------------------------------------
 
-def _round_up(c: int, e: int) -> tuple[int, int]:
-    """An upper bound m 2^f of c 2^e (c > 0) with a 64-bit mantissa m."""
-    n = c.bit_length() - 64
-    return (-(-c >> n), e + n) if n > 0 else (c << -n, e + n)
-
-
 def _terms(p: int, q: int, precision_bits: int) -> tuple[int, int]:
-    """(T, L) for g at x = p/q with 0 < x <= 4. T is the first t >= 1 at
-    which upper bounds show x^(2t+1)/(2t+1)! < 2^-(precision_bits+8) and
-    x^2 < (2t+2)(2t+3); 2^L is at most the first omitted term
-    x^(2T+3)/(2T+3)!.
-
-    The bounds are taken on small integers: x <= m 2^-s with m of 64 bits,
-    and each term is rounded up to a 64-bit mantissa. Each of the 4T + 5
-    roundings gains a factor below 1 + 2^-63, so the bound of the first
-    omitted term is less than twice the term."""
-    s = 64 + q.bit_length() - p.bit_length()
-    m = -(-(p << s) // q)
-    m2 = m * m
-    c, e = m, -s
+    """(T, L) for g at x = p/q > 0. T is the first t >= 1 with
+    x^(2t+1)/(2t+1)! <= 2^-(precision_bits+8) and x^2 < (2t+2)(2t+3),
+    compared exactly as p^(2t+1) 2^(precision_bits+8) <= q^(2t+1) (2t+1)!.
+    2^L is at most the first omitted term x^(2T+3)/(2T+3)! = a/d, with
+    L = bitlen(a) - bitlen(d) - 1 as a >= 2^(bitlen(a)-1) and d < 2^bitlen(d)."""
+    a, d, u, v = p ** 3, 6 * q ** 3, p * p, q * q
     t = 1
-    while True:
-        c, e = _round_up(-(-c * m2 // ((2 * t) * (2 * t + 1))), e - 2 * s)
-        ratio_ok = m2 < ((2 * t + 2) * (2 * t + 3)) << (2 * s)
-        if ratio_ok and c.bit_length() + e <= -(precision_bits + 8):
-            c, e = _round_up(-(-c * m2 // ((2 * t + 2) * (2 * t + 3))), e - 2 * s)
-            return t, c.bit_length() + e - 2
-        t += 1
+    while a << (precision_bits + 8) > d or u >= (2 * t + 2) * (2 * t + 3) * v:
+        a, d, t = a * u, d * v * ((2 * t + 2) * (2 * t + 3)), t + 1
+    a, d = a * u, d * v * ((2 * t + 2) * (2 * t + 3))
+    return t, a.bit_length() - d.bit_length() - 1
 
 
 def g_eval(x: Fraction, precision_bits: int = 128) -> tuple[ApproxReal, ApproxReal]:

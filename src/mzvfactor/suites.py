@@ -38,6 +38,15 @@ TEN = Fraction(10)
 
 # ---------------------------------------------------------------------------
 
+def _limit_tolerance(config: RunConfig) -> Fraction:
+    """The tolerance of basel, factorization and pi-equality: --tolerance,
+    else 1e-20 from 128 bits and 1e-8 below, which a certified error of
+    about 2^-precision meets at every precision from 32 bits."""
+    if config.tolerance is not None:
+        return config.tolerance
+    return TEN ** -20 if config.precision >= 128 else TEN ** -8
+
+
 # verify basel and verify factorization take one certified row, every
 # zeta({2}^k), k <= K, from one mzv_limit call at K: series.MZV_K_CEILING
 # bounds their time at every admitted precision.
@@ -45,7 +54,7 @@ TEN = Fraction(10)
 
 def suite_basel(config: RunConfig) -> list[VerificationReport]:
     """zeta({2}^k) brackets against pi^(2k)/(2k+1)! from the oracle."""
-    k_max, prec = config.k, config.precision
+    k_max, prec, tol = config.k, config.precision, _limit_tolerance(config)
     series.require_limit_k(k_max)   # refuse before the oracle and any limit
     out = []
     # 32 guard bits keep the closed form's radius far below the limit's
@@ -58,14 +67,14 @@ def suite_basel(config: RunConfig) -> list[VerificationReport]:
             f"eq2.k{k}", z.value, closed.value, z.err + closed.err, ZERO,
             params={"k": k, "precision_bits": prec}))
         out.append(make_record(
-            f"eq2.width.k{k}", 2 * z.err, ZERO, ZERO, config.tolerance,
+            f"eq2.width.k{k}", 2 * z.err, ZERO, ZERO, tol,
             params={"k": k, "precision_bits": prec}))
     return out
 
 
 def suite_factorization(config: RunConfig) -> list[VerificationReport]:
     """(2k+1)(2k) zeta({2}^k) = zeta({2}^{k-1}) 6 zeta(2), certified."""
-    k_max, prec = config.k, config.precision
+    k_max, prec, tol = config.k, config.precision, _limit_tolerance(config)
     out = []
     # its first work is the row, which refuses a k past the ceiling
     levels = bijection.factorization_check(k_max, prec)
@@ -75,7 +84,7 @@ def suite_factorization(config: RunConfig) -> list[VerificationReport]:
             f"factorization.k{k}", lhs.value, rhs.value, budget, ZERO,
             params={"k": k, "precision_bits": prec}))
         out.append(make_record(
-            f"factorization.err.k{k}", budget, ZERO, ZERO, config.tolerance, params={"k": k}))
+            f"factorization.err.k{k}", budget, ZERO, ZERO, tol, params={"k": k}))
         out.append(bool_record(
             f"factorization.closed_form.k{k}",
             abs(mzv.value - closed.value) <= mzv.err + closed.err, params={"k": k}))
@@ -86,6 +95,9 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
     """The exact core of the constancy argument plus its numeric shadow."""
     n_small = config.N
     n_large = 10 * n_small
+    # the grid reaches x = 9/10, which p_eval takes only at N >= 10
+    if n_small < 10:
+        raise DomainError(f"p-constant needs N >= 10, got {n_small}")
     # ten points x = i/10 at each depth: together at most eleven calls at n_large
     pfunc.require_p_eval_size(n_large, DEFAULT_PRECISION, 4, calls=11)
     out = []
@@ -231,9 +243,7 @@ def suite_residuals(config: RunConfig) -> list[VerificationReport]:
 
 def suite_pi_equality(config: RunConfig) -> list[VerificationReport]:
     """The four estimates of pi agree, and g^2 + g'^2 = 1 on [-pi, pi]."""
-    prec = config.precision
-    default = TEN ** -20 if prec >= 128 else TEN ** -8
-    tol = default if config.tolerance is None else config.tolerance
+    prec, tol = config.precision, _limit_tolerance(config)
     ests, eps = pi_constants.three_way_pi_compare(prec)
     # the arc's certificate bounds |g^2 + g'^2 - 1| on all of |x| <= 355/113
     out = [make_record("pi.pythagorean", eps, ZERO, ZERO, tol,
@@ -296,6 +306,8 @@ def suite_product_structure(config: RunConfig) -> list[VerificationReport]:
     """Oddness, integer zeros, the two product displays, the periodicity
     sign, the shifted-form gap bound, and the rise/fall scan."""
     N, grid = config.N, config.bound
+    if grid < 3:   # monotonicity_scan's own check, before any product is built
+        raise DomainError("grid_size must be at least 3")
     require_product_structure_size(N, grid)
     out = []
     xs = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 4), Fraction(9, 2)]
@@ -331,9 +343,9 @@ def suite_product_structure(config: RunConfig) -> list[VerificationReport]:
 
 # each suite and the default of each optional flag it reads; the output
 # flags are common to all. A suite resolves a default of None: an absent
-# --k or --M selects a sweep, and pi-equality's tolerance depends on the
-# precision
-_LIMIT_FLAGS = {"k": 8, "tolerance": TEN ** -20, "precision": DEFAULT_PRECISION}
+# --k or --M selects a sweep, and the limit suites' tolerance depends on the
+# precision (_limit_tolerance)
+_LIMIT_FLAGS = {"k": 8, "tolerance": None, "precision": DEFAULT_PRECISION}
 SUITES = {
     "basel": (suite_basel, _LIMIT_FLAGS),
     "factorization": (suite_factorization, _LIMIT_FLAGS),

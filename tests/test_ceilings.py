@@ -131,10 +131,11 @@ def _requests(monkeypatch):
              lambda g=g: suites.run_suite("product-structure", RunConfig(bound=g)))]
     n = _largest_admitted_p_eval() + 1
     out.append((f"p_eval N={n}", lambda n=n: pfunc.p_eval(Fraction(0), n)))
-    # the suite checks its depths before the witness loops, its first work
+    # the suite checks its depths before the witness loops, its first work;
+    # below N = 10 it is a usage error
     n = _smallest(lambda n: _refused_before_work(
         monkeypatch, lambda: suites.run_suite("p-constant", RunConfig(N=n)),
-        [(pfunc, "p_coefficient_witness")]), 1)
+        [(pfunc, "p_coefficient_witness")]), 10)
     out.append((f"p-constant N={n}",
                 lambda n=n: suites.run_suite("p-constant", RunConfig(N=n))))
     return out

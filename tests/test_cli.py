@@ -339,6 +339,28 @@ def test_a_negative_tolerance_is_a_usage_error(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("suite", ["basel", "factorization"])
+@pytest.mark.parametrize("precision", [32, 48, 64, 127])
+@pytest.mark.parametrize("k", [1, 3, 8, 64])
+def test_a_limit_suite_passes_at_its_default_tolerance_below_128_bits(suite, precision, k):
+    assert cli.main(["verify", suite, "--k", str(k), "--precision", str(precision)]) == 0
+
+
+@pytest.mark.parametrize("argv", [["verify", "basel", "--k", "3"],
+                                  ["verify", "factorization", "--k", "3"],
+                                  ["verify", "pi-equality"]])
+@pytest.mark.parametrize("precision, tolerance",
+                         [(32, "1e-8"), (127, "1e-8"), (128, "1e-20"), (256, "1e-20")])
+def test_the_limit_suites_default_tolerance_is_1e_20_from_128_bits_and_1e_8_below(
+        argv, precision, tolerance, capsys):
+    argv = argv + ["--precision", str(precision), "--format", "json"]
+    outputs = []
+    for args in (argv, argv + ["--tolerance", tolerance]):
+        outputs.append((cli.main(args), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
 def test_an_unread_flag_stops_a_long_limit_suite_at_once(capsys):
     start = time.process_time()
     assert cli.main(["verify", "basel", "--k", "24", "--precision", "16384",
@@ -460,6 +482,30 @@ def test_oversized_enumeration_exits_3_before_any_work(argv, capsys):
     assert cli.main(argv) == 3
     assert time.process_time() - start < 2
     assert "exceeds ceiling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, owner, work, message", [
+    (["verify", "product-structure", "--N", "1500", "--bound", "2"], product, "eval_F",
+     "grid_size must be at least 3"),
+    (["verify", "p-constant", "--N", "9"], pfunc, "p_coefficient_witness",
+     "p-constant needs N >= 10, got 9")])
+def test_a_size_the_suite_cannot_take_exits_2_before_any_work(
+        argv, owner, work, message, monkeypatch, capsys):
+    entered = []
+
+    def first_work(*args):
+        entered.append(args)
+        raise ValueError("the suite's first work")
+
+    monkeypatch.setattr(owner, work, first_work)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert entered == []
+    # one more grid point or one more N reaches the work
+    argv = argv[:-1] + [str(int(argv[-1]) + 1)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "internal error: the suite's first work\n"
+    assert len(entered) == 1
 
 
 def _first_refused_residual_n(k: int) -> int:

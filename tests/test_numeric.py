@@ -2,6 +2,7 @@
 the pi oracle."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from mzvfactor import numeric
 from mzvfactor.bijection import factorization_check
 from mzvfactor.numeric import (
     GUARD_BITS,
+    MAX_PRECISION,
     ApproxReal,
     DomainError,
     ZERO,
@@ -183,6 +185,47 @@ def test_pi_oracle_digits():
 def test_pi_oracle_consistency_across_precisions():
     a, b = pi_oracle(64), pi_oracle(128)
     assert abs(a.value - b.value) <= a.err + b.err
+
+
+def _gauss_pi(b):
+    """Integer ends lo <= 2^b pi <= hi from Gauss's formula
+    48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239). Each term
+    2^b / (m^(2j+1) (2j+1)) is floored directly, less than one unit short,
+    and the series stops at the first m^(2j+1) > 2^b, where the alternating
+    remainder is below one unit: an arctangent of n terms is within n + 1."""
+    lo = hi = 0
+    for c, m in ((48, 18), (32, 57), (-20, 239)):
+        s, n, power = 0, 0, m
+        while power <= 1 << b:
+            t = (1 << b) // (power * (2 * n + 1))
+            s += -t if n & 1 else t
+            n, power = n + 1, power * m * m
+        ends = (c * (s - n - 1), c * (s + n + 1))
+        lo, hi = lo + min(ends), hi + max(ends)
+    return lo, hi
+
+
+def test_pi_oracle_holds_an_independent_pi_in_a_bracket_narrower_than_2_to_the_minus_p_plus_8(
+        monkeypatch):
+    brackets = []
+    from_bracket = ApproxReal.from_bracket
+    monkeypatch.setattr(ApproxReal, "from_bracket", staticmethod(
+        lambda lo, hi, prec: brackets.append((lo, hi)) or from_bracket(lo, hi, prec)))
+    for P in (*range(32, 160), *range(160, 4097, 97), 4096, MAX_PRECISION + 32):
+        brackets.clear()
+        ball = pi_oracle(P)
+        (lo, hi), = brackets
+        ref_lo, ref_hi = (Fraction(end, 1 << (P + 64)) for end in _gauss_pi(P + 64))
+        assert lo <= ref_lo and ref_hi <= hi, P
+        assert ball.lo <= ref_lo and ref_hi <= ball.hi, P
+        assert hi - lo <= Fraction(1, 1 << (P + 8)), P
+
+
+def test_pi_oracle_at_the_largest_precision_a_request_asks_costs_under_a_second():
+    # basel's oracle is 32 bits finer than its precision
+    start = time.process_time()
+    pi_oracle(MAX_PRECISION + 32)
+    assert time.process_time() - start < 1
 
 
 def test_round_to_bits_error_is_exact():

@@ -128,6 +128,20 @@ def _exact_terms(x_abs, precision_bits):
         t += 1
 
 
+def test_terms_are_those_of_the_exact_search():
+    # at pi-equality's arc (355/113, P + 24) and at g_eval's test points;
+    # 2^L is at most the first omitted term, and more than a quarter of it
+    cases = [(Fraction(355, 113), P + 24) for P in (*range(32, 300), 1024, 4096, 16384)]
+    cases += itertools.product(
+        (Fraction(1, 3), Fraction(7, 2), Fraction(4), Fraction(22, 7), Fraction(1, 10 ** 6),
+         Fraction(1, 15), Fraction(1, 2 ** 40)), (32, 64, 128, 1024))
+    for x, prec in cases:
+        T, L = pi_constants._terms(x.numerator, x.denominator, prec)
+        assert T == _exact_terms(x, prec), (x, prec)
+        omitted = x ** (2 * T + 3) / math.factorial(2 * T + 3)
+        assert Fraction(2) ** L <= omitted < Fraction(2) ** (L + 2), (x, prec)
+
+
 def _exact_g_eval(x, precision_bits):
     """The (g, g') balls of the exact rational summation: partial sums at the
     depth _exact_terms chooses, plus and minus the first omitted terms."""
