@@ -550,17 +550,17 @@ def factorization_check(k_max: int, precision_bits: int
     mzv = zeta({2}^k), closed_form = pi^(2k)/(2k+1)! from the independent oracle.
 
     Every limit zeta({2}^j), j = 0..k_max, comes from one certified row,
-    one mzv_limit call at k_max. The products
-    round at no less than DEFAULT_PRECISION bits, so a low requested
-    precision widens only the limits, not the recursion budget.
+    one mzv_limit call at k_max; the integer factors are exact, and the one
+    product of two limits rounds on the row's unit. The oracle takes no
+    less than DEFAULT_PRECISION bits, so a low requested precision widens
+    only the limits.
     """
-    work = max(precision_bits, DEFAULT_PRECISION)
     z = mzv_limit(k_max, precision_bits)
-    pi = pi_oracle(work)
+    pi = pi_oracle(max(precision_bits, DEFAULT_PRECISION))
     levels = []
     for k in range(1, k_max + 1):
-        lhs = ApproxReal.exact((2 * k + 1) * (2 * k), work) * z[k]
-        rhs = ApproxReal.exact(6, work) * z[k - 1] * z[1]
+        lhs = (2 * k + 1) * (2 * k) * z[k]
+        rhs = 6 * z[k - 1] * z[1]
         closed = pi.power(2 * k) / math.factorial(2 * k + 1)
         levels.append((lhs, rhs, z[k], closed))
     return levels

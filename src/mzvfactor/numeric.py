@@ -1,12 +1,12 @@
 """Exact rational arithmetic, harmonic numbers, tail brackets, and a
 self-contained high-precision pi oracle, Machin's formula summed on integers.
 
-Everything here is certified: an ApproxReal is a dyadic ball, an integer
-midpoint and an integer radius on one shared exponent, that is guaranteed
-to contain the true real number. No floating point is used anywhere in the
-package; "rounding" means explicit dyadic rounding at a precision the
-caller passes, whose error bound is added to the radius, and the radius
-itself is only ever rounded up, at GUARD_BITS below the midpoint's unit.
+Everything here is certified: an ApproxReal is a dyadic bracket, two
+integer ends on the unit 2^-bits, that is guaranteed to contain the true
+real number. No floating point is used anywhere in the package; "rounding"
+means taking an exact integer result back to 2^-bits, the lower end
+floored and the upper one ceiled (Brent & Zimmermann, "Modern Computer
+Arithmetic", 2010), so a bracket only ever widens outward.
 """
 
 from __future__ import annotations
@@ -86,18 +86,10 @@ def err_up(q: Fraction) -> Fraction:
     return Fraction(n, 1 << shift)
 
 
-def sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Exact rational bounds lo <= sqrt(q) <= hi with hi - lo <= 2^(1-bits)*sqrt(q)-ish."""
-    if q < 0:
-        raise DomainError("sqrt of a negative rational")
-    if q == 0:
-        return ZERO, ZERO
-    # scale so the integer sqrt carries enough bits
-    m = bits + 4 + max(0, -_floor_log2(q) // 2 + 1)
-    s = math.isqrt((q.numerator << (2 * m)) // q.denominator)
-    lo = Fraction(s, 1 << m)
-    hi = Fraction(s + 1, 1 << m)
-    return lo, hi
+def sqrt_bounds(n: int) -> tuple[int, int]:
+    """(floor(sqrt(n)), ceil(sqrt(n))) for an integer n >= 0."""
+    r = math.isqrt(n)
+    return r, r + (r * r < n)
 
 
 def frac_to_decimal(q: Fraction, places: int = 30) -> str:
@@ -112,107 +104,46 @@ def frac_to_decimal(q: Fraction, places: int = 30) -> str:
     return f"{sign}{ipart}.{frac if rest else frac.rstrip('0') or '0'}"
 
 
-# The radius's bits below the midpoint's last place: each upward rounding
-# of a radius costs 2^-GUARD_BITS of a unit (8 bits widen radii by >2^-10).
-GUARD_BITS = 16
-_new = object.__new__
-
-
-def _make(m: int, r: int, e: int, prec: int) -> "ApproxReal":
-    b = _new(ApproxReal)
-    b.man = m
-    b.rad = r
-    b.exp = e
-    b.prec = prec
-    return b
-
-
-def _ball(m: int, r: int, e: int, prec: int) -> "ApproxReal":
-    """The ball with midpoint m 2^e rounded to nearest at prec + 1
-    significant bits (as round_to_bits does) and radius r 2^(e - GUARD_BITS)
-    widened by the rounding error and rounded up to the new unit."""
-    # a zero midpoint is rounded at its radius, which would outgrow prec else
-    n = (m.bit_length() or r.bit_length() - GUARD_BITS) - prec - 1
-    if n > 0:
-        low = m & ((1 << n) - 1)
-        m >>= n
-        if low >> (n - 1):
-            m += 1
-            low = (1 << n) - low
-        r = -(-(r + (low << GUARD_BITS)) >> n)
-        e += n
-    return _make(m, r, e, prec)
-
-
 class ApproxReal:
-    """A dyadic ball: the true value lies in [value - err, value + err].
+    """A dyadic bracket: the true value lies in [l, h] 2^-bits, l and h ints.
 
-    The midpoint is man * 2^exp and the radius rad * 2^(exp - GUARD_BITS),
-    all ints on one exponent; the radius is always rounded up. `prec` is
-    the ball's working precision: an operation rounds its midpoint to
-    nearest at the larger precision of its operands, and adds that rounding
-    error to the radius. Ints and Fractions mixed into an operation count as
-    exact balls at the other operand's precision (a non-dyadic Fraction is
-    rounded first). Balls are never mutated after construction.
+    An operation takes its exact result from the integer ends, then floors
+    the lower end and ceils the upper one back to the larger `bits` of its
+    operands, so each end moves outward by less than one unit of 2^-bits.
+    An int operand is exact. value and err, the midpoint and half-width a
+    record prints, and lo and hi are views of the two ends. Brackets are
+    never mutated after construction.
     """
 
-    __slots__ = ("man", "rad", "exp", "prec")
+    __slots__ = ("l", "h", "bits")
 
-    def __init__(self, value: Fraction | int, err: Fraction | int, prec: int) -> None:
-        value, err = Fraction(value), Fraction(err)
-        den = value.denominator
-        if den & (den - 1):
-            raise DomainError("a ball's midpoint must be dyadic")
-        if err < 0:
-            raise DomainError("negative error radius")
-        e = 1 - den.bit_length()
-        if err:
-            # a unit small enough for the radius to keep ERR_BITS bits
-            e = min(e, _floor_log2(err) - ERR_BITS + GUARD_BITS)
-        self.man = value.numerator << (1 - den.bit_length() - e)
-        self.rad = -(-(err.numerator << (GUARD_BITS - e)) // err.denominator)
-        self.exp = e
-        self.prec = prec
-
-    # ---- constructors ----
-
-    @staticmethod
-    def exact(q: Fraction | int, prec: int) -> "ApproxReal":
-        """The dyadic rational q as a ball of radius 0."""
-        return ApproxReal(q, ZERO, prec)
-
-    @staticmethod
-    def from_rational(q: Fraction | int, prec: int) -> "ApproxReal":
-        v, r = round_to_bits(Fraction(q), prec)
-        return ApproxReal(v, r, prec)
-
-    @staticmethod
-    def from_bracket(lo: Fraction, hi: Fraction, prec: int) -> "ApproxReal":
-        if hi < lo:
+    def __init__(self, l: int, h: int, bits: int) -> None:
+        if h < l:
             raise DomainError("empty bracket")
-        mid = (lo + hi) / 2
-        v, r = round_to_bits(mid, prec)
-        return ApproxReal(v, (hi - lo) / 2 + r, prec)
+        self.l, self.h, self.bits = l, h, bits
+
+    @staticmethod
+    def from_bracket(lo: Fraction, hi: Fraction, bits: int) -> "ApproxReal":
+        """[lo, hi] rounded outward to 2^-bits."""
+        return ApproxReal(math.floor(lo * (1 << bits)), math.ceil(hi * (1 << bits)), bits)
 
     # ---- views ----
 
     @property
     def value(self) -> Fraction:
-        m, e = self.man, self.exp
-        return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+        return Fraction(self.l + self.h, 1 << (self.bits + 1))
 
     @property
     def err(self) -> Fraction:
-        r, e = self.rad, self.exp - GUARD_BITS
-        return Fraction(r << e) if e >= 0 else Fraction(r, 1 << -e)
+        return Fraction(self.h - self.l, 1 << (self.bits + 1))
 
     @property
     def lo(self) -> Fraction:
-        return self.value - self.err
+        return Fraction(self.l, 1 << self.bits)
 
     @property
     def hi(self) -> Fraction:
-        return self.value + self.err
+        return Fraction(self.h, 1 << self.bits)
 
     def contains(self, q: Fraction | int) -> bool:
         return self.lo <= q <= self.hi
@@ -221,108 +152,81 @@ class ApproxReal:
         return frac_to_decimal(self.value, places)
 
     def __repr__(self) -> str:
-        return f"ApproxReal({self.value!r}, {self.err!r}, {self.prec})"
+        return f"ApproxReal({self.l}, {self.h}, {self.bits})"
 
     # ---- arithmetic ----
 
     def __neg__(self) -> "ApproxReal":
-        return _make(-self.man, self.rad, self.exp, self.prec)
+        return ApproxReal(-self.h, -self.l, self.bits)
 
     def __abs__(self) -> "ApproxReal":
-        return _make(abs(self.man), self.rad, self.exp, self.prec)
+        return ApproxReal(max(self.l, -self.h, 0), max(-self.l, self.h), self.bits)
 
-    def __add__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        return _add(self, _coerce(other, self.prec), False)
+    def __add__(self, other: "ApproxReal | int") -> "ApproxReal":
+        l1, h1, l2, h2, b = _common(self, other)
+        return ApproxReal(l1 + l2, h1 + h2, b)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        return _add(self, _coerce(other, self.prec), True)
+    def __sub__(self, other: "ApproxReal | int") -> "ApproxReal":
+        l1, h1, l2, h2, b = _common(self, other)
+        return ApproxReal(l1 - h2, h1 - l2, b)
 
-    def __rsub__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        return _add(_coerce(other, self.prec), self, True)
+    def __rsub__(self, other: "ApproxReal | int") -> "ApproxReal":
+        l1, h1, l2, h2, b = _common(self, other)
+        return ApproxReal(l2 - h1, h2 - l1, b)
 
-    def __mul__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        other = _coerce(other, self.prec)
-        m1, r1, e1, p1 = self.man, self.rad, self.exp, self.prec
-        m2, r2, e2, p2 = other.man, other.rad, other.exp, other.prec
-        # |a| rb + |b| ra + ra rb
-        r = abs(m1) * r2 + abs(m2) * r1
-        if r1 and r2:
-            r += -(-(r1 * r2) >> GUARD_BITS)
-        return _ball(m1 * m2, r, e1 + e2, p1 if p1 >= p2 else p2)
+    def __mul__(self, other: "ApproxReal | int") -> "ApproxReal":
+        # the products of the ends are exact on 2^-(bits + b2), s bits finer
+        l, h, b2 = _ends(other)
+        s, ends = min(self.bits, b2), (self.l * l, self.l * h, self.h * l, self.h * h)
+        return ApproxReal(min(ends) >> s, -(-max(ends) >> s), max(self.bits, b2))
 
     __rmul__ = __mul__
 
     def __truediv__(self, n: int) -> "ApproxReal":
-        """The ball divided by an exact positive integer, the one divisor in
-        use ((2k+1)! in the limit suites); any other raises DomainError."""
+        """The bracket divided by an exact positive integer, the one divisor
+        in use ((2k+1)! in the limit suites); any other raises DomainError."""
         if not isinstance(n, int) or n <= 0:
-            raise DomainError("a ball is divided only by a positive integer")
-        m, r, e, prec = self.man, self.rad, self.exp, self.prec
-        a = abs(m)
-        # midpoint quotient with prec + 1 or prec + 2 bits, rounded to nearest
-        s = prec + 1 + n.bit_length() - a.bit_length()
-        if s >= 0:
-            a, r = a << s, r << s
-        else:
-            n <<= -s
-        q, rem = divmod(a, n)
-        # radius r / n in units of 2^(e - s - GUARD_BITS)
-        r = -(-r // n)
-        if rem:
-            if 2 * rem >= n:
-                q += 1
-            r += 1 << (GUARD_BITS - 1)
-        return _make(-q if m < 0 else q, r, e - s, prec)
+            raise DomainError("a bracket is divided only by a positive integer")
+        return ApproxReal(self.l // n, -(-self.h // n), self.bits)
 
-    def __rtruediv__(self, other: "ApproxReal | Fraction | int") -> "ApproxReal":
-        return _coerce(other, self.prec) / self
+    def __rtruediv__(self, other: "ApproxReal | int") -> "ApproxReal":
+        raise DomainError("a bracket is divided only by a positive integer")
 
     def sqrt(self) -> "ApproxReal":
-        if self.lo < 0:
+        if self.l < 0:
             raise DomainError("sqrt of a bracket extending below zero")
-        lo, _ = sqrt_bounds(self.lo, self.prec)
-        _, hi = sqrt_bounds(self.hi, self.prec)
-        return ApproxReal.from_bracket(lo, hi, self.prec)
+        b = self.bits
+        return ApproxReal(sqrt_bounds(self.l << b)[0], sqrt_bounds(self.h << b)[1], b)
 
     def power(self, n: int) -> "ApproxReal":
         if n < 0:
             raise DomainError("negative powers not supported")
-        out = _make(1, 0, 0, self.prec)
-        base = self
-        e = n
-        while e:
-            if e & 1:
+        out, base = ApproxReal(1, 1, 0), self
+        while n:
+            if n & 1:
                 out = out * base
             base = base * base
-            e >>= 1
+            n >>= 1
         return out
 
 
-def _add(a: ApproxReal, b: ApproxReal, negate: bool) -> ApproxReal:
-    """a + b, or a - b when `negate`, on the smaller of the two units."""
-    m1, r1, e1, p1 = a.man, a.rad, a.exp, a.prec
-    m2, r2, e2, p2 = b.man, b.rad, b.exp, b.prec
-    if negate:
-        m2 = -m2
-    if e1 > e2:
-        m1, r1, e1 = m1 << (e1 - e2), r1 << (e1 - e2), e2
-    elif e2 > e1:
-        m2, r2 = m2 << (e2 - e1), r2 << (e2 - e1)
-    return _ball(m1 + m2, r1 + r2, e1, p1 if p1 >= p2 else p2)
+def _ends(y: "ApproxReal | int") -> tuple[int, int, int]:
+    """(l, h, bits) of the bracket y, or (y, y, 0) of an exact int y."""
+    if isinstance(y, ApproxReal):
+        return y.l, y.h, y.bits
+    if isinstance(y, int):
+        return y, y, 0
+    raise TypeError(f"a bracket's operand is a bracket or an int, not {type(y).__name__}")
 
 
-def _coerce(x: "ApproxReal | Fraction | int", prec: int) -> ApproxReal:
-    if isinstance(x, ApproxReal):
-        return x
-    if isinstance(x, int):
-        return _make(x, 0, 0, prec)
-    q = Fraction(x)
-    den = q.denominator
-    if den & (den - 1) == 0:
-        return _make(q.numerator, 0, 1 - den.bit_length(), prec)
-    return ApproxReal.from_rational(q, prec)
+def _common(x: ApproxReal, y: "ApproxReal | int") -> tuple[int, int, int, int, int]:
+    """(l1, h1, l2, h2, b): the ends of x and y on the finer unit 2^-b of the two."""
+    l, h, b2 = _ends(y)
+    b = max(x.bits, b2)
+    return x.l << (b - x.bits), x.h << (b - x.bits), l << (b - b2), h << (b - b2), b
+
 
 # ---------------------------------------------------------------------------
 # Harmonic numbers
@@ -364,13 +268,12 @@ def pi_oracle(precision_bits: int) -> ApproxReal:
     """pi via 16 atan(1/5) - 4 atan(1/239), each by _atan_inv on b =
     precision_bits + bitlen(precision_bits) + 16 bits. Their J_m terms
     (m^(2 J_m - 1) <= 2^b) leave a bracket of 16 (J_5 + 2) + 4 (J_239 + 2)
-    < 3.8 b + 50 < 2^(b - precision_bits - 8) units of 2^-b; the final
-    dyadic rounding is exact."""
+    < 3.8 b + 50 < 2^(b - precision_bits - 8) units of 2^-b, the bracket
+    returned."""
     b = precision_bits + precision_bits.bit_length() + 16
     lo5, hi5 = _atan_inv(5, b)
     lo239, hi239 = _atan_inv(239, b)
-    return ApproxReal.from_bracket(Fraction(16 * lo5 - 4 * hi239, 1 << b),
-                                   Fraction(16 * hi5 - 4 * lo239, 1 << b), precision_bits)
+    return ApproxReal(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239, b)
 
 
 # ---------------------------------------------------------------------------

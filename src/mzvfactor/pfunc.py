@@ -76,13 +76,12 @@ def require_p_eval_size(N: int, precision: int, den_bits: int, calls: int = 1) -
                             f"exceeds ceiling {TIME_CEILING}")
 
 
-def _sum_balls(x: Fraction, N: int, precision: int) -> tuple[ApproxReal, ApproxReal]:
-    """Balls around S = sum_{n<=N} 1/(n^2 - x^2) and S2 = sum 1/(n^2 - x^2)^2
-    for |x| < 1, of working precision W. With x = a/b
-    the terms are the positive rationals b^2/d_n and b^4/d_n^2,
-    d_n = n^2 b^2 - a^2. Each is floored on W = precision + bitlen(N) + 8
-    fractional bits, less than one unit short, so each sum lies in
-    [s, s + N] 2^-W, s its floor sum."""
+def _sum_brackets(x: Fraction, N: int, precision: int) -> tuple[ApproxReal, ApproxReal]:
+    """Brackets of S = sum_{n<=N} 1/(n^2 - x^2) and S2 = sum 1/(n^2 - x^2)^2
+    for |x| < 1, on W = precision + bitlen(N) + 8 fractional bits. With
+    x = a/b the terms are the positive rationals b^2/d_n and b^4/d_n^2,
+    d_n = n^2 b^2 - a^2. Each is floored on 2^-W, less than one unit short,
+    so each sum lies in [s, s + N] 2^-W, s its floor sum."""
     a, b = x.as_integer_ratio()
     b2, a2 = b * b, a * a
     W = precision + N.bit_length() + 8
@@ -92,9 +91,7 @@ def _sum_balls(x: Fraction, N: int, precision: int) -> tuple[ApproxReal, ApproxR
         d = n * n * b2 - a2
         s += num // d
         s2 += num2 // (d * d)
-    unit = 1 << (W + 1)
-    return (ApproxReal(Fraction(2 * s + N, unit), Fraction(N, unit), W),
-            ApproxReal(Fraction(2 * s2 + N, unit), Fraction(N, unit), W))
+    return ApproxReal(s, s + N, W), ApproxReal(s2, s2 + N, W)
 
 
 def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxReal:
@@ -104,16 +101,27 @@ def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxRea
         - 8 x^2 sum_{l1<l2<=N} 1/((l1^2 - x^2)(l2^2 - x^2)),
 
     using the exact pair-sum rearrangement (S^2 - S2)/2 of the same
-    truncation: S and S2 come from integer floor sums with radii below
-    2^-(precision + 9), and 6 S - 4 x^2 (S^2 - S2) is taken in balls of
-    W = precision + bitlen(N) + 8 bits, with x^2 rounded once from its
-    exact value. For |x| <= 9/10 (S < 6.1, S2 < 28.1, S^2 - S2 < 37.2) the
-    sums' radii add less than 0.09 2^-precision, and the rounding of x^2
-    and the five roundings at W + 1 bits, amplified by at most
-    4 (S^2 - S2) or 4 x^2, less than 339 2^-W. The value is above 1.29:
-    with t_n = 1/(n^2 - x^2) it is sum_l t_l (6 - 8 x^2 sum_{n>l} t_n), and
-    sum_{n>=2} t_n < 0.726. So the radius is at most 2^-(precision + 1)
-    times the value whatever N, as W >= precision + 10.
+    truncation: S and S2 are the brackets of _sum_brackets, and
+    6 S - 4 x^2 (S^2 - S2) is taken in ApproxReal brackets on the same unit
+    u = 2^-W, W = precision + bitlen(N) + 8 >= precision + 10, with x^2
+    rounded outward once from its exact value.
+
+    The radius. S and S2 have radii r below N u / 2 < 2^-(precision + 9).
+    Each rounding moves an end outward by less than one unit, so it adds
+    less than u to a radius; the subtractions and the integer products are
+    exact. For |x| <= 9/10 (S < 6.1, S2 < 28.1, 0 < S^2 - S2 < 37.2) and
+    radii a, b of positive brackets of midpoints A, B, a product has radius
+    A b + B a before its rounding, so
+        x^2:           radius below u / 2 (one rounding);
+        S S:           below 2 (6.1) r + u;
+        S S - S2:      below 13.2 r + u;
+        x^2 (S S - S2): below 0.82 (13.2 r + u) + 37.2 u / 2 + u
+                       < 10.9 r + 20.5 u,
+    and 6 S - 4 x^2 (S^2 - S2) has radius below 6 r + 4 (10.9 r + 20.5 u)
+    = 49.6 r + 82 u < (0.097 + 0.081) 2^-precision < 0.18 2^-precision.
+    The value is above 1.29: with t_n = 1/(n^2 - x^2) it is
+    sum_l t_l (6 - 8 x^2 sum_{n>l} t_n), and sum_{n>=2} t_n < 0.726. So
+    the radius is at most 2^-(precision + 1) times the value whatever N.
     Points within 1/N of an integer are rejected: the terms blow up and the
     bracket becomes vacuous; the check compares x itself, exactly, so a
     point exactly 1/N from the pole is accepted. A request past
@@ -127,8 +135,8 @@ def p_eval(x: Fraction, N: int, precision: int = DEFAULT_PRECISION) -> ApproxRea
     if 1 - abs(x) < Fraction(1, N):
         raise DomainError(f"x within 1/{N} of the pole at 1; bracket would be vacuous")
     require_p_eval_size(N, precision, x.denominator.bit_length())
-    S, S2 = _sum_balls(x, N, precision)
-    x2 = ApproxReal.from_rational(x * x, S.prec)
+    S, S2 = _sum_brackets(x, N, precision)
+    x2 = ApproxReal.from_bracket(x * x, x * x, S.bits)
     return 6 * S - x2 * (S * S - S2) * 4
 
 

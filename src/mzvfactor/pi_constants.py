@@ -23,8 +23,6 @@ from .numeric import (
     ApproxReal,
     DomainError,
     ResourceError,
-    ZERO,
-    ONE,
     pi_oracle,
     power_sum_tail_bracket,
 )
@@ -56,17 +54,15 @@ def zeta2_bracket(N: int, em_terms: int = 6) -> tuple[Fraction, Fraction]:
 
 def pi_freq(precision_bits: int) -> ApproxReal:
     """sqrt(6 zeta(2)) within 2^-(precision_bits + 2), zeta(2) the k = 1
-    entry of the certified row mzv_limit(1, precision_bits + 1), so within
-    2^-(precision_bits + 3).
+    entry of the certified row mzv_limit(1, precision_bits + 1), a bracket
+    of radius at most 2^-(precision_bits + 3) on 2^-b, b = precision_bits + 35.
 
-    6 zeta(2) lies above 9.8, where sqrt has slope below 0.16, so the
-    root's radius is at most 0.16 * 6 * 2^-(precision_bits + 3) =
-    0.48 * 2^-(precision_bits + 2) plus the three roundings at
-    precision_bits + 16 bits (the midpoint of 6 zeta(2), below 10; the
-    sqrt_bounds ends; the midpoint of the root, below 4) and the radius
-    roundings, which add less than 2^-(precision_bits + 13)."""
-    z = mzv_limit(1, precision_bits + 1)[1]
-    value = ApproxReal.from_bracket(6 * z.lo, 6 * z.hi, precision_bits + 16).sqrt()
+    Six times that bracket is exact and lies above 9.8, where sqrt has
+    slope below 0.16, so the root's radius is at most
+    0.16 * 6 * 2^-(precision_bits + 3) = 0.48 * 2^-(precision_bits + 2),
+    plus the rounding of its two ends to 2^-b, less than one unit each,
+    which adds less than 2^-(precision_bits + 35) to the radius."""
+    value = (6 * mzv_limit(1, precision_bits + 1)[1]).sqrt()
     if value.err > Fraction(1, 1 << (precision_bits + 2)):
         raise ValueError(f"pi_freq: the root of 6 zeta(2) missed 2^-{precision_bits + 2}")
     return value
@@ -140,21 +136,20 @@ def wallis_partial(half_steps: int) -> Fraction:
 
 
 def pi_amp(N: int, precision_bits: int = 128) -> tuple[ApproxReal, Fraction | None]:
-    """(ball, exact partial): the N-pair Wallis partial product with the
+    """(bracket, exact partial): the N-pair Wallis partial product with the
     certified interlacing bracket [W_N, W_N * (2N+2)/(2N+1)], and W_N itself
     while its numerator and denominator fit EXACT_PARTIAL_MAX_BITS, else None.
 
     The bracket endpoints are dyadic roundings taken outward (floor below,
-    ceiling above), so the certificate survives the rounding.
+    ceiling above) on 2^-(precision_bits + 8), so the certificate survives
+    the rounding. The bracket returned is [2 lo - hi, hi], whose midpoint,
+    the value a record reports, is the lower end lo of the partial product.
     """
     num, den = _wallis_raw(N)
     shift = precision_bits + 8
-    lo = Fraction((num << shift) // den, 1 << shift)
-    hi_num = num * (2 * N + 2)
-    hi_den = den * (2 * N + 1)
-    hi = Fraction((hi_num << shift) // hi_den + 1, 1 << shift)
-    # report the partial product itself; the radius covers the whole bracket
-    value = ApproxReal(lo, hi - lo, precision_bits)
+    lo = (num << shift) // den
+    hi = (num * (2 * N + 2) << shift) // (den * (2 * N + 1)) + 1
+    value = ApproxReal(2 * lo - hi, hi, shift)
     twos = (den & -den).bit_length() - 1
     exact_partial = None
     if max(num.bit_length(), den.bit_length()) - twos <= EXACT_PARTIAL_MAX_BITS:
@@ -204,9 +199,8 @@ def g_eval(x: Fraction, precision_bits: int = 128) -> tuple[ApproxReal, ApproxRe
     x = Fraction(x)
     if abs(x) > 4:
         raise DomainError("g_eval is certified on [-4, 4] only")
-    prec = precision_bits + 16
     if x == 0:
-        return ApproxReal(ZERO, ZERO, prec), ApproxReal(ONE, ZERO, prec)
+        return ApproxReal(0, 0, 0), ApproxReal(1, 1, 0)
     p, q = abs(x.numerator), x.denominator
     T, L = _terms(p, q, precision_bits)
     W = max(precision_bits + 32, (2 * T + 16).bit_length() + 1 - L)
@@ -229,9 +223,8 @@ def g_eval(x: Fraction, precision_bits: int = 128) -> tuple[ApproxReal, ApproxRe
     gp_err += -(-(b + F) * u // (v * ((2 * T + 1) * (2 * T + 2))))
     if x < 0:
         g_sum = -g_sum
-    unit = 1 << W
-    return (ApproxReal(Fraction(g_sum, unit), Fraction(g_err, unit), prec),
-            ApproxReal(Fraction(gp_sum, unit), Fraction(gp_err, unit), prec))
+    return (ApproxReal(g_sum - g_err, g_sum + g_err, W),
+            ApproxReal(gp_sum - gp_err, gp_sum + gp_err, W))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +257,7 @@ def _speed_defect(D: int) -> tuple[list[int], Fraction]:
 
 def arc_length(p: ApproxReal, precision_bits: int) -> tuple[ApproxReal, Fraction]:
     """(length, eps): the length of x -> (g, g') over [-p/2, p/2], at the
-    endpoints of a given ball p of pi, p = pi_freq(precision_bits + 24) or
+    endpoints of a given bracket p of pi, p = pi_freq(precision_bits + 24) or
     tighter, with p/2 in [a - delta, a + delta] and a + delta <= A = 355/113
     (else ValueError, a broken invariant), and the eps of _speed_defect at
     D = 2T + 1, T from _terms at A. As g'' = -g term by term, the squared

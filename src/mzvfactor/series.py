@@ -11,12 +11,13 @@ The product is taken mod t^(k+1) over a balanced tree of ranges of n
 (binary splitting; Haible & Papanikolaou 1998, Bernstein 2008), so its
 operands stay balanced and the row costs one division per entry. A
 certified limit keeps that exact head, but takes everything else on W-bit
-integers, W about 39 bits past the requested precision: each ratio
+integers, W 34 bits past the requested precision: each ratio
 c_j / c_0 and each power-sum bracket of the tail is rounded outward to
 2^-W once, and Newton's identities and the head-times-tail sum floor every
-lower end and ceil every upper one (the one-sided working precision of ball
-arithmetic). A limit takes one row: every zeta({2}^j), j <= k, from one
-head of degree k, one tail and one bracket per entry, at the truncation
+lower end and ceil every upper one, as every ApproxReal operation does, so
+the row's ApproxReal brackets are those integer ends. A limit takes one
+row: every zeta({2}^j), j <= k, from one head of degree k, one tail and
+one bracket per entry, at the truncation
 and depth plan_limit picks for the whole row from closed-form bounds
 before any work (Johansson,
 "Rigorous high-precision computation of the Hurwitz zeta function and its
@@ -372,37 +373,21 @@ def require_limit_k(k: int) -> None:
 
 def mzv_limit(k: int, precision_bits: int) -> list[ApproxReal]:
     """The row [zeta({2}^0), ..., zeta({2}^k)], each entry with certified
-    error at most 2^-(precision_bits + 2), from one bracket row at the
-    (N, em) of plan_limit."""
+    error at most 2^-(precision_bits + 2), the bracket of one row of
+    mzv_limit_bracket at the (N, em) of plan_limit, each of width at most
+    2^-(precision_bits + 1)."""
     require_limit_k(k)
     if k == 0:
-        return [ApproxReal.exact(1, precision_bits)]
-    target = Fraction(1, 1 << (precision_bits + 2))
-    # the midpoint, below 2, is rounded at precision_bits + 8 bits, so the
-    # error is half the bracket's width plus less than 2^-(precision_bits + 7)
-    width = 2 * target - Fraction(1, 1 << (precision_bits + 6))
+        return [ApproxReal(1, 1, 0)]
+    width = Fraction(1, 1 << (precision_bits + 1))
     try:
         N, em = plan_limit(k, width)
     except ResourceError:
         raise ResourceError(f"cannot certify zeta({{2}}^{k}) to {precision_bits} bits "
                             f"within configured ceilings") from None
     bits = limit_bits(width)
-    row = []
-    for a, c in mzv_limit_bracket(k, N, em, bits=bits):
-        # the ends a, c are in units of 2^-bits, so in units of
-        # 2^-(bits + 1) the midpoint is s = a + c and half the width c - a:
-        # s is rounded as round_to_bits rounds it at precision_bits + 8
-        # bits (to the nearest multiple of 2^t, ties to even), and the
-        # error is half the width plus that rounding
-        s = v = a + c
-        t = s.bit_length() - precision_bits - 9
-        if t > 0:
-            q, rest = s >> t, s & ((1 << t) - 1)
-            v = (q + (rest > 1 << (t - 1) or (rest == 1 << (t - 1) and q & 1))) << t
-        err = c - a + abs(v - s)
-        if err > 1 << (bits - precision_bits - 1):
-            raise ValueError(f"zeta({{2}}^{k}): the planned bracket at N = {N}, "
-                             f"em = {em} missed 2^-{precision_bits + 2}")
-        row.append(ApproxReal(Fraction(v, 1 << (bits + 1)),
-                              Fraction(err, 1 << (bits + 1)), precision_bits))
+    row = [ApproxReal(a, c, bits) for a, c in mzv_limit_bracket(k, N, em, bits=bits)]
+    if any(z.h - z.l > 1 << (bits - precision_bits - 1) for z in row):
+        raise ValueError(f"zeta({{2}}^{k}): the planned bracket at N = {N}, "
+                         f"em = {em} missed 2^-{precision_bits + 2}")
     return row

@@ -130,8 +130,8 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
     dev_small = _constancy_deviation(n_small)
     dev_large = _constancy_deviation(n_large)
     out.append(make_record(
-        f"p.constancy.N{n_small}", dev_small, ZERO, ZERO, config.tolerance,
-        params={"N": n_small, "grid": "0,0.1,...,0.9"}))
+        f"p.constancy.N{n_small}", dev_small, ZERO, _constancy_bound(n_small),
+        config.tolerance, params={"N": n_small, "grid": "0,0.1,...,0.9"}))
     out.append(bool_record(
         f"p.constancy.shrink.N{n_large}", dev_large * 3 <= dev_small,
         params={"N_small": n_small, "N_large": n_large,
@@ -145,6 +145,29 @@ def suite_p_constant(config: RunConfig) -> list[VerificationReport]:
     else:
         out.append(bool_record("p.assembly.N1..12", True, params={"N_max": 12}))
     return out
+
+
+def _constancy_bound(N: int) -> Fraction:
+    """The largest deviation _constancy_deviation(N) can take, N >= 10,
+    if p(x) = p(0) for the untruncated p on |x| <= 9/10.
+
+    With t_n = 1/(n^2 - x^2), S_N = sum_{n<=N} t_n and T = sum_{n>N} t_n,
+    p = 6 (S_N + T) - 8 x^2 sum_{l<m} t_l t_m, whose pairs past p_N are
+    S_N T plus those with both indices above N, of sum at most T^2 / 2.
+    So p_N(x) - p(x) lies in [-6 T, 4 x^2 (2 S_N T + T^2)]. For |x| <= 9/10,
+    T < sum_{n>N} 1/(n^2 - 1) < 1/N, and S_N < 100/19 + 0.727 < 6, as
+    sum_{n>=2} 1/(n^2 - 81/100) < 0.727. At x = 0 the pair sum is empty
+    and p_N(0) - p(0) = -6 T(0), T(0) < 1/N. T(x) >= T(0), so if
+    p(x) = p(0), p_N(x) - p_N(0) lies in
+    [-6 (T(x) - T(0)), 4 x^2 (2 S_N T + T^2) + 6 T(0)], and
+    T(x) - T(0) < x^2 sum_{n>N} 1/(n^2 (n^2 - 1)) < 1/N. So
+    |p_N(x) - p_N(0)| is at most 6/N + (324/100) (12/N + 1/N^2), which is
+    below 46/N for N >= 10.
+    The deviation adds the radii of each pair of p_eval brackets twice,
+    four radii of at most 0.18 2^-DEFAULT_PRECISION each by p_eval's
+    derivation, less than 2^-DEFAULT_PRECISION in all."""
+    return (Fraction(6, N) + Fraction(324, 100) * (Fraction(12, N) + Fraction(1, N * N))
+            + Fraction(1, 1 << DEFAULT_PRECISION))
 
 
 def _constancy_deviation(N: int) -> Fraction:
@@ -268,7 +291,7 @@ def suite_pi_equality(config: RunConfig) -> list[VerificationReport]:
 
 def _wallis_parity(oracle: ApproxReal) -> bool:
     """Whether the Wallis partials at half steps 1..12 alternate about the
-    oracle ball of pi, above it at odd steps."""
+    oracle bracket of pi, above it at odd steps."""
     for m in range(1, 13):
         v = pi_constants.wallis_partial(m)
         gap = v - oracle.value
@@ -350,7 +373,7 @@ SUITES = {
     "basel": (suite_basel, _LIMIT_FLAGS),
     "factorization": (suite_factorization, _LIMIT_FLAGS),
     "p-constant": (suite_p_constant, {"n_max": 200, "j_max": 10, "N": 1000,
-                                      "tolerance": Fraction(5, 100), "seed": 0}),
+                                      "tolerance": ZERO, "seed": 0}),
     "bijection-alpha": (suite_bijection_alpha, {"k": None, "bound": 20}),
     "bijection-beta": (suite_bijection_beta, {"k": None, "M": None}),
     "residuals": (suite_residuals, {"k": None, "N": 40}),

@@ -98,7 +98,7 @@ def _requests(monkeypatch):
         assert p == MAX_PRECISION + 1
         out.append((f"{name} at {p} bits", lambda p=p, compute=compute: compute(p)))
     p = _smallest(lambda p: _refused_before_work(
-        monkeypatch, lambda: _compute("p-eval", N=10, precision=p), [(pfunc, "_sum_balls")]), 32)
+        monkeypatch, lambda: _compute("p-eval", N=10, precision=p), [(pfunc, "_sum_brackets")]), 32)
     assert p == MAX_PRECISION + 1
     out.append((f"p-eval at {p} bits", lambda p=p: _compute("p-eval", N=10, precision=p)))
     out.append(("mzv k ceiling", lambda: series.mzv_limit(series.MZV_K_CEILING + 1, 64)))

@@ -1,5 +1,8 @@
 """CLI contract: subcommands, formats, determinism, and exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import subprocess
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from mzvfactor import bijection, cli, pfunc, pi_constants, product, series, suites
-from mzvfactor.numeric import DomainError, ResourceError
+from mzvfactor.numeric import DomainError, ResourceError, frac_to_decimal
 from mzvfactor.report import bool_record
 
 
@@ -43,6 +46,34 @@ def test_compute_pi_amp_past_the_exact_partial_limit():
     payload = json.loads(proc.stdout.strip())
     assert payload["status"] == "pass"
     assert "exact_partial" not in payload["params"]
+
+
+# sha256 of `compute pi-amp --N N --format json` from the dyadic-ball
+# ApproxReal (commit 0db998c): the bracket [2 lo - hi, hi] reports the same
+# midpoint lo and half-width hi - lo
+PI_AMP_SHA256 = {
+    1000: "291f2b9920573d916a75fc18d2129524150e4480e8d2ceae85fb6cad646453a6",
+    20000: "35cc8b622b3235baa95131f11ff979c096d30853c000edf903adefbb3dc7c18d",
+    10 ** 6: "90819a88ef14fe1521be260302587a16b5af1b74ffd0dd681fb3fefa76a0403d",
+}
+
+
+def _main_bytes(*argv: str) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue().encode()
+
+
+def test_compute_pi_amp_reports_the_bytes_of_the_ball_it_replaced():
+    for N, digest in PI_AMP_SHA256.items():
+        out = _main_bytes("compute", "pi-amp", "--N", str(N), "--format", "json")
+        assert hashlib.sha256(out).hexdigest() == digest, N
+    # at N = 0 the ball rounded its radius 2 + 2^-136 up to 32 significant
+    # bits, 2 + 2^-31; the bracket reports the Wallis width itself
+    payload = json.loads(_main_bytes("compute", "pi-amp", "--N", "0", "--format", "json"))
+    assert Fraction(payload["params"]["observed_exact"]) == 2
+    assert payload["certified_error"] == frac_to_decimal(2 + Fraction(1, 2 ** 136), 45)
 
 
 def test_compute_p_eval_matches_six_zeta():

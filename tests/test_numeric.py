@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from mzvfactor import numeric
 from mzvfactor.bijection import factorization_check
 from mzvfactor.numeric import (
-    GUARD_BITS,
     MAX_PRECISION,
     ApproxReal,
     DomainError,
@@ -207,18 +206,21 @@ def _gauss_pi(b):
 
 def test_pi_oracle_holds_an_independent_pi_in_a_bracket_narrower_than_2_to_the_minus_p_plus_8(
         monkeypatch):
-    brackets = []
-    from_bracket = ApproxReal.from_bracket
-    monkeypatch.setattr(ApproxReal, "from_bracket", staticmethod(
-        lambda lo, hi, prec: brackets.append((lo, hi)) or from_bracket(lo, hi, prec)))
+    ends = {}
+    atan_inv = numeric._atan_inv
+    monkeypatch.setattr(numeric, "_atan_inv",
+                        lambda m, b: ends.setdefault(m, atan_inv(m, b)))
     for P in (*range(32, 160), *range(160, 4097, 97), 4096, MAX_PRECISION + 32):
-        brackets.clear()
-        ball = pi_oracle(P)
-        (lo, hi), = brackets
+        ends.clear()
+        bracket = pi_oracle(P)
+        # the Machin ends, handed over unchanged on their own unit
+        (lo5, hi5), (lo239, hi239) = ends[5], ends[239]
+        b = P + P.bit_length() + 16
+        assert (bracket.l, bracket.h, bracket.bits) == (16 * lo5 - 4 * hi239,
+                                                        16 * hi5 - 4 * lo239, b), P
         ref_lo, ref_hi = (Fraction(end, 1 << (P + 64)) for end in _gauss_pi(P + 64))
-        assert lo <= ref_lo and ref_hi <= hi, P
-        assert ball.lo <= ref_lo and ref_hi <= ball.hi, P
-        assert hi - lo <= Fraction(1, 1 << (P + 8)), P
+        assert bracket.lo <= ref_lo and ref_hi <= bracket.hi, P
+        assert bracket.hi - bracket.lo <= Fraction(1, 1 << (P + 8)), P
 
 
 def test_pi_oracle_at_the_largest_precision_a_request_asks_costs_under_a_second():
@@ -235,11 +237,12 @@ def test_round_to_bits_error_is_exact():
     assert v.denominator & (v.denominator - 1) == 0  # dyadic
 
 
-def test_sqrt_bounds_bracket():
-    for q in (Fraction(2), Fraction(9), Fraction(1, 7), Fraction(10 ** 12)):
-        lo, hi = sqrt_bounds(q, 80)
-        assert lo * lo <= q <= hi * hi
-        assert hi - lo <= Fraction(1, 2 ** 70) * max(1, hi)
+def test_sqrt_bounds_are_the_integer_floor_and_ceiling_of_the_root():
+    for n in (0, 1, 2, 3, 4, 8, 9, 10, 10 ** 12, 10 ** 12 + 1, (1 << 200) - 1):
+        lo, hi = sqrt_bounds(n)
+        assert lo * lo <= n < (lo + 1) ** 2
+        assert (hi == 0 or (hi - 1) ** 2 < n) and n <= hi * hi
+        assert hi - lo == (lo * lo != n)
 
 
 @given(small_rationals)
@@ -255,121 +258,138 @@ def test_err_up_is_an_upper_bound(q):
             or up.denominator & (up.denominator - 1) == 0)
 
 
-# ---- ApproxReal fuzz against exact rational arithmetic ----
-
-@given(rationals, rationals, precisions)
-@settings(max_examples=200)
-def test_approx_add_sub_mul_contain_exact(a, b, prec):
-    xa, xb = ApproxReal.from_rational(a, prec), ApproxReal.from_rational(b, prec)
-    assert (xa + xb).contains(a + b)
-    assert (xa - xb).contains(a - b)
-    assert (xa * xb).contains(a * b)
-    assert (b - xa).contains(b - a)
-    assert (xa * b).contains(a * b)
 
 
-def general_div(x: ApproxReal, y: ApproxReal) -> ApproxReal:
-    """The reference: x / y for any ball y whose interval misses zero, the
-    general ball division ApproxReal once had; a positive-integer divisor is
-    the case y = n with radius 0, exponent 0 and x's precision."""
-    m1, r1, e1, p1 = x.man, x.rad, x.exp, x.prec
-    m2, r2, e2, p2 = y.man, y.rad, y.exp, y.prec
-    prec = p1 if p1 >= p2 else p2
-    a, d = abs(m1), abs(m2)
-    # |b| - rb in units of 2^(e2 - GUARD_BITS), which must be positive
-    low = (d << GUARD_BITS) - r2
-    if low <= 0:
-        raise DomainError("division by a bracket containing zero")
-    # midpoint quotient with prec + 1 or prec + 2 bits, rounded to nearest
-    s = prec + 1 + d.bit_length() - a.bit_length()
-    if s < 0:
-        d <<= -s
-    q, rem = divmod(a << s if s > 0 else a, d)
-    e = e1 - e2 - s
-    # radius (ra + |a/b| rb) / (|b| - rb) in units of 2^(e - GUARD_BITS)
-    if s >= 0:
-        num = (r1 << s) + (q + 1) * r2
-    else:
-        num, low = r1 + ((q + 1) * r2 << -s), low << -s
-    r = -(-(num << GUARD_BITS) // low)
-    if rem:
-        if 2 * rem >= d:
-            q += 1
-        r += 1 << (GUARD_BITS - 1)
-    if (m1 < 0) != (m2 < 0):
-        q = -q
-    return numeric._make(q, r, e, prec)
+# ---- ApproxReal brackets against exact Fraction intervals ----
+
+def _exact(x: ApproxReal) -> tuple[Fraction, Fraction]:
+    """The exact interval of x, read from its integer ends."""
+    return Fraction(x.l, 1 << x.bits), Fraction(x.h, 1 << x.bits)
 
 
-@given(rationals, st.integers(min_value=1, max_value=10 ** 40), precisions)
-@settings(max_examples=200)
-def test_approx_div_contains_exact(a, n, prec):
-    xa = ApproxReal.from_rational(a, prec)
-    for d in (n, math.factorial(n % 60 + 1)):
-        assert (xa / d).contains(a / d)
+def _outward_within_one_unit(result: ApproxReal, lo: Fraction, hi: Fraction) -> bool:
+    """Whether result holds [lo, hi], each of its ends less than one unit of
+    2^-bits outside the exact end."""
+    unit = Fraction(1, 1 << result.bits)
+    r_lo, r_hi = _exact(result)
+    return lo - unit < r_lo <= lo and hi <= r_hi < hi + unit
 
 
-@given(rationals.filter(lambda q: q >= 0), precisions)
-def test_approx_sqrt_contains_true_root(a, prec):
-    r = ApproxReal.from_rational(a, prec).sqrt()
-    assert (r.lo) ** 2 <= a <= (r.hi) ** 2 or r.lo < 0
+bracket_bits = st.sampled_from([0, 1, 7, 32, 64, 200, 3000])
+brackets = st.builds(lambda l, w, bits: ApproxReal(l, l + w, bits),
+                     st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+                     st.integers(min_value=0, max_value=2 ** 200), bracket_bits)
+ints = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
 
 
-unit_fractions = st.fractions(min_value=-1, max_value=1)
-widths = st.fractions(min_value=0, max_value=Fraction(1, 10))
+@given(brackets, brackets, ints, st.integers(min_value=1, max_value=10 ** 40))
+@settings(max_examples=400, deadline=None)
+@example(ApproxReal(-7, 5, 3), ApproxReal(3, 11, 64), 3, 3)
+def test_every_bracket_operator_holds_the_exact_image_within_one_unit_per_end(x, y, n, d):
+    (a, b), (c, e) = _exact(x), _exact(y)
+    finer = max(x.bits, y.bits)
+    products = (a * c, a * e, b * c, b * e)
+    cases = {
+        "x + y": (x + y, finer, a + c, b + e),
+        "x + n": (x + n, x.bits, a + n, b + n),
+        "n + x": (n + x, x.bits, a + n, b + n),
+        "x - y": (x - y, finer, a - e, b - c),
+        "x - n": (x - n, x.bits, a - n, b - n),
+        "n - x": (n - x, x.bits, n - b, n - a),
+        "x * y": (x * y, finer, min(products), max(products)),
+        "x * n": (x * n, x.bits, min(a * n, b * n), max(a * n, b * n)),
+        "n * x": (n * x, x.bits, min(a * n, b * n), max(a * n, b * n)),
+        "x / d": (x / d, x.bits, a / d, b / d),
+        "-x": (-x, x.bits, -b, -a),
+        "abs(x)": (abs(x), x.bits, max(a, -b, 0), max(-a, b)),
+    }
+    for name, (result, bits, lo, hi) in cases.items():
+        assert result.bits == bits, name
+        assert _outward_within_one_unit(result, lo, hi), name
+    # the views a record prints: midpoint and half-width
+    assert (x.lo, x.hi, x.value, x.err) == (a, b, (a + b) / 2, (b - a) / 2)
+    assert x.contains(a) and x.contains(b) and not x.contains(b + 1)
 
 
-@given(rationals, rationals, widths, widths, unit_fractions, unit_fractions, precisions)
-@settings(max_examples=200)
-def test_approx_wide_balls_contain_every_image(a, b, wa, wb, ta, tb, prec):
-    # balls of radius wa, wb around a, b; pa, pb are points inside them
-    xa = ApproxReal.from_bracket(a - wa, a + wa, prec)
-    xb = ApproxReal.from_bracket(b - wb, b + wb, prec)
-    pa, pb = a + ta * wa, b + tb * wb
-    assert (xa + xb).contains(pa + pb)
-    assert (xa - xb).contains(pa - pb)
-    assert (xa * xb).contains(pa * pb)
+@given(brackets.map(abs))
+@settings(max_examples=300, deadline=None)
+@example(ApproxReal(2, 3, 0))
+@example(ApproxReal(0, 0, 5))
+def test_the_bracket_root_holds_the_exact_roots_within_one_unit_per_end(x):
+    r = x.sqrt()
+    (a, b), (r_lo, r_hi) = _exact(x), _exact(r)
+    unit = Fraction(1, 1 << x.bits)
+    assert r.bits == x.bits and r_lo >= 0
+    assert r_lo ** 2 <= a < (r_lo + unit) ** 2
+    assert b <= r_hi ** 2 and (r_hi - unit < 0 or (r_hi - unit) ** 2 < b)
 
 
-def test_approx_div_by_anything_but_a_positive_integer_raises():
-    one = ApproxReal.from_rational(1, 64)
-    for divisor in (ApproxReal(3, 0, 64), ApproxReal(Fraction(0), Fraction(1, 10), 64),
-                    Fraction(1, 3), Fraction(3), 0, -3):
+@given(brackets, st.integers(min_value=0, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_a_bracket_power_holds_every_power_of_its_points(x, n):
+    p = x.power(n)
+    a, b = _exact(x)
+    assert p.bits == (x.bits if n else 0)
+    for t in (a, b, (a + b) / 2, Fraction(0) if a <= 0 <= b else a):
+        assert p.contains(t ** n)
+
+
+def test_a_bracket_divides_only_by_a_positive_integer():
+    one = ApproxReal(1 << 64, 1 << 64, 64)
+    for divisor in (ApproxReal(3, 3, 0), ApproxReal(-1, 1, 4), Fraction(1, 3), Fraction(3), 0, -3):
         with pytest.raises(DomainError):
             one / divisor
     with pytest.raises(DomainError):
-        1 / ApproxReal(3, 0, 64)
+        1 / ApproxReal(3, 3, 0)
 
 
-@given(small_rationals, st.integers(min_value=0, max_value=12), precisions)
-def test_approx_power_matches_repeated_multiplication(a, n, prec):
-    p = ApproxReal.from_rational(a, prec).power(n)
-    assert p.contains(a ** n)
+def test_a_bracket_takes_no_fraction_operand_and_no_reversed_ends():
+    x = ApproxReal(1, 2, 8)
+    for op in (lambda: x + Fraction(1, 3), lambda: Fraction(1, 2) - x,
+               lambda: x * Fraction(3)):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(DomainError):
+        ApproxReal(2, 1, 8)
+    with pytest.raises(DomainError):
+        ApproxReal(-2, -1, 8).sqrt()
 
 
 @given(rationals, rationals, precisions)
-def test_from_bracket_contains_endpoints_midpoint(a, b, prec):
+def test_from_bracket_rounds_each_end_outward_by_less_than_a_unit(a, b, prec):
     lo, hi = min(a, b), max(a, b)
-    ball = ApproxReal.from_bracket(lo, hi, prec)
-    assert ball.contains(lo) and ball.contains(hi) and ball.contains((lo + hi) / 2)
+    assert _outward_within_one_unit(ApproxReal.from_bracket(lo, hi, prec), lo, hi)
 
 
 @given(st.lists(rationals, min_size=1, max_size=40), precisions)
-def test_approx_radius_bounds_a_long_sum(terms, prec):
-    total = ApproxReal.exact(0, prec)
+def test_a_long_bracket_sum_widens_only_by_its_terms(terms, prec):
+    total = ApproxReal(0, 0, prec)
     for q in terms:
-        total = total + ApproxReal.from_rational(q, prec)
+        total = total + ApproxReal.from_bracket(q, q, prec)
     assert total.contains(sum(terms))
-    # per term: at most |q| 2^-prec to round q, and half a unit in the last
-    # of the partial sum's prec + 1 bits to round the sum
-    scale = sum(abs(q) for q in terms) + 1
-    assert total.err <= 3 * len(terms) * scale / 2 ** (prec + 1)
+    # each term is rounded outward by less than a unit per end, and the
+    # sums are exact
+    assert total.err < len(terms) * Fraction(1, 2 ** prec)
 
 
-def test_a_ball_midpoint_is_dyadic():
-    # the precision is checked where a request is resolved (tests/test_report.py)
-    with pytest.raises(DomainError):
-        ApproxReal.exact(Fraction(1, 3), 64)
+def test_one_plus_a_bracket_three_thousand_bits_down():
+    tiny = ApproxReal((1 << 100) - 1, (1 << 100) + 1, 3100)
+    total = 1 + tiny
+    assert total.bits == 3100
+    assert total.contains(1 + Fraction(1, 2 ** 3000) + Fraction(1, 2 ** 3100))
+    assert total.contains(1 + Fraction(1, 2 ** 3000) - Fraction(1, 2 ** 3100))
+    assert total.err == Fraction(1, 2 ** 3100)
+
+
+def test_a_bracket_about_zero_keeps_its_unit():
+    # every product rounds back to 2^-64, so the ends never lengthen
+    third = ApproxReal.from_bracket(Fraction(1, 3), Fraction(1, 3), 64)
+    z = ApproxReal(-(1 << 62), 1 << 62, 64)
+    for _ in range(50):
+        z = z * third
+    assert z.contains(Fraction(1, 3) ** 51 / 4) and z.contains(-Fraction(1, 3) ** 51 / 4)
+    assert z.bits == 64 and max(-z.l, z.h) <= 2
+
 
 
 # The radii of the previous ball layout (a radius with an exponent of its
@@ -427,63 +447,3 @@ def test_radii_stay_at_their_pinned_widths():
         for name, ball, pinned in zip(("lhs", "rhs", "mzv", "closed"), level, radii):
             assert ball.err <= _pinned(pinned), (k, name)
     assert pi_oracle(256).err <= _pinned(PINNED_PI_ORACLE_RADIUS)
-
-
-def _corners(ball):
-    return ball.lo, ball.value, ball.hi
-
-
-# odd and of more than ERR_BITS - GUARD_BITS bits, so that a ball of radius
-# about |m| 2^e keeps 2^e as its unit and holds that radius exactly
-mantissas = st.integers(min_value=2 ** 20, max_value=2 ** 300).flatmap(
-    lambda j: st.sampled_from([2 * j + 1, -2 * j - 1]))
-exponents = st.integers(min_value=-400, max_value=400)
-
-
-@given(mantissas, exponents, st.integers(min_value=0, max_value=2 ** 64),
-       st.integers(min_value=1, max_value=2 ** 400), precisions)
-@settings(max_examples=300)
-@example(m=2 ** 20 + 1, e=0, rad=0, n=3, prec=32)
-@example(m=2 ** 34 + 1, e=0, rad=0, n=2, prec=32)   # a tie, rounded up
-@example(m=-(2 ** 300 + 1), e=-400, rad=2 ** 64, n=math.factorial(129), prec=1024)
-def test_approx_div_by_an_integer_is_the_general_division_at_radius_zero(m, e, rad, n, prec):
-    # bit for bit, on balls with and without a radius, at quotients of more
-    # and of fewer bits than the precision
-    x = numeric._make(m, rad, e, prec)
-    q, ref = x / n, general_div(x, ApproxReal.exact(n, prec))
-    assert (q.man, q.rad, q.exp, q.prec) == (ref.man, ref.rad, ref.exp, ref.prec)
-    for corner in _corners(x):
-        assert q.contains(corner / n)
-
-
-@given(rationals, st.integers(min_value=2001, max_value=6000), mantissas,
-       st.integers(min_value=0, max_value=200), precisions)
-@settings(max_examples=200)
-def test_approx_add_across_a_wide_exponent_gap(a, shift, m, rshift, prec):
-    xa = ApproxReal.from_rational(a, prec)
-    tiny = m * Fraction(2) ** (-shift - m.bit_length())
-    xt = ApproxReal(tiny, abs(tiny) * Fraction(2) ** -rshift, prec)
-    s1, s2, d1, d2 = xa + xt, xt + xa, xa - xt, xt - xa
-    for pa in _corners(xa):
-        for pt in _corners(xt):
-            assert s1.contains(pa + pt) and s2.contains(pa + pt)
-            assert d1.contains(pa - pt) and d2.contains(pt - pa)
-
-
-def test_one_plus_a_ball_three_thousand_bits_down():
-    tiny = ApproxReal(Fraction(1, 2 ** 3000), Fraction(1, 2 ** 3100), 64)
-    total = 1 + tiny
-    assert total.contains(1 + Fraction(1, 2 ** 3000) + Fraction(1, 2 ** 3100))
-    assert total.contains(1 + Fraction(1, 2 ** 3000) - Fraction(1, 2 ** 3100))
-    assert total.err <= Fraction(1, 2 ** 64)
-
-
-def test_a_ball_about_zero_keeps_a_short_radius():
-    # a zero midpoint is never rounded, so the radius is rounded at its own
-    # size; otherwise each product would lengthen it by the precision
-    third = ApproxReal.from_rational(Fraction(1, 3), 64)
-    z = ApproxReal(0, Fraction(1, 3), 64)
-    for _ in range(50):
-        z = z * third
-    assert z.contains(Fraction(1, 3) ** 51) and z.contains(-Fraction(1, 3) ** 51)
-    assert z.err.numerator.bit_length() <= 64 + GUARD_BITS + 2

@@ -1,23 +1,26 @@
 """Partial fractions, telescoping closed forms, cancellation witnesses, the
 truncated double sum, and the structural second-derivative identity."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvfactor.numeric import MAX_PRECISION, ZERO, ApproxReal, DomainError, harmonic
+from mzvfactor.numeric import (MAX_PRECISION, ZERO, ApproxReal, DomainError, frac_to_decimal,
+                               harmonic)
 from mzvfactor.pfunc import (
-    _sum_balls,
+    _sum_brackets,
     fpp_assembly_identity,
     interchange_bound_check,
     p_coefficient_witness,
     p_eval,
     partial_fraction_check,
 )
+from mzvfactor.report import RunConfig
 from mzvfactor.series import zeta_even_truncated
-from test_numeric import general_div
+from mzvfactor.suites import run_suite
 
 
 def test_partial_fraction_examples():
@@ -206,10 +209,10 @@ def test_p_eval_pole_guard():
             p_eval(x * (1 + Fraction(1, 10 ** 30)), N)
 
 
-def _p_eval_balls(x: Fraction, N: int, precision: int) -> ApproxReal:
+def _p_eval_brackets(x: Fraction, N: int, precision: int) -> ApproxReal:
     """The reference: the same guard, then S and S2 summed term by term in
-    balls of `precision` bits, about 5N rounded ball operations, each term
-    by the general ball division."""
+    brackets of `precision` bits, about 4N rounded bracket operations, each
+    term 1/(n^2 - x^2) over the bracket x^2 of a rounded x, rounded outward."""
     if N < 2:
         raise DomainError("p_eval needs N >= 2")
     x = Fraction(x)
@@ -217,15 +220,14 @@ def _p_eval_balls(x: Fraction, N: int, precision: int) -> ApproxReal:
         raise DomainError("p_eval needs 0 <= |x| < 1")
     if 1 - abs(x) < Fraction(1, N):
         raise DomainError(f"x within 1/{N} of the pole at 1; bracket would be vacuous")
-    xa = ApproxReal.from_rational(x, precision)
+    xa = ApproxReal.from_bracket(x, x, precision)
     x2 = xa * xa
-    s = s2 = ApproxReal.exact(0, precision)
+    s = s2 = ApproxReal(0, 0, precision)
     for n in range(1, N + 1):
-        term = general_div(ApproxReal.exact(1, precision), n * n - x2)
+        term = ApproxReal.from_bracket(1 / (n * n - x2.lo), 1 / (n * n - x2.hi), precision)
         s = s + term
         s2 = s2 + term * term
-    pair_sum = (s * s - s2) * Fraction(1, 2)
-    return 6 * s - x2 * pair_sum * 8
+    return 6 * s - x2 * (s * s - s2) * 4
 
 
 _points = st.integers(min_value=1, max_value=60).flatmap(
@@ -235,9 +237,9 @@ _points = st.integers(min_value=1, max_value=60).flatmap(
 
 @given(_points, st.integers(min_value=2, max_value=400), st.sampled_from([32, 64, 100, 256, 512]))
 @settings(max_examples=120, deadline=None)
-def test_p_eval_agrees_with_the_ball_loop(x, N, precision):
+def test_p_eval_agrees_with_the_bracket_loop(x, N, precision):
     try:
-        ref = _p_eval_balls(x, N, precision)
+        ref = _p_eval_brackets(x, N, precision)
     except DomainError:
         with pytest.raises(DomainError):
             p_eval(x, N, precision)
@@ -247,22 +249,35 @@ def test_p_eval_agrees_with_the_ball_loop(x, N, precision):
     assert v.err <= abs(v.value) / 2 ** (precision + 1)
     if N <= 60:
         assert v.contains(_exact_p(x, N))
-        S, S2 = _sum_balls(x, N, precision)
+        S, S2 = _sum_brackets(x, N, precision)
         exact_s, exact_s2 = _exact_sums(x, N)
         assert S.contains(exact_s) and S2.contains(exact_s2)
+
+
+@pytest.mark.parametrize("x, N, precision", [
+    (Fraction(0), 2, 32), (Fraction(-7, 10), 90, 64), (Fraction(9, 10), 700, 128)])
+def test_the_sum_brackets_are_the_floor_sums_and_n_units_above(x, N, precision):
+    # each term floored on 2^-W, from the exact rational term
+    W = precision + N.bit_length() + 8
+    terms = [1 / (n * n - x * x) for n in range(1, N + 1)]
+    s = sum(math.floor(t * (1 << W)) for t in terms)
+    s2 = sum(math.floor(t * t * (1 << W)) for t in terms)
+    S, S2 = _sum_brackets(x, N, precision)
+    assert (S.l, S.h, S.bits) == (s, s + N, W)
+    assert (S2.l, S2.h, S2.bits) == (s2, s2 + N, W)
 
 
 @pytest.mark.parametrize("x", [Fraction(5, 9), Fraction(-7, 10), Fraction(9, 10)])
 def test_the_floor_sums_bracket_the_exact_sums(x):
     # the floors lose more than N/2 units here, so the sums sit in the upper
-    # half of [s, s + N] 2^-W: a ball that kept only the floor's half would
-    # miss them
+    # half of [s, s + N] 2^-W: a bracket that kept only the floor's half
+    # would miss them
     N, precision = 90, 64
-    S, S2 = _sum_balls(x, N, precision)
+    S, S2 = _sum_brackets(x, N, precision)
     exact_s, exact_s2 = _exact_sums(x, N)
-    for ball, exact in ((S, exact_s), (S2, exact_s2)):
-        assert ball.contains(exact)
-        assert exact > ball.value
+    for bracket, exact in ((S, exact_s), (S2, exact_s2)):
+        assert bracket.contains(exact)
+        assert exact > bracket.value
 
 
 @pytest.mark.parametrize("precision", [32, 128, 512])
@@ -281,10 +296,10 @@ def test_p_eval_combines_the_sums_at_their_working_precision():
 
 
 def test_p_eval_at_the_precision_ceiling_keeps_its_working_precision():
-    # W = P + bitlen(N) + 8 passes MAX_PRECISION here; the ball is not
+    # W = P + bitlen(N) + 8 passes MAX_PRECISION here; the bracket is not
     # capped there, so the radius bound holds at the ceiling too
     v = p_eval(Fraction(9, 10), 50, MAX_PRECISION)
-    assert v.prec == MAX_PRECISION + (50).bit_length() + 8
+    assert v.bits == MAX_PRECISION + (50).bit_length() + 8
     assert v.err <= abs(v.value) / 2 ** (MAX_PRECISION + 1)
 
 
@@ -314,3 +329,20 @@ def test_interchange_bound_shrinks_with_x():
 def test_assembly_identity_through_twelve():
     for n in range(1, 13):
         assert fpp_assembly_identity(n)
+
+
+@pytest.mark.parametrize("N", [10, 11, 100, 700])
+def test_p_constancy_passes_within_its_derived_truncation_bound(N):
+    # the deviation is 36.7/N to 38.8/N here, and the bound
+    # 6/N + 3.24 (12/N + 1/N^2) + 2^-128 stays below 46/N: at the default
+    # tolerance 0 every N >= 10 passes, and at N = 1000 the bound is below
+    # the fixed tolerance 1/20 it replaces
+    records = {r.claim_id: r for r in run_suite("p-constant", RunConfig(N=N, n_max=5, j_max=2))}
+    record = records[f"p.constancy.N{N}"]
+    bound = (Fraction(6, N) + Fraction(324, 100) * (Fraction(12, N) + Fraction(1, N * N))
+             + Fraction(1, 2 ** 128))
+    assert record.status == "pass" and record.params["tolerance"] == "0"
+    assert record.certified_error == frac_to_decimal(bound, 45)
+    assert Fraction(36, N) < Fraction(record.params["observed_exact"]) <= bound < Fraction(46, N)
+    assert Fraction(6, 1000) + Fraction(324, 100) * (Fraction(12, 1000) + Fraction(1, 10 ** 6)) \
+        + Fraction(1, 2 ** 128) < Fraction(1, 20)

@@ -143,7 +143,7 @@ def test_terms_are_those_of_the_exact_search():
 
 
 def _exact_g_eval(x, precision_bits):
-    """The (g, g') balls of the exact rational summation: partial sums at the
+    """The (g, g') brackets of the exact rational summation: partial sums at the
     depth _exact_terms chooses, plus and minus the first omitted terms."""
     g, gp, rem, rem_p = _series_bracket(x, _exact_terms(abs(x), precision_bits))
     prec = precision_bits + 16
@@ -152,7 +152,7 @@ def _exact_g_eval(x, precision_bits):
 
 
 def test_g_eval_independent_series_oracle():
-    # the ball must hold the whole bracket of the 120-term partial sum s:
+    # the bracket must hold the whole bracket of the 120-term partial sum s:
     # [s - r, s + r], with r the first omitted term
     for x, prec in itertools.product(
             (Fraction(1, 3), Fraction(-7, 2), Fraction(4), Fraction(22, 7),
@@ -169,8 +169,8 @@ def test_g_eval_independent_series_oracle():
 @example(Fraction(1, 2 ** 40), 64)
 @example(Fraction(1, 15), 1024)
 def test_g_eval_fixed_point_against_the_exact_series(x, prec):
-    # each ball holds the exact bracket 8 terms deeper than the exact
-    # summation stops, and is at most twice as wide as that summation's ball
+    # each bracket holds the exact bracket 8 terms deeper than the exact
+    # summation stops, and is at most twice as wide as that summation's bracket
     depth = _exact_terms(abs(x), prec) + 8
     s, sp, r, rp = _series_bracket(x, depth)
     for ball, exact, mid, rem in zip(g_eval(x, prec), _exact_g_eval(x, prec),
@@ -191,14 +191,14 @@ def test_g_eval_domain_guard():
 
 def test_g_at_half_frequency_hits_one():
     pf = pi_freq(160)
-    half = pf * Fraction(1, 2)
+    half = pf / 2
     g, gp = g_eval(half.value, precision_bits=160)
     assert g.contains(Fraction(1))
     assert abs(gp.value) <= gp.err + Fraction(1, 2 ** 100)
 
 
 def _arc(prec):
-    """The arc over the endpoints of the pi_freq ball that pi-equality takes."""
+    """The arc over the endpoints of the pi_freq bracket that pi-equality takes."""
     return arc_length(pi_freq(prec + 24), prec)[0]
 
 
@@ -291,7 +291,8 @@ def test_arc_length_overlaps_the_oracle(prec):
 
 def test_arc_length_endpoint_past_the_certified_interval_is_a_broken_invariant():
     with pytest.raises(ValueError):
-        arc_length(ApproxReal(Fraction(710, 113), Fraction(1, 2 ** 80), 88), 64)
+        arc_length(ApproxReal.from_bracket(Fraction(710, 113) - Fraction(1, 2 ** 80),
+                                           Fraction(710, 113) + Fraction(1, 2 ** 80), 88), 64)
 
 
 def test_speed_at_zero_is_one():
@@ -320,8 +321,8 @@ def test_agreement_tightens_with_precision():
 
 
 def test_pi_equality_builds_one_pi_freq_and_one_oracle(monkeypatch):
-    # the "freq" ball is the arc's endpoint ball, 24 bits finer, and the
-    # Wallis parity check reads the "oracle" ball
+    # the "freq" bracket is the arc's endpoint bracket, 24 bits finer, and the
+    # Wallis parity check reads the "oracle" bracket
     calls = []
     real_freq, real_oracle = pi_constants.pi_freq, pi_oracle
     monkeypatch.setattr(pi_constants, "pi_freq",
@@ -358,7 +359,7 @@ def test_series_coefficient_bridge():
     # coefficients of the product's series match (-1)^k pi_freq^(2k)/(2k+1)!
     pf = pi_freq(160)
     for k, z in enumerate(mzv_limit(8, 128)[1:], start=1):
-        target = pf.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
+        target = pf.power(2 * k) / math.factorial(2 * k + 1)
         assert abs(z.value - target.value) <= z.err + target.err
 
 
@@ -367,7 +368,7 @@ def test_series_matches_product_spot_checks():
     pf = pi_freq(128)
     for x in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3),
               Fraction(2, 5), Fraction(9, 20)):
-        g, _ = g_eval((pf * x).value, precision_bits=128)
+        g, _ = g_eval(pf.value * x, precision_bits=128)
         series_value = g.value / pf.value
         product_value = eval_F(x, 4000)
         assert abs(series_value - product_value) < Fraction(1, 1000)

@@ -19,7 +19,6 @@ from mzvfactor.numeric import (
     pi_oracle,
     power_sum_tail_bracket,
     power_sum_tail_numerators,
-    round_to_bits,
 )
 from mzvfactor.series import (
     mzv_limit,
@@ -116,13 +115,13 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
     monkeypatch.setattr(series, "mzv_row", no_row)
     row = mzv_limit(4, 208)
     monkeypatch.undo()
-    width = Fraction(1, 2 ** 209) - Fraction(1, 2 ** 214)
+    width = Fraction(1, 2 ** 209)
     N, em = series.plan_limit(4, width)
     assert [a[:3] for a, _ in attempts] == [(4, N, em)]
     assert len(built) == len(set(built))
     assert (0, N) in built and all(0 <= lo < hi <= N for lo, hi in built)
     # the brackets are taken on the plan's grid, and each contains the exact
-    # bracket on the head row mzv_row(N, 4), as its ball contains it
+    # bracket on the head row mzv_row(N, 4), as its entry contains it
     args, kwargs = attempts[0]
     assert kwargs == {"bits": series.limit_bits(width)}
     unit = Fraction(1, 1 << kwargs["bits"])
@@ -268,26 +267,15 @@ def test_the_row_width_terms_are_those_of_each_degree_alone(K, N, em, bits):
     assert series.width_bound(K, N, em, bits) == [b + 2 * r for b, r in terms]
 
 
-def _bracket_ball(lo, hi, bits, P):
-    """oracle: the ball of a limit bracket with integer ends on the grid
-    2^-bits, its midpoint rounded by round_to_bits at P + 8 bits"""
-    lo, hi = Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
-    v, r = round_to_bits((lo + hi) / 2, P + 8)
-    return ApproxReal(v, (hi - lo) / 2 + r, P)
-
-
-def _same_ball(a, b):
-    return (a.value, a.err, a.prec) == (b.value, b.err, b.prec)
-
-
 @pytest.mark.parametrize("K, P", [(1, 64), (8, 116), (8, 160), (12, 219), (5, 512), (24, 64)])
 def test_every_row_entry_certifies_and_contains_the_exact_kernel(K, P):
     target = Fraction(1, 2 ** (P + 2))
-    width = 2 * target - Fraction(1, 2 ** (P + 6))
+    width = 2 * target
     N, em = series.plan_limit(K, width)
     row = mzv_limit(K, P)
     assert len(row) == K + 1 and row[0].value == 1 and row[0].err == 0
     bits = series.limit_bits(width)
+    assert bits == P + 34
     brackets = mzv_limit_bracket(K, N, em, bits=bits)
     prod = series._factor_product(0, N, K)
     for j in range(1, K + 1):
@@ -297,34 +285,27 @@ def test_every_row_entry_certifies_and_contains_the_exact_kernel(K, P):
         assert a <= lo * (1 << bits) and hi * (1 << bits) <= c, j
         assert row[j].err <= target, j
         assert row[j].lo <= lo <= hi <= row[j].hi, j
-        assert _same_ball(row[j], _bracket_ball(a, c, bits, P)), j
+        # the entry is the kernel's bracket, its ends handed over unchanged
+        assert (row[j].l, row[j].h, row[j].bits) == (a, c, bits), j
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=32, max_value=300),
        st.lists(st.tuples(st.integers(min_value=0, max_value=2 ** 400),
-                          st.integers(min_value=0, max_value=2 ** 400), st.booleans()),
+                          st.integers(min_value=0, max_value=2 ** 400)),
                 min_size=2, max_size=5))
-def test_row_balls_round_their_midpoints_as_round_to_bits(P, ends):
-    # any brackets on the plan's grid, ties at P + 8 bits among them: each
-    # ball is the one round_to_bits gives, and a bracket too wide misses
-    bits = series.limit_bits(2 * Fraction(1, 2 ** (P + 2)) - Fraction(1, 2 ** (P + 6)))
-    brackets = []
-    for a, w, tie in ends:
-        a %= 1 << (bits + 1)
-        w %= 1 << (bits - P - 1)
-        if tie:   # a midpoint halfway between two values of P + 8 bits
-            t = (2 * a + w).bit_length() - P - 9
-            if t > 0:
-                a = (((2 * a + w) >> t << t) + (1 << (t - 1)) - w) // 2
-                w += (2 * a + w) % 2
-        brackets.append((a, a + w))
-    expected = [_bracket_ball(lo, hi, bits, P) for lo, hi in brackets]
+def test_row_entries_are_the_planned_brackets_and_a_wider_one_is_refused(P, ends):
+    # any brackets on the plan's grid: each entry has the bracket's ends,
+    # and a bracket wider than 2^-(P + 1) misses the certified error
+    bits = series.limit_bits(Fraction(1, 2 ** (P + 1)))
+    brackets = [(a % (1 << (bits + 1)), a % (1 << (bits + 1)) + w % (1 << (bits - P)))
+                for a, w in ends]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(series, "mzv_limit_bracket", lambda *a, **kw: brackets)
-        if all(b.err <= Fraction(1, 2 ** (P + 2)) for b in expected):
+        if all(c - a <= 1 << (bits - P - 1) for a, c in brackets):
             row = mzv_limit(len(brackets) - 1, P)
-            assert all(_same_ball(z, b) for z, b in zip(row, expected))
+            assert [(z.l, z.h, z.bits) for z in row] == [(a, c, bits) for a, c in brackets]
+            assert all(z.err <= Fraction(1, 2 ** (P + 2)) for z in row)
         else:
             with pytest.raises(ValueError):
                 mzv_limit(len(brackets) - 1, P)
@@ -394,7 +375,7 @@ def test_mzv_limit_brackets_contain_closed_form():
     pi = pi_oracle(160)
     for K in range(1, 9):
         for k, z in enumerate(mzv_limit(K, 128)):
-            closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
+            closed = pi.power(2 * k) / math.factorial(2 * k + 1)
             assert abs(z.value - closed.value) <= z.err + closed.err, (K, k)
 
 
@@ -431,13 +412,14 @@ def limit_steps():
     return steps
 
 
-def _ladder_balls(steps, bracket, ball, precisions):
-    """{P: the ball the ladder certifies at P bits}: each step's bracket is
-    taken once for all P, and the first ball within 2^-(P+2) wins, as the
-    escalation did. ball(lo, hi) is the step's ball as a function of P."""
+def _ladder_brackets(steps, bracket, reported, precisions):
+    """{P: the bracket the ladder certifies at P bits}: each step's bracket
+    is taken once for all P, and the first one reported within 2^-(P+2)
+    wins, as the escalation did. reported(lo, hi) is the step's reported
+    bracket as a function of P."""
     out = {}
     for n, em in steps:
-        at = ball(*bracket(n, em))
+        at = reported(*bracket(n, em))
         for P in precisions:
             if P not in out:
                 b = at(P)
@@ -448,19 +430,18 @@ def _ladder_balls(steps, bracket, ball, precisions):
     raise AssertionError("the ladder ran out")
 
 
-def _mzv_ball(lo, hi):
-    mid, half = (lo + hi) / 2, (hi - lo) / 2
-
+def _mzv_bracket(lo, hi):
+    """The bracket a limit would report at P bits from the exact bracket
+    [lo, hi], or None where it is wider than 2^-(P + 1)."""
     def at(P):
-        if half > Fraction(1, 2 ** (P + 2)):
+        if hi - lo > Fraction(1, 2 ** (P + 1)):
             return None
-        v, r = round_to_bits(mid, P + 8)
-        return ApproxReal(v, half + r, P)
+        return ApproxReal.from_bracket(lo, hi, P + 34)
     return at
 
 
-def _pi_freq_ball(lo, hi):
-    return lambda P: ApproxReal.from_bracket(6 * lo, 6 * hi, P + 16).sqrt()
+def _pi_freq_bracket(lo, hi):
+    return lambda P: (6 * ApproxReal.from_bracket(lo, hi, P + 35)).sqrt()
 
 
 def _overlap(a, b):
@@ -494,10 +475,10 @@ def test_the_plan_takes_one_bracket_that_overlaps_the_ladder(monkeypatch):
     monkeypatch.setattr(series, "mzv_limit_bracket",
                         lambda *a, **kw: calls.append(a) or bracket(*a, **kw))
     for k in range(1, 9):
-        closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
-        oracle = _ladder_balls(limit_steps(),
+        closed = pi.power(2 * k) / math.factorial(2 * k + 1)
+        oracle = _ladder_brackets(limit_steps(),
                                lambda n, em: _exact_limit_bracket(k, n, em, heads[n][:k + 1]),
-                               _mzv_ball, _PLANNED_PRECISIONS)
+                               _mzv_bracket, _PLANNED_PRECISIONS)
         for P in _PLANNED_PRECISIONS:
             calls.clear()
             row = mzv_limit(k, P)
@@ -512,7 +493,7 @@ _PI_FREQ_PRECISIONS = (32, 64, 100, 128, 176, 224, 268, 269, 300, 512, 1024, 409
 
 def test_pi_freq_is_the_root_of_the_certified_zeta2_row_entry(monkeypatch):
     # pi_freq takes zeta(2) from one mzv_limit(1, P + 1) bracket, never from
-    # zeta2_bracket; its ball overlaps the root of that exact
+    # zeta2_bracket; its bracket overlaps the root of that exact
     # Euler-Maclaurin bracket at the same plan and the oracle, within
     # 2^-(P + 2)
     pi = pi_oracle(4096 + 64)
@@ -525,10 +506,10 @@ def test_pi_freq_is_the_root_of_the_certified_zeta2_row_entry(monkeypatch):
         calls.clear()
         est = pi_constants.pi_freq(P)
         # the row's width at P + 1 bits
-        width = Fraction(1, 2 ** (P + 2)) - Fraction(1, 2 ** (P + 7))
+        width = Fraction(1, 2 ** (P + 2))
         plan = series.plan_limit(1, width)
         assert calls == [((1, *plan), {"bits": series.limit_bits(width)})], P
-        exact = _pi_freq_ball(*zeta2(*plan))(P)
+        exact = _pi_freq_bracket(*zeta2(*plan))(P)
         assert est.err <= Fraction(1, 2 ** (P + 2)), P
         assert _overlap(est, exact) and _overlap(est, pi), P
 
@@ -605,6 +586,6 @@ def test_deep_limits_contain_the_closed_form():
         pi = pi_oracle(P + 64)
         for k in (1, 4, 8):
             z = mzv_limit(k, P)[k]
-            closed = pi.power(2 * k) * Fraction(1, math.factorial(2 * k + 1))
+            closed = pi.power(2 * k) / math.factorial(2 * k + 1)
             assert z.err <= Fraction(1, 2 ** (P + 2)), (k, P)
             assert abs(z.value - closed.value) <= z.err + closed.err, (k, P)
