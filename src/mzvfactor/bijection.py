@@ -20,18 +20,21 @@ Alpha rule 2 (the eps flip) deliberately skips 2-distinct vertices with
 8/(l1^2 l2^2) times the mu weight), and exactly those vertices must stay
 edge-free for the residual identity to hold.
 
-A vertex is validated once, where it enters from outside this module (a
-closure's seed, weight()); the vertices that iter_vertices, a residual
-identity or a neighbour function builds are valid by construction and are
-not checked again.
+Inside, a vertex is a code, a plain tuple: (mask, n) for V1 and (mask, l1,
+l2, eps) for V2, bit m of mask set iff m is in mu. The neighbour functions,
+weight_term, iter_vertices, the classifiers, closures and the residual
+identities work on codes. V1 and V2 remain at the boundary: a vertex is
+validated once where it enters (a closure's seed, weight()), and a closure
+decodes its vertices once, into canonical order. Codes built inside are
+valid by construction and are not checked again.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -53,21 +56,41 @@ class V2(NamedTuple):
 
 
 Vertex = Union[V1, V2]
+Code = tuple[int, ...]   # (mask, n) or (mask, l1, l2, eps)
+
+
+def _mask(mu: Iterable[int]) -> int:
+    return sum(1 << m for m in mu)
+
+
+@functools.lru_cache(maxsize=4096)
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(m for m in range(mask.bit_length()) if mask >> m & 1)
+
+
+def encode(v: Vertex) -> Code:
+    """The code of a valid V1 or V2."""
+    return (_mask(v.mu), *v[1:])
+
+
+def decode(c: Code) -> Vertex:
+    """The V1 or V2 a code stands for, built without the NamedTuple's checks."""
+    return tuple.__new__(V1 if len(c) == 2 else V2, (_members(c[0]), *c[1:]))
+
 
 ALPHA_SAFETY_BOUND = 64
 
 # The only size limits of the enumerations: a request over one is refused
-# from a closed-form count before any weight is taken. Each is about 60 s
-# of CPU time on a 2.0 GHz Xeon core. A residual-identity weight took
-# 2.0-2.7 us for k = 3..7; at k = 2 the common denominator grows with N,
-# and a weight took 3.2 us at N = 500 and 7.35 us at N = 2000, the largest
-# N admitted (59 s). A vertex took 12-15 us in the alpha walk (k = 2..6, up
-# to 1.62M vertices) and, in the k = 2 beta hub, 7.5 us at M = 300 to
-# 17 us at M = 1000, rising about linearly to some 24.5 us at M = 1549,
-# the largest hub admitted at k = 2. At M = 1000 a hub vertex took 16.8,
-# 20.7, 24.2, 27.3, 29.5, 34.5 and 36.5 us at k = 2..8, at most (k + 2)/4
-# times the cost at k = 2, so a beta closure at level k is refused above
-# VERTEX_CEILING * 4 / (k + 2) vertices.
+# from a closed-form count before any weight is taken. CPU times on a shared
+# 2-CPU Xeon host: a residual-identity weight took 0.6-0.7 us for k = 3..7
+# at the largest N admitted; at k = 2 the common denominator grows with N,
+# and a weight took 1.2 us at N = 500 and 3.8 us at N = 2000, the largest N
+# admitted (30 s). A vertex took 0.5-4.4 us in the alpha walk (k = 2..6 at
+# the largest bound admitted, 2.0-2.4M vertices, 9 s at most). A k = 2 beta
+# hub vertex took 3.7 us at M = 300, 9 us at M = 1000 and 15 us at M = 1549,
+# the largest hub admitted (36 s). At M = 1000 it took 11-14, 15, 18, 23 and
+# 26 us at k = 3..7, and 24 us at k = 8, M = 979 (23 s), so a beta closure
+# at level k is refused above VERTEX_CEILING * 4 / (k + 2) vertices.
 RESIDUAL_WEIGHT_CEILING = 8_000_000
 VERTEX_CEILING = 2_400_000
 
@@ -82,17 +105,14 @@ class StructuralFailure(AssertionError):
     alpha closure that refuses to stay finite)."""
 
 
-def _check_mu(mu: tuple[int, ...]) -> None:
+def validate_vertex(v: Vertex, k: int) -> None:
+    if not isinstance(v, (V1, V2)):
+        raise DomainError(f"not a vertex: {v!r}")
+    mu = v.mu
     if mu and min(mu) <= 0:
         raise DomainError(f"index set entries must be positive: {mu}")
     if len(mu) > 1 and not all(map(operator.lt, mu, mu[1:])):
         raise DomainError(f"index set must be strictly increasing: {mu}")
-
-
-def validate_vertex(v: Vertex, k: int) -> None:
-    if not isinstance(v, (V1, V2)):
-        raise DomainError(f"not a vertex: {v!r}")
-    _check_mu(v.mu)
     if isinstance(v, V1):
         if v.n <= 0:
             raise DomainError("V1 needs a positive distinguished integer")
@@ -107,18 +127,11 @@ def validate_vertex(v: Vertex, k: int) -> None:
         raise DomainError(f"V2 order {len(v.mu)} exceeds k-2 at level {k}")
 
 
-def _mu_square_product(mu: tuple[int, ...]) -> Fraction:
-    acc = Fraction(1)
-    for m in mu:
-        acc /= m * m
-    return acc
-
-
 def weight(v: Vertex, k: int) -> Fraction:
     """The weight t_k(v), exact."""
     validate_vertex(v, k)
     j = len(v.mu)
-    p = _mu_square_product(v.mu)
+    p = Fraction(1, math.prod(v.mu) ** 2)
     if isinstance(v, V1):
         sign = -1 if j % 2 == 0 else 1
         return 6 * sign * p * Fraction(1, v.n ** (2 * (k - j)))
@@ -133,20 +146,21 @@ def weight(v: Vertex, k: int) -> Fraction:
 # Integer weight-sum kernel
 # ---------------------------------------------------------------------------
 
-def weight_term(v: Vertex, k: int) -> tuple[int, int]:
-    """t_k(v) * prod(mu)^2, the weight without its index-set factor, as an
+def weight_term(c: Code, k: int) -> tuple[int, int]:
+    """t_k(c) * prod(mu)^2, the weight without its index-set factor, as an
     unreduced (signed numerator, positive denominator) pair of ints.
 
-    The integer kernel's per-vertex entry point. v must be valid; it is
-    not validated here.
+    The integer kernel's per-vertex entry point, on a coded vertex. c must
+    be valid; it is not validated here.
     """
-    j = len(v.mu)
-    if isinstance(v, V1):
-        return (6 if j % 2 else -6), v.n ** (2 * (k - j))
-    gap = v.l2 * v.l2 - v.l1 * v.l1
-    if v.eps == 1:
-        return (-8 if j % 2 else 8), v.l1 ** (2 * (k - j - 1)) * gap
-    return (8 if j % 2 else -8), v.l2 ** (2 * (k - j - 1)) * gap
+    j = c[0].bit_count()
+    if len(c) == 2:
+        return (6 if j % 2 else -6), c[1] ** (2 * (k - j))
+    _, l1, l2, eps = c
+    gap = l2 * l2 - l1 * l1
+    if eps == 1:
+        return (-8 if j % 2 else 8), l1 ** (2 * (k - j - 1)) * gap
+    return (8 if j % 2 else -8), l2 ** (2 * (k - j - 1)) * gap
 
 
 def _add_terms(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -166,24 +180,24 @@ def _add_terms(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return total, common
 
 
-def weight_sum(vertices: Iterable[Vertex], k: int) -> Fraction:
-    """The exact sum of t_k over valid vertices, reduced once at the end."""
+def weight_sum(codes: Iterable[Code], k: int) -> Fraction:
+    """The exact sum of t_k over valid coded vertices, reduced once at the end."""
     def terms():
-        for v in vertices:
-            num, den = weight_term(v, k)
-            yield num, den * math.prod(v.mu) ** 2
+        for c in codes:
+            num, den = weight_term(c, k)
+            yield num, den * math.prod(_members(c[0])) ** 2
     return Fraction(*_add_terms(terms()))
 
 
-def _index_set_sum(groups: Iterable[tuple[tuple[int, ...], Iterable[Vertex]]],
+def _index_set_sum(groups: Iterable[tuple[tuple[int, ...], Iterable[Code]]],
                    k: int) -> Fraction:
     """The exact sum of t_k over groups (mu, vertices whose index set is mu):
     an integer sum over each group's vertices, times the group's factor
     1/prod(mu)^2, reduced once at the end. A group is consumed before the
     next is drawn. The vertices must be valid; they are not validated here."""
     def group_terms():
-        for mu, vertices in groups:
-            total, den = _add_terms(weight_term(v, k) for v in vertices)
+        for mu, codes in groups:
+            total, den = _add_terms(weight_term(c, k) for c in codes)
             yield total, den * math.prod(mu) ** 2
     return Fraction(*_add_terms(group_terms()))
 
@@ -192,16 +206,8 @@ def _index_set_sum(groups: Iterable[tuple[tuple[int, ...], Iterable[Vertex]]],
 # Alpha edges
 # ---------------------------------------------------------------------------
 
-def _without(mu: tuple[int, ...], x: int) -> tuple[int, ...]:
-    return tuple(m for m in mu if m != x)
-
-
-def _with(mu: tuple[int, ...], x: int) -> tuple[int, ...]:
-    return tuple(sorted(mu + (x,)))
-
-
-def alpha_neighbors(v: Vertex, k: int) -> set[Vertex]:
-    """All alpha partners of v.
+def alpha_neighbors(c: Code, k: int) -> list[Code]:
+    """All alpha partners of the coded vertex c, without repeats.
 
     Rule 1 toggles n's membership in mu on V1 vertices. Rule 2 flips eps,
     except on 2-distinct vertices of top order k-2 (see module docstring).
@@ -209,114 +215,91 @@ def alpha_neighbors(v: Vertex, k: int) -> set[Vertex]:
     (lam+b; a,b). Rule 4 toggles the larger pair element's membership on
     eps = 1 vertices that carry the smaller one.
 
-    v must be valid; it is not validated here. Every partner of a valid
+    c must be valid; it is not validated here. Every partner of a valid
     vertex is valid.
     """
-    out: set[Vertex] = set()
-    if isinstance(v, V1):
-        if v.n in v.mu:
-            out.add(V1(_without(v.mu, v.n), v.n))
-        elif len(v.mu) + 1 <= k - 1:
-            out.add(V1(_with(v.mu, v.n), v.n))
-        return out
+    mask = c[0]
+    if len(c) == 2:
+        bit = 1 << c[1]
+        return [(mask ^ bit, c[1])] if mask & bit or mask.bit_count() < k - 1 else []
 
-    j = len(v.mu)
-    s1 = v.l1 in v.mu
-    s2 = v.l2 in v.mu
+    _, l1, l2, eps = c
+    b1, b2 = 1 << l1, 1 << l2
+    s1, s2 = mask & b1, mask & b2
+    room = mask.bit_count() < k - 2     # one more index fits
+    out = []
     # rule 2
-    if not (not s1 and not s2 and j == k - 2):
-        out.add(V2(v.mu, v.l1, v.l2, 3 - v.eps))
-    if v.eps == 1:
+    if s1 or s2 or room:
+        out.append((mask, l1, l2, 3 - eps))
+    if eps == 1:
         # rule 3 triangles
         if not s1 and not s2:
-            if j + 1 <= k - 2:
-                out.add(V2(_with(v.mu, v.l1), v.l1, v.l2, 1))
-                out.add(V2(_with(v.mu, v.l2), v.l1, v.l2, 1))
-        elif s1 and not s2:
-            lam = _without(v.mu, v.l1)
-            out.add(V2(lam, v.l1, v.l2, 1))
-            out.add(V2(_with(lam, v.l2), v.l1, v.l2, 1))
-        elif s2 and not s1:
-            lam = _without(v.mu, v.l2)
-            out.add(V2(lam, v.l1, v.l2, 1))
-            out.add(V2(_with(lam, v.l1), v.l1, v.l2, 1))
+            if room:
+                out += [(mask | b1, l1, l2, 1), (mask | b2, l1, l2, 1)]
+        elif not (s1 and s2):   # lam is mu without the one member
+            lam, other = (mask ^ b1, b2) if s1 else (mask ^ b2, b1)
+            out += [(lam, l1, l2, 1), (lam | other, l1, l2, 1)]
         # rule 4: membership toggle of l2 when l1 is present
-        if s1 and s2:
-            out.add(V2(_without(v.mu, v.l2), v.l1, v.l2, 1))
-        elif s1 and not s2 and j + 1 <= k - 2:
-            out.add(V2(_with(v.mu, v.l2), v.l1, v.l2, 1))
+        if s1 and (s2 or room):
+            out.append((mask ^ b2, l1, l2, 1))
     return out
 
 
-def is_alpha_residual(v: Vertex, k: int) -> bool:
+def is_alpha_residual(c: Code, k: int) -> bool:
     """The classified residual reading: 1-distinct V1 of order k-1 and
     2-distinct V2 of order k-2 carry no alpha edge."""
-    if isinstance(v, V1):
-        return len(v.mu) == k - 1 and v.n not in v.mu
-    return len(v.mu) == k - 2 and v.l1 not in v.mu and v.l2 not in v.mu
+    mask = c[0]
+    if len(c) == 2:
+        return mask.bit_count() == k - 1 and not mask >> c[1] & 1
+    return mask.bit_count() == k - 2 and not mask & ((1 << c[1]) | (1 << c[2]))
 
 
 # ---------------------------------------------------------------------------
 # Beta edges
 # ---------------------------------------------------------------------------
 
-def beta_neighbors(v: Vertex, k: int, M: int) -> set[Vertex]:
-    """All beta partners of v with integer entries <= M.
+def beta_neighbors(c: Code, k: int, M: int) -> list[Code]:
+    """All beta partners of the coded vertex c with integer entries <= M,
+    without repeats.
 
     A V1 vertex (mu; n) of order 1..k-2 joins every pair vertex that carries
     n in the marked slot; an order-0 vertex joins every empty-set pair vertex
     (the stated rule for the empty set really is that broad). Top order k-1
     carries no beta edge. V2 partners are the inverse images.
 
-    v must be valid; it is not validated here. Every partner of a valid
+    c must be valid; it is not validated here. Every partner of a valid
     vertex is valid.
     """
     if M < 1:
         raise DomainError("beta_neighbors needs a positive bound M")
-    out: set[Vertex] = set()
-    if isinstance(v, V1):
-        j = len(v.mu)
+    mask = c[0]
+    if len(c) == 2:
+        n, j = c[1], mask.bit_count()
+        if j > k - 2:
+            return []
         if j == 0:
-            if k >= 2:
-                for l1 in range(1, M + 1):
-                    for l2 in range(l1 + 1, M + 1):
-                        out.add(V2((), l1, l2, 1))
-                        out.add(V2((), l1, l2, 2))
-        elif j <= k - 2:
-            for l in range(1, M + 1):
-                if l == v.n:
-                    continue
-                if l > v.n:
-                    out.add(V2(v.mu, v.n, l, 1))
-                else:
-                    out.add(V2(v.mu, l, v.n, 2))
-        return out
-    if len(v.mu) == 0:
-        return {V1((), n) for n in range(1, M + 1)}
-    le = v.l1 if v.eps == 1 else v.l2
-    return {V1(v.mu, le)}
+            return [(0, l1, l2, eps) for l1 in range(1, M + 1)
+                    for l2 in range(l1 + 1, M + 1) for eps in (1, 2)]
+        return ([(mask, l, n, 2) for l in range(1, min(n, M + 1))]
+                + [(mask, n, l, 1) for l in range(n + 1, M + 1)])
+    if not mask:
+        return [(0, n) for n in range(1, M + 1)]
+    return [(mask, c[1] if c[3] == 1 else c[2])]
 
 
-def is_beta_residual(v: Vertex, k: int) -> bool:
+def is_beta_residual(c: Code, k: int) -> bool:
     """Only V1 vertices of top order k-1 (either distinctness) lack beta edges."""
-    return isinstance(v, V1) and len(v.mu) == k - 1
+    return len(c) == 2 and c[0].bit_count() == k - 1
 
 
 # ---------------------------------------------------------------------------
 # Components
 # ---------------------------------------------------------------------------
 
-def _vertex_key(v: Vertex):
-    if isinstance(v, V1):
-        return (0, v.mu, v.n, 0)
-    return (1, v.mu, v.l1, v.l2, v.eps)
-
-
-@dataclass(frozen=True)
-class WeightedComponent:
+class WeightedComponent(NamedTuple):
     kind: str                      # "alpha" | "beta"
     k: int
-    vertices: tuple[Vertex, ...]   # sorted by the canonical key
+    vertices: tuple[Vertex, ...]   # decoded, in canonical order
     weight_sum: Fraction
 
     def size(self) -> int:
@@ -365,9 +348,9 @@ def _beta_neighbors_hub_once(k: int, M: int):
     expanded."""
     expanded = set()
 
-    def neighbors(u: Vertex):
-        if not u.mu:
-            hub = isinstance(u, V1)
+    def neighbors(u: Code):
+        if not u[0]:
+            hub = len(u) == 2
             if hub in expanded:
                 return ()
             expanded.add(hub)
@@ -375,16 +358,18 @@ def _beta_neighbors_hub_once(k: int, M: int):
     return neighbors
 
 
-def component(v: Vertex, kind: str, k: int, M: Optional[int] = None) -> WeightedComponent:
+def component(v: Vertex, kind: str, k: int, M: Optional[int] = None, *,
+              partners: Optional[list[Code]] = None) -> WeightedComponent:
     """Breadth-first closure of v under the chosen edge system.
 
     Alpha closures must stay finite on their own; growing past
     ALPHA_SAFETY_BOUND vertices is reported as a structural failure, not
     truncated silently.
     Beta closures are truncated at entry bound M and refused from their
-    closed-form size by require_beta_size. Only the seed v is validated:
-    every other vertex the search reaches is a partner of a valid vertex,
-    valid by construction. The weight sum runs on the integer kernel.
+    closed-form size by require_beta_size. Only the seed v is validated.
+    The search runs on codes, decoded once at the end; the seed's partners,
+    when the caller has listed them, are passed as `partners` and not
+    listed again. The weight sum runs on the integer kernel.
     """
     if kind == "alpha":
         validate_vertex(v, k)
@@ -396,9 +381,13 @@ def component(v: Vertex, kind: str, k: int, M: Optional[int] = None) -> Weighted
         neighbors = _beta_neighbors_hub_once(k, M)
     else:
         raise DomainError(f"unknown edge system {kind!r}")
-    seen = {v}
-    frontier = [v]
+    seed = encode(v)
+    frontier = list(neighbors(seed) if partners is None else partners)
+    seen = {seed, *frontier}
     while frontier:
+        if kind == "alpha" and len(seen) > ALPHA_SAFETY_BOUND:
+            raise StructuralFailure(
+                f"alpha closure of {v} exceeded {ALPHA_SAFETY_BOUND} vertices")
         nxt = []
         for u in frontier:
             for w in neighbors(u):
@@ -406,27 +395,25 @@ def component(v: Vertex, kind: str, k: int, M: Optional[int] = None) -> Weighted
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-        if kind == "alpha" and len(seen) > ALPHA_SAFETY_BOUND:
-            raise StructuralFailure(
-                f"alpha closure of {v} exceeded {ALPHA_SAFETY_BOUND} vertices")
-    verts = tuple(sorted(seen, key=_vertex_key))
-    return WeightedComponent(kind=kind, k=k, vertices=verts,
-                             weight_sum=weight_sum(verts, k))
+    # canonical order: V1 before V2, each kind in its own tuple order
+    verts = (*sorted(decode(c) for c in seen if len(c) == 2),
+             *sorted(decode(c) for c in seen if len(c) == 4))
+    return WeightedComponent(kind, k, verts, weight_sum(seen, k))
 
 
-def iter_vertices(k: int, bound: int) -> Iterator[Vertex]:
-    """Every vertex at level k with all integer entries <= bound."""
+def iter_vertices(k: int, bound: int) -> Iterator[Code]:
+    """Every vertex at level k with all integer entries <= bound, coded."""
     universe = range(1, bound + 1)
     for j in range(0, k):
-        for mu in itertools.combinations(universe, j):
+        for mask in map(_mask, itertools.combinations(universe, j)):
             for n in universe:
-                yield V1(mu, n)
+                yield mask, n
     for j in range(0, k - 1):
-        for mu in itertools.combinations(universe, j):
+        for mask in map(_mask, itertools.combinations(universe, j)):
             for l1 in universe:
                 for l2 in range(l1 + 1, bound + 1):
-                    yield V2(mu, l1, l2, 1)
-                    yield V2(mu, l1, l2, 2)
+                    yield mask, l1, l2, 1
+                    yield mask, l1, l2, 2
 
 
 def vertex_count(k: int, bound: int) -> int:
@@ -445,41 +432,52 @@ def require_alpha_size(k: int, bound: int) -> None:
                   f"alpha components at k = {k}, bound {bound}: vertices")
 
 
-def alpha_walk(k: int, bound: int) -> Iterator[WeightedComponent]:
+def alpha_walk(k: int, bound: int, singletons: bool = True) -> Iterator[WeightedComponent]:
     """Every alpha component touching vertices with entries <= bound, once
-    each and singletons included, in the order iter_vertices first reaches
-    it. The size check runs at the first step, before any vertex. A vertex
-    without alpha partners is its own component, weighed directly; only the
-    others run the closure search."""
+    each, in the order iter_vertices first reaches it. The size check runs
+    at the first step, before any vertex. A vertex without alpha partners is
+    its own component, weighed directly, or skipped unweighed when
+    singletons is false; only the others run the closure search."""
     require_alpha_size(k, bound)
-    seen: set[Vertex] = set()
-    for v in iter_vertices(k, bound):
-        if v in seen:
+    seen: set[Code] = set()   # vertices of components already yielded, not yet reached
+    for c in iter_vertices(k, bound):
+        if c in seen:
+            seen.remove(c)
             continue
-        if not alpha_neighbors(v, k):
-            num, den = weight_term(v, k)
+        partners = alpha_neighbors(c, k)
+        if partners:
+            comp = component(decode(c), "alpha", k, partners=partners)
+            seen.update(map(encode, comp.vertices))
+            yield comp
+        elif singletons:
+            v = decode(c)
+            num, den = weight_term(c, k)
             yield WeightedComponent("alpha", k, (v,), Fraction(num, den * math.prod(v.mu) ** 2))
-            continue
-        comp = component(v, "alpha", k)
-        seen.update(comp.vertices)
-        yield comp
 
 
 def alpha_components_up_to(k: int, bound: int) -> list[WeightedComponent]:
     """All distinct alpha components touching vertices with entries <= bound,
-    singletons excluded, deduplicated by canonical key."""
-    return [c for c in alpha_walk(k, bound) if c.size() > 1]
+    singletons excluded."""
+    return list(alpha_walk(k, bound, singletons=False))
 
 
 def residual_classification_consistent(k: int, bound: int) -> bool:
-    """Exhaustively confirm: no alpha edges <=> classified alpha-residual,
-    and no beta edges <=> classified beta-residual, for entries <= bound."""
-    for v in iter_vertices(k, bound):
-        if (len(alpha_neighbors(v, k)) == 0) != is_alpha_residual(v, k):
+    """Exhaustively confirm, for entries <= bound: no alpha edges <=>
+    classified alpha-residual, no beta edges <=> classified beta-residual,
+    and every alpha edge is listed from both of its ends."""
+    unanswered = set()   # alpha edges (u, w) listed from u and not yet from w
+    for c in iter_vertices(k, bound):
+        partners = alpha_neighbors(c, k)
+        if (len(partners) == 0) != is_alpha_residual(c, k):
             return False
-        if (len(beta_neighbors(v, k, bound)) == 0) != is_beta_residual(v, k):
+        if (len(beta_neighbors(c, k, bound)) == 0) != is_beta_residual(c, k):
             return False
-    return True
+        for u in partners:
+            if (u, c) in unanswered:
+                unanswered.remove((u, c))
+            else:
+                unanswered.add((c, u))
+    return not unanswered
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +505,12 @@ def alpha_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
 
     def groups():
         for mu in itertools.combinations(universe, k - 1):
-            yield mu, (V1(mu, n) for n in universe if n not in mu)
+            mask = _mask(mu)
+            yield mu, ((mask, n) for n in universe if not mask >> n & 1)
         for mu in itertools.combinations(universe, k - 2):
-            rest = [n for n in universe if n not in mu]
-            yield mu, (V2(mu, l1, l2, eps)
+            mask = _mask(mu)
+            rest = [n for n in universe if not mask >> n & 1]
+            yield mu, ((mask, l1, l2, eps)
                        for l1, l2 in itertools.combinations(rest, 2) for eps in (1, 2))
 
     sign = 1 if k % 2 == 0 else -1
@@ -524,8 +524,8 @@ def beta_residual_identity(k: int, N: int) -> tuple[Fraction, Fraction]:
     rhs = 6 zeta_N({2}^{k-1}) zeta_N(2), both factors from one mzv_row."""
     require_residual_size("beta", k, N)
     universe = range(1, N + 1)
-    groups = ((mu, (V1(mu, n) for n in universe))
-              for mu in itertools.combinations(universe, k - 1))
+    groups = ((mu, ((mask, n) for n in universe))
+              for mu in itertools.combinations(universe, k - 1) for mask in [_mask(mu)])
     sign = 1 if k % 2 == 0 else -1
     lhs = sign * _index_set_sum(groups, k)
     row = mzv_row(N, k - 1)

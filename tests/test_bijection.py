@@ -20,6 +20,8 @@ from mzvfactor.bijection import (
     beta_neighbors,
     beta_residual_identity,
     component,
+    decode,
+    encode,
     factorization_check,
     format_component,
     is_alpha_residual,
@@ -47,11 +49,22 @@ def _random_vertex(rng, k, bound):
     return V2(mu, l1, l2, rng.choice((1, 2)))
 
 
+def _alpha(v, k):
+    """alpha_neighbors through the code adapters: the partners of V1/V2 v as
+    a set of V1/V2."""
+    return set(map(decode, alpha_neighbors(encode(v), k)))
+
+
+def _beta(v, k, M):
+    """beta_neighbors through the code adapters."""
+    return set(map(decode, beta_neighbors(encode(v), k, M)))
+
+
 def weight_form_alt(v, k):
     """The 4(...) display of the pair weight, the cross-check of weight()."""
     validate_vertex(v, k)
     j = len(v.mu)
-    p = bijection._mu_square_product(v.mu)
+    p = Fraction(1, math.prod(v.mu) ** 2)
     sign = 1 if j % 2 == 0 else -1
     eps_sign = 1 if v.eps == 1 else -1
     le = v.l1 if v.eps == 1 else v.l2
@@ -144,7 +157,7 @@ def _levelled_vertices(draw, top=60):
 @given(_levelled_vertices())
 def test_integer_kernel_matches_fraction_weights(case):
     k, vertices = case
-    assert weight_sum(vertices, k) == sum((weight(v, k) for v in vertices), Fraction(0))
+    assert weight_sum(map(encode, vertices), k) == sum((weight(v, k) for v in vertices), Fraction(0))
 
 
 @given(_levelled_vertices(top=12), st.integers(1, 14))
@@ -153,17 +166,17 @@ def test_every_neighbour_of_a_valid_vertex_is_valid(case, M):
     k, vertices = case
     for v in vertices:
         validate_vertex(v, k)
-        for u in alpha_neighbors(v, k):
+        for u in _alpha(v, k):
             validate_vertex(u, k)
-        for u in beta_neighbors(v, k, M):
+        for u in _beta(v, k, M):
             validate_vertex(u, k)
 
 
 def test_iter_vertices_yields_only_valid_vertices():
     for k in range(1, 5):
         for bound in range(1, 7):
-            for v in iter_vertices(k, bound):
-                validate_vertex(v, k)
+            for c in iter_vertices(k, bound):
+                validate_vertex(decode(c), k)
 
 
 def test_closure_seed_is_validated():
@@ -174,20 +187,20 @@ def test_closure_seed_is_validated():
 
 
 def test_alpha_neighbor_examples():
-    assert V1((), 3) in alpha_neighbors(V1((3,), 3), 2)
+    assert V1((), 3) in _alpha(V1((3,), 3), 2)
     # top-order 2-distinct pair vertices carry no alpha edge: they are the
     # residual class the factorization counts
-    assert alpha_neighbors(V2((), 1, 2, 1), 2) == set()
-    assert is_alpha_residual(V2((), 1, 2, 1), 2)
+    assert _alpha(V2((), 1, 2, 1), 2) == set()
+    assert is_alpha_residual(encode(V2((), 1, 2, 1)), 2)
     # one level down the eps flip is present
-    assert V2((), 1, 2, 2) in alpha_neighbors(V2((), 1, 2, 1), 3)
+    assert V2((), 1, 2, 2) in _alpha(V2((), 1, 2, 1), 3)
 
 
 def test_alpha_triangle_and_membership_toggle():
     k = 3
-    nb = alpha_neighbors(V2((), 1, 2, 1), k)
+    nb = _alpha(V2((), 1, 2, 1), k)
     assert V2((1,), 1, 2, 1) in nb and V2((2,), 1, 2, 1) in nb
-    nb2 = alpha_neighbors(V2((1,), 1, 2, 1), k)
+    nb2 = _alpha(V2((1,), 1, 2, 1), k)
     assert V2((), 1, 2, 1) in nb2 and V2((2,), 1, 2, 1) in nb2
 
 
@@ -196,12 +209,12 @@ def test_alpha_symmetry_random():
     for _ in range(500):
         k = rng.randint(2, 5)
         v = _random_vertex(rng, k, 12)
-        for u in alpha_neighbors(v, k):
-            assert v in alpha_neighbors(u, k), (v, u, k)
+        for u in _alpha(v, k):
+            assert v in _alpha(u, k), (v, u, k)
 
 
 def test_beta_neighbors_example():
-    nb = beta_neighbors(V1((), 3), 2, 5)
+    nb = _beta(V1((), 3), 2, 5)
     for expected in (V2((), 3, 4, 1), V2((), 3, 5, 1), V2((), 1, 3, 2), V2((), 2, 3, 2)):
         assert expected in nb
     # the empty-set rule joins every pair vertex within the bound
@@ -210,7 +223,7 @@ def test_beta_neighbors_example():
 
 
 def test_beta_neighbors_order_one():
-    nb = beta_neighbors(V1((2,), 2), 3, 6)
+    nb = _beta(V1((2,), 2), 3, 6)
     assert nb == ({V2((2,), 2, l, 1) for l in range(3, 7)}
                   | {V2((2,), 1, 2, 2)})
 
@@ -221,8 +234,8 @@ def test_beta_symmetry_random():
     for _ in range(500):
         k = rng.randint(2, 5)
         v = _random_vertex(rng, k, M)
-        for u in beta_neighbors(v, k, M):
-            assert v in beta_neighbors(u, k, M), (v, u, k)
+        for u in _beta(v, k, M):
+            assert v in _beta(u, k, M), (v, u, k)
 
 
 def test_alpha_component_examples():
@@ -247,6 +260,13 @@ def test_alpha_cancellation_small():
             assert c.weight_sum == 0
 
 
+def _canonical_key(v):
+    """The canonical vertex order: V1 before V2, then mu, then the integers."""
+    if isinstance(v, V1):
+        return (0, v.mu, v.n, 0)
+    return (1, v.mu, v.l1, v.l2, v.eps)
+
+
 def _plain_beta_closure(v, k, M):
     """The reference beta closure: a breadth-first search that expands
     every vertex with beta_neighbors, summed one Fraction at a time."""
@@ -254,7 +274,7 @@ def _plain_beta_closure(v, k, M):
     while frontier:
         nxt = []
         for u in frontier:
-            for w in beta_neighbors(u, k, M):
+            for w in _beta(u, k, M):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -281,7 +301,7 @@ def test_hub_once_beta_closure_matches_plain_search(monkeypatch):
     hub_expansions = []
 
     def counted(u, k, M):
-        if not u.mu:
+        if not u[0]:   # an empty index set
             hub_expansions.append(u)
         return real(u, k, M)
 
@@ -292,7 +312,7 @@ def test_hub_once_beta_closure_matches_plain_search(monkeypatch):
                 hub_expansions.clear()
                 comp = component(v, "beta", k, M=M)
                 seen, total = _plain_beta_closure(v, k, M)
-                assert comp.vertices == tuple(sorted(seen, key=bijection._vertex_key)), (k, M, v)
+                assert comp.vertices == tuple(sorted(seen, key=_canonical_key)), (k, M, v)
                 assert comp.weight_sum == total, (k, M, v)
                 # one order-0 V1 and one empty-mu pair at most are expanded
                 assert len(hub_expansions) <= 2, (k, M, v)
@@ -330,6 +350,31 @@ def test_beta_component_sums_shrink():
 def test_residual_classification_small_bounds():
     for k in (2, 3, 4):
         assert residual_classification_consistent(k, 8)
+
+
+def test_classification_check_fails_on_a_broken_alpha_rule_3(monkeypatch):
+    # eps = 1 vertices carrying l1 and not l2 lose their rule-3 partners; each
+    # such vertex keeps its eps flip, so only the edges listed from one end
+    # show the break
+    real = bijection.alpha_neighbors
+
+    def broken(c, k):
+        mask, partners = c[0], real(c, k)
+        if len(c) == 4 and c[3] == 1 and mask >> c[1] & 1 and not mask >> c[2] & 1:
+            lam = mask ^ (1 << c[1])
+            partners = [u for u in partners if u[0] not in (lam, lam | 1 << c[2])]
+        return partners
+
+    monkeypatch.setattr(bijection, "alpha_neighbors", broken)
+    assert not all(residual_classification_consistent(k, 6) for k in (2, 3, 4))
+
+
+def test_classification_check_fails_on_a_broken_beta_hub(monkeypatch):
+    # order-0 V1 vertices lose every beta partner
+    real = bijection.beta_neighbors
+    monkeypatch.setattr(bijection, "beta_neighbors",
+                        lambda c, k, M: [] if len(c) == 2 and not c[0] else real(c, k, M))
+    assert not all(residual_classification_consistent(k, 6) for k in (2, 3, 4))
 
 
 def test_alpha_residual_identity_examples():
@@ -370,10 +415,10 @@ def test_index_set_sums_match_per_vertex_weights():
     for k in (2, 3, 4):
         sign = (-1) ** k
         for N in range(1, 13):
-            vertices = list(iter_vertices(k, N))
-            alpha = sign * sum((weight(v, k) for v in vertices if is_alpha_residual(v, k)),
+            codes = list(iter_vertices(k, N))
+            alpha = sign * sum((weight(decode(c), k) for c in codes if is_alpha_residual(c, k)),
                                Fraction(0))
-            beta = sign * sum((weight(v, k) for v in vertices if is_beta_residual(v, k)),
+            beta = sign * sum((weight(decode(c), k) for c in codes if is_beta_residual(c, k)),
                               Fraction(0))
             assert alpha_residual_identity(k, N)[0] == alpha, (k, N)
             assert beta_residual_identity(k, N)[0] == beta, (k, N)
@@ -429,7 +474,7 @@ def test_component_dump_format():
 
 def test_iter_vertices_counts():
     # k=2, bound=3: V1 orders 0..1, V2 order 0 only
-    vs = list(iter_vertices(2, 3))
+    vs = list(map(decode, iter_vertices(2, 3)))
     v1 = [v for v in vs if isinstance(v, V1)]
     v2 = [v for v in vs if isinstance(v, V2)]
     assert len(v1) == (1 + 3) * 3

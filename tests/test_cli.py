@@ -661,8 +661,8 @@ def test_alpha_dump_takes_its_singletons_from_the_one_walk(tmp_path, monkeypatch
         singles = (tmp_path / f"alpha_k{k}_b{bound}.residual_singletons.txt").read_text()
         assert len(calls) == comps.count("sum=")
         assert all(len(real(*args).vertices) > 1 for args in calls)
-        residual = [v for v in bijection.iter_vertices(k, bound)
-                    if bijection.is_alpha_residual(v, k)]
+        residual = [bijection.decode(c) for c in bijection.iter_vertices(k, bound)
+                    if bijection.is_alpha_residual(c, k)]
         assert singles == "".join(bijection.format_component(real(v, "alpha", k)) + "\n"
                                   for v in residual)
 
