@@ -239,17 +239,16 @@ def _speed_defect(D: int) -> tuple[list[int], Fraction]:
     and r, r' = A^(D+1)/(D+1)!, A^(D+2)/(D+2)! bound the alternating remainders R of g, g'
     (in some order; A^2 < 10 < (D+2)(D+3)), so |g^2 - G^2| = |R| |2G + R| <= r (48 + r).
     The terms are rounded up on W bits, by under 2^-30 r' in all: each u[j] by under
-    e^A < 24 units, and sum |s_m| < 4^(D+1)."""
+    e^A < 24 units, and sum |s_m| < 4^(D+1).
+
+    The sums are closed: sum_{j<=J} (-1)^j C(n, j) = (-1)^J C(n-1, J) for n >= 1, so
+    s_m = (-1)^D C(2m-1, D) - (-1)^(2m-D-1) C(2m-1, 2m-D-1) = 2 (-1)^D C(2m-1, D) for
+    D < 2m <= 2D, and s_m = 0 for m <= D/2, the two truncations agreeing there."""
     W = (D + 2) * ((D + 2).bit_length() + 2) + 32   # >= log2((D+2)!) + 2D + 36
     u = list(itertools.accumulate(   # u[j] >= A^j / j! in units of 2^-W
         range(1, 2 * D + 3), lambda t, j: -(-t * 355 // (113 * j)), initial=1 << W))
-    sums = []
-    for m in range(D + 1):
-        n, j = 2 * m, max(0, 2 * m - D)
-        c, s = math.comb(n, j), -(m == 0)
-        for j in range(j, min(n, D) + 1):
-            s, c = s + (-c if j & 1 else c), c * (n - j) // (j + 1)
-        sums.append(s)
+    sign = -2 if D & 1 else 2
+    sums = [sign * math.comb(2 * m - 1, D) if 2 * m > D else 0 for m in range(D + 1)]
     eps = sum(abs(s) * u[2 * m] for m, s in enumerate(sums))
     eps += sum(-(-r * ((48 << W) + r) >> W) for r in u[D + 1:D + 3])
     return sums, Fraction(eps, 1 << W)

@@ -3,28 +3,31 @@ and certified limits. zeta_N({2}^k) is, up to the sign (-1)^k, the
 coefficient of x^(2k+1) in the expanded truncated product.
 
 zeta_N({2}^k) is the k-th elementary symmetric function of {1/n^2 : n <= N},
-so every entry of a row comes from one integer polynomial:
+so every entry of an exact row comes from one integer polynomial:
 
     zeta_N({2}^j) = [t^j] prod_{n<=N} (n^2 + t) / (N!)^2.
 
 The product is taken mod t^(k+1) over a balanced tree of ranges of n
 (binary splitting; Haible & Papanikolaou 1998, Bernstein 2008), so its
-operands stay balanced and the row costs one division per entry. A
-certified limit keeps that exact head, but takes everything else on W-bit
-integers, W 34 bits past the requested precision: each ratio
-c_j / c_0 and each power-sum bracket of the tail is rounded outward to
-2^-W once, and Newton's identities and the head-times-tail sum floor every
-lower end and ceil every upper one, as every ApproxReal operation does, so
-the row's ApproxReal brackets are those integer ends. A limit takes one
-row: every zeta({2}^j), j <= k, from one head of degree k, one tail and
-one bracket per entry, at the truncation
-and depth plan_limit picks for the whole row from closed-form bounds
-before any work (Johansson,
-"Rigorous high-precision computation of the Hurwitz zeta function and its
-derivatives", Numer. Algorithms 2015); the bound counts the rounding. The
-rolling recursion e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2, the rational
-interval Newton recursion, the exact integer limit kernel and the
-escalation ladder the limits used to walk are left to the tests as oracles.
+operands stay balanced and the row costs one division per entry; it serves
+the exact rows only. A certified limit takes no exact product. It works on
+W-bit integers, W 34 bits past the requested precision, in the fixed-point
+idiom of Brent & Zimmermann, "Modern Computer Arithmetic" (2010): the head
+n <= N and the tail n > N each give brackets of the power sums of their
+set, the head's from nested floor divisions a few bits finer and the
+tail's from Euler-Maclaurin, and Newton's identities turn each into
+brackets of its elementary symmetric functions. Every lower end is floored
+and every upper one ceiled, as every ApproxReal operation does, so the
+row's ApproxReal brackets are those integer ends. A limit takes one row:
+every zeta({2}^j), j <= k, from one head, one tail and one bracket per
+entry, at the truncation and depth plan_limit picks for the whole row from
+closed-form bounds before any work (Johansson, "Rigorous high-precision
+computation of the Hurwitz zeta function and its derivatives", Numer.
+Algorithms 2015); the bound counts the rounding. The rolling recursion
+e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2, the rational interval Newton
+recursion, the exact integer limit kernel, the exact-head limit kernel and
+the escalation ladder the limits used to walk are left to the tests as
+oracles.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .numeric import (
     round_to_bits,  # not called here; bench/test_bench.py checks the tracer wraps this binding
 )
 
-# the largest truncation of an exact head row or zeta_N(2)
+# the largest truncation of an exact row, of a certified limit or of zeta_N(2)
 EXACT_N_LIMIT = 10 ** 4
 # The deepest Euler-Maclaurin tail. At N = 8192 a row at the 16384-bit
 # precision ceiling takes depth 1469 at every k (the entry zeta({2}^2),
@@ -52,21 +55,21 @@ EXACT_N_LIMIT = 10 ** 4
 # makes, pi-equality's zeta(2) row at 16409 bits (pi_freq 24 bits finer,
 # its row one bit finer still), takes 1472; the cap leaves about 4% of
 # headroom (the plan reaches 16936 bits), and no admitted request plans
-# deeper than it needs. There a whole `compute mzv` request took 2.5 s of
-# CPU time at k = 1, 2.7 s at k = 8 and 5.0 s at k = 24 on a shared 2-CPU
-# Xeon host, up to 3.2 s of it the Bernoulli numbers to B_2940.
+# deeper than it needs. There a whole `compute mzv` request took 1.9-2.0 s
+# of CPU time at k = 1, 2.2 s at k = 8 and 3.3 s at k = 24 on a shared
+# 2-CPU Xeon host, 1.8 s of it the Bernoulli numbers to B_2940.
 EM_CEILING = 1536
 # The largest k of a certified limit. The slowest request at a given k is
 # one at the 16384-bit precision ceiling, a single attempt at N = 8192 and
 # depth 1469; on a shared 2-CPU Xeon host a `compute mzv` row there took
-# 2.5 s of CPU time at k = 1, 5.0 s at k = 24, 12.5 s at k = 48 and 22 s
-# at k = 64, most of it the exact head (18 of 25 s at k = 64 under
-# cProfile; the plan 0.1 s, the row's sums 0.7 s). With the head growing
-# as k^2, k = 64 keeps about half of the 60 s budget in hand for a slower
-# host, and so do `verify basel --k 64` and `verify factorization --k 64`
-# there (29-33 s, with basel's oracle 32 bits finer): this ceiling alone
-# bounds the time of the limit suites. A 64-bit request at k = 64 takes
-# 0.02 s.
+# 1.9-2.0 s of CPU time at k = 1, 3.3 s at k = 24, 4.6 s at k = 48, 6.8-7.2 s
+# at k = 64 and 10.2 s at k = 96, 1.8 s of it the Bernoulli numbers and at
+# k = 64 about 2 s the head's N k floor divisions (with the exact head
+# product that row took 14.5 s). k = 64 keeps the 60 s budget about
+# eight times the time of `verify basel --k 64` and `verify factorization
+# --k 64` there (6.8-7.8 s, with basel's oracle 32 bits finer), room for a
+# much slower host: this ceiling alone bounds the time of the limit
+# suites. A 64-bit request at k = 64 takes under 0.01 s.
 MZV_K_CEILING = 64
 
 
@@ -126,21 +129,16 @@ def zeta_even_truncated(N: int, j: int) -> Fraction:
 # Certified limits
 # ---------------------------------------------------------------------------
 
-def tail_elementary_brackets(N: int, k: int, em_terms: int, bits: int) -> list[tuple[int, int]]:
-    """Brackets lo / 2^bits <= e_m <= hi / 2^bits, m = 0..k, of the
-    elementary symmetric functions e_m of the tail set {1/n^2 : n > N}.
-
-    Each power-sum bracket of power_sum_tail_numerators is taken once to
-    2^-bits, its lower end floored and its upper end ceiled. Newton's
-    identities m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i then sum exact
-    products of those integers, and the lower end of e_m is floored and the
-    upper end ceiled. Each e bracket (a, b) lies in [0, inf), so its product
-    with a p bracket (c, d) runs from a c (b c if c < 0) to b d (a d if d < 0).
-    """
-    den, ends = power_sum_tail_numerators(N, k, em_terms)
-    p = [((lo << bits) // den, -((-hi << bits) // den)) for lo, hi in ends]
+def _newton_brackets(p: list[tuple[int, int]], bits: int) -> list[tuple[int, int]]:
+    """Brackets lo / 2^bits <= e_m <= hi / 2^bits, m = 0..len(p), of the
+    elementary symmetric functions of a set of positive reals, from brackets
+    of its power sums p_i, i = 1..len(p), on the same grid. Newton's
+    identities m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i sum exact products
+    of the integer ends, and the lower end of e_m is floored and the upper
+    end ceiled. Each e bracket (a, b) lies in [0, inf), so its product with
+    a p bracket (c, d) runs from a c (b c if c < 0) to b d (a d if d < 0)."""
     e = [(1 << bits, 1 << bits)]
-    for m in range(1, k + 1):
+    for m in range(1, len(p) + 1):
         lo = hi = 0
         for i in range(1, m + 1):
             (a, b), (c, d) = e[m - i], p[i - 1]
@@ -153,6 +151,44 @@ def tail_elementary_brackets(N: int, k: int, em_terms: int, bits: int) -> list[t
         unit = m << bits
         e.append((max(0, lo // unit), -(-hi // unit)))
     return e
+
+
+def tail_elementary_brackets(N: int, k: int, em_terms: int, bits: int) -> list[tuple[int, int]]:
+    """Brackets lo / 2^bits <= e_m <= hi / 2^bits, m = 0..k, of the
+    elementary symmetric functions e_m of the tail set {1/n^2 : n > N}: each
+    power-sum bracket of power_sum_tail_numerators is taken once to
+    2^-bits, its lower end floored and its upper end ceiled, and run
+    through _newton_brackets."""
+    den, ends = power_sum_tail_numerators(N, k, em_terms)
+    return _newton_brackets([((lo << bits) // den, -((-hi << bits) // den)) for lo, hi in ends],
+                            bits)
+
+
+def head_bits(N: int, bits: int) -> int:
+    """The fractional bits of the head of a row taken on the grid 2^-bits
+    at truncation N: bitlen(N) + 8 guard bits past it, so that the slack of
+    N units in each head power sum stays under 2^-8 of a unit of 2^-bits."""
+    return bits + N.bit_length() + 8
+
+
+def head_power_sums(N: int, k: int, bits: int) -> list[tuple[int, int]]:
+    """Brackets lo / 2^bits <= p_i <= hi / 2^bits, i = 1..k, of the power
+    sums p_i = sum_{n<=N} 1/n^(2i) of the head set {1/n^2 : n <= N}.
+    Each term floor(2^bits / n^(2i)) comes from the one before by one more
+    floor division by n^2 (nested floors of positive integers are the
+    floor of the quotient), so the sum h_i of the N floors is less than N
+    units short of p_i: the bracket is [h_i, h_i + N]. The terms do not
+    increase in n, so those that reach 0 are dropped from the end."""
+    sq = [n * n for n in range(1, N + 1)]
+    x = [1 << bits] * N
+    out = []
+    for _ in range(k):
+        x = [t // q for t, q in zip(x, sq)]
+        while x and not x[-1]:
+            x.pop()
+        h = sum(x)
+        out.append((h, h + N))
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -215,17 +251,27 @@ def _width_terms(k: int, N: int, em: int, s: int) -> list[tuple[int, int]]:
     Every quantity is rounded up to a whole unit, so the bound exceeds the
     exact sum by at most about k^2 units.
 
-    The s-bit kernel moves each end of a p_i bracket, of an e_m bracket and
-    of a head ratio c_j / c_0 (j > 0) outward by less than one unit, and its
-    products are exact. If the ends of X' lie at most x outside those of X,
-    and those of Y' at most y outside Y, the ends of X'Y' lie at most
-    mag(X') y + mag(Y) x outside those of XY. So each end of e_m lies at most
+    The kernel's products are exact, and each rounding moves an end outward
+    by less than one unit of its grid. If the ends of X' lie at most x
+    outside those of X, and those of Y' at most y outside Y, the ends of
+    X'Y' lie at most x mag(Y') + mag(X) y outside those of XY. The s-bit
+    tail moves each end of a p_i bracket outward by less than a unit, so
+    each end of its e_m lies at most
         r_m <= 1 + (1/m) sum_{i=1..m} (hi(e_{m-i}) + r_{m-i} + (p_i + W_i) r_{m-i})
-    units outside the exact one, and each end of entry m at most
-        R_m <= 1 + sum_{j=0..m} ([j > 0] (hi(e_{m-j}) + r_{m-j}) + zeta({2}^j) r_{m-j}),
-    where each term, a product of two quantities in units, is taken over
-    2^s. At the N >= 256 of a plan R_m is 4 units at m = 1 and 10 at m = 8
-    to 80, against the 2^32 units of the planned width.
+    units outside the exact one, where each term, a product of two
+    quantities in units, is taken over 2^s. The head, on the grid 2^-t,
+    t = head_bits(N, s), brackets each point p_i <= zeta(2i) <= 1 + 3/4^i
+    with ends at most N units of 2^-t outside it, so each end of its e_j,
+    whose exact value zeta_N({2}^j) is at most zeta({2}^j), lies at most
+        rho_j <= 1 + (1/j) sum_{i=1..j} (rho_{j-i} (p_i + N) + zeta({2}^(j-i)) N)
+    units of 2^-t outside zeta_N({2}^j), rho_0 = 0, each term taken over
+    2^t (_head_rounding). Each end of entry m then lies at most
+        R_m <= 1 + max_{j<=m} rho_j sum_{j=1..m} (hi(e_{m-j}) + r_{m-j}) / 2^t
+                 + sum_{j=0..m} zeta({2}^j) r_{m-j}
+    units of 2^-s outside the exact bracket. There the head adds under
+    2^-8 of a unit (rho_j <= 12 N at j <= 64), where a head ratio rounded
+    once to 2^-s would add one: at the N >= 256 of a plan R_m is 4 units at
+    m = 1 and 9 at m = 5 to 80, against the 2^32 units of the planned width.
     """
     n, a, one = em + 1, N + 1, 1 << s
     big = 2 * math.factorial(2 * n) * (4 ** n + 3) * 53 ** (2 * n) << s
@@ -244,16 +290,36 @@ def _width_terms(k: int, N: int, em: int, s: int) -> list[tuple[int, int]]:
         r.append(-(-total // (m << s)) + 1)
     # zeta({2}^j) < num / den
     zeta = [(355 ** (2 * j), 113 ** (2 * j) * math.factorial(2 * j + 1)) for j in range(k + 1)]
-    # carried = sum_{i<m} (hi(e_i) + r_i), the j > 0 terms of R_m that
-    # carry no zeta factor
-    out, carried = [], 0
+    rho, shift = _head_rounding(k, N), head_bits(N, s) - s
+    # carried = sum_{i<m} (hi(e_i) + r_i) and top = max_{j<=m} rho_j, so
+    # that top carried bounds the head's terms of R_m
+    out, carried, top = [], 0, 0
     for m in range(k + 1):
         exact = sum(-(-num * eps[m - j] // den) for j, (num, den) in enumerate(zeta[:m]))
-        total = carried + sum(-(-num * r[m - j] * one // den)
-                              for j, (num, den) in enumerate(zeta[:m + 1]))
+        top = max(top, rho[m])
+        total = -(-top * carried >> shift) + sum(-(-num * r[m - j] * one // den)
+                                               for j, (num, den) in enumerate(zeta[:m + 1]))
         carried += eta[m] + r[m]
         out.append((exact, -(-total // one) + 1))
     return out
+
+
+@lru_cache(maxsize=256)
+def _head_rounding(k: int, N: int) -> tuple[int, ...]:
+    """rho_j, j = 0..k, of _width_terms: how far each end of the head's
+    bracket of zeta_N({2}^j) lies outside it, in units of 2^-t,
+    t = head_bits(N, s), at any s. Each term of the recursion is rounded up
+    to a unit of 2^-32: zeta({2}^j) N, and p_i + N 2^-t < 1 + 3/4^i + 2^-8.
+    Cached: a plan bounds each depth it tries at one N with the same head."""
+    u = 32
+    head = [-((-(355 ** (2 * j)) << u) // (113 ** (2 * j) * math.factorial(2 * j + 1))) * N
+            for j in range(k)]
+    ends = [0] + [-(-(4 ** i + 3 << u) // 4 ** i) + (1 << u - 8) for i in range(1, k + 1)]
+    rho = [0]
+    for j in range(1, k + 1):
+        total = sum(rho[j - i] * ends[i] + head[j - i] for i in range(1, j + 1))
+        rho.append(-(-total // (j << u)) + 1)
+    return tuple(rho)
 
 
 def plan_limit(k: int, width: Fraction) -> tuple[int, int]:
@@ -274,19 +340,23 @@ def plan_limit(k: int, width: Fraction) -> tuple[int, int]:
     plan costs O(log EM_CEILING) closed-form bounds at each N of the ladder,
     as a plan for entry k alone would.
 
-    The cap N/2 comes from the cost of the attempt, measured at every N of
-    the ladder for k = 1, 4, 8, 16 and 24 and 512 to 8192 bits in steps of
-    sqrt(2): the exact head costs about 3-4x per doubling of N (3.0 s at
-    N = 8192 and k = 24), while the W-bit tail at a depth of N/2 costs less
-    than the head at N. With the Bernoulli numbers built, as in any process
-    that took a limit as deep before, N/2 picked the cheapest N at every
-    point, and N/4 took up to 3.3 times as long (k = 8 at 2896 bits). A
-    fresh process also builds the Bernoulli numbers once, about 0.7 s at
-    depth 987, so there N/4 is up to 4.5 times cheaper at k = 1 near 8192
-    bits, but at most 0.6 s; over the grid N/2 took 2.0 s against 4.7 s
-    with the numbers built, and 8.0 s against 7.3 s without. The rule keeps
-    N = 256 up to about 1055 bits at k = 1 and 1054 at k = 8 and 24, then
-    doubles N once per doubling of the precision.
+    The cap N/2 comes from the cost of the attempt. It was first measured
+    at every N of the ladder for k = 1, 4, 8, 16 and 24 and 512 to 8192
+    bits in steps of sqrt(2), when the head was the exact product and
+    cost about 3-4x per doubling of N. The W-bit head costs about N k
+    small divisions and k^2 products on W bits, so with it the attempt
+    costs about 1.5-2x per doubling of N. Measured again at every N of the
+    ladder for k = 1, 8 and 24 and 1024 to 8192 bits in doublings, with the
+    Bernoulli numbers built, as in any process that took a limit as deep
+    before, N/2 still picked the cheapest N at 11 of the 12 points; at k = 1
+    and 8192 bits N = 4096 took 19 ms against its 23 ms. A fresh process
+    also builds the Bernoulli numbers once, about 0.5 s at depth 987, so
+    there a shallower depth at a larger N is cheaper near 8192 bits, by at
+    most that build. The rule stays until the plans may move: the
+    certified-limits benchmark draws its precisions from bands that each
+    keep one plan, and a planner by cost belongs with a redefinition of
+    those bands. The rule keeps N = 256 up to about 1055 bits at k = 1 and
+    1054 at k = 8 and 24, then doubles N once per doubling of the precision.
     """
     s = limit_bits(width)
     allowed = (width.numerator << s) // width.denominator
@@ -337,29 +407,23 @@ def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6, *,
     Splits the elementary symmetric function over {1..N} and the tail:
         zeta({2}^j) = sum_{i<=j} zeta_N({2}^i) * e_{j-i}(tail),
     an identity, so the width comes from the tail power-sum brackets and
-    the rounding. With zeta_N({2}^i) = c_i / c_0 from prod_{n<=N} (n^2 + t),
-    each ratio is taken once to 2^-bits, floored for the lower end and
-    ceiled for the upper one; every factor is nonnegative, so each end is
-    one exact integer sum against tail_elementary_brackets, floored or ceiled
-    once. One head of degree k and one tail serve every entry: the head's
-    coefficients are exact and each tail bracket is rounded from the same
-    rational at any k, so entry j is the bracket a call at j would return.
-    Each end lies outside the exact bracket by at most the rounding bound
-    of _width_terms.
+    the rounding. The head zeta_N({2}^i) is bracketed on the finer grid
+    2^-head_bits(N, bits), by _newton_brackets on head_power_sums; every
+    factor is nonnegative, so each end is one exact integer sum of head
+    times tail_elementary_brackets, floored or ceiled once onto 2^-bits.
+    One head and one tail serve every entry, and neither depends on k, so
+    entry j is the bracket a call at j would return. Each end lies outside
+    the exact bracket by at most the rounding bound of _width_terms.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
     if N > EXACT_N_LIMIT:
         raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
-    head = _factor_product(0, N, k)
-    qlo, qhi = [], []
-    for c in head:
-        q, rem = divmod(c << bits, head[0])
-        qlo.append(q)
-        qhi.append(q + (rem > 0))
+    w = head_bits(N, bits)
+    hlo, hhi = zip(*_newton_brackets(head_power_sums(N, k, w), w))
     elo, ehi = zip(*tail_elementary_brackets(N, k, em_terms, bits))
-    return [(sum(map(mul, qlo[:j + 1], elo[j::-1])) >> bits,
-             -(-sum(map(mul, qhi[:j + 1], ehi[j::-1])) >> bits))
+    return [(sum(map(mul, hlo[:j + 1], elo[j::-1])) >> w,
+             -(-sum(map(mul, hhi[:j + 1], ehi[j::-1])) >> w))
             for j in range(k + 1)]
 
 

@@ -33,7 +33,7 @@ def _build(*args, **kwargs):
 
 
 # what a certified limit builds once its closed-form check has passed
-_MZV_WORK = [(series, "_factor_product"), (series, "mzv_limit_bracket")]
+_MZV_WORK = [(series, "head_power_sums"), (series, "mzv_limit_bracket")]
 
 
 def _refused(call):
@@ -185,8 +185,8 @@ def test_the_admitted_beta_hub_at_k6_is_refused_before_the_search(monkeypatch):
 
 
 def test_the_k_ceiling_refuses_before_any_limit_is_built(monkeypatch):
-    # every limit past k = 0 builds a head product first, so the suites'
-    # refusals also come before their smaller k
+    # every limit past k = 0 sums a head first, so the suites' refusals
+    # also come before their smaller k
     for k in (series.MZV_K_CEILING, series.MZV_K_CEILING + 1):
         config = RunConfig(k=k, precision=64)
         calls = (lambda: series.mzv_limit(k, 64),
@@ -220,26 +220,17 @@ def test_the_limit_suites_refuse_past_the_k_ceiling_before_the_oracle_or_any_lim
 
 @pytest.mark.parametrize("name", ["basel", "factorization"])
 def test_a_limit_suite_takes_one_row(name, monkeypatch):
-    # one bracket call, and one head product built from the top, for all
-    # eight levels
-    brackets, heads, depth = [], [], [0]
-    bracket, build = series.mzv_limit_bracket, series._factor_product
-
-    def counted_build(lo, hi, k_max):
-        if not depth[0]:
-            heads.append((lo, hi, k_max))
-        depth[0] += 1
-        try:
-            return build(lo, hi, k_max)
-        finally:
-            depth[0] -= 1
-
+    # one bracket call, and one head summed, for all eight levels
+    brackets, heads = [], []
+    bracket, build = series.mzv_limit_bracket, series.head_power_sums
     monkeypatch.setattr(series, "mzv_limit_bracket",
-                        lambda *a, **kw: brackets.append(a) or bracket(*a, **kw))
-    monkeypatch.setattr(series, "_factor_product", counted_build)
+                        lambda *a, **kw: brackets.append((a, kw)) or bracket(*a, **kw))
+    monkeypatch.setattr(series, "head_power_sums",
+                        lambda *a: heads.append(a) or build(*a))
     assert cli.main(["verify", name, "--k", "8"]) == 0
-    assert [a[0] for a in brackets] == [8]
-    assert heads == [(0, brackets[0][1], 8)]
+    [(args, kwargs)] = brackets
+    assert args[0] == 8
+    assert heads == [(args[1], 8, series.head_bits(args[1], kwargs["bits"]))]
 
 
 def test_the_alpha_suite_checks_every_level_before_any_closure(monkeypatch):

@@ -234,6 +234,26 @@ def _slow_defect_bound(D):
     return q + r * (2 * 24 + r) + r_next * (2 * 24 + r_next), r_next
 
 
+def _defect_sums_by_loop(D):
+    """oracle: s_m, m = 0..D, as the sum of (-1)^j C(2m, j) over j with j and
+    2m - j in [0, D], less 1 at m = 0, term by term"""
+    sums = []
+    for m in range(D + 1):
+        n, j = 2 * m, max(0, 2 * m - D)
+        c, s = math.comb(n, j), -(m == 0)
+        for j in range(j, min(n, D) + 1):
+            s, c = s + (-c if j & 1 else c), c * (n - j) // (j + 1)
+        sums.append(s)
+    return sums
+
+
+@pytest.mark.parametrize("D", [*range(1, 80), 500, 2073])
+def test_speed_defect_sums_are_the_closed_form_of_the_loop(D):
+    # 2073 is the D of arc_length at the 16384-bit precision ceiling
+    sums, _ = pi_constants._speed_defect(D)
+    assert sums == _defect_sums_by_loop(D)
+
+
 def test_speed_defect_coefficients_match_the_convolution():
     for D in range(1, 41):
         sums, eps = pi_constants._speed_defect(D)

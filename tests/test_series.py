@@ -3,6 +3,7 @@ and the certified limits."""
 
 import itertools
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -94,37 +95,41 @@ def test_product_tree_row_matches_rolling_recursion_at_1024():
 
 
 def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
-    # one attempt for the whole row, on one head built over (0, N] at the
-    # planned N
+    # one attempt for the whole row, on one head summed over (0, N] at the
+    # planned N, and no exact head product
     built, attempts = [], []
-    build, bracket = series._factor_product, series.mzv_limit_bracket
+    build, bracket = series.head_power_sums, series.mzv_limit_bracket
 
-    def counted_build(lo, hi, k_max):
-        built.append((lo, hi))
-        return build(lo, hi, k_max)
+    def counted_build(N, k, bits):
+        built.append((N, k, bits))
+        return build(N, k, bits)
 
     def counted_bracket(*args, **kwargs):
         attempts.append((args, kwargs))
         return bracket(*args, **kwargs)
 
-    def no_row(N, k_max):
-        raise AssertionError("mzv_limit built a row instead of the product")
+    def no_product(lo, hi, k_max):
+        raise AssertionError("mzv_limit built an exact head product")
 
-    monkeypatch.setattr(series, "_factor_product", counted_build)
+    def no_row(N, k_max):
+        raise AssertionError("mzv_limit built a row instead of the head sums")
+
+    monkeypatch.setattr(series, "head_power_sums", counted_build)
     monkeypatch.setattr(series, "mzv_limit_bracket", counted_bracket)
+    monkeypatch.setattr(series, "_factor_product", no_product)
     monkeypatch.setattr(series, "mzv_row", no_row)
     row = mzv_limit(4, 208)
     monkeypatch.undo()
     width = Fraction(1, 2 ** 209)
     N, em = series.plan_limit(4, width)
     assert [a[:3] for a, _ in attempts] == [(4, N, em)]
-    assert len(built) == len(set(built))
-    assert (0, N) in built and all(0 <= lo < hi <= N for lo, hi in built)
+    bits = series.limit_bits(width)
+    assert built == [(N, 4, series.head_bits(N, bits))]
     # the brackets are taken on the plan's grid, and each contains the exact
     # bracket on the head row mzv_row(N, 4), as its entry contains it
     args, kwargs = attempts[0]
-    assert kwargs == {"bits": series.limit_bits(width)}
-    unit = Fraction(1, 1 << kwargs["bits"])
+    assert kwargs == {"bits": bits}
+    unit = Fraction(1, 1 << bits)
     head, tails = mzv_row(N, 4), _tail_brackets_by_fractions(N, 4, em)
     for j, (z, (lo, hi)) in enumerate(zip(row, bracket(*args, **kwargs))):
         exact = [sum(h * e[end] for h, e in zip(head, reversed(tails[:j + 1])))
@@ -226,19 +231,23 @@ def test_the_fixed_point_bracket_is_the_exact_one_widened_by_its_rounding_at_mos
         assert ehi - elo <= exact * unit, bits
 
 
-def _degree_j_bracket(j, N, em, bits):
-    """oracle: the integer ends on the grid 2^-bits of the bracket of
-    zeta({2}^j) alone, from a head of degree j and a tail to e_j at (N, em),
-    as a limit took it before one row served every entry"""
-    one = 1 << bits
-    if j == 0:
-        return one, one
-    head = series._factor_product(0, N, j)
-    lo = hi = 0
-    for c, (elo, ehi) in zip(head, reversed(series.tail_elementary_brackets(N, j, em, bits))):
+def _exact_head_limit_bracket(k, N, em, bits, head=None):
+    """oracle: the integer ends on the grid 2^-bits of the row zeta({2}^j),
+    j = 0..k, as mzv_limit_bracket took it from the exact head: each ratio
+    c_j / c_0 of the coefficients of prod_{n<=N} (n^2 + t), or of `head`,
+    those to t^k over a common factor, taken once to 2^-bits, floored below
+    and ceiled above, then one exact sum against tail_elementary_brackets per
+    end, floored or ceiled once."""
+    head = series._factor_product(0, N, k) if head is None else head[:k + 1]
+    qlo, qhi = [], []
+    for c in head:
         q, rem = divmod(c << bits, head[0])
-        lo, hi = lo + q * elo, hi + (q + (rem > 0)) * ehi
-    return lo // one, -(-hi // one)
+        qlo.append(q)
+        qhi.append(q + (rem > 0))
+    elo, ehi = zip(*series.tail_elementary_brackets(N, k, em, bits))
+    return [(sum(map(operator.mul, qlo[:j + 1], elo[j::-1])) >> bits,
+             -(-sum(map(operator.mul, qhi[:j + 1], ehi[j::-1])) >> bits))
+            for j in range(k + 1)]
 
 
 _ROW_CASES = (st.integers(min_value=1, max_value=12), st.sampled_from([64, 256, 1000]),
@@ -252,8 +261,9 @@ _ROW_CASES = (st.integers(min_value=1, max_value=12), st.sampled_from([64, 256, 
 def test_each_row_entry_is_the_bracket_of_its_own_degree(K, N, em, bits):
     row = mzv_limit_bracket(K, N, em, bits=bits)
     assert len(row) == K + 1
-    for j, entry in enumerate(row):
-        assert entry == _degree_j_bracket(j, N, em, bits), j
+    assert row[0] == (1 << bits, 1 << bits)
+    for j in range(1, K + 1):
+        assert row[j] == mzv_limit_bracket(j, N, em, bits=bits)[j], j
 
 
 @settings(max_examples=30, deadline=None)
@@ -265,6 +275,91 @@ def test_the_row_width_terms_are_those_of_each_degree_alone(K, N, em, bits):
     for j in range(K + 1):
         assert terms[j] == series._width_terms(j, N, em, bits)[j], j
     assert series.width_bound(K, N, em, bits) == [b + 2 * r for b, r in terms]
+
+
+def _head_power_sums_contain_the_exact_sums(N, k, precisions):
+    exact = [zeta_even_truncated(N, i) for i in range(1, k + 1)]
+    for bits in precisions:
+        unit = Fraction(1, 1 << bits)
+        for i, (lo, hi) in enumerate(series.head_power_sums(N, k, bits)):
+            assert lo * unit <= exact[i] <= hi * unit, (N, i + 1, bits)
+
+
+_HEAD_NS = (1, 2, 3, 31, 32, 33, 256, 1000, 8192)
+
+
+def test_head_power_sums_contain_the_exact_sums_on_the_grid():
+    for N in _HEAD_NS:
+        _head_power_sums_contain_the_exact_sums(N, 8 if N < 8192 else 2, (24, 64, 256))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=1200), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=1, max_value=400))
+def test_head_power_sums_contain_the_exact_sums(N, k, bits):
+    _head_power_sums_contain_the_exact_sums(N, k, (bits,))
+
+
+def test_head_elementary_brackets_contain_the_exact_row_within_a_unit():
+    # the head's e_j brackets contain zeta_N({2}^j), each less than one unit
+    # of 2^-bits wide, the most a row's head may add to each end
+    for N in _HEAD_NS:
+        k = 64 if N < 8192 else 8
+        row = mzv_row(N, k)
+        for bits in (24, 64, 256):
+            t = series.head_bits(N, bits)
+            head = series._newton_brackets(series.head_power_sums(N, k, t), t)
+            for j, (lo, hi) in enumerate(head):
+                assert Fraction(lo, 1 << t) <= row[j] <= Fraction(hi, 1 << t), (N, j, bits)
+                assert hi - lo < 1 << (t - bits), (N, j, bits)
+
+
+def _check_against_the_exact_head(k, N, em, bits, head):
+    """Every entry of the row overlaps the exact-head oracle's, fits
+    width_bound, and differs from it at each end by at most what a head
+    within one unit of 2^-bits can move it: the j >= 1 terms of that end's
+    sum, ceil(sum_{i<m} e_i / 2^bits) over the tail's ends e_i."""
+    row = mzv_limit_bracket(k, N, em, bits=bits)
+    oracle = _exact_head_limit_bracket(k, N, em, bits, head)
+    bound = series.width_bound(k, N, em, bits)
+    elo, ehi = zip(*series.tail_elementary_brackets(N, k, em, bits))
+    for m, ((lo, hi), (olo, ohi)) in enumerate(zip(row, oracle)):
+        where = (k, N, em, bits, m)
+        assert lo <= ohi and olo <= hi, where
+        assert hi - lo <= bound[m], where
+        assert abs(lo - olo) <= -(-sum(elo[:m]) >> bits), where
+        assert abs(hi - ohi) <= -(-sum(ehi[:m]) >> bits), where
+
+
+def test_the_row_follows_the_exact_head_kernel_on_the_grid():
+    # k = 24 and 64 at N = 8192 are left to the closed form below: the
+    # exact head product alone takes 1.4 s and 10 s there
+    for N in _HEAD_NS:
+        ks = [*range(1, 9), 24, 64] if N < 8192 else range(1, 9)
+        head = series._factor_product(0, N, max(ks))
+        for k in ks:
+            for em in (0, 6, 40):
+                for bits in (24, 64, 256):
+                    _check_against_the_exact_head(k, N, em, bits, head)
+    pi = pi_oracle(320)
+    for k in (24, 64):
+        for em in (0, 6, 40):
+            for bits in (24, 64, 256):
+                row = mzv_limit_bracket(k, 8192, em, bits=bits)
+                bound = series.width_bound(k, 8192, em, bits)
+                for m in (1, 2, k):
+                    lo, hi = row[m]
+                    closed = pi.power(2 * m) / math.factorial(2 * m + 1)
+                    assert hi - lo <= bound[m], (k, em, bits, m)
+                    assert (Fraction(lo, 1 << bits) <= closed.hi
+                            and closed.lo <= Fraction(hi, 1 << bits)), (k, em, bits, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=2000),
+       st.integers(min_value=0, max_value=40), st.integers(min_value=8, max_value=600))
+def test_the_row_follows_the_exact_head_kernel(k, N, em, bits):
+    _check_against_the_exact_head(k, N, em, bits, None)
 
 
 @pytest.mark.parametrize("K, P", [(1, 64), (8, 116), (8, 160), (12, 219), (5, 512), (24, 64)])
@@ -526,6 +621,33 @@ def test_the_width_bound_covers_the_whole_bracket(k):
         lo, hi = mzv_limit_bracket(k, N, em, bits=s)[k]
         width, bound = (Fraction(x, 1 << s) for x in (hi - lo, series.width_bound(k, N, em, s)[k]))
         assert ehi - elo <= width <= bound <= (ehi - elo) * (3 if N >= 256 else 8), (k, N, em)
+
+
+# (k values, precisions, plan): plan_limit(k, 2^-(P + 1)) as e33c9ba took
+# it. The first rows are the endpoints of the certified-limits benchmark's
+# precision bands, each of which must keep one plan across it; then the
+# precision ceiling, and pi-equality's zeta(2) row at the ceiling (16384 +
+# 24 bits for pi_freq, one more for its row), the deepest plan any request
+# makes
+_PINNED_PLANS = (
+    (range(1, 9), (64, 116), (256, 6)),
+    ((1, 2, 3), (147, 155), (256, 9)),
+    ((1, 2, 3, 4), (163,), (256, 10)),
+    ((1, 2, 3, 4), (176,), (256, 11)),
+    ((4, 5, 6), (190,), (256, 12)),
+    ((4, 5, 6), (199,), (256, 13)),
+    ((3, 4, 5), (207,), (256, 14)),
+    ((3, 4, 5), (219,), (256, 15)),
+    ((1, 8, 64), (16384,), (8192, 1469)),
+    ((1,), (16409,), (8192, 1472)),
+)
+
+
+def test_the_plans_are_pinned():
+    for ks, precisions, plan in _PINNED_PLANS:
+        for k in ks:
+            for P in precisions:
+                assert series.plan_limit(k, Fraction(1, 2 ** (P + 1))) == plan, (k, P)
 
 
 def test_a_plan_costs_a_logarithmic_number_of_bounds(monkeypatch):
