@@ -23,9 +23,10 @@ edge-free for the residual identity to hold.
 Inside, a vertex is a code, a plain tuple: (mask, n) for V1 and (mask, l1,
 l2, eps) for V2, bit m of mask set iff m is in mu. The neighbour functions,
 weight_term, iter_vertices, the classifiers, closures and the residual
-identities work on codes. V1 and V2 remain at the boundary: a vertex is
-validated once where it enters (a closure's seed, weight()), and a closure
-decodes its vertices once, into canonical order. Codes built inside are
+identities work on codes, and a component is its codes. V1 and V2 remain
+at the boundary: a vertex is validated once where it enters (a closure's
+seed, weight()), and a component's codes are decoded only where a dump or a
+counterexample writes them, by format_component. Codes built inside are
 valid by construction and are not checked again.
 """
 
@@ -87,10 +88,10 @@ ALPHA_SAFETY_BOUND = 64
 # and a weight took 1.2 us at N = 500 and 3.8 us at N = 2000, the largest N
 # admitted (30 s). A vertex took 0.5-4.4 us in the alpha walk (k = 2..6 at
 # the largest bound admitted, 2.0-2.4M vertices, 9 s at most). A k = 2 beta
-# hub vertex took 3.7 us at M = 300, 9 us at M = 1000 and 15 us at M = 1549,
-# the largest hub admitted (36 s). At M = 1000 it took 11-14, 15, 18, 23 and
-# 26 us at k = 3..7, and 24 us at k = 8, M = 979 (23 s), so a beta closure
-# at level k is refused above VERTEX_CEILING * 4 / (k + 2) vertices.
+# hub vertex took 2.4-3.5 us at M = 300, 7-9 us at M = 1000 and 10-13 us at
+# M = 1549, the largest hub admitted (24-31 s). At M = 1000 it took 12, 17,
+# 17, 23 and 23 us at k = 3..7, and 23 us at k = 8, M = 979 (22 s), so a beta
+# closure at level k is refused above VERTEX_CEILING * 4 / (k + 2) vertices.
 RESIDUAL_WEIGHT_CEILING = 8_000_000
 VERTEX_CEILING = 2_400_000
 
@@ -297,13 +298,11 @@ def is_beta_residual(c: Code, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class WeightedComponent(NamedTuple):
-    kind: str                      # "alpha" | "beta"
-    k: int
-    vertices: tuple[Vertex, ...]   # decoded, in canonical order
+    codes: tuple[Code, ...]   # in no particular order
     weight_sum: Fraction
 
     def size(self) -> int:
-        return len(self.vertices)
+        return len(self.codes)
 
 
 def beta_closure_size(v: Vertex, k: int, M: int) -> int:
@@ -367,9 +366,10 @@ def component(v: Vertex, kind: str, k: int, M: Optional[int] = None, *,
     truncated silently.
     Beta closures are truncated at entry bound M and refused from their
     closed-form size by require_beta_size. Only the seed v is validated.
-    The search runs on codes, decoded once at the end; the seed's partners,
-    when the caller has listed them, are passed as `partners` and not
-    listed again. The weight sum runs on the integer kernel.
+    The search runs on codes and the component keeps them as found; the
+    seed's partners, when the caller has listed them, are passed as
+    `partners` and not listed again. The weight sum runs on the integer
+    kernel.
     """
     if kind == "alpha":
         validate_vertex(v, k)
@@ -395,10 +395,7 @@ def component(v: Vertex, kind: str, k: int, M: Optional[int] = None, *,
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    # canonical order: V1 before V2, each kind in its own tuple order
-    verts = (*sorted(decode(c) for c in seen if len(c) == 2),
-             *sorted(decode(c) for c in seen if len(c) == 4))
-    return WeightedComponent(kind, k, verts, weight_sum(seen, k))
+    return WeightedComponent(tuple(seen), weight_sum(seen, k))
 
 
 def iter_vertices(k: int, bound: int) -> Iterator[Code]:
@@ -447,12 +444,10 @@ def alpha_walk(k: int, bound: int, singletons: bool = True) -> Iterator[Weighted
         partners = alpha_neighbors(c, k)
         if partners:
             comp = component(decode(c), "alpha", k, partners=partners)
-            seen.update(map(encode, comp.vertices))
+            seen.update(u for u in comp.codes if u != c)   # c is not reached again
             yield comp
         elif singletons:
-            v = decode(c)
-            num, den = weight_term(c, k)
-            yield WeightedComponent("alpha", k, (v,), Fraction(num, den * math.prod(v.mu) ** 2))
+            yield WeightedComponent((c,), weight_sum((c,), k))
 
 
 def alpha_components_up_to(k: int, bound: int) -> list[WeightedComponent]:
@@ -578,6 +573,8 @@ def format_vertex(v: Vertex) -> str:
 
 
 def format_component(c: WeightedComponent) -> str:
-    lines = [format_vertex(v) for v in c.vertices]
+    """The component's vertices, decoded, in canonical order: V1 before V2,
+    each kind in its own tuple order; then its weight sum."""
+    lines = [format_vertex(v) for v in sorted(map(decode, c.codes), key=lambda v: (len(v), v))]
     lines.append(f"sum={c.weight_sum.numerator}/{c.weight_sum.denominator}")
     return "\n".join(lines) + "\n"

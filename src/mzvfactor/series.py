@@ -158,7 +158,9 @@ def tail_elementary_brackets(N: int, k: int, em_terms: int, bits: int) -> list[t
     elementary symmetric functions e_m of the tail set {1/n^2 : n > N}: each
     power-sum bracket of power_sum_tail_numerators is taken once to
     2^-bits, its lower end floored and its upper end ceiled, and run
-    through _newton_brackets."""
+    through _newton_brackets. At k = 0 the one entry e_0 = 1 is exact."""
+    if not k:
+        return [(1 << bits, 1 << bits)]
     den, ends = power_sum_tail_numerators(N, k, em_terms)
     return _newton_brackets([((lo << bits) // den, -((-hi << bits) // den)) for lo, hi in ends],
                             bits)

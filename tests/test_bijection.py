@@ -13,6 +13,7 @@ from mzvfactor import bijection
 from mzvfactor.bijection import (
     V1,
     V2,
+    WeightedComponent,
     alpha_components_up_to,
     alpha_neighbors,
     alpha_residual_identity,
@@ -24,6 +25,7 @@ from mzvfactor.bijection import (
     encode,
     factorization_check,
     format_component,
+    format_vertex,
     is_alpha_residual,
     is_beta_residual,
     iter_vertices,
@@ -58,6 +60,18 @@ def _alpha(v, k):
 def _beta(v, k, M):
     """beta_neighbors through the code adapters."""
     return set(map(decode, beta_neighbors(encode(v), k, M)))
+
+
+def _canonical_key(v):
+    """The canonical vertex order: V1 before V2, then mu, then the integers."""
+    if isinstance(v, V1):
+        return (0, v.mu, v.n, 0)
+    return (1, v.mu, v.l1, v.l2, v.eps)
+
+
+def _decoded(comp):
+    """A component's codes, decoded, in canonical order."""
+    return tuple(sorted(map(decode, comp.codes), key=_canonical_key))
 
 
 def weight_form_alt(v, k):
@@ -240,7 +254,7 @@ def test_beta_symmetry_random():
 
 def test_alpha_component_examples():
     comp = component(V1((1,), 1), "alpha", 2)
-    assert set(comp.vertices) == {V1((), 1), V1((1,), 1)}
+    assert _decoded(comp) == (V1((), 1), V1((1,), 1))
     assert comp.weight_sum == 0
     single = component(V1((1, 2), 5), "alpha", 3)
     assert single.size() == 1
@@ -250,21 +264,14 @@ def test_alpha_component_examples():
 def test_alpha_components_partition():
     comps = alpha_components_up_to(3, 6)
     for c in comps:
-        for v in c.vertices:
-            assert component(v, "alpha", 3).vertices == c.vertices
+        for v in _decoded(c):
+            assert _decoded(component(v, "alpha", 3)) == _decoded(c)
 
 
 def test_alpha_cancellation_small():
     for k in (2, 3, 4):
         for c in alpha_components_up_to(k, 9):
             assert c.weight_sum == 0
-
-
-def _canonical_key(v):
-    """The canonical vertex order: V1 before V2, then mu, then the integers."""
-    if isinstance(v, V1):
-        return (0, v.mu, v.n, 0)
-    return (1, v.mu, v.l1, v.l2, v.eps)
 
 
 def _plain_beta_closure(v, k, M):
@@ -312,7 +319,7 @@ def test_hub_once_beta_closure_matches_plain_search(monkeypatch):
                 hub_expansions.clear()
                 comp = component(v, "beta", k, M=M)
                 seen, total = _plain_beta_closure(v, k, M)
-                assert comp.vertices == tuple(sorted(seen, key=_canonical_key)), (k, M, v)
+                assert _decoded(comp) == tuple(sorted(seen, key=_canonical_key)), (k, M, v)
                 assert comp.weight_sum == total, (k, M, v)
                 # one order-0 V1 and one empty-mu pair at most are expanded
                 assert len(hub_expansions) <= 2, (k, M, v)
@@ -470,6 +477,20 @@ def test_component_dump_format():
     assert lines[0] == "V1 mu=[] n=1"
     assert lines[1] == "V1 mu=[1] n=1"
     assert lines[2] == "sum=0/1"
+
+
+def test_the_text_alone_puts_a_component_in_order():
+    # a component's codes come in no particular order: a shuffled copy
+    # writes the same text, its vertices in canonical order
+    rng = random.Random(29)
+    comps = [*alpha_components_up_to(3, 5), component(V1((), 3), "beta", 2, M=5),
+             component(V1((1,), 2), "beta", 3, M=6), component(V2((5,), 2, 9, 2), "beta", 3, M=6)]
+    for comp in comps:
+        codes = list(comp.codes)
+        rng.shuffle(codes)
+        text = format_component(WeightedComponent(tuple(codes), comp.weight_sum))
+        assert text == format_component(comp)
+        assert text.splitlines()[:-1] == [format_vertex(v) for v in _decoded(comp)]
 
 
 def test_iter_vertices_counts():

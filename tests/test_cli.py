@@ -660,7 +660,7 @@ def test_alpha_dump_takes_its_singletons_from_the_one_walk(tmp_path, monkeypatch
         comps = (tmp_path / f"alpha_k{k}_b{bound}.components.txt").read_text()
         singles = (tmp_path / f"alpha_k{k}_b{bound}.residual_singletons.txt").read_text()
         assert len(calls) == comps.count("sum=")
-        assert all(len(real(*args).vertices) > 1 for args in calls)
+        assert all(real(*args).size() > 1 for args in calls)
         residual = [bijection.decode(c) for c in bijection.iter_vertices(k, bound)
                     if bijection.is_alpha_residual(c, k)]
         assert singles == "".join(bijection.format_component(real(v, "alpha", k)) + "\n"

@@ -258,6 +258,8 @@ _ROW_CASES = (st.integers(min_value=1, max_value=12), st.sampled_from([64, 256, 
 @given(*_ROW_CASES)
 @example(12, 64, 0, 8)
 @example(12, 1000, 40, 600)
+@example(0, 64, 0, 8)
+@example(0, 1000, 40, 600)
 def test_each_row_entry_is_the_bracket_of_its_own_degree(K, N, em, bits):
     row = mzv_limit_bracket(K, N, em, bits=bits)
     assert len(row) == K + 1
