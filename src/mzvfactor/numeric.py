@@ -314,7 +314,7 @@ def power_sum_tail_numerators(N: int, k: int, em_terms: int = 6) -> tuple[int, l
     integer over 2 L O, and each sum is taken by Horner's rule in a^2.
     """
     if N < 1 or k < 1 or em_terms < 0:
-        raise DomainError("power_sum_tail_bracket needs N, j >= 1 and em_terms >= 0")
+        raise DomainError("power_sum_tail_numerators needs N, k >= 1 and em_terms >= 0")
     a, m, u = N + 1, em_terms, (N + 1) ** 2
     b = bernoulli_even(m + 1)
     L = math.lcm(*(q.denominator for q in b))

@@ -11,23 +11,24 @@ The product is taken mod t^(k+1) over a balanced tree of ranges of n
 (binary splitting; Haible & Papanikolaou 1998, Bernstein 2008), so its
 operands stay balanced and the row costs one division per entry; it serves
 the exact rows only. A certified limit takes no exact product. It works on
-W-bit integers, W 34 bits past the requested precision, in the fixed-point
-idiom of Brent & Zimmermann, "Modern Computer Arithmetic" (2010): the head
-n <= N and the tail n > N each give brackets of the power sums of their
-set, the head's from nested floor divisions a few bits finer and the
-tail's from Euler-Maclaurin, and Newton's identities turn each into
-brackets of its elementary symmetric functions. Every lower end is floored
-and every upper one ceiled, as every ApproxReal operation does, so the
-row's ApproxReal brackets are those integer ends. A limit takes one row:
-every zeta({2}^j), j <= k, from one head, one tail and one bracket per
-entry, at the truncation and depth plan_limit picks for the whole row from
+W-bit integers in the fixed-point idiom of Brent & Zimmermann, "Modern
+Computer Arithmetic" (2010). zeta({2}^j) is the j-th elementary symmetric
+function of {1/n^2 : n >= 1}, whose power sums zeta(2i) add over the head
+n <= N and the tail n > N: the head's are bracketed by nested floor
+divisions, the tail's by Euler-Maclaurin, both on one grid a few bits
+finer than the row's, and one run of Newton's identities on their sums
+brackets the whole row. Every lower end is floored and every upper one
+ceiled, as every ApproxReal operation does, so the row's ApproxReal
+brackets are those integer ends. A limit takes one row: every
+zeta({2}^j), j <= k, from one set of power sums and one bracket per entry,
+at the truncation and depth plan_limit picks for the whole row from
 closed-form bounds before any work (Johansson, "Rigorous high-precision
 computation of the Hurwitz zeta function and its derivatives", Numer.
 Algorithms 2015); the bound counts the rounding. The rolling recursion
 e[n][k] = e[n-1][k] + e[n-1][k-1] / n^2, the rational interval Newton
-recursion, the exact integer limit kernel, the exact-head limit kernel and
-the escalation ladder the limits used to walk are left to the tests as
-oracles.
+recursion, the exact integer limit kernel, the kernels that convolved the
+head's row with the tail's and the escalation ladder the limits used to
+walk are left to the tests as oracles.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .numeric import (
     ApproxReal,
@@ -55,21 +55,21 @@ EXACT_N_LIMIT = 10 ** 4
 # makes, pi-equality's zeta(2) row at 16409 bits (pi_freq 24 bits finer,
 # its row one bit finer still), takes 1472; the cap leaves about 4% of
 # headroom (the plan reaches 16936 bits), and no admitted request plans
-# deeper than it needs. There a whole `compute mzv` request took 1.9-2.0 s
-# of CPU time at k = 1, 2.2 s at k = 8 and 3.3 s at k = 24 on a shared
-# 2-CPU Xeon host, 1.8 s of it the Bernoulli numbers to B_2940.
+# deeper than it needs. There a whole `compute mzv` request took 2.0 s of
+# CPU time at k = 1, 2.3 s at k = 8 and 3.4 s at k = 24 on a shared 2-CPU
+# Xeon host, 1.8-1.9 s of it the Bernoulli numbers to B_2940.
 EM_CEILING = 1536
 # The largest k of a certified limit. The slowest request at a given k is
 # one at the 16384-bit precision ceiling, a single attempt at N = 8192 and
 # depth 1469; on a shared 2-CPU Xeon host a `compute mzv` row there took
-# 1.9-2.0 s of CPU time at k = 1, 3.3 s at k = 24, 4.6 s at k = 48, 6.8-7.2 s
-# at k = 64 and 10.2 s at k = 96, 1.8 s of it the Bernoulli numbers and at
-# k = 64 about 2 s the head's N k floor divisions (with the exact head
-# product that row took 14.5 s). k = 64 keeps the 60 s budget about
-# eight times the time of `verify basel --k 64` and `verify factorization
-# --k 64` there (6.8-7.8 s, with basel's oracle 32 bits finer), room for a
-# much slower host: this ceiling alone bounds the time of the limit
-# suites. A 64-bit request at k = 64 takes under 0.01 s.
+# 2.0 s of CPU time at k = 1, 3.4 s at k = 24, 4.9 s at k = 48, 6.1-6.4 s
+# at k = 64 and about 9 s at k = 96, 1.8-1.9 s of it the Bernoulli numbers
+# and at k = 64 about 2-2.5 s the head's N k floor divisions (with the
+# exact head product that row took 14.5 s). k = 64 keeps the 60 s budget
+# about eight times the time of `verify basel --k 64` and `verify
+# factorization --k 64` there (6.7-7.4 s, with basel's oracle 32 bits
+# finer), room for a much slower host: this ceiling alone bounds the time
+# of the limit suites. A 64-bit request at k = 64 takes under 0.01 s.
 MZV_K_CEILING = 64
 
 
@@ -158,7 +158,11 @@ def tail_elementary_brackets(N: int, k: int, em_terms: int, bits: int) -> list[t
     elementary symmetric functions e_m of the tail set {1/n^2 : n > N}: each
     power-sum bracket of power_sum_tail_numerators is taken once to
     2^-bits, its lower end floored and its upper end ceiled, and run
-    through _newton_brackets. At k = 0 the one entry e_0 = 1 is exact."""
+    through _newton_brackets. At k = 0 the one entry e_0 = 1 is exact.
+    No request calls it: mzv_limit_bracket adds the tail's power sums to
+    the head's before Newton's identities. It stays only because
+    bench/tracing.py names it in SPANS and the tests take it as the
+    tail's oracle."""
     if not k:
         return [(1 << bits, 1 << bits)]
     den, ends = power_sum_tail_numerators(N, k, em_terms)
@@ -167,7 +171,7 @@ def tail_elementary_brackets(N: int, k: int, em_terms: int, bits: int) -> list[t
 
 
 def head_bits(N: int, bits: int) -> int:
-    """The fractional bits of the head of a row taken on the grid 2^-bits
+    """The fractional bits of the power sums of a row taken on the grid 2^-bits
     at truncation N: bitlen(N) + 8 guard bits past it, so that the slack of
     N units in each head power sum stays under 2^-8 of a unit of 2^-bits."""
     return bits + N.bit_length() + 8
@@ -196,10 +200,17 @@ def head_power_sums(N: int, k: int, bits: int) -> list[tuple[int, int]]:
 @lru_cache(maxsize=256)
 def _floor_terms(m: int, N: int, em: int) -> tuple[int, int]:
     """A closed-form lower bound, for N >= 1, of zeta_N({2}^m) times the
-    width of power_sum_tail_bracket(N, 1, em), which the width of entry
-    m + 1 of mzv_limit_bracket(k, N, em), k > m, is at least, as an
-    unreduced (numerator, denominator). That width is
-    |B_2i| / (N+1)^(2i+1), i = em + 1,
+    width W_1 of power_sum_tail_bracket(N, 1, em), as an unreduced
+    (numerator, denominator). Entry m + 1 of width_bound(k, N, em, s),
+    k > m, is at least that: its recursion gives
+    w(e_{m+1}) >= zeta({2}^m) W_1 by induction, from w(P_1) >= W_1,
+    hi(e_m) >= zeta({2}^m) and zeta(2) zeta({2}^(m-1)) >= m zeta({2}^m).
+    So is the width of entry m + 1 of mzv_limit_bracket(k, N, em) at the
+    m <= 1 that plan_limit checks (_widest_floor), wherever the kernel's
+    bracket P_1 of p_1 is at most 1/N wide: entry 1 is P_1, and
+    2 e_2 = e_1 p_1 - p_2 makes 2 w(e_2) >= 2 lo(P_1) w(P_1), so entry 2
+    is at least (zeta(2) - 1/N) W_1 wide, which the floor at m = 1 is
+    below. W_1 is |B_2i| / (N+1)^(2i+1), i = em + 1,
     with |B_2i| > 2 (2i)! / (2 pi)^(2i); zeta_N({2}^m) is pi^(2m) / (2m+1)!
     less at most zeta({2}^(m-1)) / N; and 333/106 < pi < 355/113. Cached:
     every plan checks the same depth caps and bisection steps at each N."""
@@ -226,102 +237,44 @@ def _widest_floor(k: int, N: int) -> int:
 def width_bound(k: int, N: int, em: int, s: int) -> list[int]:
     """Upper bounds, in units of 2^-s, of the widths of the entries
     j = 0..k of mzv_limit_bracket(k, N, em, bits=s), for N >= 1, from
-    closed forms only: the bound of each exact bracket plus twice its
-    rounding bound, all from one _width_terms recursion."""
-    return [exact + 2 * rounding for exact, rounding in _width_terms(k, N, em, s)]
+    closed forms only: one recursion for the whole row, in units of 2^-t,
+    t = head_bits(N, s), that follows the kernel's.
 
-
-def _width_terms(k: int, N: int, em: int, s: int) -> list[tuple[int, int]]:
-    """[(B_m, R_m), m = 0..k] in units of 2^-s: B_m bounds the width of the
-    exact bracket sum_j zeta_N({2}^j) e_{m-j} of zeta({2}^m), and R_m how
-    far each end of entry m of mzv_limit_bracket(k, N, em, bits=s) lies
-    outside it. The recursion below runs once for the whole row; only the
-    two final sums depend on m, so entry m equals entry m of
-    _width_terms(m, N, em, s).
-
-    The exact width of entry m is sum_{j<m} zeta_N({2}^j) w(e_{m-j}), all terms
-    nonnegative, and zeta_N({2}^j) <= zeta({2}^j) < (355/113)^(2j) / (2j+1)!.
     The tail bracket of p_i has width W_i = |B_2n| C(2i+2em, 2n) /
     ((2i-1) a^(2i+2em+1)), n = em + 1 and a = N + 1, with
     |B_2n| < 2 (2n)! zeta(2n) / (2 pi)^(2n), zeta(2n) <= 1 + 3/4^n and
-    2 pi > 333/53; each end of it is at most p_i + W_i, and
-    p_i <= 1 / ((2i-1) N^(2i-1)). A product of an e bracket [a, b] in
-    [0, inf) and a p bracket [c, d] is at most b (d - c) + max(|c|, |d|) (b - a)
-    wide, so Newton's identities give
-        w(e_m) <= (1/m) sum_{i=1..m} (hi(e_{m-i}) W_i + (p_i + W_i) w(e_{m-i})),
-    with hi(e_m) <= e_m + w(e_m) and e_m <= p_1^m / m! <= 1 / (N^m m!).
-    Every quantity is rounded up to a whole unit, so the bound exceeds the
-    exact sum by at most about k^2 units.
-
-    The kernel's products are exact, and each rounding moves an end outward
-    by less than one unit of its grid. If the ends of X' lie at most x
-    outside those of X, and those of Y' at most y outside Y, the ends of
-    X'Y' lie at most x mag(Y') + mag(X) y outside those of XY. The s-bit
-    tail moves each end of a p_i bracket outward by less than a unit, so
-    each end of its e_m lies at most
-        r_m <= 1 + (1/m) sum_{i=1..m} (hi(e_{m-i}) + r_{m-i} + (p_i + W_i) r_{m-i})
-    units outside the exact one, where each term, a product of two
-    quantities in units, is taken over 2^s. The head, on the grid 2^-t,
-    t = head_bits(N, s), brackets each point p_i <= zeta(2i) <= 1 + 3/4^i
-    with ends at most N units of 2^-t outside it, so each end of its e_j,
-    whose exact value zeta_N({2}^j) is at most zeta({2}^j), lies at most
-        rho_j <= 1 + (1/j) sum_{i=1..j} (rho_{j-i} (p_i + N) + zeta({2}^(j-i)) N)
-    units of 2^-t outside zeta_N({2}^j), rho_0 = 0, each term taken over
-    2^t (_head_rounding). Each end of entry m then lies at most
-        R_m <= 1 + max_{j<=m} rho_j sum_{j=1..m} (hi(e_{m-j}) + r_{m-j}) / 2^t
-                 + sum_{j=0..m} zeta({2}^j) r_{m-j}
-    units of 2^-s outside the exact bracket. There the head adds under
-    2^-8 of a unit (rho_j <= 12 N at j <= 64), where a head ratio rounded
-    once to 2^-s would add one: at the N >= 256 of a plan R_m is 4 units at
-    m = 1 and 9 at m = 5 to 80, against the 2^32 units of the planned width.
+    2 pi > 333/53. Its ends, floored and ceiled onto 2^-t, and the head's
+    N units make the kernel's bracket P_i of p_i at most
+    w(P_i) = W_i + N + 2 units wide. Its lower end is at most
+    p_i = zeta(2i), below (355/113)^2 / 6 at i = 1 and at most 1 + 3/4^i
+    above, so hi(P_i) <= zeta(2i) + w(P_i), which also bounds |lo(P_i)|.
+    A product of an e bracket [a, b] in [0, inf) and a p bracket [c, d] is
+    at most b (d - c) + max(|c|, |d|) (b - a) wide, so Newton's identities
+    give
+        m w(e_m) <= sum_{i=1..m} (hi(e_{m-i}) w(P_i) + hi(P_i) w(e_{m-i})),
+    each product taken over 2^t, plus 2 units for the floor and the
+    ceiling. The lower end of e_m is at most zeta({2}^m) = pi^(2m) / (2m+1)!,
+    so hi(e_m) <= (355/113)^(2m) / (2m+1)! + w(e_m). Every quantity is
+    rounded up to a whole unit. The floor and the ceiling onto 2^-s make
+    entry m at most ceil(w(e_m) / 2^(t-s)) + 1 units of 2^-s wide.
     """
-    n, a, one = em + 1, N + 1, 1 << s
-    big = 2 * math.factorial(2 * n) * (4 ** n + 3) * 53 ** (2 * n) << s
+    t = head_bits(N, s)
+    n, a = em + 1, N + 1
+    big = 2 * math.factorial(2 * n) * (4 ** n + 3) * 53 ** (2 * n) << t
     small = 4 ** n * 333 ** (2 * n) * a ** (2 * em + 1)
-    w, q = [0], [0]
+    wp, hp = [0], [0]
     for i in range(1, k + 1):
-        w.append(-(-big * math.comb(2 * i + 2 * em, 2 * n)
-                   // (small * (2 * i - 1) * a ** (2 * i))))
-        q.append(-(-one // ((2 * i - 1) * N ** (2 * i - 1))) + w[i])
-    eps, eta, r = [0], [one], [0]
+        wp.append(-(-big * math.comb(2 * i + 2 * em, 2 * n)
+                    // (small * (2 * i - 1) * a ** (2 * i))) + N + 2)
+        num, den = (355 ** 2, 6 * 113 ** 2) if i == 1 else (4 ** i + 3, 4 ** i)
+        hp.append(-((-num << t) // den) + wp[i])
+    we, he = [0], [1 << t]
     for m in range(1, k + 1):
-        total = sum(eta[m - i] * w[i] + q[i] * eps[m - i] for i in range(1, m + 1))
-        eps.append(-(-total // (m << s)))
-        eta.append(-(-one // (N ** m * math.factorial(m))) + eps[m])
-        total = sum(eta[m - i] + (1 + q[i]) * r[m - i] for i in range(1, m + 1))
-        r.append(-(-total // (m << s)) + 1)
-    # zeta({2}^j) < num / den
-    zeta = [(355 ** (2 * j), 113 ** (2 * j) * math.factorial(2 * j + 1)) for j in range(k + 1)]
-    rho, shift = _head_rounding(k, N), head_bits(N, s) - s
-    # carried = sum_{i<m} (hi(e_i) + r_i) and top = max_{j<=m} rho_j, so
-    # that top carried bounds the head's terms of R_m
-    out, carried, top = [], 0, 0
-    for m in range(k + 1):
-        exact = sum(-(-num * eps[m - j] // den) for j, (num, den) in enumerate(zeta[:m]))
-        top = max(top, rho[m])
-        total = -(-top * carried >> shift) + sum(-(-num * r[m - j] * one // den)
-                                               for j, (num, den) in enumerate(zeta[:m + 1]))
-        carried += eta[m] + r[m]
-        out.append((exact, -(-total // one) + 1))
-    return out
-
-
-@lru_cache(maxsize=256)
-def _head_rounding(k: int, N: int) -> tuple[int, ...]:
-    """rho_j, j = 0..k, of _width_terms: how far each end of the head's
-    bracket of zeta_N({2}^j) lies outside it, in units of 2^-t,
-    t = head_bits(N, s), at any s. Each term of the recursion is rounded up
-    to a unit of 2^-32: zeta({2}^j) N, and p_i + N 2^-t < 1 + 3/4^i + 2^-8.
-    Cached: a plan bounds each depth it tries at one N with the same head."""
-    u = 32
-    head = [-((-(355 ** (2 * j)) << u) // (113 ** (2 * j) * math.factorial(2 * j + 1))) * N
-            for j in range(k)]
-    ends = [0] + [-(-(4 ** i + 3 << u) // 4 ** i) + (1 << u - 8) for i in range(1, k + 1)]
-    rho = [0]
-    for j in range(1, k + 1):
-        total = sum(rho[j - i] * ends[i] + head[j - i] for i in range(1, j + 1))
-        rho.append(-(-total // (j << u)) + 1)
-    return tuple(rho)
+        total = sum(he[m - i] * wp[i] + hp[i] * we[m - i] for i in range(1, m + 1))
+        we.append(-(-total // (m << t)) + 2)
+        he.append(-((-(355 ** (2 * m)) << t) // (113 ** (2 * m) * math.factorial(2 * m + 1)))
+                  + we[m])
+    return [-(-w >> (t - s)) + 1 for w in we]
 
 
 def plan_limit(k: int, width: Fraction) -> tuple[int, int]:
@@ -336,8 +289,8 @@ def plan_limit(k: int, width: Fraction) -> tuple[int, int]:
     depth is first guessed as the smallest em >= 6 whose
     floor _floor_terms(j - 1, N, em) is within `width` for every j <= k, the
     largest such em over j, by trying em = 6, 12, 24, ... and bisecting the
-    last step; the floor is a lower bound of the width, so no smaller em can
-    pass. The guess is confirmed by width_bound, or the bound is bisected
+    last step; the floor is a lower bound of width_bound, so no smaller em
+    can pass. The guess is confirmed by width_bound, or the bound is bisected
     above it. Each width_bound is one recursion for the whole row, so a
     plan costs O(log EM_CEILING) closed-form bounds at each N of the ladder,
     as a plan for entry k alone would.
@@ -402,31 +355,31 @@ def limit_bits(width: Fraction) -> int:
     return width.denominator.bit_length() + 32
 
 
-def mzv_limit_bracket(k: int, N: int = 1000, em_terms: int = 6, *,
-                      bits: int) -> list[tuple[int, int]]:
+def mzv_limit_bracket(k: int, N: int, em: int, *, bits: int) -> list[tuple[int, int]]:
     """Brackets lo / 2^bits <= zeta({2}^j) <= hi / 2^bits, j = 0..k.
 
-    Splits the elementary symmetric function over {1..N} and the tail:
-        zeta({2}^j) = sum_{i<=j} zeta_N({2}^i) * e_{j-i}(tail),
-    an identity, so the width comes from the tail power-sum brackets and
-    the rounding. The head zeta_N({2}^i) is bracketed on the finer grid
-    2^-head_bits(N, bits), by _newton_brackets on head_power_sums; every
-    factor is nonnegative, so each end is one exact integer sum of head
-    times tail_elementary_brackets, floored or ceiled once onto 2^-bits.
-    One head and one tail serve every entry, and neither depends on k, so
-    entry j is the bracket a call at j would return. Each end lies outside
-    the exact bracket by at most the rounding bound of _width_terms.
+    zeta({2}^j) is the j-th elementary symmetric function of
+    {1/n^2 : n >= 1}, whose power sums add over the head n <= N and the
+    tail n > N. On the grid 2^-t, t = head_bits(N, bits), each head power
+    sum is bracketed by head_power_sums and each tail one by the
+    Euler-Maclaurin numerators of power_sum_tail_numerators, its lower end
+    floored and its upper end ceiled; the two brackets add, and one
+    _newton_brackets run turns the sums into the row, each end then
+    floored or ceiled once onto 2^-bits. No power sum depends on k, so
+    entry j is the bracket a call at j would return. width_bound bounds
+    the width of each entry.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
     if N > EXACT_N_LIMIT:
         raise ResourceError(f"truncation {N} exceeds ceiling {EXACT_N_LIMIT}")
-    w = head_bits(N, bits)
-    hlo, hhi = zip(*_newton_brackets(head_power_sums(N, k, w), w))
-    elo, ehi = zip(*tail_elementary_brackets(N, k, em_terms, bits))
-    return [(sum(map(mul, hlo[:j + 1], elo[j::-1])) >> w,
-             -(-sum(map(mul, hhi[:j + 1], ehi[j::-1])) >> w))
-            for j in range(k + 1)]
+    if not k:
+        return [(1 << bits, 1 << bits)]
+    t = head_bits(N, bits)
+    den, tail = power_sum_tail_numerators(N, k, em)
+    p = [(h + (lo << t) // den, g - (-hi << t) // den)
+         for (h, g), (lo, hi) in zip(head_power_sums(N, k, t), tail)]
+    return [(lo >> (t - bits), -(-hi >> (t - bits))) for lo, hi in _newton_brackets(p, t)]
 
 
 def require_limit_k(k: int) -> None:

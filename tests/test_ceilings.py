@@ -110,7 +110,7 @@ def _requests(monkeypatch):
         out.append((f"{name} k={k} at {MAX_PRECISION} bits",
                     lambda name=name, config=config: suites.run_suite(name, config)))
     out += [("mzv bracket N",
-             lambda: series.mzv_limit_bracket(2, series.EXACT_N_LIMIT + 1, bits=64)),
+             lambda: series.mzv_limit_bracket(2, series.EXACT_N_LIMIT + 1, 6, bits=64)),
             ("Wallis", lambda: pi_constants.pi_amp(pi_constants.WALLIS_N_CEILING + 1))]
     for kind, identity in (("alpha", bijection.alpha_residual_identity),
                            ("beta", bijection.beta_residual_identity)):

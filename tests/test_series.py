@@ -1,6 +1,7 @@
 """Truncated multiple zeta values: recursion vs enumeration, coefficients,
 and the certified limits."""
 
+import functools
 import itertools
 import math
 import operator
@@ -125,15 +126,13 @@ def test_mzv_limit_builds_each_range_of_n_once(monkeypatch):
     assert [a[:3] for a, _ in attempts] == [(4, N, em)]
     bits = series.limit_bits(width)
     assert built == [(N, 4, series.head_bits(N, bits))]
-    # the brackets are taken on the plan's grid, and each contains the exact
-    # bracket on the head row mzv_row(N, 4), as its entry contains it
+    # the brackets are taken on the plan's grid, and each contains the
+    # rational row's bracket, as its entry contains it
     args, kwargs = attempts[0]
     assert kwargs == {"bits": bits}
     unit = Fraction(1, 1 << bits)
-    head, tails = mzv_row(N, 4), _tail_brackets_by_fractions(N, 4, em)
-    for j, (z, (lo, hi)) in enumerate(zip(row, bracket(*args, **kwargs))):
-        exact = [sum(h * e[end] for h, e in zip(head, reversed(tails[:j + 1])))
-                 for end in (0, 1)]
+    for j, (z, (lo, hi), exact) in enumerate(zip(row, bracket(*args, **kwargs),
+                                                 _rational_row(4, N, em))):
         assert lo * unit <= exact[0] <= exact[1] <= hi * unit, j
         assert z.lo <= lo * unit and hi * unit <= z.hi, j
 
@@ -153,23 +152,129 @@ def _tail_brackets_by_fractions(N, k, em):
     return e
 
 
-def _exact_tail_brackets(N, k, em):
-    """oracle: brackets lo / (den^m m!) <= e_m <= hi / (den^m m!), m = 0..k,
-    of the tail set {1/n^2 : n > N}, as (den, [(lo, hi)]), with p_i = P_i / den.
-    Newton's identities m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i run on
-    exact numerators: E_m sums E_{m-i} P_i den^(i-1) (m-1)!/(m-i)!."""
-    den, p = power_sum_tail_numerators(N, k, em)
-    p = [(c * den ** i, d * den ** i) for i, (c, d) in enumerate(p)]
+def _newton_numerators(den, p):
+    """oracle: Newton's identities m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_i
+    on exact integer numerators. From brackets lo_i / (q^i den) <= p_i <=
+    hi_i / (q^i den), i = 1..k, p = [(lo_i, hi_i)], for any q >= 1, the
+    brackets lo / (q^m den^m m!) <= e_m <= hi / (q^m den^m m!), m = 0..k:
+    E_m sums E_{m-i} P_i den^(i-1) (m-1)!/(m-i)!, where den = 2^g lifts
+    by a shift."""
+    g = den.bit_length() - 1
+    if den == 1 << g:
+        lift = lambda x, j: x << g * j
+    else:
+        powers = [den ** j for j in range(len(p))]
+        lift = lambda x, j: x * powers[j]
     e = [(1, 1)]
-    for m in range(1, k + 1):
+    for m in range(1, len(p) + 1):
         lo, hi, scale = 0, 0, 1
         for i in range(1, m + 1):
             (a, b), (c, d) = e[m - i], p[i - 1]
-            tlo, thi = scale * min(a * c, b * c), scale * max(a * d, b * d)
+            tlo = lift(scale * min(a * c, b * c), i - 1)
+            thi = lift(scale * max(a * d, b * d), i - 1)
             lo, hi = (lo + tlo, hi + thi) if i % 2 == 1 else (lo - thi, hi - tlo)
             scale *= m - i
         e.append((max(0, lo), hi))
-    return den, e
+    return e
+
+
+def _exact_tail_brackets(N, k, em):
+    """oracle: brackets lo / (den^m m!) <= e_m <= hi / (den^m m!), m = 0..k,
+    of the tail set {1/n^2 : n > N}, as (den, [(lo, hi)]), with p_i = P_i / den."""
+    den, p = power_sum_tail_numerators(N, k, em)
+    return den, _newton_numerators(den, p)
+
+
+@functools.lru_cache(maxsize=512)
+def _head_sum(N, i):
+    return zeta_even_truncated(N, i)
+
+
+@functools.lru_cache(maxsize=4096)
+def _tail_sum(N, i, em):
+    return power_sum_tail_bracket(N, i, em)
+
+
+def _rational_power_sums(k, N, em):
+    """oracle: the brackets [H_i + tail_lo_i, H_i + tail_hi_i] of the power
+    sums p_i = zeta(2i), i = 1..k, H_i = zeta_even_truncated(N, i) and the
+    tail from power_sum_tail_bracket."""
+    return [tuple(_head_sum(N, i) + end for end in _tail_sum(N, i, em))
+            for i in range(1, k + 1)]
+
+
+def _rational_row(k, N, em):
+    """oracle: Fraction brackets of zeta({2}^m), m = 0..k, by interval Newton
+    on _rational_power_sums, on numerators over q^i den, q = lcm(1..N)^2,
+    where q^i H_i is an integer. No power sum depends on k, so entry m is
+    that of any row past m."""
+    q = math.lcm(*range(1, N + 1)) ** 2
+    p = [[end * q ** i for end in ends] for i, ends in enumerate(_rational_power_sums(k, N, em), 1)]
+    den = math.lcm(*(end.denominator for ends in p for end in ends))
+    e = _newton_numerators(den, [tuple((end * den).numerator for end in ends) for ends in p])
+    return [tuple(Fraction(end, q ** m * den ** m * math.factorial(m)) for end in ends)
+            for m, ends in enumerate(e)]
+
+
+def _inner_power_sums(k, N, em, bits):
+    """oracle: brackets [a_i / 2^g, b_i / 2^g], i = 1..k, each inside the
+    rational [H_i + tail_lo_i, H_i + tail_hi_i] of _rational_power_sums,
+    without H_i itself, whose denominator lcm(1..N)^(2i) costs seconds at
+    large N. The grid 2^-g lies 64 bits past t = head_bits(N, bits), and
+    past 2^-2 of the narrowest tail bracket. On 2^-G, G = g + bitlen(N) + 2,
+    h_i = sum_n floor(2^G / n^(2i)) puts H_i in [h_i, h_i + N] / 2^G, N / 2^G
+    being under a quarter unit of 2^-g; a_i ceils (h_i + N) / 2^G + tail_lo_i
+    and b_i floors h_i / 2^G + tail_hi_i onto 2^-g, each end moving inward
+    by under 5/4 of a unit, so a_i < b_i. Returns (g, brackets)."""
+    tails = [_tail_sum(N, i, em) for i in range(1, k + 1)]
+    g = max(series.head_bits(N, bits) + 64,
+            *(((hi - lo).denominator // (hi - lo).numerator).bit_length() + 2 for lo, hi in tails))
+    G = g + N.bit_length() + 2
+    sums = []
+    for i, (lo, hi) in enumerate(tails, 1):
+        h = 0
+        for n in range(1, N + 1):
+            term = (1 << G) // n ** (2 * i)
+            if not term:
+                break
+            h += term
+        a, b = Fraction(h + N, 1 << G) + lo, Fraction(h, 1 << G) + hi
+        sums.append((-((-a.numerator << g) // a.denominator), (b.numerator << g) // b.denominator))
+        assert sums[-1][0] < sums[-1][1], (N, i, em, g)
+    return g, sums
+
+
+def _inner_row(k, N, em, bits):
+    """oracle: (row, sums), the row by exact interval Newton on the
+    brackets `sums` of _inner_power_sums, as brackets lo / d <= zeta({2}^m)
+    <= hi / d, m = 0..k, row = [(lo, hi, d)], d = 2^(g m) m! (a Fraction's
+    gcd would cost more than the Newton run). Interval Newton with exact
+    ends is inclusion-monotone, so each entry lies inside the rational
+    row's, and the kernel's row contains it at any N; the ends of `sums`
+    lie within 2^-63 of a unit of 2^-t, t = head_bits(N, bits), inside the
+    rational row's power sums. No power sum depends on k, so entry m is
+    that of any row past m."""
+    g, sums = _inner_power_sums(k, N, em, bits)
+    e = _newton_numerators(1 << g, sums)
+    row = [(lo, hi, (1 << g * m) * math.factorial(m)) for m, (lo, hi) in enumerate(e)]
+    return row, [tuple(Fraction(end, 1 << g) for end in ends) for ends in sums]
+
+
+def _on_one_denominator(row):
+    """The Fraction brackets of `row` as (lo, hi, d), each end over d."""
+    return [(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+             lo.denominator * hi.denominator) for lo, hi in row]
+
+
+def _oracle_row(k, N, em, bits):
+    """(row, sums, slack), row as _inner_row gives it: the rational row and
+    its power sums when they are cheap, at N <= 400, with the kernel's power
+    sums at most N + 1 units of 2^-t, t = head_bits(N, bits), outside them
+    (_reach); past that the inner row, which the kernel's power sums leave
+    by at most N + 2. `bits` is the finest grid the oracle serves."""
+    if N <= 400:
+        return _on_one_denominator(_rational_row(k, N, em)), _rational_power_sums(k, N, em), N + 1
+    return (*_inner_row(k, N, em, bits), N + 2)
 
 
 def _exact_limit_bracket(k, N, em, head=None):
@@ -201,14 +306,62 @@ def test_integer_limit_kernel_equals_the_rational_recursion(k, N, em):
     head = [Fraction(c, prod[0]) for c in prod]
     exact = tuple(sum(head[j] * expected[k - j][end] for j in range(k + 1)) for end in (0, 1))
     assert _exact_limit_bracket(k, N, em, prod) == exact
-    # the fixed-point kernel contains both, on a coarse grid and a fine one
+    # the fixed-point tail contains it, and the limit kernel contains the
+    # inner row, on a coarse grid and a fine one
+    ilo, ihi, d = _inner_row(k, N, em, 256)[0][k]
     for bits in (24, 256):
         unit = Fraction(1, 1 << bits)
         fixed = series.tail_elementary_brackets(N, k, em, bits)
         assert all(lo * unit <= a and b <= hi * unit
                    for (lo, hi), (a, b) in zip(fixed, expected)), bits
         lo, hi = mzv_limit_bracket(k, N, em, bits=bits)[k]
-        assert lo * unit <= exact[0] and exact[1] <= hi * unit, bits
+        assert lo * d <= ilo << bits and ihi << bits <= hi * d, bits
+
+
+def _reach(N, bits, sums, slack, exact):
+    """[r_m, m = 0..k]: how far, in units of 2^-t, t = head_bits(N, bits),
+    each end of entry m of the kernel's row lies at most outside the oracle
+    row `exact`, as _oracle_row gives it, before its rounding onto 2^-bits,
+    when each end of the kernel's bracket P'_i of p_i lies at most `slack`
+    units outside the oracle's bracket `sums[i - 1]`: N + 1 for the rational
+    [H_i + tail_lo_i, H_i + tail_hi_i], N units being the head's floors and
+    its slack and one more the tail's rounding, and N + 2 for the inner
+    brackets, which lie under 2^-63 of a unit inside. If the ends of X' lie at
+    most x outside those of X, and those of Y' at most y outside Y, the ends
+    of X'Y' lie at most x mag(Y') + mag(X) y outside those of XY, and each
+    floor or ceiling adds under a unit, so
+        r_m <= 1 + (1/m) sum_i (r_{m-i} (mag(P_i) + slack) + mag(e_{m-i}) slack),
+    each product over 2^t, mag being the oracle brackets' largest
+    magnitudes rounded up."""
+    t = series.head_bits(N, bits)
+    up = lambda n, d: -((-n << t) // d)
+    mag_p = [up(*max(-lo, hi).as_integer_ratio()) + slack for lo, hi in sums]
+    mag_e = [up(hi, d) for _, hi, d in exact]
+    r = [0]
+    for m in range(1, len(sums) + 1):
+        total = sum(r[m - i] * mag_p[i - 1] + mag_e[m - i] * slack for i in range(1, m + 1))
+        r.append(-(-total // (m << t)) + 1)
+    return r
+
+
+def _check_against_the_oracle_row(k, N, em, bits, oracle=None):
+    """Every entry of the kernel's row contains the oracle row's
+    (_oracle_row, or `oracle` from it at a finer grid and any k past this
+    one), fits width_bound, and lies at each end at most _reach outside it,
+    plus the final rounding onto 2^-bits."""
+    exact, sums, slack = _oracle_row(k, N, em, bits) if oracle is None else oracle
+    exact, sums = exact[:k + 1], sums[:k]
+    row = mzv_limit_bracket(k, N, em, bits=bits)
+    bound = series.width_bound(k, N, em, bits)
+    t = series.head_bits(N, bits)
+    for m, ((lo, hi), (elo, ehi, d), r) in enumerate(zip(row, exact,
+                                                         _reach(N, bits, sums, slack, exact))):
+        where = (k, N, em, bits, m)
+        assert lo * d <= elo << bits and ehi << bits <= hi * d, where
+        assert hi - lo <= bound[m], where
+        # each end at most (r + 2^(t - bits)) / 2^t outside, over d 2^(t + bits)
+        out = ((r << bits) + (1 << t)) * d
+        assert ((elo << bits) - lo * d) << t <= out and ((hi * d) - (ehi << bits)) << t <= out, where
 
 
 @settings(max_examples=25, deadline=None)
@@ -219,34 +372,27 @@ def test_integer_limit_kernel_equals_the_rational_recursion(k, N, em):
 @example(8, 1, 0)
 def test_the_fixed_point_bracket_is_the_exact_one_widened_by_its_rounding_at_most(k, N, em):
     # on the grid a plan for this width takes, 32 bits past it, and on a
-    # coarse one, where the rounding is most of the width
-    elo, ehi = _exact_limit_bracket(k, N, em)
-    fine = ((ehi - elo).denominator // (ehi - elo).numerator).bit_length() + 32
+    # coarse one, where the rounding is most of the width; past N = 400 the
+    # inner row on the coarse grid finds the width, and one on the fine
+    # grid serves both
+    elo, ehi, d = _oracle_row(k, N, em, 24)[0][k]
+    fine = (d // (ehi - elo)).bit_length() + 32
+    oracle = _oracle_row(k, N, em, fine)
     for bits in (fine, 24):
-        unit = Fraction(1, 1 << bits)
-        lo, hi = (end * unit for end in mzv_limit_bracket(k, N, em, bits=bits)[k])
-        exact, rounding = series._width_terms(k, N, em, bits)[k]
-        assert lo <= elo and ehi <= hi, bits
-        assert elo - lo <= rounding * unit and hi - ehi <= rounding * unit, bits
-        assert ehi - elo <= exact * unit, bits
+        _check_against_the_oracle_row(k, N, em, bits, oracle)
 
 
-def _exact_head_limit_bracket(k, N, em, bits, head=None):
-    """oracle: the integer ends on the grid 2^-bits of the row zeta({2}^j),
-    j = 0..k, as mzv_limit_bracket took it from the exact head: each ratio
-    c_j / c_0 of the coefficients of prod_{n<=N} (n^2 + t), or of `head`,
-    those to t^k over a common factor, taken once to 2^-bits, floored below
-    and ceiled above, then one exact sum against tail_elementary_brackets per
-    end, floored or ceiled once."""
-    head = series._factor_product(0, N, k) if head is None else head[:k + 1]
-    qlo, qhi = [], []
-    for c in head:
-        q, rem = divmod(c << bits, head[0])
-        qlo.append(q)
-        qhi.append(q + (rem > 0))
+def _convolution_limit_bracket(k, N, em, bits):
+    """oracle: the row as the limit kernel took it when it convolved the
+    head with the tail, zeta({2}^j) = sum_{i<=j} zeta_N({2}^i) e_{j-i}(tail):
+    the head's e_i from _newton_brackets on head_power_sums on 2^-t,
+    t = head_bits(N, bits), times tail_elementary_brackets on 2^-bits, each
+    end one exact sum floored or ceiled once onto 2^-bits."""
+    t = series.head_bits(N, bits)
+    hlo, hhi = zip(*series._newton_brackets(series.head_power_sums(N, k, t), t))
     elo, ehi = zip(*series.tail_elementary_brackets(N, k, em, bits))
-    return [(sum(map(operator.mul, qlo[:j + 1], elo[j::-1])) >> bits,
-             -(-sum(map(operator.mul, qhi[:j + 1], ehi[j::-1])) >> bits))
+    return [(sum(map(operator.mul, hlo[:j + 1], elo[j::-1])) >> t,
+             -(-sum(map(operator.mul, hhi[:j + 1], ehi[j::-1])) >> t))
             for j in range(k + 1)]
 
 
@@ -271,12 +417,11 @@ def test_each_row_entry_is_the_bracket_of_its_own_degree(K, N, em, bits):
 @settings(max_examples=30, deadline=None)
 @given(*_ROW_CASES)
 @example(12, 64, 0, 8)
-def test_the_row_width_terms_are_those_of_each_degree_alone(K, N, em, bits):
-    terms = series._width_terms(K, N, em, bits)
-    assert len(terms) == K + 1
+def test_the_row_width_bound_is_that_of_each_degree_alone(K, N, em, bits):
+    bound = series.width_bound(K, N, em, bits)
+    assert len(bound) == K + 1 and bound[0] == 1
     for j in range(K + 1):
-        assert terms[j] == series._width_terms(j, N, em, bits)[j], j
-    assert series.width_bound(K, N, em, bits) == [b + 2 * r for b, r in terms]
+        assert bound[j] == series.width_bound(j, N, em, bits)[j], j
 
 
 def _head_power_sums_contain_the_exact_sums(N, k, precisions):
@@ -316,33 +461,21 @@ def test_head_elementary_brackets_contain_the_exact_row_within_a_unit():
                 assert hi - lo < 1 << (t - bits), (N, j, bits)
 
 
-def _check_against_the_exact_head(k, N, em, bits, head):
-    """Every entry of the row overlaps the exact-head oracle's, fits
-    width_bound, and differs from it at each end by at most what a head
-    within one unit of 2^-bits can move it: the j >= 1 terms of that end's
-    sum, ceil(sum_{i<m} e_i / 2^bits) over the tail's ends e_i."""
-    row = mzv_limit_bracket(k, N, em, bits=bits)
-    oracle = _exact_head_limit_bracket(k, N, em, bits, head)
-    bound = series.width_bound(k, N, em, bits)
-    elo, ehi = zip(*series.tail_elementary_brackets(N, k, em, bits))
-    for m, ((lo, hi), (olo, ohi)) in enumerate(zip(row, oracle)):
-        where = (k, N, em, bits, m)
-        assert lo <= ohi and olo <= hi, where
-        assert hi - lo <= bound[m], where
-        assert abs(lo - olo) <= -(-sum(elo[:m]) >> bits), where
-        assert abs(hi - ohi) <= -(-sum(ehi[:m]) >> bits), where
-
-
-def test_the_row_follows_the_exact_head_kernel_on_the_grid():
-    # k = 24 and 64 at N = 8192 are left to the closed form below: the
-    # exact head product alone takes 1.4 s and 10 s there
+def test_the_row_follows_the_rational_row_on_the_grid():
+    # one oracle row per (N, em) to k = 24, the rational one below N = 256,
+    # and one inner row to k = 64; k = 24 and 64 at N = 8192 are left to
+    # the closed form below: the inner row alone takes seconds there
     for N in _HEAD_NS:
-        ks = [*range(1, 9), 24, 64] if N < 8192 else range(1, 9)
-        head = series._factor_product(0, N, max(ks))
-        for k in ks:
-            for em in (0, 6, 40):
+        for em in (0, 6, 40):
+            if N < 256:
+                oracle = (_on_one_denominator(_rational_row(24, N, em)),
+                          _rational_power_sums(24, N, em), N + 1)
+            else:
+                oracle = (*_inner_row(24 if N < 8192 else 8, N, em, 256), N + 2)
+            deep = (*_inner_row(64, N, em, 256), N + 2) if N < 8192 else None
+            for k in (*range(1, 9), 24, 64) if N < 8192 else range(1, 9):
                 for bits in (24, 64, 256):
-                    _check_against_the_exact_head(k, N, em, bits, head)
+                    _check_against_the_oracle_row(k, N, em, bits, oracle if k <= 24 else deep)
     pi = pi_oracle(320)
     for k in (24, 64):
         for em in (0, 6, 40):
@@ -360,8 +493,27 @@ def test_the_row_follows_the_exact_head_kernel_on_the_grid():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=2000),
        st.integers(min_value=0, max_value=40), st.integers(min_value=8, max_value=600))
-def test_the_row_follows_the_exact_head_kernel(k, N, em, bits):
-    _check_against_the_exact_head(k, N, em, bits, None)
+def test_the_row_follows_the_rational_row(k, N, em, bits):
+    _check_against_the_oracle_row(k, N, em, bits)
+
+
+def test_the_tail_is_rounded_outward(monkeypatch):
+    # with no guard bits and the head's power sums bracketed within a unit,
+    # only the kernel's own roundings part its row from the rational one
+    def tight_head(N, k, t):
+        return [((h.numerator << t) // h.denominator, -((-h.numerator << t) // h.denominator))
+                for h in map(_head_sum, [N] * k, range(1, k + 1))]
+
+    monkeypatch.setattr(series, "head_bits", lambda N, bits: bits)
+    monkeypatch.setattr(series, "head_power_sums", tight_head)
+    for N in (1, 2, 3, 7, 31, 100):
+        for em in (0, 3, 9):
+            exact = _rational_row(6, N, em)
+            for bits in (16, 40, 64, 100, 200):
+                unit = Fraction(1, 1 << bits)
+                for m, ((lo, hi), (elo, ehi)) in enumerate(
+                        zip(mzv_limit_bracket(6, N, em, bits=bits), exact)):
+                    assert lo * unit <= elo and ehi <= hi * unit, (N, em, bits, m)
 
 
 @pytest.mark.parametrize("K, P", [(1, 64), (8, 116), (8, 160), (12, 219), (5, 512), (24, 64)])
@@ -374,9 +526,7 @@ def test_every_row_entry_certifies_and_contains_the_exact_kernel(K, P):
     bits = series.limit_bits(width)
     assert bits == P + 34
     brackets = mzv_limit_bracket(K, N, em, bits=bits)
-    prod = series._factor_product(0, N, K)
-    for j in range(1, K + 1):
-        lo, hi = _exact_limit_bracket(j, N, em, prod[:j + 1])
+    for j, (lo, hi) in enumerate(_rational_row(K, N, em)[1:], 1):
         a, c = brackets[j]
         assert type(a) is int and type(c) is int, j
         assert a <= lo * (1 << bits) and hi * (1 << bits) <= c, j
@@ -479,7 +629,7 @@ def test_mzv_limit_brackets_contain_closed_form():
 def test_sharp_bracket_inside_monotone_bound():
     N = 500
     for k in (1, 2, 3):
-        lo, hi = (end * Fraction(1, 1 << 128) for end in mzv_limit_bracket(k, N, bits=128)[k])
+        lo, hi = (end * Fraction(1, 1 << 128) for end in mzv_limit_bracket(k, N, 6, bits=128)[k])
         head = mzv_truncated(N, k)
         # the coarse tail bound (zeta_N({2}^{k-1}) + 1) / N
         coarse = (mzv_truncated(N, k - 1) + 1) / N
@@ -487,8 +637,8 @@ def test_sharp_bracket_inside_monotone_bound():
 
 
 def test_bracket_narrows_with_truncation():
-    lo1, hi1 = mzv_limit_bracket(2, 100, bits=128)[2]
-    lo2, hi2 = mzv_limit_bracket(2, 200, bits=128)[2]
+    lo1, hi1 = mzv_limit_bracket(2, 100, 6, bits=128)[2]
+    lo2, hi2 = mzv_limit_bracket(2, 200, 6, bits=128)[2]
     assert lo1 <= lo2 <= hi2 <= hi1
 
 
@@ -613,12 +763,12 @@ def test_pi_freq_is_the_root_of_the_certified_zeta2_row_entry(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 16, 24])
 def test_the_width_bound_covers_the_whole_bracket(k):
-    # the j < k-1 terms count: at k = 24, N = 256, em = 50 the bracket is
+    # the i > 1 terms count: at k = 24, N = 256, em = 50 the bracket is
     # far wider than zeta({2}^23) times the width of p_1 alone. The bound
-    # takes zeta({2}^j) for zeta_N({2}^j), which at k = 24 is loose at
-    # small N
+    # takes zeta(2i) for the power sums and zeta({2}^m) for the brackets
+    # of e_m, which at k = 24 are loose at small N
     for N, em in ((256, 6), (256, 50), (64, 25)):
-        elo, ehi = _exact_limit_bracket(k, N, em)
+        elo, ehi = _rational_row(k, N, em)[k]
         s = (ehi - elo).denominator.bit_length() + 8
         lo, hi = mzv_limit_bracket(k, N, em, bits=s)[k]
         width, bound = (Fraction(x, 1 << s) for x in (hi - lo, series.width_bound(k, N, em, s)[k]))
@@ -650,6 +800,24 @@ def test_the_plans_are_pinned():
         for k in ks:
             for P in precisions:
                 assert series.plan_limit(k, Fraction(1, 2 ** (P + 1))) == plan, (k, P)
+
+
+def test_entries_1_and_2_are_no_wider_than_the_convolution_at_the_pinned_plans():
+    # entry j does not depend on the row's k, so a row to j = 2 serves every
+    # k of a plan; there the closed-form floor bounds the kernel's entries
+    # 1 and 2 and every entry of width_bound from below
+    for ks, precisions, (N, em) in _PINNED_PLANS:
+        for P in precisions:
+            bits = series.limit_bits(Fraction(1, 2 ** (P + 1)))
+            row = mzv_limit_bracket(2, N, em, bits=bits)
+            oracle = _convolution_limit_bracket(2, N, em, bits)
+            bound = series.width_bound(8, N, em, bits)
+            for j in (1, 2):
+                (lo, hi), (olo, ohi) = row[j], oracle[j]
+                assert hi - lo <= ohi - olo, (N, em, P, j)
+                assert _floor(j - 1, N, em) * (1 << bits) <= hi - lo, (N, em, P, j)
+            for m in range(8):
+                assert _floor(m, N, em) * (1 << bits) <= bound[m + 1], (N, em, P, m)
 
 
 def test_a_plan_costs_a_logarithmic_number_of_bounds(monkeypatch):
